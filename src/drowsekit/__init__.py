@@ -35,7 +35,6 @@ from .session import (
 from .spectral import (
     BANDS,
     Band,
-    FeatureVector,
     PsdEstimate,
     band_power,
     eeg_feature_names,
@@ -53,7 +52,7 @@ from .stats import (
     separation_report,
 )
 from .synthgen import SynthSpec, generate_session
-from .vehicle import VehicleFeatureVector, interval_aggregate
+from .vehicle import interval_aggregate
 
 __version__ = "0.1.0"
 
@@ -68,7 +67,6 @@ __all__ = [
     "Epoch",
     "EpochSet",
     "FeatureMatrix",
-    "FeatureVector",
     "FilterKernel",
     "FilterKind",
     "OrdInterval",
@@ -79,7 +77,6 @@ __all__ = [
     "SynthSpec",
     "TestMethod",
     "TestResult",
-    "VehicleFeatureVector",
     "VehicleTelemetry",
     "Violation",
     "artifact_decision",

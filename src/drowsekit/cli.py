@@ -35,17 +35,16 @@ from .preprocess import (
     filter_epoch,
 )
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
-from .spectral import BANDS, extract_features, feature_matrix
+from .spectral import BANDS, extract_features
 from .stats import separation_report
 from .synthgen import SynthSpec, generate_session, load_synth_spec
-from .vehicle import interval_aggregate, vehicle_feature_matrix
+from .vehicle import interval_aggregate
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Pipeline parameters; the defaults reproduce the reference procedure."""
 
-    epoch_seconds: float = 30.0
     hp_cutoff_hz: float = 0.1
     hp_transition_hz: float = 0.2
     lp_cutoff_hz: float = 40.0
@@ -58,9 +57,8 @@ class RunConfig:
     per_channel_outliers: bool = False
 
     def validate(self) -> None:
-        for name in ("epoch_seconds", "hp_cutoff_hz", "hp_transition_hz",
-                     "lp_cutoff_hz", "lp_transition_hz", "amplitude_threshold_uv",
-                     "nfft"):
+        for name in ("hp_cutoff_hz", "hp_transition_hz", "lp_cutoff_hz",
+                     "lp_transition_hz", "amplitude_threshold_uv", "nfft"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.max_outlier_fraction <= 1.0:
@@ -70,7 +68,6 @@ class RunConfig:
 
     def to_param_dict(self) -> dict:
         return {
-            "epoch_seconds": self.epoch_seconds,
             "hp_cutoff_hz": self.hp_cutoff_hz,
             "hp_transition_hz": self.hp_transition_hz,
             "lp_cutoff_hz": self.lp_cutoff_hz,
@@ -117,13 +114,11 @@ def process_session(session: Session, config: RunConfig,
                           max_outlier_fraction=config.max_outlier_fraction,
                           per_channel=config.per_channel_outliers)
     summary = denoise_summary(filtered, kept)
-    vectors = [extract_features(ep, nfft=config.nfft) for ep in kept.epochs]
-    eeg_matrix = feature_matrix(vectors, session_id=session.id)
+    eeg_matrix = extract_features(kept.epochs, session_id=session.id, nfft=config.nfft)
     vehicle_matrix = None
     if session.telemetry is not None:
-        aggregates = interval_aggregate(session.telemetry, session.labels,
-                                        abs_mean=config.abs_mean)
-        vehicle_matrix = vehicle_feature_matrix(aggregates, session_id=session.id)
+        vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
+                                            abs_mean=config.abs_mean, session_id=session.id)
     return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
                          denoise=summary)
 
@@ -168,7 +163,7 @@ def analyze_cohort(sessions: Sequence[Session], config: RunConfig,
     vehicle_report = None
     if vehicle_matrices:
         vehicle_all = FeatureMatrix.concat(vehicle_matrices)
-        if vehicle_all.n_rows:
+        if len(vehicle_all):
             vehicle_report = separation_report(vehicle_all, alpha=config.alpha,
                                                cohort=cohort_id, config_digest=digest)
 

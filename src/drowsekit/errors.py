@@ -115,6 +115,10 @@ class NeedTwoGroups(DrowsekitError):
     code = "NeedTwoGroups"
 
 
+class NonFiniteSample(DrowsekitError):
+    code = "NonFiniteSample"
+
+
 # ---- synthesis ----------------------------------------------------------
 
 class InvalidSpec(DrowsekitError):

@@ -36,8 +36,7 @@ class FeatureMatrix:
         if len(self.interval_indices) != n or len(self.session_ids) != n:
             raise ValueError("row metadata lengths differ from the number of rows")
 
-    @property
-    def n_rows(self) -> int:
+    def __len__(self) -> int:
         return len(self.states)
 
     def column(self, name: str) -> np.ndarray:
@@ -97,7 +96,7 @@ class FeatureMatrix:
         f = open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path)) else dest
         try:
             f.write(",".join(("interval", "state") + self.feature_names) + "\n")
-            for i in range(self.n_rows):
+            for i in range(len(self)):
                 cells = [str(self.interval_indices[i]), self.states[i].value]
                 cells += [repr(float(v)) for v in self.values[i]]
                 f.write(",".join(cells) + "\n")

@@ -1,8 +1,11 @@
-"""Welch PSD estimation and band-power feature extraction.
+"""Welch PSD estimation and the per-session EEG feature matrix.
 
 Per channel, an epoch yields the absolute power (in microvolts squared)
 of the five classic bands and the relative power of each band against
 the 0.1..40 Hz total, for 10 features per channel and 40 per epoch.
+``extract_features`` computes one Welch PSD per epoch over all channels
+and integrates every band over the whole session at once; the result is
+bit-identical to integrating each channel's PSD on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from scipy.signal import welch
 from .errors import DegeneratePower, TooShort
 from .features import FeatureMatrix
 from .preprocess import Epoch
-from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ, BinaryState
+from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
 
 DEFAULT_NFFT = 1024
 
@@ -59,22 +62,13 @@ class PsdEstimate:
     density: np.ndarray
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 40 band-power features of one epoch.
+def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str, ...]:
+    """Feature names in column order, like ``TP9_delta_abs``.
 
     Ordering is channel-major: for each channel (TP9, AF7, AF8, TP10),
     for each band (delta..gamma), the absolute then the relative power.
     The last entry (index 39) is the TP10 gamma relative power.
     """
-
-    values: np.ndarray
-    interval_index: int
-    state: BinaryState
-
-
-def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str, ...]:
-    """Feature names in FeatureVector order, like ``TP9_delta_abs``."""
     return tuple(
         f"{ch}_{band.name}_{kind}"
         for ch in channel_names
@@ -112,32 +106,51 @@ def welch_psd(samples: np.ndarray, sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
     return PsdEstimate(freqs_hz=freqs, density=density)
 
 
-def _integrate(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> float:
-    """Trapezoidal integral of the density over [lo, hi].
+def _interp_at(f: np.ndarray, density: np.ndarray, x: float) -> np.ndarray:
+    """``np.interp(x, f, d)`` for every 1-D slice ``d`` along the last axis.
+
+    Uses np.interp's own arithmetic, so the values match it bit for bit.
+    ``x`` must lie within ``[f[0], f[-1]]``.
+    """
+    j = int(np.searchsorted(f, x))
+    if f[j] == x:
+        return density[..., j]
+    slope = (density[..., j] - density[..., j - 1]) / (f[j] - f[j - 1])
+    return slope * (x - f[j - 1]) + density[..., j - 1]
+
+
+def _integrate(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """Trapezoidal integral of the density over [lo, hi] along the last axis.
 
     The grid is augmented with linearly interpolated points at the exact
     band edges, so adjacent bands share edge mass half-half and partition
-    the total exactly.
+    the total exactly. The result has the density's leading shape.
     """
     f = psd.freqs_hz
     lo = max(lo_hz, float(f[0]))
     hi = min(hi_hz, float(f[-1]))
     if hi <= lo:
-        return 0.0
-    inner = f[(f > lo) & (f < hi)]
-    grid = np.concatenate(([lo], inner, [hi]))
-    dens = np.interp(grid, f, psd.density)
-    return float(np.trapezoid(dens, grid))
+        return np.zeros(psd.density.shape[:-1])
+    inner = (f > lo) & (f < hi)
+    grid = np.concatenate(([lo], f[inner], [hi]))
+    # Masking the last axis yields a non-C memory order that np.concatenate
+    # keeps; a C-contiguous integrand sums each row in the same order as a
+    # lone 1-D density, which keeps batched and per-channel results
+    # bit-identical.
+    dens = np.ascontiguousarray(np.concatenate(
+        (_interp_at(f, psd.density, lo)[..., None], psd.density[..., inner],
+         _interp_at(f, psd.density, hi)[..., None]), axis=-1))
+    return np.trapezoid(dens, grid, axis=-1)
 
 
 def band_power(psd: PsdEstimate, band: Band) -> float:
     """Absolute band power in uV^2 (integral of the density over the band)."""
-    return _integrate(psd, band.lo_hz, band.hi_hz)
+    return float(_integrate(psd, band.lo_hz, band.hi_hz))
 
 
 def total_power(psd: PsdEstimate) -> float:
     """Power over the full 0.1..40 Hz analysis range."""
-    return _integrate(psd, *TOTAL_BAND_HZ)
+    return float(_integrate(psd, *TOTAL_BAND_HZ))
 
 
 def relative_band_power(psd: PsdEstimate, band: Band) -> float:
@@ -152,35 +165,33 @@ def relative_band_power(psd: PsdEstimate, band: Band) -> float:
     return band_power(psd, band) / total
 
 
-def extract_features(epoch: Epoch, nfft: int = DEFAULT_NFFT) -> FeatureVector:
-    """Compute the 40-entry feature vector of one filtered, kept epoch.
+def extract_features(epochs: Sequence[Epoch], session_id: str = "",
+                     nfft: int = DEFAULT_NFFT) -> FeatureMatrix:
+    """Compute the 40 features of each filtered, kept epoch of a session.
+
+    Returns one row per epoch, in epoch order, with the columns of
+    ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix.
 
     Raises:
         DegeneratePower: Any channel's total power is degenerate.
     """
-    values = np.empty(len(EEG_CHANNELS) * len(BANDS) * 2, dtype=np.float64)
-    pos = 0
-    for ch in range(epoch.samples.shape[0]):
-        psd = welch_psd(epoch.samples[ch], nfft=nfft)
-        powers = [band_power(psd, band) for band in BANDS]
-        total = total_power(psd)
-        if total <= DEGENERATE_POWER_UV2:
-            raise DegeneratePower(
-                f"channel {EEG_CHANNELS[ch]} of epoch {epoch.interval_index} "
-                f"has degenerate total power {total:g}"
-            )
-        for p in powers:
-            values[pos] = p
-            values[pos + 1] = p / total
-            pos += 2
-    return FeatureVector(values=values, interval_index=epoch.interval_index,
-                         state=epoch.state)
-
-
-def feature_matrix(vectors: Sequence[FeatureVector], session_id: str = "") -> FeatureMatrix:
-    """Assemble extracted vectors into a labeled matrix."""
+    names = eeg_feature_names()
+    if not epochs:
+        return FeatureMatrix.from_rows(names, (), session_id=session_id)
+    psds = [welch_psd(ep.samples, nfft=nfft) for ep in epochs]
+    psd = PsdEstimate(freqs_hz=psds[0].freqs_hz, density=np.stack([p.density for p in psds]))
+    powers = np.stack([_integrate(psd, b.lo_hz, b.hi_hz) for b in BANDS]
+                      + [_integrate(psd, *TOTAL_BAND_HZ)], axis=-1)
+    absolute, total = powers[..., :-1], powers[..., -1]
+    degenerate = np.argwhere(total <= DEGENERATE_POWER_UV2)
+    if len(degenerate):
+        k, ch = degenerate[0]
+        raise DegeneratePower(
+            f"channel {EEG_CHANNELS[ch]} of epoch {epochs[k].interval_index} "
+            f"has degenerate total power {total[k, ch]:g}"
+        )
+    values = np.stack([absolute, absolute / total[..., None]], axis=-1).reshape(len(epochs), -1)
     return FeatureMatrix.from_rows(
-        eeg_feature_names(),
-        ((v.interval_index, v.state, v.values) for v in vectors),
+        names, ((ep.interval_index, ep.state, row) for ep, row in zip(epochs, values)),
         session_id=session_id,
     )

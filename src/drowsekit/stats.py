@@ -21,6 +21,7 @@ from scipy.stats import norm, rankdata
 from .errors import (
     EmptySample,
     NeedTwoGroups,
+    NonFiniteSample,
     TooFewSamples,
     TooLarge,
     ZeroVariance,
@@ -145,10 +146,13 @@ def ks_normal_test(sample: Sequence[float]) -> TestResult:
     distribution.
 
     Raises:
+        NonFiniteSample: A NaN or infinite observation.
         TooFewSamples: Fewer than 4 observations.
         ZeroVariance: All observations identical.
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise NonFiniteSample("sample holds a NaN or infinite value")
     n = len(x)
     if n < KS_MIN_SAMPLES:
         raise TooFewSamples(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
@@ -224,6 +228,7 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float],
 
     Raises:
         EmptySample: Either sample is empty.
+        NonFiniteSample: A NaN or infinite value in either sample.
         ValueError: Unknown method, or "exact" requested with ties.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -235,6 +240,8 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float],
         raise ValueError(f"unknown method {method!r}")
 
     pooled = np.concatenate([a, b])
+    if not np.isfinite(pooled).all():
+        raise NonFiniteSample("samples hold a NaN or infinite value")
     total_n = n_a + n_b
     ranks = rankdata(pooled, method="average")
     w = float(ranks[:n_a].sum())
@@ -333,7 +340,7 @@ def separation_report(features: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
         TooFewSamples: A state has fewer than 4 rows.
     """
     n_alert = sum(1 for s in features.states if s is BinaryState.ALERT)
-    n_drowsy = features.n_rows - n_alert
+    n_drowsy = len(features) - n_alert
     if n_alert == 0 or n_drowsy == 0:
         raise NeedTwoGroups(
             f"need both states, got {n_alert} alert / {n_drowsy} drowsy rows"

@@ -1,4 +1,4 @@
-"""Per-interval aggregation of vehicle telemetry.
+"""Per-interval telemetry means as a feature matrix.
 
 Telemetry is reduced to one mean value per series per 30-second labeling
 interval so vehicle features line up with the EEG epochs for comparison.
@@ -7,15 +7,12 @@ interval so vehicle features line up with the EEG epochs for comparison.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .features import FeatureMatrix
 from .session import (
     VEHICLE_SERIES,
-    BinaryState,
     OrdLabelTrack,
     VehicleTelemetry,
     majority_label,
@@ -27,23 +24,17 @@ logger = logging.getLogger(__name__)
 MIN_COVERAGE = 0.5
 
 
-@dataclass(frozen=True)
-class VehicleFeatureVector:
-    """Interval means of (steer_angle, steer_speed, lane_deviation, torque)."""
-
-    values: np.ndarray
-    interval_index: int
-    state: BinaryState
-
-
 def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
-                       abs_mean: bool = False) -> list[VehicleFeatureVector]:
+                       abs_mean: bool = False, session_id: str = "") -> FeatureMatrix:
     """Average each telemetry series over every labeling interval.
 
     A sample belongs to interval k when its timestamp falls in
     ``[30k, 30(k+1))``. Intervals holding less than half their expected
     samples are skipped (a warning logs the count). ``abs_mean`` switches
     to the mean of absolute values, removing signed cancellation.
+
+    Returns one row per emitted interval, in label order, with the
+    ``VEHICLE_SERIES`` columns.
     """
     t = telemetry.timestamps()
     step = labels.interval_seconds
@@ -52,7 +43,7 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     if abs_mean:
         data = np.abs(data)
 
-    out: list[VehicleFeatureVector] = []
+    rows = []
     skipped = 0
     for iv in labels.intervals:
         lo = iv.index * step
@@ -61,22 +52,8 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
         if count < MIN_COVERAGE * expected:
             skipped += 1
             continue
-        out.append(VehicleFeatureVector(
-            values=data[:, mask].mean(axis=1),
-            interval_index=iv.index,
-            state=majority_label(iv.ratings),
-        ))
+        rows.append((iv.index, majority_label(iv.ratings), data[:, mask].mean(axis=1)))
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
-    return out
-
-
-def vehicle_feature_matrix(vectors: Sequence[VehicleFeatureVector],
-                           session_id: str = "") -> FeatureMatrix:
-    """Assemble aggregated intervals into a labeled matrix."""
-    return FeatureMatrix.from_rows(
-        VEHICLE_SERIES,
-        ((v.interval_index, v.state, v.values) for v in vectors),
-        session_id=session_id,
-    )
+    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows, session_id=session_id)

@@ -101,7 +101,7 @@ def test_criterion_5_relative_power_normalization():
     for _ in range(1000):
         epoch = make_epoch(rng.normal(0.0, rng.uniform(1.0, 30.0), (4, EPOCH_SAMPLES)),
                            filtered=True)
-        rel = extract_features(epoch).values[rel_idx]
+        rel = extract_features([epoch]).values[0, rel_idx]
         for ch in range(4):
             worst = max(worst, abs(rel[5 * ch:5 * ch + 5].sum() - 1.0))
     assert worst <= 1e-9

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from drowsekit import cli, ingest
+from drowsekit.errors import NonFiniteSample
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -138,6 +141,18 @@ def test_analyze_single_state_cohort_exits_1(tmp_path, capsys):
     assert "NeedTwoGroups" in capsys.readouterr().err
 
 
+def test_analyze_cohort_rejects_nan_eeg_sample():
+    # a NaN passes the artifact rule and the degeneracy check, so the
+    # statistics are the last line of defence against a false "significant"
+    session = generate_session(SynthSpec(n_intervals=10, drowsy_fraction=0.5), 11)
+    channels = [c.copy() for c in session.eeg.channels]
+    channels[0][1000] = np.nan
+    session = dataclasses.replace(
+        session, eeg=dataclasses.replace(session.eeg, channels=tuple(channels)))
+    with pytest.raises(NonFiniteSample):
+        cli.analyze_cohort([session], cli.RunConfig(), cohort_id="nan")
+
+
 def test_analyze_missing_manifest_exits_2(tmp_path):
     code = cli.main(["analyze", "--manifest", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "r")])
@@ -198,7 +213,6 @@ def test_config_digest_stable_for_same_params():
 def test_config_digest_changes_with_every_parameter():
     base = cli.RunConfig()
     changed = {
-        "epoch_seconds": 15.0,
         "hp_cutoff_hz": 0.2,
         "hp_transition_hz": 0.4,
         "lp_cutoff_hz": 45.0,

@@ -10,7 +10,6 @@ from drowsekit.spectral import (
     band_power,
     eeg_feature_names,
     extract_features,
-    feature_matrix,
     relative_band_power,
     total_power,
     welch_psd,
@@ -122,11 +121,12 @@ def test_feature_names_order_pinned():
 
 def test_extract_features_invariants(rng):
     epoch = make_epoch(rng.normal(0, 10.0, (4, EPOCH_SAMPLES)), filtered=True)
-    vec = extract_features(epoch)
-    assert vec.values.shape == (40,)
+    matrix = extract_features([epoch])
+    assert matrix.values.shape == (1, 40)
+    values = matrix.values[0]
     names = eeg_feature_names()
-    abs_vals = vec.values[[i for i, n in enumerate(names) if n.endswith("_abs")]]
-    rel_vals = vec.values[[i for i, n in enumerate(names) if n.endswith("_rel")]]
+    abs_vals = values[[i for i, n in enumerate(names) if n.endswith("_abs")]]
+    rel_vals = values[[i for i, n in enumerate(names) if n.endswith("_rel")]]
     assert np.all(abs_vals >= 0.0)
     assert np.all((rel_vals >= 0.0) & (rel_vals <= 1.0))
     for ch in range(4):
@@ -136,30 +136,30 @@ def test_extract_features_invariants(rng):
 def test_extract_features_tone_on_single_channel(rng):
     samples = rng.normal(0, 1.0, (4, EPOCH_SAMPLES))
     samples[0] += sine_wave(10.0, amplitude=20.0)
-    vec = extract_features(make_epoch(samples, filtered=True))
+    values = extract_features([make_epoch(samples, filtered=True)]).values[0]
     names = eeg_feature_names()
-    tp9_rel = {n: vec.values[i] for i, n in enumerate(names)
+    tp9_rel = {n: values[i] for i, n in enumerate(names)
                if n.startswith("TP9") and n.endswith("_rel")}
     assert max(tp9_rel, key=tp9_rel.get) == "TP9_alpha_rel"
 
 
 def test_extract_features_deterministic(rng):
     epoch = make_epoch(rng.normal(size=(4, EPOCH_SAMPLES)), filtered=True)
-    v1 = extract_features(epoch)
-    v2 = extract_features(epoch)
+    v1 = extract_features([epoch])
+    v2 = extract_features([epoch])
     np.testing.assert_array_equal(v1.values, v2.values)
 
 
 def test_extract_features_degenerate_channel():
     epoch = make_epoch(np.zeros((4, EPOCH_SAMPLES)), filtered=True)
     with pytest.raises(DegeneratePower):
-        extract_features(epoch)
+        extract_features([epoch])
 
 
 def test_scaling_covariance(rng):
     samples = rng.normal(0, 5.0, (4, EPOCH_SAMPLES))
-    base = extract_features(make_epoch(samples, filtered=True)).values
-    scaled = extract_features(make_epoch(3.0 * samples, filtered=True)).values
+    base = extract_features([make_epoch(samples, filtered=True)]).values[0]
+    scaled = extract_features([make_epoch(3.0 * samples, filtered=True)]).values[0]
     names = eeg_feature_names()
     for i, name in enumerate(names):
         if name.endswith("_abs"):
@@ -186,7 +186,29 @@ def test_frequency_shift_moves_band(rng):
 def test_feature_matrix_assembly(rng):
     epochs = [make_epoch(rng.normal(0, 5.0, (4, EPOCH_SAMPLES)), interval_index=k,
                          filtered=True) for k in range(3)]
-    matrix = feature_matrix([extract_features(ep) for ep in epochs], session_id="s1")
+    matrix = extract_features(epochs, session_id="s1")
     assert matrix.values.shape == (3, 40)
     assert matrix.interval_indices == (0, 1, 2)
     assert matrix.session_ids == ("s1", "s1", "s1")
+    empty = extract_features([], session_id="s1")
+    assert empty.values.shape == (0, 40)
+    assert empty.feature_names == eeg_feature_names()
+
+
+def test_extract_features_matches_per_channel_path(rng):
+    # oracle: each channel's Welch PSD integrated on its own; the batched
+    # integration must reproduce it bit for bit, not just to rounding
+    epochs = [make_epoch(rng.normal(0.0, scale, (4, EPOCH_SAMPLES)), interval_index=k,
+                         filtered=True)
+              for k, scale in enumerate((0.05, 1.0, 7.0, 30.0, 250.0))]
+    expected = []
+    for ep in epochs:
+        row = []
+        for ch in range(4):
+            psd = welch_psd(ep.samples[ch])
+            total = total_power(psd)
+            for band in BANDS:
+                power = band_power(psd, band)
+                row += [power, power / total]
+        expected.append(row)
+    np.testing.assert_array_equal(extract_features(epochs).values, np.array(expected))

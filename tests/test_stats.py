@@ -10,6 +10,7 @@ from scipy.stats import norm
 from drowsekit.errors import (
     EmptySample,
     NeedTwoGroups,
+    NonFiniteSample,
     TooFewSamples,
     TooLarge,
     ZeroVariance,
@@ -67,6 +68,13 @@ def test_ks_too_few_samples():
         ks_normal_test([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_non_finite_sample(bad):
+    # a NaN statistic used to clamp to p = 0
+    with pytest.raises(NonFiniteSample):
+        ks_normal_test([1.0, 2.0, 3.0, bad, 5.0])
+
+
 @pytest.mark.parametrize("scale,shift", [(2.0, 0.0), (0.5, -7.0), (100.0, 1e6)])
 def test_ks_affine_invariance(rng, scale, shift):
     sample = rng.normal(size=50)
@@ -113,6 +121,15 @@ def test_rank_sum_ties_route_to_approx():
 def test_rank_sum_empty_sample():
     with pytest.raises(EmptySample):
         rank_sum_test([], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_rank_sum_non_finite_sample(bad):
+    # large enough for the normal approximation, where NaN used to give p = 0
+    a = np.arange(12.0)
+    a[3] = bad
+    with pytest.raises(NonFiniteSample):
+        rank_sum_test(a, np.arange(12.0) + 0.5)
 
 
 def test_rank_sum_all_tied():

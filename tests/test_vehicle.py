@@ -10,7 +10,7 @@ from drowsekit.session import (
     OrdLabelTrack,
     make_telemetry,
 )
-from drowsekit.vehicle import interval_aggregate, vehicle_feature_matrix
+from drowsekit.vehicle import interval_aggregate
 
 
 def _labels(ratings_per_interval):
@@ -31,7 +31,7 @@ def test_constant_signal_mean():
     out = interval_aggregate(tel, _labels([(1, 1, 1)]))
     assert len(out) == 1
     lane_idx = VEHICLE_SERIES.index("lane_deviation")
-    assert out[0].values[lane_idx] == pytest.approx(0.4)
+    assert out.values[0, lane_idx] == pytest.approx(0.4)
 
 
 def test_signed_mean_cancels():
@@ -41,7 +41,7 @@ def test_signed_mean_cancels():
     tel = make_telemetry([steer, np.zeros(n), np.zeros(n), np.zeros(n)],
                          sample_rate_hz=rate)
     out = interval_aggregate(tel, _labels([(1, 1, 1)]))
-    assert out[0].values[0] == pytest.approx(0.0, abs=1e-12)
+    assert out.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_abs_mean_variant():
@@ -51,7 +51,7 @@ def test_abs_mean_variant():
     tel = make_telemetry([steer, np.zeros(n), np.zeros(n), np.zeros(n)],
                          sample_rate_hz=rate)
     out = interval_aggregate(tel, _labels([(1, 1, 1)]), abs_mean=True)
-    assert out[0].values[0] == pytest.approx(5.0)
+    assert out.values[0, 0] == pytest.approx(5.0)
 
 
 def test_low_coverage_interval_skipped(caplog):
@@ -60,7 +60,8 @@ def test_low_coverage_interval_skipped(caplog):
     tel = make_telemetry(np.zeros((4, n)), sample_rate_hz=rate)
     with caplog.at_level(logging.WARNING, logger="drowsekit.vehicle"):
         out = interval_aggregate(tel, _labels([(1, 1, 1)]))
-    assert out == []
+    assert len(out) == 0
+    assert out.feature_names == VEHICLE_SERIES
     assert "skipped 1" in caplog.text
 
 
@@ -70,7 +71,7 @@ def test_mean_invariant_to_sample_rate():
     for rate in (10.0, 50.0):
         tel = _telemetry(1, rate=rate, fill=2.5)
         out = interval_aggregate(tel, labels)
-        means.append(out[0].values[0])
+        means.append(out.values[0, 0])
     assert means[0] == pytest.approx(means[1])
 
 
@@ -79,7 +80,7 @@ def test_emitted_indices_subset_of_labels():
     # telemetry covers only 2 of 4 labeled intervals
     tel = _telemetry(2, rate=rate)
     out = interval_aggregate(tel, _labels([(1, 1, 1)] * 4))
-    indices = [v.interval_index for v in out]
+    indices = list(out.interval_indices)
     assert indices == [0, 1]
     assert len(set(indices)) == len(indices)
 
@@ -87,14 +88,15 @@ def test_emitted_indices_subset_of_labels():
 def test_states_follow_majority_vote():
     tel = _telemetry(2)
     out = interval_aggregate(tel, _labels([(1, 2, 1), (3, 4, 4)]))
-    assert out[0].state is BinaryState.ALERT
-    assert out[1].state is BinaryState.DROWSY
+    assert out.states[0] is BinaryState.ALERT
+    assert out.states[1] is BinaryState.DROWSY
 
 
 def test_vehicle_feature_matrix_shape():
     tel = _telemetry(3, fill=1.5)
-    out = interval_aggregate(tel, _labels([(1, 1, 1), (4, 4, 4), (2, 2, 2)]))
-    matrix = vehicle_feature_matrix(out, session_id="v1")
+    matrix = interval_aggregate(tel, _labels([(1, 1, 1), (4, 4, 4), (2, 2, 2)]),
+                                session_id="v1")
     assert matrix.feature_names == VEHICLE_SERIES
+    assert matrix.session_ids == ("v1",) * 3
     assert matrix.values.shape == (3, 4)
     assert np.all(matrix.values == 1.5)
