@@ -41,6 +41,14 @@ class NonNumericValue(IngestError):
         super().__init__(message or f"non-numeric value in data row {row}")
 
 
+class NonFiniteValue(IngestError):
+    code = "NonFiniteValue"
+
+    def __init__(self, row: int, message: str = ""):
+        self.row = row
+        super().__init__(message or f"NaN or infinite value in data row {row}")
+
+
 class InconsistentRowLength(IngestError):
     code = "InconsistentRowLength"
 
@@ -63,6 +71,14 @@ class GapInIntervals(IngestError):
 
 class MissingRater(IngestError):
     code = "MissingRater"
+
+
+class InvalidEncoding(IngestError):
+    code = "InvalidEncoding"
+
+
+class DuplicateSessionId(IngestError):
+    code = "DuplicateSessionId"
 
 
 # ---- preprocessing ------------------------------------------------------
@@ -105,10 +121,6 @@ class ZeroVariance(DrowsekitError):
 
 class EmptySample(DrowsekitError):
     code = "EmptySample"
-
-
-class TooLarge(DrowsekitError):
-    code = "TooLarge"
 
 
 class NeedTwoGroups(DrowsekitError):

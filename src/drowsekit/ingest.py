@@ -28,12 +28,15 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import (
+    DuplicateSessionId,
     EmptyFile,
     GapInIntervals,
     InconsistentRowLength,
+    InvalidEncoding,
     InvalidRating,
     MissingHeader,
     MissingRater,
+    NonFiniteValue,
     NonNumericValue,
     NonUniformTimestep,
     WrongColumnSet,
@@ -73,11 +76,15 @@ class SessionManifest:
 
 
 def _read_lines(source: IO[bytes] | IO[str] | str | Path) -> list[str]:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    try:
+        if isinstance(source, (str, Path)):
+            text = Path(source).read_text(encoding="utf-8")
+        else:
+            raw = source.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        name = f"{source}: " if isinstance(source, (str, Path)) else ""
+        raise InvalidEncoding(f"{name}not valid UTF-8 at byte {exc.start}") from None
     return text.splitlines()
 
 
@@ -91,10 +98,13 @@ def _parse_header(lines: list[str], expected: tuple[str, ...], what: str) -> Non
         )
 
 
-def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> list[list[float]]:
-    """Parse data rows (everything after the header) as floats.
+def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
+    """Parse data rows (everything after the header) into an (n, n_cols) array.
 
     Row numbers in errors are 1-based data-row indices.
+
+    Raises:
+        InconsistentRowLength, NonNumericValue, NonFiniteValue
     """
     rows: list[list[float]] = []
     for i, line in enumerate(lines[1:], start=1):
@@ -107,7 +117,13 @@ def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> list[list[f
             rows.append([float(f) for f in fields])
         except ValueError:
             raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}") from None
-    return rows
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), n_cols)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # map the first bad array row back to its data-row number (blank lines skipped)
+        i = [i for i, line in enumerate(lines[1:], start=1) if line.strip()][int(np.argmin(finite))]
+        raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {lines[i]!r}")
+    return data
 
 
 def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
@@ -117,16 +133,16 @@ def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
     alignment.
 
     Raises:
-        MissingHeader, WrongColumnSet, NonNumericValue, InconsistentRowLength
+        InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
+        NonFiniteValue, InconsistentRowLength
     """
     lines = _read_lines(source)
     _parse_header(lines, EEG_HEADER, "EEG CSV")
-    rows = _parse_numeric_rows(lines, len(EEG_HEADER), "EEG CSV")
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(EEG_HEADER))
+    data = _parse_numeric_rows(lines, len(EEG_HEADER), "EEG CSV")
     return make_eeg_recording(
         channels=[data[:, k + 1] for k in range(len(EEG_CHANNELS))],
         sample_rate_hz=EEG_SAMPLE_RATE_HZ,
-        start_time_s=float(data[0, 0]) if len(rows) else 0.0,
+        start_time_s=float(data[0, 0]) if len(data) else 0.0,
     )
 
 
@@ -137,15 +153,14 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
     match the median within 1% or the file is rejected.
 
     Raises:
-        MissingHeader, WrongColumnSet, NonNumericValue, InconsistentRowLength,
-        EmptyFile, NonUniformTimestep
+        InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
+        NonFiniteValue, InconsistentRowLength, EmptyFile, NonUniformTimestep
     """
     lines = _read_lines(source)
     _parse_header(lines, TELEMETRY_HEADER, "telemetry CSV")
-    rows = _parse_numeric_rows(lines, len(TELEMETRY_HEADER), "telemetry CSV")
-    if len(rows) < 2:
-        raise EmptyFile(f"telemetry CSV: {len(rows)} data rows, need at least 2 to infer a rate")
-    data = np.asarray(rows, dtype=np.float64)
+    data = _parse_numeric_rows(lines, len(TELEMETRY_HEADER), "telemetry CSV")
+    if len(data) < 2:
+        raise EmptyFile(f"telemetry CSV: {len(data)} data rows, need at least 2 to infer a rate")
     steps = np.diff(data[:, 0])
     median_step = float(np.median(steps))
     if median_step <= 0:
@@ -166,7 +181,8 @@ def load_ord_csv(source: IO[bytes] | IO[str] | str | Path) -> OrdLabelTrack:
     """Parse a labels CSV into an observer-rating track.
 
     Raises:
-        MissingHeader, WrongColumnSet, GapInIntervals, InvalidRating, MissingRater
+        InvalidEncoding, MissingHeader, WrongColumnSet, GapInIntervals,
+        InvalidRating, MissingRater
     """
     lines = _read_lines(source)
     _parse_header(lines, LABELS_HEADER, "labels CSV")
@@ -197,12 +213,18 @@ def load_ord_csv(source: IO[bytes] | IO[str] | str | Path) -> OrdLabelTrack:
 
 
 def load_manifest(path: str | Path) -> list[SessionManifest]:
-    """Parse a cohort manifest; relative paths resolve against its directory."""
+    """Parse a cohort manifest; relative paths resolve against its directory.
+
+    Raises:
+        InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
+        DuplicateSessionId
+    """
     path = Path(path)
     lines = _read_lines(path)
     _parse_header(lines, MANIFEST_HEADER, "manifest")
     base = path.parent
     entries: list[SessionManifest] = []
+    first_row: dict[str, int] = {}
     for i, line in enumerate(lines[1:], start=1):
         if not line.strip():
             continue
@@ -212,6 +234,11 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
         sid, eeg_p, tel_p, lab_p = fields
         if not sid or not eeg_p or not lab_p:
             raise WrongColumnSet(f"manifest: row {i} is missing a session id or required path")
+        if sid in first_row:
+            raise DuplicateSessionId(
+                f"manifest: row {i} repeats session id {sid!r} from row {first_row[sid]}"
+            )
+        first_row[sid] = i
         entries.append(SessionManifest(
             session_id=sid,
             eeg_path=base / eeg_p,

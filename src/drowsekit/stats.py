@@ -3,13 +3,13 @@
 The normality of each feature is gated (informationally) with a
 Kolmogorov-Smirnov test corrected for estimated parameters; the actual
 separation p-value always comes from the two-sided Wilcoxon rank-sum
-(Mann-Whitney) test, exactly for small tie-free samples and by a refined
-normal approximation otherwise.
+(Mann-Whitney) test. For small tie-free samples it is exact: the null
+counts of U are the coefficients of a Gaussian binomial, computed in
+integers. Otherwise a refined normal approximation is used.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +23,6 @@ from .errors import (
     NeedTwoGroups,
     NonFiniteSample,
     TooFewSamples,
-    TooLarge,
     ZeroVariance,
 )
 from .features import FeatureMatrix
@@ -33,9 +32,6 @@ DEFAULT_ALPHA = 0.05
 
 # Largest min(n_a, n_b) that still takes the exact tie-free path.
 EXACT_PATH_MAX_MIN_N = 8
-
-# Largest pooled size accepted by the brute-force enumeration oracle.
-BRUTE_FORCE_MAX_N = 16
 
 KS_MIN_SAMPLES = 4
 
@@ -171,28 +167,25 @@ def ks_normal_test(sample: Sequence[float]) -> TestResult:
 
 # ---- Wilcoxon rank-sum / Mann-Whitney U ------------------------------------
 
-def _rank_sum_counts(n_a: int, n_b: int, w_obs: int) -> tuple[int, int, int]:
-    """Exact tail counts of the tie-free rank-sum null distribution.
+def _rank_sum_null_counts(n_a: int, n_b: int) -> list[int]:
+    """Exact counts of the tie-free Mann-Whitney U null distribution.
 
-    Counts n_a-subsets of the ranks 1..n_a+n_b by their sum with a
-    dynamic program over arbitrary-precision integers, then returns
-    (count of sums <= w_obs, count of sums >= w_obs, total subsets).
+    Entry u counts the n_a-subsets of the ranks 1..n_a+n_b whose rank sum
+    is u + n_a(n_a+1)/2. These are the coefficients of the Gaussian
+    binomial [N choose k]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i) with
+    k = min(n_a, n_b) and m = N - k, built one factor pair at a time in
+    arbitrary-precision integers.
     """
-    total_n = n_a + n_b
-    w_max = sum(range(total_n - n_a + 1, total_n + 1))
-    counts = [[0] * (w_max + 1) for _ in range(n_a + 1)]
-    counts[0][0] = 1
-    for r in range(1, total_n + 1):
-        for k in range(min(r, n_a), 0, -1):
-            row, prev = counts[k], counts[k - 1]
-            for s in range(w_max, r - 1, -1):
-                c = prev[s - r]
-                if c:
-                    row[s] += c
-    dist = counts[n_a]
-    n_le = sum(dist[: w_obs + 1])
-    n_ge = sum(dist[w_obs:])
-    return n_le, n_ge, math.comb(total_n, n_a)
+    k = min(n_a, n_b)
+    m = n_a + n_b - k
+    # room for the degree-(i*m + i) numerator product before each division
+    c = [1] + [0] * (k * m + k)
+    for i in range(1, k + 1):
+        for j in range(len(c) - 1, m + i - 1, -1):
+            c[j] -= c[j - m - i]
+        for j in range(i, len(c)):
+            c[j] += c[j - i]
+    return c[: k * m + 1]
 
 
 def _two_sided(n_le: int, n_ge: int, total: int) -> float:
@@ -208,54 +201,47 @@ def _rank_sum_kurtosis_excess(n_a: int, n_b: int) -> float:
     return k4 / (var * var)
 
 
-def rank_sum_test(a: Sequence[float], b: Sequence[float],
-                  method: str = "auto") -> TestResult:
+def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
     Ranks are midranks (ties averaged) and the statistic is the U of the
-    first sample. Small tie-free problems (min group size <= 8) are solved
-    by exact enumeration of the rank-sum null distribution; everything
-    else uses a normal approximation with tie-corrected variance, a 0.5
-    continuity correction, and a small-sample kurtosis refinement of the
-    tail areas. The two-sided p-value is twice the smaller tail, clamped
-    to [0, 1].
-
-    Args:
-        a: First sample.
-        b: Second sample.
-        method: "auto" (default routing), "exact" (tie-free only), or
-            "approx".
+    first sample. Tie-free problems whose smaller group has at most
+    ``EXACT_PATH_MAX_MIN_N`` (8) observations take their p-value from the
+    exact null distribution of U (Gaussian binomial coefficients);
+    everything else uses a normal approximation with tie-corrected
+    variance, a 0.5 continuity correction, and a small-sample kurtosis
+    refinement of the tail areas. The two-sided p-value is twice the
+    smaller tail, clamped to [0, 1].
 
     Raises:
         EmptySample: Either sample is empty.
         NonFiniteSample: A NaN or infinite value in either sample.
-        ValueError: Unknown method, or "exact" requested with ties.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n_a, n_b = len(a), len(b)
     if n_a == 0 or n_b == 0:
         raise EmptySample(f"both samples must be non-empty, got sizes ({n_a}, {n_b})")
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown method {method!r}")
-
     pooled = np.concatenate([a, b])
     if not np.isfinite(pooled).all():
         raise NonFiniteSample("samples hold a NaN or infinite value")
-    total_n = n_a + n_b
-    ranks = rankdata(pooled, method="average")
-    w = float(ranks[:n_a].sum())
+    if min(n_a, n_b) > EXACT_PATH_MAX_MIN_N or len(np.unique(pooled)) < n_a + n_b:
+        return _rank_sum_normal_approx(pooled, n_a)
+
+    u = float(rankdata(pooled, method="average")[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    counts = _rank_sum_null_counts(n_a, n_b)
+    u_obs = int(round(u))
+    p = _two_sided(sum(counts[: u_obs + 1]), sum(counts[u_obs:]), math.comb(n_a + n_b, n_a))
+    return TestResult(statistic=u, p_value=p,
+                      method=TestMethod.EXACT_ENUMERATION, n_a=n_a, n_b=n_b)
+
+
+def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
+    """Normal-approximation rank-sum test of pooled[:n_a] against the rest."""
+    total_n = len(pooled)
+    n_b = total_n - n_a
+    w = float(rankdata(pooled, method="average")[:n_a].sum())
     u = w - n_a * (n_a + 1) / 2.0
-    tie_free = len(np.unique(pooled)) == total_n
-
-    if method == "exact" or (method == "auto"
-                             and min(n_a, n_b) <= EXACT_PATH_MAX_MIN_N and tie_free):
-        if not tie_free:
-            raise ValueError("exact enumeration requires tie-free samples")
-        n_le, n_ge, total = _rank_sum_counts(n_a, n_b, int(round(w)))
-        return TestResult(statistic=u, p_value=_two_sided(n_le, n_ge, total),
-                          method=TestMethod.EXACT_ENUMERATION, n_a=n_a, n_b=n_b)
-
     _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts).sum())) / (total_n * (total_n - 1.0))
     variance = n_a * n_b / 12.0 * ((total_n + 1.0) - tie_term)
@@ -290,38 +276,6 @@ def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
         correction = norm.pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)
         base = base + correction if upper else base - correction
     return min(1.0, max(0.0, float(base)))
-
-
-def exact_rank_sum_p(a: Sequence[float], b: Sequence[float]) -> float:
-    """Brute-force two-sided rank-sum p-value over all rank assignments.
-
-    Enumerates every way of assigning the pooled midranks to the first
-    group; intended as an independent oracle for small problems.
-
-    Raises:
-        EmptySample: Either sample is empty.
-        TooLarge: More than 16 pooled observations.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n_a, n_b = len(a), len(b)
-    if n_a == 0 or n_b == 0:
-        raise EmptySample(f"both samples must be non-empty, got sizes ({n_a}, {n_b})")
-    total_n = n_a + n_b
-    if total_n > BRUTE_FORCE_MAX_N:
-        raise TooLarge(f"enumeration limited to {BRUTE_FORCE_MAX_N} pooled samples, got {total_n}")
-
-    ranks = rankdata(np.concatenate([a, b]), method="average")
-    w_obs = ranks[:n_a].sum()  # midrank sums are exact multiples of 0.5
-    n_le = n_ge = total = 0
-    for combo in itertools.combinations(range(total_n), n_a):
-        w = sum(ranks[i] for i in combo)
-        total += 1
-        if w <= w_obs:
-            n_le += 1
-        if w >= w_obs:
-            n_ge += 1
-    return _two_sided(n_le, n_ge, total)
 
 
 # ---- per-feature report -----------------------------------------------------

@@ -92,6 +92,31 @@ def test_validate_flags_malformed_file(tmp_path, capsys):
     assert "NonNumericValue" in captured.out
 
 
+@pytest.mark.parametrize("cell,code", [(b"nan", "NonFiniteValue"),
+                                       (b"\xff\xfe", "InvalidEncoding")])
+def test_validate_lists_unloadable_session(tmp_path, capsys, cell, code):
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), 1)])
+    eeg_path = manifest.parent / "synth-1" / "eeg.csv"
+    lines = eeg_path.read_bytes().split(b"\n")
+    fields = lines[3].split(b",")
+    fields[2] = cell
+    lines[3] = b",".join(fields)
+    eeg_path.write_bytes(b"\n".join(lines))
+    assert cli.main(["validate", "--manifest", str(manifest)]) == 1
+    assert f"synth-1: LOAD FAILED {code}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_manifest_invalid_utf8_exits_2(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"session_id,eeg_path,telemetry_path,labels_path\n\xff\xfe\n")
+    args = [command, "--manifest", str(manifest)]
+    if command == "analyze":
+        args += ["--out", str(tmp_path / "r")]
+    assert cli.main(args) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
 def test_analyze_effect_cohort(tmp_path):
     manifest = _write_cohort(
         tmp_path, [(EFFECT_SPEC, seed) for seed in (101, 102, 103)])

@@ -2,15 +2,21 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drowsekit import ingest
 from drowsekit.errors import (
+    DrowsekitError,
+    DuplicateSessionId,
     EmptyFile,
     GapInIntervals,
     InconsistentRowLength,
+    InvalidEncoding,
     InvalidRating,
     MissingHeader,
     MissingRater,
+    NonFiniteValue,
     NonNumericValue,
     NonUniformTimestep,
     WrongColumnSet,
@@ -62,6 +68,17 @@ def test_load_eeg_non_numeric_row_index():
     assert err.value.row == 5
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_load_eeg_non_finite_row_index(token):
+    lines = ["t,TP9,AF7,AF8,TP10"]
+    for k in range(1, 11):
+        # a blank data row still counts, as it does for NonNumericValue
+        lines.append("" if k == 3 else f"0.0,1.0,{token if k == 7 else '2.0'},3.0,4.0")
+    with pytest.raises(NonFiniteValue) as err:
+        ingest.load_eeg_csv(io.StringIO("\n".join(lines)))
+    assert err.value.row == 7
+
+
 def test_load_eeg_inconsistent_row():
     text = "t,TP9,AF7,AF8,TP10\n0.0,1.0,2.0,3.0,4.0\n0.1,1.0,2.0\n"
     with pytest.raises(InconsistentRowLength) as err:
@@ -94,9 +111,23 @@ def test_load_telemetry_rejects_gap():
         ingest.load_telemetry_csv(_telemetry_csv(times))
 
 
+def test_load_telemetry_nan_timestamp():
+    # a NaN time used to load as sample_rate_hz = nan and pass validation
+    with pytest.raises(NonFiniteValue) as err:
+        ingest.load_telemetry_csv(_telemetry_csv([0.0, 0.02, float("nan"), 0.06]))
+    assert err.value.row == 3
+
+
 def test_load_telemetry_empty_body():
     with pytest.raises(EmptyFile):
         ingest.load_telemetry_csv(_telemetry_csv([]))
+
+
+@pytest.mark.parametrize("loader", [ingest.load_eeg_csv, ingest.load_telemetry_csv,
+                                    ingest.load_ord_csv])
+def test_load_invalid_utf8(loader):
+    with pytest.raises(InvalidEncoding):
+        loader(io.BytesIO(b"t,TP9\n\xff\xfe\n"))
 
 
 def _labels_csv(rows):
@@ -178,3 +209,53 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.csv"
     ingest.write_manifest(entries, path, relative_to=tmp_path)
     assert ingest.load_manifest(path) == entries
+
+
+def test_manifest_duplicate_session_id(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("session_id,eeg_path,telemetry_path,labels_path\n"
+                    "s1,a.csv,,a_lab.csv\n"
+                    "s2,b.csv,,b_lab.csv\n"
+                    "s1,c.csv,,c_lab.csv\n")
+    with pytest.raises(DuplicateSessionId, match="row 3 repeats session id 's1' from row 1"):
+        ingest.load_manifest(path)
+
+
+# ---- loader fuzz -------------------------------------------------------------
+
+# each loader with its valid header
+FUZZ_LOADERS = {
+    "eeg": (ingest.load_eeg_csv, ingest.EEG_HEADER),
+    "telemetry": (ingest.load_telemetry_csv, ingest.TELEMETRY_HEADER),
+    "labels": (ingest.load_ord_csv, ingest.LABELS_HEADER),
+    "manifest": (ingest.load_manifest, ingest.MANIFEST_HEADER),
+}
+
+# raw bytes, and CSV-like text that gets past the header into the row parsers
+_FUZZ_BODY = st.one_of(
+    st.binary(max_size=400),
+    st.text(alphabet="0123456789.,-+eEinfaINFA_ \t\r\n/\xe9", max_size=400)
+    .map(lambda t: t.encode("utf-8")),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_LOADERS))
+def test_loaders_raise_only_toolkit_errors(kind, tmp_path_factory):
+    loader, header = FUZZ_LOADERS[kind]
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=_FUZZ_BODY, with_header=st.booleans())
+    def check(body, with_header):
+        data = (",".join(header) + "\n").encode() + body if with_header else body
+        if loader is ingest.load_manifest:  # the only loader that takes a path
+            path.write_bytes(data)
+            source = path
+        else:
+            source = io.BytesIO(data)
+        try:
+            loader(source)
+        except DrowsekitError:
+            pass
+
+    check()

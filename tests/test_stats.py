@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import exact_rank_sum_p, rank_sum_counts_dp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -12,14 +13,14 @@ from drowsekit.errors import (
     NeedTwoGroups,
     NonFiniteSample,
     TooFewSamples,
-    TooLarge,
     ZeroVariance,
 )
 from drowsekit.features import FeatureMatrix
 from drowsekit.session import BinaryState
 from drowsekit.stats import (
     TestMethod,
-    exact_rank_sum_p,
+    _rank_sum_normal_approx,
+    _rank_sum_null_counts,
     ks_normal_test,
     rank_sum_test,
     separation_report,
@@ -144,10 +145,20 @@ def test_exact_rank_sum_oracle_values():
 
 
 def test_exact_rank_sum_size_limit():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError):
         exact_rank_sum_p(list(range(9)), list(range(8)))
     with pytest.raises(EmptySample):
         exact_rank_sum_p([], [1.0])
+
+
+@pytest.mark.parametrize("n_a,n_b", [(1, 1), (3, 5), (5, 3), (8, 24), (24, 8), (8, 50)])
+def test_null_counts_match_dynamic_program(n_a, n_b):
+    counts = _rank_sum_null_counts(n_a, n_b)
+    by_rank_sum = rank_sum_counts_dp(n_a, n_b)
+    w_min = n_a * (n_a + 1) // 2
+    assert by_rank_sum[:w_min] == [0] * w_min
+    assert counts == by_rank_sum[w_min:]
+    assert sum(counts) == math.comb(n_a + n_b, n_a)
 
 
 def _random_tie_free_pair(rng, lo=3, hi=6):
@@ -172,7 +183,7 @@ def test_approx_tracks_exact(rng):
     for _ in range(200):
         a, b = _random_tie_free_pair(rng)
         p_exact = exact_rank_sum_p(a, b)
-        p_approx = rank_sum_test(a, b, method="approx").p_value
+        p_approx = _rank_sum_normal_approx(np.concatenate([a, b]), len(a)).p_value
         worst = max(worst, abs(p_approx - p_exact))
     assert worst <= 0.03
 
