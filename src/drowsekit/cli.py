@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from . import ingest
+from . import __version__, ingest, spectral, stats, vehicle
 from .errors import DrowsekitError
 from .features import FeatureMatrix
 from .preprocess import (
@@ -81,9 +81,16 @@ class RunConfig:
         }
 
     def digest(self) -> str:
-        """Hex digest that changes iff any pipeline parameter changes."""
-        canonical = json.dumps(self.to_param_dict(), sort_keys=True,
-                               separators=(",", ":"))
+        """Hex digest that changes iff a pipeline parameter, a module constant
+        that changes results, or the package version changes."""
+        constants = {
+            "version": __version__,
+            "min_coverage": vehicle.MIN_COVERAGE,
+            "exact_path_max_min_n": stats.EXACT_PATH_MAX_MIN_N,
+            "bands": [[b.name, b.lo_hz, b.hi_hz] for b in spectral.BANDS],
+        }
+        canonical = json.dumps({"params": self.to_param_dict(), "constants": constants},
+                               sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def kernels(self) -> tuple[FilterKernel, FilterKernel]:

@@ -81,6 +81,12 @@ class DuplicateSessionId(IngestError):
     code = "DuplicateSessionId"
 
 
+class UnsafeSessionId(IngestError):
+    """A session id that is not a plain file-name part (``features`` names files by it)."""
+
+    code = "UnsafeSessionId"
+
+
 # ---- preprocessing ------------------------------------------------------
 
 class InvalidCutoff(DrowsekitError):

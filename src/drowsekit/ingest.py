@@ -16,11 +16,15 @@ quoting):
   resolve against the manifest's directory.
 
 Loaders never silently drop or reorder rows; writers emit shortest
-round-trip float representations so load(write(x)) == x exactly.
+round-trip float representations so load(write(x)) == x exactly. Numeric
+bodies (EEG, telemetry) are parsed by numpy's C parser; the row-by-row
+``float`` parser runs only when that one fails, to build the row-numbered
+error, so both give the same arrays and the same errors.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -39,6 +43,7 @@ from .errors import (
     NonFiniteValue,
     NonNumericValue,
     NonUniformTimestep,
+    UnsafeSessionId,
     WrongColumnSet,
 )
 from .session import (
@@ -101,7 +106,35 @@ def _parse_header(lines: list[str], expected: tuple[str, ...], what: str) -> Non
 def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
     """Parse data rows (everything after the header) into an (n, n_cols) array.
 
-    Row numbers in errors are 1-based data-row indices.
+    numpy's C parser reads the non-blank rows. A body it rejects, warns
+    about, shapes differently or reads as non-finite, and one holding a
+    ``\\x1f``, goes to ``_parse_row_by_row`` unchanged, which raises the
+    row-numbered error (or returns its own array, e.g. for ``1_0``, which
+    only ``float`` accepts). Row numbers in errors are 1-based data-row
+    indices.
+
+    Raises:
+        InconsistentRowLength, NonNumericValue, NonFiniteValue
+    """
+    body = [line for line in lines[1:] if line.strip()]
+    # numpy strips a \x1f next to a number, float() does not
+    if body and not any("\x1f" in line for line in body):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
+                                  quotechar=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if data.shape == (len(body), n_cols) and np.isfinite(data).all():
+                return data
+    return _parse_row_by_row(lines, n_cols, what)
+
+
+def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:
+    """Parse data rows one ``float`` at a time; the error reporter of
+    ``_parse_numeric_rows``.
 
     Raises:
         InconsistentRowLength, NonNumericValue, NonFiniteValue
@@ -150,7 +183,9 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
     """Parse a telemetry CSV, inferring the sample rate from the time column.
 
     The rate is the reciprocal of the median time step; every step must
-    match the median within 1% or the file is rejected.
+    match the median within 1% or the file is rejected. Steps that
+    overflow, and a median step whose reciprocal overflows, are rejected
+    too.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
@@ -161,11 +196,19 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
     data = _parse_numeric_rows(lines, len(TELEMETRY_HEADER), "telemetry CSV")
     if len(data) < 2:
         raise EmptyFile(f"telemetry CSV: {len(data)} data rows, need at least 2 to infer a rate")
-    steps = np.diff(data[:, 0])
-    median_step = float(np.median(steps))
+    # huge finite times can overflow the steps; that is reported, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(data[:, 0])
+        median_step = float(np.median(steps))
+        deviation = np.max(np.abs(steps - median_step))
+    if not (np.isfinite(steps).all() and np.isfinite(median_step)):
+        raise NonUniformTimestep("telemetry CSV: time steps overflow")
     if median_step <= 0:
         raise NonUniformTimestep("telemetry CSV: non-increasing time column")
-    if np.max(np.abs(steps - median_step)) > TIMESTEP_TOLERANCE * median_step:
+    if not np.isfinite(1.0 / median_step):
+        raise NonUniformTimestep(
+            f"telemetry CSV: median step {median_step:g} s gives no finite sample rate")
+    if deviation > TIMESTEP_TOLERANCE * median_step:
         raise NonUniformTimestep(
             f"telemetry CSV: time steps deviate more than {TIMESTEP_TOLERANCE:.0%} "
             f"from the median step {median_step:g} s"
@@ -217,7 +260,7 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
-        DuplicateSessionId
+        DuplicateSessionId, UnsafeSessionId
     """
     path = Path(path)
     lines = _read_lines(path)
@@ -234,6 +277,9 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
         sid, eeg_p, tel_p, lab_p = fields
         if not sid or not eeg_p or not lab_p:
             raise WrongColumnSet(f"manifest: row {i} is missing a session id or required path")
+        if sid in (".", "..") or any(c in sid for c in "/\\\0"):
+            # ``features`` writes <out>/<session id>_*.csv, so the id must not be a path
+            raise UnsafeSessionId(f"manifest: row {i} has session id {sid!r}, which is not a plain name")
         if sid in first_row:
             raise DuplicateSessionId(
                 f"manifest: row {i} repeats session id {sid!r} from row {first_row[sid]}"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from drowsekit import cli, ingest
+from drowsekit import cli, ingest, spectral, stats, vehicle
 from drowsekit.errors import NonFiniteSample
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES
 from drowsekit.synthgen import SynthSpec, generate_session
@@ -252,6 +252,40 @@ def test_config_digest_changes_with_every_parameter():
     assert set(changed) == set(base.to_param_dict())
     for name, value in changed.items():
         assert cli.RunConfig(**{name: value}).digest() != base.digest(), name
+
+
+@pytest.mark.parametrize("module, name, value", [
+    (vehicle, "MIN_COVERAGE", 0.6),
+    (stats, "EXACT_PATH_MAX_MIN_N", 9),
+    (spectral, "BANDS", spectral.BANDS[:-1] + (spectral.Band("gamma", 30.0, 45.0),)),
+    (cli, "__version__", "0.0.0"),  # the package version, as imported by cli
+])
+def test_config_digest_changes_with_result_constants(monkeypatch, module, name, value):
+    base = cli.RunConfig().digest()
+    monkeypatch.setattr(module, name, value)
+    assert cli.RunConfig().digest() != base
+
+
+@pytest.fixture(scope="module")
+def one_session_files(tmp_path_factory):
+    manifest = _write_cohort(tmp_path_factory.mktemp("one"), [(SynthSpec(n_intervals=4), 7)])
+    return ingest.load_manifest(manifest)[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "features"])
+@pytest.mark.parametrize("sid", ["../x", "a/b", "a\\b", ".", ".."])
+def test_path_like_session_id_exits_2(tmp_path, capsys, one_session_files, command, sid):
+    # without the check, ``features`` writes <out>/../x_eeg_features.csv, outside --out
+    entry = one_session_files
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("session_id,eeg_path,telemetry_path,labels_path\n"
+                        f"{sid},{entry.eeg_path},{entry.telemetry_path},{entry.labels_path}\n")
+    argv = [command, "--manifest", str(manifest)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "not a plain name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["manifest.csv"]
 
 
 def test_analyze_empty_manifest_exits_1(tmp_path, capsys):

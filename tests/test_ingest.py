@@ -43,6 +43,14 @@ def test_load_eeg_full_epoch_count():
     assert len(rec.channels) == 4
 
 
+def test_load_eeg_single_row():
+    # one row must still load as (1, 5), not as a flat 5-vector
+    rec = ingest.load_eeg_csv(_eeg_csv(1))
+    assert rec.n_samples == 1
+    assert [c.tolist() for c in rec.channels] == [[0.0], [2.0], [3.0], [4.0]]
+    assert rec.start_time_s == 0.0
+
+
 def test_load_eeg_preserves_row_order():
     rec = ingest.load_eeg_csv(_eeg_csv(100))
     np.testing.assert_array_equal(rec.channels[0], np.arange(100, dtype=float))
@@ -107,6 +115,19 @@ def test_load_telemetry_infers_rate():
 
 def test_load_telemetry_rejects_gap():
     times = [0.0, 0.02, 0.04, 0.24, 0.26]
+    with pytest.raises(NonUniformTimestep):
+        ingest.load_telemetry_csv(_telemetry_csv(times))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("times", [
+    [-1e308, 1e308],                # the step overflows to inf
+    [1e308, -1e308, 1e308],         # steps -inf and inf
+    [-1.7e308, -0.2e308, 1.3e308],  # finite steps, their mean (the median) overflows
+    [0.0, 5e-324, 1e-323],          # the rate 1 / 5e-324 overflows
+])
+def test_load_telemetry_overflowing_steps(times):
+    # the first case used to load with sample_rate_hz 0.0 and two RuntimeWarnings
     with pytest.raises(NonUniformTimestep):
         ingest.load_telemetry_csv(_telemetry_csv(times))
 
@@ -259,3 +280,61 @@ def test_loaders_raise_only_toolkit_errors(kind, tmp_path_factory):
             pass
 
     check()
+
+
+# ---- fast parse against the row-by-row parser ---------------------------------
+
+# cells float() and numpy read alike, read differently, or reject
+_ODD_CELLS = ["1_0", "+3", ".5", "5.", "0x1", "1e400", "-1e400", "nan", "inf", "-inf",
+              "Infinity", "", " ", "1 2", "abc", "1e", "-0.0", "5e-324", " 7 ", "\t8",
+              "\u20009", "9\x1f", "\x1f9", "\u0661", "1\x00"]
+_FLOAT_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_CELL = st.one_of(
+    _FLOAT_CELL,
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(_ODD_CELLS),
+    st.text(alphabet="0123456789.+-eE_xna \t\r\x0b\x0c\x1f\x85", max_size=6),
+)
+_GOOD_ROW = st.lists(_FLOAT_CELL, min_size=5, max_size=5).map(",".join)
+_ONE_ODD_ROW = st.tuples(
+    st.lists(_FLOAT_CELL, min_size=4, max_size=4), _CELL, st.integers(0, 4),
+).map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+_ROW = st.one_of(  # mostly bodies the fast path may accept, with an odd cell or not
+    _GOOD_ROW,
+    _GOOD_ROW,
+    _GOOD_ROW,
+    _ONE_ODD_ROW,
+    _ONE_ODD_ROW,
+    st.lists(_CELL, min_size=4, max_size=6).map(",".join),  # short, full and long rows
+    st.sampled_from(["", " ", "\t ", "\u3000"]),         # blank and whitespace-only
+)
+# str.splitlines also breaks on \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+_LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
+                             "\u2028", "\u2029"])
+
+
+def _parse_outcome(parse, lines):
+    try:
+        data = parse(lines, len(ingest.EEG_HEADER), "EEG CSV")
+    except DrowsekitError as exc:
+        return type(exc), exc.row, str(exc)
+    return data.dtype, data.shape, data.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(rows=st.lists(st.tuples(_ROW, _LINE_END), max_size=8))  # [] is a header-only body
+def test_fast_parse_matches_row_parser(rows):
+    text = ",".join(ingest.EEG_HEADER) + "\n" + "".join(row + end for row, end in rows)
+    lines = ingest._read_lines(io.StringIO(text))
+    assert (_parse_outcome(ingest._parse_numeric_rows, lines)
+            == _parse_outcome(ingest._parse_row_by_row, lines))
+
+
+def test_load_eeg_cells_numpy_and_float_read_differently():
+    # float() accepts underscores, numpy does not; numpy strips \x1f, float() does not
+    rec = ingest.load_eeg_csv(io.StringIO("t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n"))
+    assert rec.channels[0].tolist() == [10.0]
+    for cell in ("1\x1f", "\x1f1"):
+        with pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(io.StringIO(f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n"))
+        assert err.value.row == 2
