@@ -21,18 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from . import __version__, ingest, spectral, stats, vehicle
+from . import __version__, ingest, preprocess, spectral, stats, vehicle
 from .errors import DrowsekitError
 from .features import FeatureMatrix
 from .preprocess import (
     DenoiseSummary,
-    FilterKernel,
-    FilterKind,
     denoise_epochs,
     denoise_summary,
-    design_fir,
     epoch_signal,
     filter_epoch,
+    reference_kernels,
 )
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
 from .spectral import BANDS, extract_features
@@ -43,38 +41,31 @@ from .vehicle import interval_aggregate
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline parameters; the defaults reproduce the reference procedure."""
+    """The settable pipeline parameters; the defaults reproduce the reference
+    procedure, whose filter, artifact and Welch values are fixed constants.
 
-    hp_cutoff_hz: float = 0.1
-    hp_transition_hz: float = 0.2
-    lp_cutoff_hz: float = 40.0
-    lp_transition_hz: float = 4.0
-    amplitude_threshold_uv: float = 70.0
-    max_outlier_fraction: float = 0.30
-    nfft: int = 1024
-    alpha: float = 0.05
+    Raises:
+        ValueError: ``alpha`` outside (0, 1).
+    """
+
+    alpha: float = stats.DEFAULT_ALPHA
     abs_mean: bool = False
     per_channel_outliers: bool = False
 
-    def validate(self) -> None:
-        for name in ("hp_cutoff_hz", "hp_transition_hz", "lp_cutoff_hz",
-                     "lp_transition_hz", "amplitude_threshold_uv", "nfft"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.max_outlier_fraction <= 1.0:
-            raise ValueError("max_outlier_fraction must lie in [0, 1]")
+    def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
     def to_param_dict(self) -> dict:
+        """The settable values plus the fixed method constants, read now."""
         return {
-            "hp_cutoff_hz": self.hp_cutoff_hz,
-            "hp_transition_hz": self.hp_transition_hz,
-            "lp_cutoff_hz": self.lp_cutoff_hz,
-            "lp_transition_hz": self.lp_transition_hz,
-            "amplitude_threshold_uv": self.amplitude_threshold_uv,
-            "max_outlier_fraction": self.max_outlier_fraction,
-            "nfft": self.nfft,
+            "hp_cutoff_hz": preprocess.HP_CUTOFF_HZ,
+            "hp_transition_hz": preprocess.HP_TRANSITION_HZ,
+            "lp_cutoff_hz": preprocess.LP_CUTOFF_HZ,
+            "lp_transition_hz": preprocess.LP_TRANSITION_HZ,
+            "amplitude_threshold_uv": preprocess.DEFAULT_AMPLITUDE_THRESHOLD_UV,
+            "max_outlier_fraction": preprocess.DEFAULT_MAX_OUTLIER_FRACTION,
+            "nfft": spectral.DEFAULT_NFFT,
             "alpha": self.alpha,
             "abs_mean": self.abs_mean,
             "per_channel_outliers": self.per_channel_outliers,
@@ -93,13 +84,6 @@ class RunConfig:
                                sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def kernels(self) -> tuple[FilterKernel, FilterKernel]:
-        hp = design_fir(FilterKind.HIGH_PASS, self.hp_cutoff_hz,
-                        transition_hz=self.hp_transition_hz)
-        lp = design_fir(FilterKind.LOW_PASS, self.lp_cutoff_hz,
-                        transition_hz=self.lp_transition_hz)
-        return hp, lp
-
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -110,18 +94,14 @@ class SessionResult:
     denoise: DenoiseSummary
 
 
-def process_session(session: Session, config: RunConfig,
-                    kernels: tuple[FilterKernel, FilterKernel] | None = None) -> SessionResult:
+def process_session(session: Session, config: RunConfig) -> SessionResult:
     """Run epoching, filtering, denoising, and feature extraction for one session."""
-    hp, lp = kernels if kernels is not None else config.kernels()
+    hp, lp = reference_kernels()
     raw_epochs = epoch_signal(session.eeg, session.labels)
     filtered = [filter_epoch(ep, hp, lp) for ep in raw_epochs]
-    kept = denoise_epochs(filtered,
-                          amplitude_threshold_uv=config.amplitude_threshold_uv,
-                          max_outlier_fraction=config.max_outlier_fraction,
-                          per_channel=config.per_channel_outliers)
+    kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
     summary = denoise_summary(filtered, kept)
-    eeg_matrix = extract_features(kept.epochs, session_id=session.id, nfft=config.nfft)
+    eeg_matrix = extract_features(kept.epochs, session_id=session.id)
     vehicle_matrix = None
     if session.telemetry is not None:
         vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
@@ -137,9 +117,8 @@ def analyze_cohort(sessions: Sequence[Session], config: RunConfig,
     Raises:
         DrowsekitError: Any stage precondition failure (for example a
             single-state cohort).
-        ValueError: Invalid configuration or an invalid session.
+        ValueError: An empty cohort or an invalid session.
     """
-    config.validate()
     if not sessions:
         raise ValueError("cohort is empty")
     for session in sessions:
@@ -148,8 +127,7 @@ def analyze_cohort(sessions: Sequence[Session], config: RunConfig,
             listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
             raise ValueError(f"session {session.id} is invalid: {listing}")
 
-    kernels = config.kernels()
-    results = [process_session(s, config, kernels) for s in sessions]
+    results = [process_session(s, config) for s in sessions]
 
     eeg_all = FeatureMatrix.concat([r.eeg_features for r in results])
     denoise = results[0].denoise
@@ -160,28 +138,27 @@ def analyze_cohort(sessions: Sequence[Session], config: RunConfig,
     abs_matrix = eeg_all.select([n for n in names if n.endswith("_abs")])
     rel_matrix = eeg_all.select([n for n in names if n.endswith("_rel")])
 
-    digest = config.digest()
-    eeg_abs_report = separation_report(abs_matrix, alpha=config.alpha,
-                                       cohort=cohort_id, config_digest=digest)
-    eeg_rel_report = separation_report(rel_matrix, alpha=config.alpha,
-                                       cohort=cohort_id, config_digest=digest)
+    def report_rows(matrix: FeatureMatrix) -> list[dict]:
+        return [row.to_json_dict() for row in separation_report(matrix, alpha=config.alpha)]
+
+    eeg_abs_rows = report_rows(abs_matrix)
+    eeg_rel_rows = report_rows(rel_matrix)
 
     vehicle_matrices = [r.vehicle_features for r in results if r.vehicle_features is not None]
-    vehicle_report = None
+    vehicle_rows = []
     if vehicle_matrices:
         vehicle_all = FeatureMatrix.concat(vehicle_matrices)
         if len(vehicle_all):
-            vehicle_report = separation_report(vehicle_all, alpha=config.alpha,
-                                               cohort=cohort_id, config_digest=digest)
+            vehicle_rows = report_rows(vehicle_all)
 
     return {
         "cohort": cohort_id,
-        "config_digest": digest,
+        "config_digest": config.digest(),
         "config": config.to_param_dict(),
         "n_sessions": len(sessions),
-        "eeg_absolute": eeg_abs_report.to_json_rows(),
-        "eeg_relative": eeg_rel_report.to_json_rows(),
-        "vehicle": vehicle_report.to_json_rows() if vehicle_report else [],
+        "eeg_absolute": eeg_abs_rows,
+        "eeg_relative": eeg_rel_rows,
+        "vehicle": vehicle_rows,
         "denoise_table": denoise.to_json_dict(),
     }
 
@@ -218,12 +195,19 @@ def _write_vehicle_table(rows: list[dict], dest: IO[str], significant: bool) -> 
 
 
 def write_report_files(report: dict, out_dir: Path) -> list[Path]:
-    """Write report.json plus the table-shaped CSV mirrors; returns the paths."""
+    """Write report.json plus the table-shaped CSV mirrors; returns the paths.
+
+    Raises:
+        ValueError: The report holds a NaN or infinite number; nothing is
+            written then.
+        OSError: ``out_dir`` cannot be created or written.
+    """
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    report_path.write_text(text, encoding="utf-8")
     written.append(report_path)
 
     for key in ("eeg_absolute", "eeg_relative"):
@@ -302,7 +286,11 @@ def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig,
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error: analysis failed ({code}): {exc}", file=sys.stderr)
         return 1
-    paths = write_report_files(report, out_dir)
+    try:
+        paths = write_report_files(report, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 2
     n_sig = sum(row["significant"]
                 for key in ("eeg_absolute", "eeg_relative", "vehicle")
                 for row in report[key])
@@ -323,11 +311,9 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
         print(f"error: cannot load cohort from {manifest_path}: {exc}", file=sys.stderr)
         return 2
     try:
-        config.validate()
-        kernels = config.kernels()
         out_dir.mkdir(parents=True, exist_ok=True)
         for session in sessions:
-            result = process_session(session, config, kernels)
+            result = process_session(session, config)
             eeg_path = out_dir / f"{session.id}_eeg_features.csv"
             result.eeg_features.write_csv(eeg_path)
             out.write(f"wrote {eeg_path}\n")
@@ -339,6 +325,9 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error: feature extraction failed ({code}): {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -353,20 +342,24 @@ def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None,
         print(f"error: invalid synth spec: {exc}", file=sys.stderr)
         return 2
     session = generate_session(spec, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eeg_path = out_dir / "eeg.csv"
-    labels_path = out_dir / "labels.csv"
-    ingest.write_eeg_csv(session.eeg, eeg_path)
-    ingest.write_ord_csv(session.labels, labels_path)
-    telemetry_path = None
-    if session.telemetry is not None:
-        telemetry_path = out_dir / "telemetry.csv"
-        ingest.write_telemetry_csv(session.telemetry, telemetry_path)
-    manifest_path = out_dir / "manifest.csv"
-    ingest.write_manifest(
-        [ingest.SessionManifest(session_id=session.id, eeg_path=eeg_path,
-                                telemetry_path=telemetry_path, labels_path=labels_path)],
-        manifest_path, relative_to=out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        eeg_path = out_dir / "eeg.csv"
+        labels_path = out_dir / "labels.csv"
+        ingest.write_eeg_csv(session.eeg, eeg_path)
+        ingest.write_ord_csv(session.labels, labels_path)
+        telemetry_path = None
+        if session.telemetry is not None:
+            telemetry_path = out_dir / "telemetry.csv"
+            ingest.write_telemetry_csv(session.telemetry, telemetry_path)
+        manifest_path = out_dir / "manifest.csv"
+        ingest.write_manifest(
+            [ingest.SessionManifest(session_id=session.id, eeg_path=eeg_path,
+                                    telemetry_path=telemetry_path, labels_path=labels_path)],
+            manifest_path, relative_to=out_dir)
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 2
     for p in (eeg_path, telemetry_path, labels_path, manifest_path):
         if p is not None:
             out.write(f"wrote {p}\n")
@@ -381,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=float, default=RunConfig.alpha,
-                       help="significance level (default %(default)s)")
         p.add_argument("--abs-mean", action="store_true",
                        help="aggregate telemetry with the mean of absolute values")
         p.add_argument("--per-channel-outliers", action="store_true",
@@ -394,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="run the full analysis pipeline")
     p_ana.add_argument("--manifest", type=Path, required=True)
     p_ana.add_argument("--out", type=Path, required=True, help="output directory")
+    p_ana.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                       help="significance level (default %(default)s)")
     add_pipeline_flags(p_ana)
 
     p_fea = sub.add_parser("features", help="dump per-session feature CSVs")
@@ -409,31 +402,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(alpha=args.alpha, abs_mean=args.abs_mean,
-                     per_channel_outliers=args.per_channel_outliers)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.manifest)
     if args.command == "analyze":
-        config = _config_from_args(args)
         try:
-            config.validate()
+            config = RunConfig(alpha=args.alpha, abs_mean=args.abs_mean,
+                               per_channel_outliers=args.per_channel_outliers)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return cmd_analyze(args.manifest, args.out, config)
     if args.command == "features":
-        config = _config_from_args(args)
-        try:
-            config.validate()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        config = RunConfig(abs_mean=args.abs_mean, per_channel_outliers=args.per_channel_outliers)
         return cmd_features(args.manifest, args.out, config)
     if args.command == "synth":
         return cmd_synth(args.out, args.seed, args.spec)

@@ -81,16 +81,22 @@ class SessionManifest:
 
 
 def _read_lines(source: IO[bytes] | IO[str] | str | Path) -> list[str]:
+    """The lines of ``source``; only ``\\n``, ``\\r\\n`` and ``\\r`` end one."""
     try:
         if isinstance(source, (str, Path)):
+            # text mode already turns \r\n and \r into \n
             text = Path(source).read_text(encoding="utf-8")
         else:
             raw = source.read()
             text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         name = f"{source}: " if isinstance(source, (str, Path)) else ""
         raise InvalidEncoding(f"{name}not valid UTF-8 at byte {exc.start}") from None
-    return text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:  # a final \n ends a line, it starts none; popping copies no text
+        lines.pop()
+    return lines
 
 
 def _parse_header(lines: list[str], expected: tuple[str, ...], what: str) -> None:
@@ -108,17 +114,16 @@ def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
 
     numpy's C parser reads the non-blank rows. A body it rejects, warns
     about, shapes differently or reads as non-finite, and one holding a
-    ``\\x1f``, goes to ``_parse_row_by_row`` unchanged, which raises the
-    row-numbered error (or returns its own array, e.g. for ``1_0``, which
-    only ``float`` accepts). Row numbers in errors are 1-based data-row
-    indices.
+    character in ``\\x1c``-``\\x1f``, goes to ``_parse_row_by_row``
+    unchanged, which raises the row-numbered error (or returns its own
+    array, e.g. for ``1_0``, which only ``float`` accepts). Row numbers in
+    errors are 1-based data-row indices.
 
     Raises:
         InconsistentRowLength, NonNumericValue, NonFiniteValue
     """
     body = [line for line in lines[1:] if line.strip()]
-    # numpy strips a \x1f next to a number, float() does not
-    if body and not any("\x1f" in line for line in body):
+    if body and not _has_numpy_only_separator(body):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -130,6 +135,13 @@ def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
             if data.shape == (len(body), n_cols) and np.isfinite(data).all():
                 return data
     return _parse_row_by_row(lines, n_cols, what)
+
+
+def _has_numpy_only_separator(lines: list[str]) -> bool:
+    # numpy strips \x1c-\x1f next to a number, float() does not; four scans
+    # of one string beat one scan per line
+    text = "".join(lines)
+    return any(c in text for c in "\x1c\x1d\x1e\x1f")
 
 
 def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Epoching, FIR band-limiting, and amplitude-based artifact rejection.
 
 The pipeline order is: cut the recording into 30-second epochs aligned to
-the labeling grid, band-limit each epoch with a 0.1 Hz high-pass and a
-40 Hz low-pass, then drop epochs whose post-filter samples exceed the
-amplitude threshold too often. All operations are pure; epochs filter
-independently.
+the labeling grid, band-limit each epoch with the reference 0.1 Hz
+high-pass and 40 Hz low-pass (``reference_kernels``), then drop epochs in
+which more than 30% of the post-filter samples exceed +/-70 uV. These
+values are the reference method's and fixed as the module constants
+below. All operations are pure; epochs filter independently.
 """
 
 from __future__ import annotations
@@ -33,6 +34,15 @@ logger = logging.getLogger(__name__)
 
 EPOCH_SAMPLES = int(ORD_INTERVAL_SECONDS * EEG_SAMPLE_RATE_HZ)  # 7680
 
+# The reference band-limit: -6 dB points and transition widths of the
+# high-pass and low-pass kernels.
+HP_CUTOFF_HZ = 0.1
+HP_TRANSITION_HZ = 0.2
+LP_CUTOFF_HZ = 40.0
+LP_TRANSITION_HZ = 4.0
+
+# The reference artifact rule: drop an epoch when more than this fraction
+# of its samples exceed this absolute amplitude.
 DEFAULT_AMPLITUDE_THRESHOLD_UV = 70.0
 DEFAULT_MAX_OUTLIER_FRACTION = 0.30
 
@@ -208,6 +218,12 @@ def design_fir(kind: FilterKind, cutoff_hz: float,
                         sample_rate_hz=sample_rate_hz)
 
 
+def reference_kernels() -> tuple[FilterKernel, FilterKernel]:
+    """The (high-pass, low-pass) kernel pair of the reference band-limit."""
+    return (design_fir(FilterKind.HIGH_PASS, HP_CUTOFF_HZ, transition_hz=HP_TRANSITION_HZ),
+            design_fir(FilterKind.LOW_PASS, LP_CUTOFF_HZ, transition_hz=LP_TRANSITION_HZ))
+
+
 def apply_kernel(samples: np.ndarray, kernel: FilterKernel) -> np.ndarray:
     """Convolve along the last axis with mirror padding and zero net delay.
 
@@ -233,36 +249,30 @@ def filter_epoch(epoch: Epoch, hp: FilterKernel, lp: FilterKernel) -> Epoch:
     return replace(epoch, samples=out, filtered=True)
 
 
-def artifact_decision(epoch: Epoch,
-                      amplitude_threshold_uv: float = DEFAULT_AMPLITUDE_THRESHOLD_UV,
-                      max_outlier_fraction: float = DEFAULT_MAX_OUTLIER_FRACTION,
-                      per_channel: bool = False) -> tuple[ArtifactVerdict, float]:
-    """Keep/drop verdict from the fraction of samples beyond the threshold.
+def artifact_decision(epoch: Epoch, per_channel: bool = False) -> tuple[ArtifactVerdict, float]:
+    """Keep/drop verdict from the fraction of samples beyond +/-70 uV.
 
     By default outliers are pooled across all channels; with
     ``per_channel`` the reported fraction is the worst single channel's.
-    The epoch is dropped only when the fraction strictly exceeds
-    ``max_outlier_fraction``. Applies to filtered epochs.
+    The epoch is dropped only when the fraction strictly exceeds 30%.
+    Applies to filtered epochs.
     """
-    outliers = np.abs(epoch.samples) > amplitude_threshold_uv
+    outliers = np.abs(epoch.samples) > DEFAULT_AMPLITUDE_THRESHOLD_UV
     if per_channel:
         fraction = float(np.max(np.mean(outliers, axis=-1)))
     else:
         fraction = float(np.mean(outliers))
-    verdict = ArtifactVerdict.DROP if fraction > max_outlier_fraction else ArtifactVerdict.KEEP
+    verdict = (ArtifactVerdict.DROP if fraction > DEFAULT_MAX_OUTLIER_FRACTION
+               else ArtifactVerdict.KEEP)
     return verdict, fraction
 
 
-def denoise_epochs(epochs: Sequence[Epoch],
-                   amplitude_threshold_uv: float = DEFAULT_AMPLITUDE_THRESHOLD_UV,
-                   max_outlier_fraction: float = DEFAULT_MAX_OUTLIER_FRACTION,
-                   per_channel: bool = False) -> EpochSet:
+def denoise_epochs(epochs: Sequence[Epoch], per_channel: bool = False) -> EpochSet:
     """Partition filtered epochs into kept and dropped."""
     kept: list[Epoch] = []
     dropped: list[tuple[int, float]] = []
     for ep in epochs:
-        verdict, fraction = artifact_decision(
-            ep, amplitude_threshold_uv, max_outlier_fraction, per_channel)
+        verdict, fraction = artifact_decision(ep, per_channel)
         if verdict is ArtifactVerdict.KEEP:
             kept.append(ep)
         else:

@@ -3,9 +3,11 @@
 Per channel, an epoch yields the absolute power (in microvolts squared)
 of the five classic bands and the relative power of each band against
 the 0.1..40 Hz total, for 10 features per channel and 40 per epoch.
-``extract_features`` computes one Welch PSD per epoch over all channels
-and integrates every band over the whole session at once; the result is
-bit-identical to integrating each channel's PSD on its own.
+The Welch settings are the reference method's and fixed (Hann segments of
+``DEFAULT_NFFT`` samples, 50% overlap). ``extract_features`` computes one
+Welch PSD per epoch over all channels and integrates every band over the
+whole session at once; the result is bit-identical to integrating each
+channel's PSD on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .features import FeatureMatrix
 from .preprocess import Epoch
 from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
 
+# Welch segment length of the reference method, in samples.
 DEFAULT_NFFT = 1024
 
 # Total power over this range is the denominator of every relative power.
@@ -77,12 +80,11 @@ def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str,
     )
 
 
-def welch_psd(samples: np.ndarray, sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
-              nfft: int = DEFAULT_NFFT) -> PsdEstimate:
-    """Estimate a one-sided PSD by Welch's method.
+def welch_psd(samples: np.ndarray) -> PsdEstimate:
+    """Estimate a one-sided PSD of 256 Hz EEG by Welch's method.
 
-    Segments are ``nfft`` samples long, Hann windowed, 50% overlapped,
-    and their periodograms averaged; a 30 s epoch at 256 Hz yields 14
+    Segments are ``DEFAULT_NFFT`` samples long, Hann windowed, 50%
+    overlapped, and their periodograms averaged; a 30 s epoch yields 14
     segments. No detrending is applied, so DC power is preserved and the
     integral of the density equals the signal's mean square.
 
@@ -90,15 +92,15 @@ def welch_psd(samples: np.ndarray, sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
         TooShort: Fewer samples than one segment.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] < nfft:
-        raise TooShort(f"need at least {nfft} samples, got {samples.shape[-1]}")
+    if samples.shape[-1] < DEFAULT_NFFT:
+        raise TooShort(f"need at least {DEFAULT_NFFT} samples, got {samples.shape[-1]}")
     freqs, density = welch(
         samples,
-        fs=sample_rate_hz,
+        fs=EEG_SAMPLE_RATE_HZ,
         window="hann",
-        nperseg=nfft,
-        noverlap=nfft // 2,
-        nfft=nfft,
+        nperseg=DEFAULT_NFFT,
+        noverlap=DEFAULT_NFFT // 2,
+        nfft=DEFAULT_NFFT,
         detrend=False,
         scaling="density",
         return_onesided=True,
@@ -165,8 +167,7 @@ def relative_band_power(psd: PsdEstimate, band: Band) -> float:
     return band_power(psd, band) / total
 
 
-def extract_features(epochs: Sequence[Epoch], session_id: str = "",
-                     nfft: int = DEFAULT_NFFT) -> FeatureMatrix:
+def extract_features(epochs: Sequence[Epoch], session_id: str = "") -> FeatureMatrix:
     """Compute the 40 features of each filtered, kept epoch of a session.
 
     Returns one row per epoch, in epoch order, with the columns of
@@ -178,7 +179,7 @@ def extract_features(epochs: Sequence[Epoch], session_id: str = "",
     names = eeg_feature_names()
     if not epochs:
         return FeatureMatrix.from_rows(names, (), session_id=session_id)
-    psds = [welch_psd(ep.samples, nfft=nfft) for ep in epochs]
+    psds = [welch_psd(ep.samples) for ep in epochs]
     psd = PsdEstimate(freqs_hz=psds[0].freqs_hz, density=np.stack([p.density for p in psds]))
     powers = np.stack([_integrate(psd, b.lo_hz, b.hi_hz) for b in BANDS]
                       + [_integrate(psd, *TOTAL_BAND_HZ)], axis=-1)

@@ -6,6 +6,8 @@ separation p-value always comes from the two-sided Wilcoxon rank-sum
 (Mann-Whitney) test. For small tie-free samples it is exact: the null
 counts of U are the coefficients of a Gaussian binomial, computed in
 integers. Otherwise a refined normal approximation is used.
+``separation_report`` runs both per feature and returns plain report rows;
+the cohort and the config digest live only in the report built from them.
 """
 
 from __future__ import annotations
@@ -83,19 +85,6 @@ class ReportRow:
             "method": self.method.value,
             "significant": self.significant,
         }
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Per-feature test results for one feature family."""
-
-    rows: tuple[ReportRow, ...]
-    cohort: str
-    config_digest: str
-    alpha: float
-
-    def to_json_rows(self) -> list[dict]:
-        return [row.to_json_dict() for row in self.rows]
 
 
 # ---- Kolmogorov-Smirnov normality gate ------------------------------------
@@ -280,9 +269,9 @@ def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
 
 # ---- per-feature report -----------------------------------------------------
 
-def separation_report(features: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
-                      cohort: str = "", config_digest: str = "") -> SeparationReport:
-    """Test every feature's alert-vs-drowsy separation.
+def separation_report(features: FeatureMatrix,
+                      alpha: float = DEFAULT_ALPHA) -> list[ReportRow]:
+    """Test every feature's alert-vs-drowsy separation, one row per feature.
 
     Features are pooled across whatever sessions the matrix holds. Each
     row records the per-group normality gate (None when a group is
@@ -322,8 +311,7 @@ def separation_report(features: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
             method=result.method,
             significant=result.p_value < alpha,
         ))
-    return SeparationReport(rows=tuple(rows), cohort=cohort,
-                            config_digest=config_digest, alpha=alpha)
+    return rows
 
 
 def _ks_p_or_none(sample: np.ndarray) -> float | None:

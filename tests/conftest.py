@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from drowsekit.cli import RunConfig
+from drowsekit.preprocess import reference_kernels
 
 
 @pytest.fixture(scope="session")
 def default_kernels():
     """One (hp, lp) kernel pair shared across the suite; design is pure."""
-    return RunConfig().kernels()
+    return reference_kernels()
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from helpers import exact_rank_sum_p, freq_response_db, make_epoch, sine_wave
 
 from drowsekit import cli
 from drowsekit.cli import RunConfig, analyze_cohort
-from drowsekit.preprocess import EPOCH_SAMPLES, DenoiseSummary
+from drowsekit.preprocess import EPOCH_SAMPLES, DenoiseSummary, reference_kernels
 from drowsekit.session import EEG_CHANNELS
 from drowsekit.spectral import (
     BANDS,
@@ -77,7 +77,7 @@ def test_criterion_3_parseval():
 
 
 def test_criterion_4_filter_responses():
-    hp, lp = CONFIG.kernels()
+    hp, lp = reference_kernels()
     lp_10 = freq_response_db(lp.taps, 10.0)
     lp_50 = freq_response_db(lp.taps, 50.0)
     lp_cut = freq_response_db(lp.taps, 40.0)

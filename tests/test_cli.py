@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from drowsekit import cli, ingest, spectral, stats, vehicle
+from drowsekit import cli, ingest, preprocess, spectral, stats, vehicle
 from drowsekit.errors import NonFiniteSample
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES
 from drowsekit.synthgen import SynthSpec, generate_session
@@ -178,6 +178,19 @@ def test_analyze_cohort_rejects_nan_eeg_sample():
         cli.analyze_cohort([session], cli.RunConfig(), cohort_id="nan")
 
 
+def test_write_report_files_rejects_nan(tmp_path):
+    row = {"feature": "steer_angle", "n_alert": 4, "n_drowsy": 4, "ks_p_alert": None,
+           "ks_p_drowsy": None, "statistic": 8.0, "p_value": float("nan"),
+           "method": "ExactEnumeration", "significant": False}
+    report = {"cohort": "c", "config_digest": "d", "config": cli.RunConfig().to_param_dict(),
+              "n_sessions": 1, "eeg_absolute": [], "eeg_relative": [], "vehicle": [row],
+              "denoise_table": {}}
+    out = tmp_path / "r"
+    with pytest.raises(ValueError):
+        cli.write_report_files(report, out)
+    assert not (out / "report.json").exists()
+
+
 def test_analyze_missing_manifest_exits_2(tmp_path):
     code = cli.main(["analyze", "--manifest", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "r")])
@@ -200,6 +213,22 @@ def test_analyze_rejects_bad_alpha(tmp_path, capsys):
     code = cli.main(["analyze", "--manifest", str(manifest),
                      "--out", str(tmp_path / "r"), "--alpha", "2.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "features", "synth"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    if command == "synth":
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"n_intervals": 2}')
+        argv = ["synth", "--spec", str(spec_path)]
+    else:
+        argv = [command, "--manifest",
+                str(_write_cohort(tmp_path, [(SynthSpec(n_intervals=10), 7)]))]
+    assert cli.main(argv + ["--out", str(taken)]) == 2
+    assert f"error: cannot write {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
 
 
 def test_features_command(tmp_path):
@@ -235,23 +264,36 @@ def test_config_digest_stable_for_same_params():
     assert cli.RunConfig().digest() == cli.RunConfig().digest()
 
 
+def test_param_dict_is_the_reference_method():
+    params = cli.RunConfig().to_param_dict()
+    expected = {
+        "hp_cutoff_hz": 0.1,
+        "hp_transition_hz": 0.2,
+        "lp_cutoff_hz": 40.0,
+        "lp_transition_hz": 4.0,
+        "amplitude_threshold_uv": 70.0,
+        "max_outlier_fraction": 0.3,
+        "nfft": 1024,
+        "alpha": 0.05,
+        "abs_mean": False,
+        "per_channel_outliers": False,
+    }
+    assert list(params.items()) == list(expected.items())
+    assert [type(v) for v in params.values()] == [type(v) for v in expected.values()]
+
+
 def test_config_digest_changes_with_every_parameter():
     base = cli.RunConfig()
-    changed = {
-        "hp_cutoff_hz": 0.2,
-        "hp_transition_hz": 0.4,
-        "lp_cutoff_hz": 45.0,
-        "lp_transition_hz": 5.0,
-        "amplitude_threshold_uv": 80.0,
-        "max_outlier_fraction": 0.25,
-        "nfft": 512,
-        "alpha": 0.01,
-        "abs_mean": True,
-        "per_channel_outliers": True,
-    }
-    assert set(changed) == set(base.to_param_dict())
+    changed = {"alpha": 0.01, "abs_mean": True, "per_channel_outliers": True}
+    assert list(changed) == [f.name for f in dataclasses.fields(cli.RunConfig)]
     for name, value in changed.items():
         assert cli.RunConfig(**{name: value}).digest() != base.digest(), name
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
+def test_run_config_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        cli.RunConfig(alpha=alpha)
 
 
 @pytest.mark.parametrize("module, name, value", [
@@ -259,6 +301,14 @@ def test_config_digest_changes_with_every_parameter():
     (stats, "EXACT_PATH_MAX_MIN_N", 9),
     (spectral, "BANDS", spectral.BANDS[:-1] + (spectral.Band("gamma", 30.0, 45.0),)),
     (cli, "__version__", "0.0.0"),  # the package version, as imported by cli
+    # the fixed method values, which fill the rest of the config section
+    (preprocess, "HP_CUTOFF_HZ", 0.2),
+    (preprocess, "HP_TRANSITION_HZ", 0.4),
+    (preprocess, "LP_CUTOFF_HZ", 45.0),
+    (preprocess, "LP_TRANSITION_HZ", 5.0),
+    (preprocess, "DEFAULT_AMPLITUDE_THRESHOLD_UV", 80.0),
+    (preprocess, "DEFAULT_MAX_OUTLIER_FRACTION", 0.25),
+    (spectral, "DEFAULT_NFFT", 512),
 ])
 def test_config_digest_changes_with_result_constants(monkeypatch, module, name, value):
     base = cli.RunConfig().digest()

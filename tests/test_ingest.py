@@ -308,7 +308,7 @@ _ROW = st.one_of(  # mostly bodies the fast path may accept, with an odd cell or
     st.lists(_CELL, min_size=4, max_size=6).map(",".join),  # short, full and long rows
     st.sampled_from(["", " ", "\t ", "\u3000"]),         # blank and whitespace-only
 )
-# str.splitlines also breaks on \r, \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+# line ends, and characters inside a row that str.splitlines would break on
 _LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
                              "\u2028", "\u2029"])
 
@@ -338,3 +338,33 @@ def test_load_eeg_cells_numpy_and_float_read_differently():
         with pytest.raises(NonNumericValue) as err:
             ingest.load_eeg_csv(io.StringIO(f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n"))
         assert err.value.row == 2
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"])
+def test_only_line_ends_end_a_row(sep):
+    # str.splitlines would break row 1 in two and report InconsistentRowLength at row 1
+    body = f"0.0,1.0{sep},2.0,3.0,4.0\n0.1,1,2,3,4\n0.2,oops,2,3,4\n"
+    with pytest.raises(NonNumericValue) as err:
+        ingest.load_eeg_csv(io.StringIO("t,TP9,AF7,AF8,TP10\n" + body))
+    assert err.value.row == 3
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e"])
+def test_load_eeg_cells_only_numpy_reads(sep):
+    # numpy strips these next to a number, float() does not
+    with pytest.raises(NonNumericValue) as err:
+        ingest.load_eeg_csv(io.StringIO(f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n"))
+    assert err.value.row == 1
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_stream_and_path_line_ends_agree(tmp_path, end):
+    text = end.join(["t,TP9,AF7,AF8,TP10", "0.0,1,2,3,4", "", "0.1,oops,2,3,4", ""])
+    path = tmp_path / "eeg.csv"
+    path.write_bytes(text.encode())
+    rows = []
+    for source in (path, io.BytesIO(text.encode()), io.StringIO(text)):
+        with pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(source)
+        rows.append(err.value.row)
+    assert rows == [3, 3, 3]

@@ -234,9 +234,8 @@ def test_separation_report_flags_shifted_feature(rng):
     n = 200
     alert = np.column_stack([rng.normal(0, 1, n), rng.normal(5, 1, n)])
     drowsy = np.column_stack([rng.normal(0, 1, n), rng.normal(9, 1, n)])
-    report = separation_report(_matrix(alert, drowsy), alpha=0.05,
-                               cohort="c", config_digest="d")
-    by_name = {r.feature: r for r in report.rows}
+    rows = separation_report(_matrix(alert, drowsy), alpha=0.05)
+    by_name = {r.feature: r for r in rows}
     assert not by_name["f1"].significant
     assert by_name["f2"].significant
     assert by_name["f2"].p_value < 1e-6
@@ -259,8 +258,8 @@ def test_separation_report_too_few(rng):
 def test_separation_report_zero_variance_group_records_none(rng):
     alert = np.column_stack([np.full(10, 3.0), rng.normal(size=10)])
     drowsy = np.column_stack([rng.normal(size=12), rng.normal(size=12)])
-    report = separation_report(_matrix(alert, drowsy))
-    by_name = {r.feature: r for r in report.rows}
+    rows = separation_report(_matrix(alert, drowsy))
+    by_name = {r.feature: r for r in rows}
     assert by_name["f1"].ks_p_alert is None
     assert by_name["f1"].ks_p_drowsy is not None
 
@@ -269,22 +268,20 @@ def test_separation_significance_is_strict(rng):
     # significance must be exactly (p < alpha)
     alert = rng.normal(0, 1, (30, 1))
     drowsy = rng.normal(0.4, 1, (30, 1))
-    report = separation_report(_matrix(alert, drowsy, names=("f",)), alpha=0.05)
-    row = report.rows[0]
+    row = separation_report(_matrix(alert, drowsy, names=("f",)), alpha=0.05)[0]
     assert row.significant == (row.p_value < 0.05)
 
 
 def test_separation_report_row_order_follows_matrix(rng):
     names = ("z_last", "a_first", "m_mid")
     matrix = _matrix(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)), names=names)
-    report = separation_report(matrix)
-    assert tuple(r.feature for r in report.rows) == names
+    rows = separation_report(matrix)
+    assert tuple(r.feature for r in rows) == names
 
 
 def test_separation_report_json_round_trip(rng):
     matrix = _matrix(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
-    report = separation_report(matrix, cohort="c1", config_digest="abcd")
-    rows = report.to_json_rows()
+    rows = [row.to_json_dict() for row in separation_report(matrix)]
     recovered = json.loads(json.dumps(rows))
     assert recovered == rows
     assert {"feature", "n_alert", "n_drowsy", "ks_p_alert", "ks_p_drowsy",
@@ -307,6 +304,6 @@ def test_permutation_null_calibration(rng):
             interval_indices=tuple(range(2 * n)),
             session_ids=("s",) * (2 * n),
         )
-        report = separation_report(matrix, alpha=0.05)
-        fractions.append(np.mean([r.significant for r in report.rows]))
+        rows = separation_report(matrix, alpha=0.05)
+        fractions.append(np.mean([r.significant for r in rows]))
     assert 0.02 <= np.mean(fractions) <= 0.08
