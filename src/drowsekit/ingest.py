@@ -324,39 +324,44 @@ def _open_out(dest: IO[str] | str | Path):
     return dest, False
 
 
-def _write_rows(dest: IO[str] | str | Path, header: Iterable[str],
-                rows: Iterable[Iterable[object]]) -> None:
+def _write_lines(dest: IO[str] | str | Path, header: Iterable[str],
+                 lines: Iterable[str]) -> None:
     f, close = _open_out(dest)
     try:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_format_cell(v) for v in row) + "\n")
+        f.writelines(lines)
     finally:
         if close:
             f.close()
 
 
-def _format_cell(v: object) -> str:
-    # repr of a float is its shortest exact round-trip form
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _write_rows(dest: IO[str] | str | Path, header: Iterable[str],
+                rows: Iterable[Iterable[object]]) -> None:
+    _write_lines(dest, header, (",".join(map(str, row)) + "\n" for row in rows))
+
+
+def _write_float_columns(dest: IO[str] | str | Path, header: Iterable[str],
+                         columns: list[np.ndarray]) -> None:
+    # %r of a Python float is its shortest exact round-trip form; one row
+    # template over the tolist() columns formats a row in one call
+    template = ",".join(["%r"] * len(columns)) + "\n"
+    _write_lines(dest, header, (template % row for row in zip(*[c.tolist() for c in columns])))
 
 
 def write_eeg_csv(recording: EegRecording, dest: IO[str] | str | Path) -> None:
     """Write a recording in the EEG CSV format (exact round-trip)."""
     n = recording.n_samples
     t = recording.start_time_s + np.arange(n) / recording.sample_rate_hz
-    cols = [t] + [np.asarray(c)[:n] for c in recording.channels]
-    _write_rows(dest, EEG_HEADER, zip(*[c.tolist() for c in cols]))
+    _write_float_columns(dest, EEG_HEADER,
+                         [t] + [np.asarray(c)[:n] for c in recording.channels])
 
 
 def write_telemetry_csv(telemetry: VehicleTelemetry, dest: IO[str] | str | Path) -> None:
     """Write telemetry in the telemetry CSV format (exact round-trip)."""
     n = telemetry.n_samples
     t = telemetry.start_time_s + np.arange(n) / telemetry.sample_rate_hz
-    cols = [t] + [np.asarray(s)[:n] for s in telemetry.series]
-    _write_rows(dest, TELEMETRY_HEADER, zip(*[c.tolist() for c in cols]))
+    _write_float_columns(dest, TELEMETRY_HEADER,
+                         [t] + [np.asarray(s)[:n] for s in telemetry.series])
 
 
 def write_ord_csv(track: OrdLabelTrack, dest: IO[str] | str | Path) -> None:

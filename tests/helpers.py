@@ -1,13 +1,33 @@
 """Independent oracles and small builders shared by the test modules."""
 
 import itertools
+import math
 
 import numpy as np
 from scipy.stats import rankdata
 
 from drowsekit.errors import EmptySample
 from drowsekit.preprocess import EPOCH_SAMPLES, Epoch
-from drowsekit.session import EEG_SAMPLE_RATE_HZ, BinaryState
+from drowsekit.session import (
+    EEG_CHANNELS,
+    EEG_SAMPLE_RATE_HZ,
+    ORD_INTERVAL_SECONDS,
+    VEHICLE_SERIES,
+    BinaryState,
+    EegRecording,
+    OrdInterval,
+    OrdLabelTrack,
+    Session,
+    VehicleTelemetry,
+)
+from drowsekit.spectral import BANDS
+from drowsekit.synthgen import (
+    ALERT_RATING,
+    COMB_PLACEMENT_HZ,
+    DROWSY_RATING,
+    OUTLIER_BLOCK_AMPLITUDE_UV,
+    OUTLIER_BLOCK_HZ,
+)
 
 # Largest pooled size accepted by the brute-force enumeration oracle.
 BRUTE_FORCE_MAX_N = 16
@@ -89,3 +109,91 @@ def rank_sum_counts_dp(n_a, n_b):
                 if c:
                     row[s] += c
     return counts[n_a]
+
+
+def _direct_comb(rng, lo_hz, hi_hz, amplitude_uv, t):
+    m = max(3, int(round((hi_hz - lo_hz) * 2.0)))
+    freqs = np.linspace(lo_hz, hi_hz, m)
+    phases = rng.uniform(0.0, 2.0 * np.pi, m)
+    per_tone = amplitude_uv / math.sqrt(m)
+    return per_tone * np.sin(
+        2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]
+    ).sum(axis=0)
+
+
+def _direct_outlier_block(rng, rate):
+    n_out = int(round(rate * EPOCH_SAMPLES))
+    start = int(rng.integers(0, EPOCH_SAMPLES - n_out + 1)) if n_out < EPOCH_SAMPLES else 0
+    t = np.arange(n_out) / EEG_SAMPLE_RATE_HZ
+    block = OUTLIER_BLOCK_AMPLITUDE_UV * np.sign(
+        np.sin(2.0 * np.pi * OUTLIER_BLOCK_HZ * t + 0.25 * np.pi))
+    return start, block
+
+
+def generate_session_direct(spec, seed):
+    """``synthgen.generate_session`` evaluating every tone with ``sin`` on
+    the full epoch time grid, one interval and channel at a time; the
+    reference for the table-based generator.
+    """
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    n = spec.n_intervals
+
+    n_drowsy = int(round(n * spec.drowsy_fraction))
+    drowsy = np.zeros(n, dtype=bool)
+    drowsy[rng.permutation(n)[:n_drowsy]] = True
+
+    t_epoch = np.arange(EPOCH_SAMPLES) / EEG_SAMPLE_RATE_HZ
+    channels = [np.empty(n * EPOCH_SAMPLES) for _ in EEG_CHANNELS]
+    for k in range(n):
+        for ci, ch in enumerate(EEG_CHANNELS):
+            x = rng.normal(0.0, spec.noise_floor_uv, EPOCH_SAMPLES)
+            for band in BANDS:
+                amp = spec.band_amplitudes_uv[ch][band.name]
+                if drowsy[k]:
+                    amp *= spec.drowsy_band_multipliers[band.name]
+                lo, hi = COMB_PLACEMENT_HZ[band.name]
+                x += _direct_comb(rng, lo, hi, amp, t_epoch)
+            if spec.outlier_rate > 0.0:
+                start, block = _direct_outlier_block(rng, spec.outlier_rate)
+                x[start:start + len(block)] += block
+            channels[ci][k * EPOCH_SAMPLES:(k + 1) * EPOCH_SAMPLES] = x
+
+    eeg = EegRecording(channels=tuple(channels))
+
+    intervals = tuple(
+        OrdInterval(index=k, ratings=(DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3)
+        for k in range(n)
+    )
+    labels = OrdLabelTrack(intervals=intervals)
+
+    telemetry = None
+    if spec.include_telemetry:
+        per_interval = int(round(spec.telemetry_rate_hz * ORD_INTERVAL_SECONDS))
+        n_samples = per_interval * n
+        drowsy_mask = np.repeat(drowsy, per_interval)
+        series = []
+        for name in VEHICLE_SERIES:
+            values = spec.telemetry_baseline[name] + rng.normal(
+                0.0, spec.telemetry_noise, n_samples)
+            values[drowsy_mask] += spec.drowsy_telemetry_shift[name]
+            series.append(values)
+        telemetry = VehicleTelemetry(series=tuple(series),
+                                     sample_rate_hz=spec.telemetry_rate_hz)
+
+    return Session(id=f"synth-{seed}", eeg=eeg, labels=labels, telemetry=telemetry)
+
+
+def format_cell(v):
+    """One CSV cell as the writers rendered it cell by cell: ``repr`` of
+    the Python float for floats, ``str`` otherwise."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_rows_per_cell(header, rows):
+    """CSV text built one ``format_cell`` at a time; the reference for the
+    float writers."""
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(format_cell(v) for v in row) + "\n" for row in rows])

@@ -75,6 +75,29 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     assert "invalid synth spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec_text", [
+    '{"noise_floor_uv": NaN}',
+    '{"telemetry_noise": NaN}',
+    '{"band_amplitudes_uv": {"theta": NaN}}',
+    '{"n_intervals": 2, "drowsy_band_multipliers": {"beta": Infinity}}',
+    '{"telemetry_baseline": {"torque": -Infinity}}',
+    '{"drowsy_telemetry_shift": {"steer_angle": NaN}}',
+    '{"telemetry_rate_hz": 0.01}',
+    '{"telemetry_rate_hz": Infinity}',
+    '{"n_intervals": 2.5}',
+    '{"n_intervals": true}',
+    '{"noise_floor_uv": "2"}',
+])
+def test_synth_rejects_unusable_spec(tmp_path, capsys, spec_text):
+    # unchecked, each of these would write a session that validate rejects, or crash
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text)
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--out", str(out), "--spec", str(spec_path)]) == 2
+    assert "invalid synth spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_missing_manifest_exits_2(tmp_path):
     assert cli.main(["validate", "--manifest", str(tmp_path / "nope.csv")]) == 2
 

@@ -1,9 +1,12 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import write_rows_per_cell
 
 from drowsekit import ingest
 from drowsekit.errors import (
@@ -207,6 +210,46 @@ def test_telemetry_round_trip_exact(rng):
     assert back.sample_rate_hz == pytest.approx(tel.sample_rate_hz, rel=1e-12)
     for a, b in zip(tel.series, back.series):
         np.testing.assert_array_equal(a, b)
+
+
+# values whose shortest round-trip form is easy to get wrong
+_TRICKY_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-5, 123456789.0)
+_WRITTEN_FLOAT = st.one_of(st.sampled_from(_TRICKY_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("writer, loader, header, min_rows, rate", [
+    (ingest.write_eeg_csv, ingest.load_eeg_csv, ingest.EEG_HEADER, 1, 256.0),
+    (ingest.write_telemetry_csv, ingest.load_telemetry_csv, ingest.TELEMETRY_HEADER, 2, 50.0),
+], ids=["eeg", "telemetry"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_writers_match_per_cell_output(writer, loader, header, min_rows, rate, data):
+    n = data.draw(st.integers(min_rows, 12), label="rows")
+    columns = np.array(data.draw(st.lists(st.lists(_WRITTEN_FLOAT, min_size=n, max_size=n),
+                                          min_size=4, max_size=4), label="columns"))
+    # a start time far from 0 would make the telemetry steps non-uniform
+    start = data.draw(st.sampled_from((0.0, -0.0, 0.1 + 0.2, 5e-324, -1234.5)), label="start")
+    if writer is ingest.write_eeg_csv:
+        rec = make_eeg_recording(columns, start_time_s=start)
+    else:
+        rec = make_telemetry(columns, sample_rate_hz=rate, start_time_s=start)
+    t = start + np.arange(n) / rate
+    expected = write_rows_per_cell(header, zip(t.tolist(), *columns.tolist())).encode("utf-8")
+
+    buf = io.StringIO()
+    writer(rec, buf)
+    assert buf.getvalue().encode("utf-8") == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        writer(rec, path)
+        assert path.read_bytes() == expected
+        back = loader(path)
+    loaded = back.channels if writer is ingest.write_eeg_csv else back.series
+    for a, b in zip(columns, loaded):
+        assert a.tobytes() == b.tobytes()
+    assert back.start_time_s == t[0]
 
 
 def test_labels_round_trip():

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from helpers import generate_session_direct
 
 from drowsekit import ingest
 from drowsekit.errors import InvalidSpec
@@ -37,6 +38,38 @@ def test_serialized_sessions_byte_identical():
         ingest.write_eeg_csv(session.eeg, buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
+
+
+# the drowsy effect of acceptance criterion 6
+_EFFECT = dict(
+    drowsy_band_multipliers={"delta": 1.0, "theta": 1.5, "alpha": 1.0,
+                             "beta": 1.8, "gamma": 2.0},
+    telemetry_noise=25.0,
+    drowsy_telemetry_shift={"steer_angle": 1.0, "steer_speed": 0.0,
+                            "lane_deviation": 0.25, "torque": 0.8},
+)
+
+
+@pytest.mark.parametrize("extra", [{}, _EFFECT, {"outlier_rate": 0.2},
+                                   {"include_telemetry": False}],
+                         ids=["default", "effect", "outliers", "no-telemetry"])
+@pytest.mark.parametrize("drowsy_fraction", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_intervals", [1, 3])
+def test_generator_matches_direct_sin_oracle(n_intervals, drowsy_fraction, extra):
+    spec = SynthSpec(n_intervals=n_intervals, drowsy_fraction=drowsy_fraction, **extra)
+    got = generate_session(spec, seed=23)
+    ref = generate_session_direct(spec, seed=23)
+    assert got.labels == ref.labels
+    if ref.telemetry is None:
+        assert got.telemetry is None
+    else:
+        assert got.telemetry.sample_rate_hz == ref.telemetry.sample_rate_hz
+        for a, b in zip(got.telemetry.series, ref.telemetry.series):
+            assert a.tobytes() == b.tobytes()
+    assert len(got.eeg.channels) == len(ref.eeg.channels)
+    for a, b in zip(got.eeg.channels, ref.eeg.channels):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def test_different_seeds_differ():
