@@ -97,8 +97,8 @@ class SessionResult:
 def process_session(session: Session, config: RunConfig) -> SessionResult:
     """Run epoching, filtering, denoising, and feature extraction for one session."""
     hp, lp = reference_kernels()
-    raw_epochs = epoch_signal(session.eeg, session.labels)
-    filtered = [filter_epoch(ep, hp, lp) for ep in raw_epochs]
+    # the raw block is not kept, so only one sample block outlives the filter
+    filtered = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
     kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
     summary = denoise_summary(filtered, kept)
     eeg_matrix = extract_features(kept.epochs, session_id=session.id)

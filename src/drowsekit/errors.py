@@ -97,14 +97,6 @@ class InvalidTransition(DrowsekitError):
     code = "InvalidTransition"
 
 
-class AlreadyFiltered(DrowsekitError):
-    code = "AlreadyFiltered"
-
-
-class SubsetViolation(DrowsekitError):
-    code = "SubsetViolation"
-
-
 # ---- spectral -----------------------------------------------------------
 
 class TooShort(DrowsekitError):

@@ -4,8 +4,9 @@ Formats (all UTF-8, ``\\n`` line endings, ``.`` decimal separator, no
 quoting):
 
 * EEG: header ``t,TP9,AF7,AF8,TP10``; one row per sample; ``t`` in seconds
-  is informational, the sample index at 256 Hz is authoritative; channel
-  values in microvolts.
+  must step uniformly within 1%, and its rate must be 256 Hz within 1%
+  (the recording then reads as exactly 256 Hz; other rates load as
+  inferred, and validation flags them); channel values in microvolts.
 * Telemetry: header ``t,steer_angle,steer_speed,lane_deviation,torque``;
   the sample rate is inferred from the time column, which must be uniform
   within 1%.
@@ -66,7 +67,8 @@ TELEMETRY_HEADER = ("t",) + VEHICLE_SERIES
 LABELS_HEADER = ("interval", "rater1", "rater2", "rater3")
 MANIFEST_HEADER = ("session_id", "eeg_path", "telemetry_path", "labels_path")
 
-# Relative tolerance on time steps when inferring the telemetry rate.
+# Relative tolerance on time steps when inferring a sample rate, and of an
+# inferred EEG rate against 256 Hz.
 TIMESTEP_TOLERANCE = 0.01
 
 
@@ -171,22 +173,57 @@ def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:
     return data
 
 
-def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
-    """Parse an EEG CSV into a 4-channel 256 Hz recording.
+def _sample_rate(t: np.ndarray, what: str) -> float:
+    """The sample rate of a time column of at least 2 values: the
+    reciprocal of the median step.
 
-    Row order defines sample order; the time column is not used for
-    alignment.
+    Raises:
+        NonUniformTimestep: Steps that overflow, a non-increasing column, a
+            median step whose reciprocal overflows, or a step that deviates
+            more than 1% from the median.
+    """
+    # huge finite times can overflow the steps; that is reported, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(t)
+        median_step = float(np.median(steps))
+        deviation = np.max(np.abs(steps - median_step))
+    if not (np.isfinite(steps).all() and np.isfinite(median_step)):
+        raise NonUniformTimestep(f"{what}: time steps overflow")
+    if median_step <= 0:
+        raise NonUniformTimestep(f"{what}: non-increasing time column")
+    if not np.isfinite(1.0 / median_step):
+        raise NonUniformTimestep(
+            f"{what}: median step {median_step:g} s gives no finite sample rate")
+    if deviation > TIMESTEP_TOLERANCE * median_step:
+        raise NonUniformTimestep(
+            f"{what}: time steps deviate more than {TIMESTEP_TOLERANCE:.0%} "
+            f"from the median step {median_step:g} s"
+        )
+    return 1.0 / median_step
+
+
+def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
+    """Parse an EEG CSV into a 4-channel recording.
+
+    Row order defines sample order. The sample rate is inferred from the
+    time column as for telemetry; a rate within 1% of 256 Hz reads as
+    exactly 256 Hz, and a file with fewer than 2 rows is taken as 256 Hz.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
-        NonFiniteValue, InconsistentRowLength
+        NonFiniteValue, InconsistentRowLength, NonUniformTimestep
     """
     lines = _read_lines(source)
     _parse_header(lines, EEG_HEADER, "EEG CSV")
     data = _parse_numeric_rows(lines, len(EEG_HEADER), "EEG CSV")
+    rate = EEG_SAMPLE_RATE_HZ
+    if len(data) >= 2:
+        rate = _sample_rate(data[:, 0], "EEG CSV")
+        if abs(rate - EEG_SAMPLE_RATE_HZ) <= TIMESTEP_TOLERANCE * EEG_SAMPLE_RATE_HZ:
+            rate = EEG_SAMPLE_RATE_HZ
     return make_eeg_recording(
         channels=[data[:, k + 1] for k in range(len(EEG_CHANNELS))],
-        sample_rate_hz=EEG_SAMPLE_RATE_HZ,
+        sample_rate_hz=rate,
         start_time_s=float(data[0, 0]) if len(data) else 0.0,
     )
 
@@ -208,26 +245,9 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
     data = _parse_numeric_rows(lines, len(TELEMETRY_HEADER), "telemetry CSV")
     if len(data) < 2:
         raise EmptyFile(f"telemetry CSV: {len(data)} data rows, need at least 2 to infer a rate")
-    # huge finite times can overflow the steps; that is reported, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(data[:, 0])
-        median_step = float(np.median(steps))
-        deviation = np.max(np.abs(steps - median_step))
-    if not (np.isfinite(steps).all() and np.isfinite(median_step)):
-        raise NonUniformTimestep("telemetry CSV: time steps overflow")
-    if median_step <= 0:
-        raise NonUniformTimestep("telemetry CSV: non-increasing time column")
-    if not np.isfinite(1.0 / median_step):
-        raise NonUniformTimestep(
-            f"telemetry CSV: median step {median_step:g} s gives no finite sample rate")
-    if deviation > TIMESTEP_TOLERANCE * median_step:
-        raise NonUniformTimestep(
-            f"telemetry CSV: time steps deviate more than {TIMESTEP_TOLERANCE:.0%} "
-            f"from the median step {median_step:g} s"
-        )
     return make_telemetry(
         series=[data[:, k + 1] for k in range(len(VEHICLE_SERIES))],
-        sample_rate_hz=1.0 / median_step,
+        sample_rate_hz=_sample_rate(data[:, 0], "telemetry CSV"),
         start_time_s=float(data[0, 0]),
     )
 

@@ -5,7 +5,9 @@ the labeling grid, band-limit each epoch with the reference 0.1 Hz
 high-pass and 40 Hz low-pass (``reference_kernels``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
-below. All operations are pure; epochs filter independently.
+below. A session's epochs travel as one ``Epochs`` block; the filter and
+the Welch PSD work on one epoch at a time, which keeps their temporaries
+epoch-sized. All operations are pure.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .errors import AlreadyFiltered, InvalidCutoff, InvalidTransition, SubsetViolation
+from .errors import InvalidCutoff, InvalidTransition
 from .session import (
     EEG_SAMPLE_RATE_HZ,
     ORD_INTERVAL_SECONDS,
@@ -55,27 +56,24 @@ class FilterKind(Enum):
     HIGH_PASS = "high_pass"
 
 
-class ArtifactVerdict(Enum):
-    KEEP = "keep"
-    DROP = "drop"
-
-
 @dataclass(frozen=True)
-class Epoch:
-    """One 30-second, 4-channel EEG segment with its binary state label."""
+class Epochs:
+    """A session's 30-second, 4-channel EEG epochs with their binary states."""
 
-    interval_index: int
-    state: BinaryState
-    samples: np.ndarray  # shape (4, 7680), microvolts
-    filtered: bool = False
+    samples: np.ndarray  # shape (n, 4, 7680), microvolts
+    interval_index: np.ndarray  # shape (n,), label-grid index of each epoch
+    state: np.ndarray  # shape (n,), the BinaryState of each epoch
+
+    def __len__(self) -> int:
+        return len(self.interval_index)
 
 
 @dataclass(frozen=True)
 class EpochSet:
     """Kept epochs plus the rejection record for dropped ones."""
 
-    epochs: tuple[Epoch, ...]
-    dropped: tuple[tuple[int, float], ...]  # (interval_index, outlier_fraction)
+    epochs: Epochs
+    dropped: tuple[np.ndarray, np.ndarray]  # (interval_index, outlier_fraction)
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,6 @@ class DenoiseSummary:
     @classmethod
     def from_counts(cls, pre_alert: int, pre_drowsy: int,
                     post_alert: int, post_drowsy: int) -> "DenoiseSummary":
-        if post_alert > pre_alert or post_drowsy > pre_drowsy:
-            raise SubsetViolation(
-                f"post counts ({post_alert}, {post_drowsy}) exceed "
-                f"pre counts ({pre_alert}, {pre_drowsy})"
-            )
         pre_total = pre_alert + pre_drowsy
         fraction = 0.0
         if pre_total > 0:
@@ -150,7 +143,7 @@ class DenoiseSummary:
         }
 
 
-def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> list[Epoch]:
+def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     """Cut the recording into one epoch per fully covered label interval.
 
     Each epoch carries the majority vote of its interval's ratings.
@@ -159,23 +152,25 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> list[Epoch]:
     """
     n = recording.n_samples
     rate = recording.sample_rate_hz
-    epochs: list[Epoch] = []
-    skipped = 0
+    starts: list[int] = []
+    index: list[int] = []
+    state: list[BinaryState] = []
     for iv in labels.intervals:
         t0 = iv.index * labels.interval_seconds
         s0 = int(round((t0 - recording.start_time_s) * rate))
-        if s0 < 0 or s0 + EPOCH_SAMPLES > n:
-            skipped += 1
-            continue
-        samples = np.stack([np.asarray(c)[s0:s0 + EPOCH_SAMPLES] for c in recording.channels])
-        epochs.append(Epoch(
-            interval_index=iv.index,
-            state=majority_label(iv.ratings),
-            samples=samples,
-        ))
+        if 0 <= s0 and s0 + EPOCH_SAMPLES <= n:
+            starts.append(s0)
+            index.append(iv.index)
+            state.append(majority_label(iv.ratings))
+    skipped = len(labels.intervals) - len(starts)
     if skipped:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
-    return epochs
+    samples = np.empty((len(starts), len(recording.channels), EPOCH_SAMPLES))
+    for c, channel in enumerate(recording.channels):
+        for k, s0 in enumerate(starts):
+            samples[k, c] = channel[s0:s0 + EPOCH_SAMPLES]
+    return Epochs(samples=samples, interval_index=np.array(index, dtype=np.int64),
+                  state=np.array(state, dtype=object))
 
 
 def design_fir(kind: FilterKind, cutoff_hz: float,
@@ -237,69 +232,48 @@ def apply_kernel(samples: np.ndarray, kernel: FilterKernel) -> np.ndarray:
     return fftconvolve(padded, taps, mode="valid", axes=-1)
 
 
-def filter_epoch(epoch: Epoch, hp: FilterKernel, lp: FilterKernel) -> Epoch:
-    """Band-limit one epoch: high-pass then low-pass on every channel.
+def filter_epoch(epochs: Epochs, hp: FilterKernel, lp: FilterKernel) -> Epochs:
+    """Band-limit every epoch: high-pass then low-pass on every channel.
 
-    Raises:
-        AlreadyFiltered: The epoch was filtered before.
+    Epochs are filtered one at a time into one new block, so the
+    convolution temporaries stay the size of one epoch.
     """
-    if epoch.filtered:
-        raise AlreadyFiltered(f"epoch {epoch.interval_index} is already filtered")
-    out = apply_kernel(apply_kernel(epoch.samples, hp), lp)
-    return replace(epoch, samples=out, filtered=True)
+    out = np.empty_like(epochs.samples)
+    for k, x in enumerate(epochs.samples):
+        out[k] = apply_kernel(apply_kernel(x, hp), lp)
+    return replace(epochs, samples=out)
 
 
-def artifact_decision(epoch: Epoch, per_channel: bool = False) -> tuple[ArtifactVerdict, float]:
-    """Keep/drop verdict from the fraction of samples beyond +/-70 uV.
+def outlier_fraction(samples: np.ndarray, per_channel: bool = False) -> np.ndarray:
+    """Per epoch of an ``(n, channels, time)`` block, the fraction of samples
+    beyond +/-70 uV.
 
     By default outliers are pooled across all channels; with
-    ``per_channel`` the reported fraction is the worst single channel's.
-    The epoch is dropped only when the fraction strictly exceeds 30%.
-    Applies to filtered epochs.
+    ``per_channel`` an epoch's fraction is its worst single channel's.
     """
-    outliers = np.abs(epoch.samples) > DEFAULT_AMPLITUDE_THRESHOLD_UV
+    # two boolean blocks instead of np.abs, which would copy the float block
+    threshold = DEFAULT_AMPLITUDE_THRESHOLD_UV
+    outliers = (samples > threshold) | (samples < -threshold)
     if per_channel:
-        fraction = float(np.max(np.mean(outliers, axis=-1)))
-    else:
-        fraction = float(np.mean(outliers))
-    verdict = (ArtifactVerdict.DROP if fraction > DEFAULT_MAX_OUTLIER_FRACTION
-               else ArtifactVerdict.KEEP)
-    return verdict, fraction
+        return np.max(np.mean(outliers, axis=-1), axis=-1)
+    return np.mean(outliers, axis=(1, 2))
 
 
-def denoise_epochs(epochs: Sequence[Epoch], per_channel: bool = False) -> EpochSet:
-    """Partition filtered epochs into kept and dropped."""
-    kept: list[Epoch] = []
-    dropped: list[tuple[int, float]] = []
-    for ep in epochs:
-        verdict, fraction = artifact_decision(ep, per_channel)
-        if verdict is ArtifactVerdict.KEEP:
-            kept.append(ep)
-        else:
-            dropped.append((ep.interval_index, fraction))
-    return EpochSet(epochs=tuple(kept), dropped=tuple(dropped))
+def denoise_epochs(epochs: Epochs, per_channel: bool = False) -> EpochSet:
+    """Keep the filtered epochs whose outlier fraction is at most 30%.
 
-
-def _count_states(epochs: Iterable[Epoch]) -> tuple[int, int]:
-    alert = drowsy = 0
-    for ep in epochs:
-        if ep.state is BinaryState.ALERT:
-            alert += 1
-        else:
-            drowsy += 1
-    return alert, drowsy
-
-
-def denoise_summary(pre: Sequence[Epoch], post: EpochSet) -> DenoiseSummary:
-    """Tabulate pre/post denoising epoch counts by state.
-
-    Raises:
-        SubsetViolation: ``post`` contains an interval absent from ``pre``.
+    Dropped epochs are recorded by interval index and outlier fraction.
     """
-    pre_indices = {ep.interval_index for ep in pre}
-    bad = [ep.interval_index for ep in post.epochs if ep.interval_index not in pre_indices]
-    if bad:
-        raise SubsetViolation(f"kept epochs {bad} are not among the input epochs")
-    pre_alert, pre_drowsy = _count_states(pre)
-    post_alert, post_drowsy = _count_states(post.epochs)
-    return DenoiseSummary.from_counts(pre_alert, pre_drowsy, post_alert, post_drowsy)
+    fraction = outlier_fraction(epochs.samples, per_channel)
+    keep = fraction <= DEFAULT_MAX_OUTLIER_FRACTION
+    kept = Epochs(samples=epochs.samples[keep], interval_index=epochs.interval_index[keep],
+                  state=epochs.state[keep])
+    return EpochSet(epochs=kept, dropped=(epochs.interval_index[~keep], fraction[~keep]))
+
+
+def denoise_summary(pre: Epochs, post: EpochSet) -> DenoiseSummary:
+    """Tabulate pre/post denoising epoch counts by state."""
+    pre_alert = int(np.count_nonzero(pre.state == BinaryState.ALERT))
+    post_alert = int(np.count_nonzero(post.epochs.state == BinaryState.ALERT))
+    return DenoiseSummary.from_counts(pre_alert, len(pre) - pre_alert,
+                                      post_alert, len(post.epochs) - post_alert)

@@ -20,7 +20,7 @@ from scipy.signal import welch
 
 from .errors import DegeneratePower, TooShort
 from .features import FeatureMatrix
-from .preprocess import Epoch
+from .preprocess import Epochs
 from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
 
 # Welch segment length of the reference method, in samples.
@@ -145,54 +145,34 @@ def _integrate(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> np.ndarray:
     return np.trapezoid(dens, grid, axis=-1)
 
 
-def band_power(psd: PsdEstimate, band: Band) -> float:
-    """Absolute band power in uV^2 (integral of the density over the band)."""
-    return float(_integrate(psd, band.lo_hz, band.hi_hz))
-
-
-def total_power(psd: PsdEstimate) -> float:
-    """Power over the full 0.1..40 Hz analysis range."""
-    return float(_integrate(psd, *TOTAL_BAND_HZ))
-
-
-def relative_band_power(psd: PsdEstimate, band: Band) -> float:
-    """Band power as a fraction of the 0.1..40 Hz total.
-
-    Raises:
-        DegeneratePower: Total power at or below the degeneracy floor.
-    """
-    total = total_power(psd)
-    if total <= DEGENERATE_POWER_UV2:
-        raise DegeneratePower(f"total power {total:g} uV^2 is degenerate")
-    return band_power(psd, band) / total
-
-
-def extract_features(epochs: Sequence[Epoch], session_id: str = "") -> FeatureMatrix:
+def extract_features(epochs: Epochs, session_id: str = "") -> FeatureMatrix:
     """Compute the 40 features of each filtered, kept epoch of a session.
 
     Returns one row per epoch, in epoch order, with the columns of
-    ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix.
+    ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix. The
+    Welch PSD is taken one epoch at a time, which keeps its temporaries
+    epoch-sized.
 
     Raises:
         DegeneratePower: Any channel's total power is degenerate.
     """
     names = eeg_feature_names()
-    if not epochs:
-        return FeatureMatrix.from_rows(names, (), session_id=session_id)
-    psds = [welch_psd(ep.samples) for ep in epochs]
-    psd = PsdEstimate(freqs_hz=psds[0].freqs_hz, density=np.stack([p.density for p in psds]))
-    powers = np.stack([_integrate(psd, b.lo_hz, b.hi_hz) for b in BANDS]
-                      + [_integrate(psd, *TOTAL_BAND_HZ)], axis=-1)
-    absolute, total = powers[..., :-1], powers[..., -1]
-    degenerate = np.argwhere(total <= DEGENERATE_POWER_UV2)
-    if len(degenerate):
-        k, ch = degenerate[0]
-        raise DegeneratePower(
-            f"channel {EEG_CHANNELS[ch]} of epoch {epochs[k].interval_index} "
-            f"has degenerate total power {total[k, ch]:g}"
-        )
-    values = np.stack([absolute, absolute / total[..., None]], axis=-1).reshape(len(epochs), -1)
-    return FeatureMatrix.from_rows(
-        names, ((ep.interval_index, ep.state, row) for ep, row in zip(epochs, values)),
-        session_id=session_id,
-    )
+    n = len(epochs)
+    values = np.empty((0, len(names)))
+    if n:
+        psds = [welch_psd(x) for x in epochs.samples]
+        psd = PsdEstimate(freqs_hz=psds[0].freqs_hz, density=np.stack([p.density for p in psds]))
+        powers = np.stack([_integrate(psd, b.lo_hz, b.hi_hz) for b in BANDS]
+                          + [_integrate(psd, *TOTAL_BAND_HZ)], axis=-1)
+        absolute, total = powers[..., :-1], powers[..., -1]
+        degenerate = np.argwhere(total <= DEGENERATE_POWER_UV2)
+        if len(degenerate):
+            k, ch = degenerate[0]
+            raise DegeneratePower(
+                f"channel {EEG_CHANNELS[ch]} of epoch {epochs.interval_index[k]} "
+                f"has degenerate total power {total[k, ch]:g}"
+            )
+        values = np.stack([absolute, absolute / total[..., None]], axis=-1).reshape(n, -1)
+    return FeatureMatrix(feature_names=names, values=values, states=tuple(epochs.state),
+                         interval_indices=tuple(epochs.interval_index.tolist()),
+                         session_ids=(session_id,) * n)

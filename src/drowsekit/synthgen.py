@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -181,31 +181,48 @@ class SynthSpec:
         ``band_amplitudes_uv`` accepts either a flat band->amplitude
         mapping (applied to all channels) or a full per-channel mapping;
         partial mappings overlay the defaults.
+
+        Raises:
+            InvalidSpec: An unknown key, channel, band or series name, a
+                section that is not a JSON object, or a non-numeric value
+                in one.
         """
-        kwargs: dict = {}
-        for key in ("n_intervals", "drowsy_fraction", "noise_floor_uv", "outlier_rate",
-                    "include_telemetry", "telemetry_rate_hz", "telemetry_noise"):
-            if key in data:
-                kwargs[key] = data[key]
+        kwargs = dict(_json_object("spec", data, [f.name for f in fields(cls)]))
         if "band_amplitudes_uv" in data:
             raw = data["band_amplitudes_uv"]
             amps = _uniform_amplitudes()
-            if raw and all(isinstance(v, (int, float)) for v in raw.values()):
-                for ch in amps:
-                    amps[ch].update({k: float(v) for k, v in raw.items()})
+            if isinstance(raw, Mapping) and all(k in BAND_NAMES for k in raw):
+                for bands in amps.values():
+                    _overlay("band_amplitudes_uv", bands, raw)
             else:
-                for ch, bands in raw.items():
-                    if ch in amps:
-                        amps[ch].update({k: float(v) for k, v in bands.items()})
+                for ch, bands in _json_object("band_amplitudes_uv", raw, EEG_CHANNELS).items():
+                    _overlay(f"band_amplitudes_uv.{ch}", amps[ch], bands)
             kwargs["band_amplitudes_uv"] = amps
         for key, default in (("drowsy_band_multipliers", _unit_multipliers),
                              ("telemetry_baseline", _zero_series),
                              ("drowsy_telemetry_shift", _zero_series)):
             if key in data:
-                merged = default()
-                merged.update({k: float(v) for k, v in data[key].items()})
-                kwargs[key] = merged
+                kwargs[key] = _overlay(key, default(), data[key])
         return cls(**kwargs)
+
+
+def _json_object(section: str, raw: object, names) -> Mapping:
+    """``raw`` if it is a JSON object whose keys are all among ``names``."""
+    if not isinstance(raw, Mapping):
+        raise InvalidSpec(f"{section} must be a JSON object, got {type(raw).__name__}")
+    unknown = [k for k in raw if k not in names]
+    if unknown:
+        raise InvalidSpec(f"{section}: unknown name(s) {', '.join(map(repr, unknown))}")
+    return raw
+
+
+def _overlay(section: str, base: dict[str, float], raw: object) -> dict[str, float]:
+    """``base`` updated from ``raw``, a JSON object of numbers keyed by names of ``base``."""
+    for k, v in _json_object(section, raw, base).items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidSpec(f"{section}.{k} must be a number, got {v!r}")
+        base[k] = float(v)
+    return base
 
 
 def load_synth_spec(source: IO[str] | str | Path) -> SynthSpec:
@@ -214,8 +231,6 @@ def load_synth_spec(source: IO[str] | str | Path) -> SynthSpec:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
     else:
         data = json.load(source)
-    if not isinstance(data, dict):
-        raise InvalidSpec(f"spec JSON must be an object, got {type(data).__name__}")
     return SynthSpec.from_json_dict(data)
 
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 from scipy.stats import rankdata
 
-from drowsekit.errors import EmptySample
-from drowsekit.preprocess import EPOCH_SAMPLES, Epoch
+from drowsekit.errors import DegeneratePower, EmptySample
+from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
 from drowsekit.session import (
     EEG_CHANNELS,
     EEG_SAMPLE_RATE_HZ,
@@ -20,7 +20,7 @@ from drowsekit.session import (
     Session,
     VehicleTelemetry,
 )
-from drowsekit.spectral import BANDS
+from drowsekit.spectral import BANDS, DEGENERATE_POWER_UV2, TOTAL_BAND_HZ, _integrate
 from drowsekit.synthgen import (
     ALERT_RATING,
     COMB_PLACEMENT_HZ,
@@ -40,22 +40,43 @@ def freq_response_db(taps, freq_hz, sample_rate_hz=EEG_SAMPLE_RATE_HZ):
     return 20.0 * np.log10(mag) if mag > 0 else -np.inf
 
 
-def make_epoch(samples, interval_index=0, state=BinaryState.ALERT, filtered=False):
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = np.tile(samples, (4, 1))
-    assert samples.shape == (4, EPOCH_SAMPLES)
-    return Epoch(interval_index=interval_index, state=state,
-                 samples=samples, filtered=filtered)
-
-
-def noise_epoch(rng, scale=1.0, **kwargs):
-    return make_epoch(rng.normal(0.0, scale, (4, EPOCH_SAMPLES)), **kwargs)
+def make_epochs(epochs, states=None):
+    """An ``Epochs`` block with interval indices 0, 1, ...; each epoch is a
+    (4, 7680) array, or a 7680-sample array repeated on all four channels.
+    Every epoch is alert unless ``states`` says otherwise."""
+    samples = np.array([np.broadcast_to(np.asarray(x, dtype=np.float64), (4, EPOCH_SAMPLES))
+                        for x in epochs]).reshape(len(epochs), 4, EPOCH_SAMPLES)
+    if states is None:
+        states = [BinaryState.ALERT] * len(epochs)
+    return Epochs(samples=samples, interval_index=np.arange(len(epochs)),
+                  state=np.array(states, dtype=object))
 
 
 def sine_wave(freq_hz, amplitude=1.0, n=EPOCH_SAMPLES, phase=0.0):
     t = np.arange(n) / EEG_SAMPLE_RATE_HZ
     return amplitude * np.sin(2.0 * np.pi * freq_hz * t + phase)
+
+
+def band_power(psd, band):
+    """Absolute band power in uV^2 (integral of the density over the band)."""
+    return float(_integrate(psd, band.lo_hz, band.hi_hz))
+
+
+def total_power(psd):
+    """Power over the full 0.1..40 Hz analysis range."""
+    return float(_integrate(psd, *TOTAL_BAND_HZ))
+
+
+def relative_band_power(psd, band):
+    """Band power as a fraction of the 0.1..40 Hz total.
+
+    Raises:
+        DegeneratePower: Total power at or below the degeneracy floor.
+    """
+    total = total_power(psd)
+    if total <= DEGENERATE_POWER_UV2:
+        raise DegeneratePower(f"total power {total:g} uV^2 is degenerate")
+    return band_power(psd, band) / total
 
 
 def exact_rank_sum_p(a, b):

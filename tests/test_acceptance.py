@@ -7,7 +7,13 @@ import json
 
 import numpy as np
 import pytest
-from helpers import exact_rank_sum_p, freq_response_db, make_epoch, sine_wave
+from helpers import (
+    exact_rank_sum_p,
+    freq_response_db,
+    make_epochs,
+    relative_band_power,
+    sine_wave,
+)
 
 from drowsekit import cli
 from drowsekit.cli import RunConfig, analyze_cohort
@@ -17,7 +23,6 @@ from drowsekit.spectral import (
     BANDS,
     eeg_feature_names,
     extract_features,
-    relative_band_power,
     welch_psd,
 )
 from drowsekit.stats import TestMethod, _rank_sum_normal_approx, rank_sum_test
@@ -98,9 +103,8 @@ def test_criterion_5_relative_power_normalization():
     rel_idx = [i for i, n in enumerate(names) if n.endswith("_rel")]
     worst = 0.0
     for _ in range(1000):
-        epoch = make_epoch(rng.normal(0.0, rng.uniform(1.0, 30.0), (4, EPOCH_SAMPLES)),
-                           filtered=True)
-        rel = extract_features([epoch]).values[0, rel_idx]
+        epochs = make_epochs([rng.normal(0.0, rng.uniform(1.0, 30.0), (4, EPOCH_SAMPLES))])
+        rel = extract_features(epochs).values[0, rel_idx]
         for ch in range(4):
             worst = max(worst, abs(rel[5 * ch:5 * ch + 5].sum() - 1.0))
     assert worst <= 1e-9

@@ -6,7 +6,8 @@ import pytest
 
 from drowsekit import cli, ingest, preprocess, spectral, stats, vehicle
 from drowsekit.errors import NonFiniteSample
-from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES
+from drowsekit.features import FeatureMatrix
+from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES, BinaryState
 from drowsekit.synthgen import SynthSpec, generate_session
 
 
@@ -87,6 +88,18 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     '{"n_intervals": 2.5}',
     '{"n_intervals": true}',
     '{"noise_floor_uv": "2"}',
+    # unknown names, sections that are not objects, and non-numeric values
+    '{"band_amplitudes_uv": {"theta": "x"}}',
+    '{"n_intervalz": 3}',
+    '{"drowsy_band_multipliers": {"theta": "x"}}',
+    '{"band_amplitudes_uv": [1, 2]}',
+    '{"band_amplitudes_uv": {"TP9": {"theta": 1.0}, "Cz": {"theta": 1.0}}}',
+    '{"band_amplitudes_uv": {"TP9": {"thetta": 1.0}}}',
+    '{"band_amplitudes_uv": {"TP9": 1.0}}',
+    '{"telemetry_baseline": {"speed": 1.0}}',
+    '{"drowsy_telemetry_shift": 1.0}',
+    '{"drowsy_band_multipliers": {"theta": true}}',
+    '[]',
 ])
 def test_synth_rejects_unusable_spec(tmp_path, capsys, spec_text):
     # unchecked, each of these would write a session that validate rejects, or crash
@@ -138,6 +151,19 @@ def test_manifest_invalid_utf8_exits_2(tmp_path, capsys, command):
         args += ["--out", str(tmp_path / "r")]
     assert cli.main(args) == 2
     assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def test_validate_flags_eeg_sampled_at_128_hz(tmp_path, capsys):
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), 1)])
+    eeg_path = manifest.parent / "synth-1" / "eeg.csv"
+    recording = ingest.load_eeg_csv(eeg_path)
+    # the same samples, with a time column stepping by 1/128 s
+    ingest.write_eeg_csv(dataclasses.replace(recording, sample_rate_hz=128.0), eeg_path)
+    assert cli.main(["validate", "--manifest", str(manifest)]) == 1
+    assert "synth-1: WrongSampleRate: EEG sample rate 128.0 Hz" in capsys.readouterr().out
+    out = tmp_path / "report"
+    assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_analyze_effect_cohort(tmp_path):
@@ -263,6 +289,40 @@ def test_features_command(tmp_path):
     assert len(eeg_csv) == 5
     veh_csv = (out / "synth-21_vehicle_features.csv").read_text().splitlines()
     assert veh_csv[0] == "interval,state," + ",".join(VEHICLE_SERIES)
+
+
+def _read_feature_csv(path, session_id):
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return FeatureMatrix.from_rows(
+        lines[0].split(",")[2:],
+        ((int(r[0]), BinaryState(r[1]), [float(v) for v in r[2:]]) for r in rows),
+        session_id=session_id)
+
+
+def test_features_csvs_reproduce_analyze_rows(tmp_path):
+    # 12 alert vs 12 drowsy epochs: the normal-approximation path
+    spec = dataclasses.replace(EFFECT_SPEC, n_intervals=6)
+    manifest = _write_cohort(tmp_path, [(spec, seed) for seed in (41, 42, 43, 44)])
+    report_dir, features_dir = tmp_path / "report", tmp_path / "features"
+    assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(report_dir)]) == 0
+    assert cli.main(["features", "--manifest", str(manifest), "--out", str(features_dir)]) == 0
+    report = json.loads((report_dir / "report.json").read_text())
+    ids = [entry.session_id for entry in ingest.load_manifest(manifest)]
+
+    def stacked(kind):
+        return FeatureMatrix.concat([_read_feature_csv(features_dir / f"{sid}_{kind}_features.csv",
+                                                       sid) for sid in ids])
+
+    def rows(matrix):
+        return json.loads(json.dumps([row.to_json_dict()
+                                      for row in stats.separation_report(matrix)]))
+
+    eeg = stacked("eeg")
+    for key, suffix in (("eeg_absolute", "_abs"), ("eeg_relative", "_rel")):
+        assert rows(eeg.select([n for n in eeg.feature_names if n.endswith(suffix)])) == report[key]
+    assert rows(stacked("vehicle")) == report["vehicle"]
+    assert len(eeg) == report["denoise_table"]["post_total"] == 24
 
 
 def test_abs_mean_flag_changes_vehicle_values(tmp_path):

@@ -54,6 +54,36 @@ def test_load_eeg_single_row():
     assert rec.start_time_s == 0.0
 
 
+def _eeg_csv_at(times):
+    lines = ["t,TP9,AF7,AF8,TP10"] + [f"{t!r},1.0,2.0,3.0,4.0" for t in times]
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("start, step, rate", [
+    (0.0, 1 / 256, 256.0),
+    (1e6, 1 / 256, 256.0),  # rounded steps at large t: 256 Hz within 1%
+    (0.0, 1 / 258, 256.0),
+    (0.0, 1 / 128, 128.0),
+    (0.0, 1 / 512, 512.0),
+])
+def test_load_eeg_infers_rate(start, step, rate):
+    rec = ingest.load_eeg_csv(_eeg_csv_at([start + k * step for k in range(100)]))
+    assert rec.sample_rate_hz == rate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("times", [
+    [0.0, 0.0, 0.0],
+    [0.0, 1 / 256, 0.0],
+    [0.0, 1 / 256, 2 / 256, 4 / 256, 5 / 256],
+    [-1e308, 1e308],
+    [0.0, 5e-324, 1e-323],
+])
+def test_load_eeg_rejects_bad_time_steps(times):
+    with pytest.raises(NonUniformTimestep):
+        ingest.load_eeg_csv(_eeg_csv_at(times))
+
+
 def test_load_eeg_preserves_row_order():
     rec = ingest.load_eeg_csv(_eeg_csv(100))
     np.testing.assert_array_equal(rec.channels[0], np.arange(100, dtype=float))

@@ -2,26 +2,19 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import freq_response_db, make_epoch, sine_wave
+from helpers import freq_response_db, make_epochs, sine_wave
 
-from drowsekit.errors import (
-    AlreadyFiltered,
-    InvalidCutoff,
-    InvalidTransition,
-    SubsetViolation,
-)
+from drowsekit.errors import InvalidCutoff, InvalidTransition
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
-    ArtifactVerdict,
     DenoiseSummary,
-    EpochSet,
     FilterKind,
-    artifact_decision,
     denoise_epochs,
     denoise_summary,
     design_fir,
     epoch_signal,
     filter_epoch,
+    outlier_fraction,
 )
 from drowsekit.session import (
     BinaryState,
@@ -29,6 +22,7 @@ from drowsekit.session import (
     OrdLabelTrack,
     make_eeg_recording,
 )
+from drowsekit.spectral import extract_features
 
 # region excluded when measuring interior amplitudes (high-pass group delay)
 EDGE = 2112
@@ -45,10 +39,10 @@ def test_epoch_signal_full_coverage(rng):
     rec = make_eeg_recording(rng.normal(size=(4, 20 * EPOCH_SAMPLES)))
     epochs = epoch_signal(rec, _labels(20))
     assert len(epochs) == 20
-    assert all(ep.samples.shape == (4, EPOCH_SAMPLES) for ep in epochs)
-    assert [ep.interval_index for ep in epochs] == list(range(20))
+    assert epochs.samples.shape == (20, 4, EPOCH_SAMPLES)
+    assert epochs.interval_index.tolist() == list(range(20))
     np.testing.assert_array_equal(
-        epochs[3].samples[1], rec.channels[1][3 * EPOCH_SAMPLES:4 * EPOCH_SAMPLES])
+        epochs.samples[3, 1], rec.channels[1][3 * EPOCH_SAMPLES:4 * EPOCH_SAMPLES])
 
 
 def test_epoch_signal_skips_partial_interval(rng, caplog):
@@ -59,12 +53,18 @@ def test_epoch_signal_skips_partial_interval(rng, caplog):
     assert "skipped 1" in caplog.text
 
 
-def test_epoch_signal_too_short_recording(rng, caplog):
+def test_epoch_signal_too_short_recording(rng, caplog, hp_kernel, lp_kernel):
     rec = make_eeg_recording(rng.normal(size=(4, 7000)))
     with caplog.at_level(logging.WARNING, logger="drowsekit.preprocess"):
         epochs = epoch_signal(rec, _labels(1))
-    assert epochs == []
+    assert epochs.samples.shape == (0, 4, EPOCH_SAMPLES)
     assert "skipped 1" in caplog.text
+    # an empty block passes through the rest of the pipeline
+    kept = denoise_epochs(filter_epoch(epochs, hp_kernel, lp_kernel))
+    assert len(kept.epochs) == 0
+    assert [a.tolist() for a in kept.dropped] == [[], []]
+    assert denoise_summary(epochs, kept).removal_fraction == 0.0
+    assert extract_features(kept.epochs).values.shape == (0, 40)
 
 
 @pytest.mark.parametrize("n_samples,n_labels", [
@@ -85,8 +85,8 @@ def test_epoch_signal_assigns_majority_state(rng):
         OrdInterval(index=1, ratings=(4, 3, 5)),
     ))
     epochs = epoch_signal(rec, labels)
-    assert epochs[0].state is BinaryState.ALERT
-    assert epochs[1].state is BinaryState.DROWSY
+    assert epochs.state[0] is BinaryState.ALERT
+    assert epochs.state[1] is BinaryState.DROWSY
 
 
 # ---- FIR design -------------------------------------------------------------
@@ -129,40 +129,28 @@ def test_design_rejects_bad_transition():
 # ---- filtering --------------------------------------------------------------
 
 def test_filter_removes_dc(hp_kernel, lp_kernel):
-    epoch = make_epoch(np.full((4, EPOCH_SAMPLES), 100.0))
-    out = filter_epoch(epoch, hp_kernel, lp_kernel)
-    assert out.filtered
-    assert out.samples.shape == (4, EPOCH_SAMPLES)
+    out = filter_epoch(make_epochs([np.full((4, EPOCH_SAMPLES), 100.0)]), hp_kernel, lp_kernel)
+    assert out.samples.shape == (1, 4, EPOCH_SAMPLES)
     assert np.max(np.abs(out.samples)) < 0.1
 
 
 def test_filter_passband_amplitude(hp_kernel, lp_kernel):
-    epoch = make_epoch(sine_wave(10.0))
-    out = filter_epoch(epoch, hp_kernel, lp_kernel)
-    interior = out.samples[:, EDGE:-EDGE]
+    out = filter_epoch(make_epochs([sine_wave(10.0)]), hp_kernel, lp_kernel)
+    interior = out.samples[0, :, EDGE:-EDGE]
     assert abs(np.max(np.abs(interior)) - 1.0) < 0.01
 
 
 def test_filter_stopband_amplitude(hp_kernel, lp_kernel):
-    epoch = make_epoch(sine_wave(60.0))
-    out = filter_epoch(epoch, hp_kernel, lp_kernel)
-    interior = out.samples[:, EDGE:-EDGE]
+    out = filter_epoch(make_epochs([sine_wave(60.0)]), hp_kernel, lp_kernel)
+    interior = out.samples[0, :, EDGE:-EDGE]
     assert np.max(np.abs(interior)) <= 0.01
-
-
-def test_filter_refuses_double_filtering(hp_kernel, lp_kernel):
-    epoch = make_epoch(np.zeros((4, EPOCH_SAMPLES)), filtered=True)
-    with pytest.raises(AlreadyFiltered):
-        filter_epoch(epoch, hp_kernel, lp_kernel)
 
 
 def test_filter_is_linear(rng, hp_kernel, lp_kernel):
     x = rng.normal(size=(4, EPOCH_SAMPLES))
     y = rng.normal(size=(4, EPOCH_SAMPLES))
     a, b = 2.5, -1.25
-    fx = filter_epoch(make_epoch(x), hp_kernel, lp_kernel).samples
-    fy = filter_epoch(make_epoch(y), hp_kernel, lp_kernel).samples
-    fxy = filter_epoch(make_epoch(a * x + b * y), hp_kernel, lp_kernel).samples
+    fx, fy, fxy = filter_epoch(make_epochs([x, y, a * x + b * y]), hp_kernel, lp_kernel).samples
     scale = np.max(np.abs(fxy))
     assert np.max(np.abs(fxy - (a * fx + b * fy))) < 1e-9 * scale
 
@@ -170,8 +158,8 @@ def test_filter_is_linear(rng, hp_kernel, lp_kernel):
 def test_filter_shift_covariant_in_interior(rng, hp_kernel, lp_kernel):
     shift = 128
     long = rng.normal(size=(4, EPOCH_SAMPLES + shift))
-    f0 = filter_epoch(make_epoch(long[:, :EPOCH_SAMPLES]), hp_kernel, lp_kernel).samples
-    f1 = filter_epoch(make_epoch(long[:, shift:]), hp_kernel, lp_kernel).samples
+    f0, f1 = filter_epoch(make_epochs([long[:, :EPOCH_SAMPLES], long[:, shift:]]),
+                          hp_kernel, lp_kernel).samples
     margin = EDGE + 256
     lo, hi = margin, EPOCH_SAMPLES - margin - shift
     np.testing.assert_allclose(f0[:, lo + shift:hi + shift], f1[:, lo:hi],
@@ -180,19 +168,29 @@ def test_filter_shift_covariant_in_interior(rng, hp_kernel, lp_kernel):
 
 # ---- artifact decisions -----------------------------------------------------
 
+def _judge(samples, per_channel=False):
+    """Whether denoising keeps one filtered epoch, and its outlier fraction."""
+    fraction = outlier_fraction(samples[None], per_channel)
+    assert fraction.shape == (1,)
+    result = denoise_epochs(make_epochs([samples]), per_channel)
+    kept = len(result.epochs) == 1
+    expected_dropped = [[], []] if kept else [[0], [fraction[0]]]
+    assert [a.tolist() for a in result.dropped] == expected_dropped
+    return kept, float(fraction[0])
+
+
 def test_artifact_drop_above_threshold():
     samples = np.zeros((4, EPOCH_SAMPLES))
     n_out = int(0.40 * samples.size)
     samples.reshape(-1)[:n_out] = 80.0
-    verdict, fraction = artifact_decision(make_epoch(samples, filtered=True))
-    assert verdict is ArtifactVerdict.DROP
+    kept, fraction = _judge(samples)
+    assert not kept
     assert fraction == pytest.approx(0.40)
 
 
 def test_artifact_keep_when_in_range():
-    samples = np.full((4, EPOCH_SAMPLES), 69.9)
-    verdict, fraction = artifact_decision(make_epoch(samples, filtered=True))
-    assert verdict is ArtifactVerdict.KEEP
+    kept, fraction = _judge(np.full((4, EPOCH_SAMPLES), 69.9))
+    assert kept
     assert fraction == 0.0
 
 
@@ -200,55 +198,50 @@ def test_artifact_boundary_is_strict():
     samples = np.zeros((4, EPOCH_SAMPLES))
     n_out = int(round(0.30 * samples.size))
     samples.reshape(-1)[:n_out] = 80.0
-    verdict, fraction = artifact_decision(make_epoch(samples, filtered=True))
+    kept, fraction = _judge(samples)
     assert fraction == pytest.approx(0.30)
-    assert verdict is ArtifactVerdict.KEEP
+    assert kept
 
 
 def test_artifact_monotone_in_amplitude(rng):
     samples = rng.normal(0, 50.0, (4, EPOCH_SAMPLES))
-    epoch = make_epoch(samples, filtered=True)
-    _, fraction = artifact_decision(epoch)
-    for scale in (1.5, 3.0, 10.0):
-        _, scaled_fraction = artifact_decision(make_epoch(scale * samples, filtered=True))
-        assert scaled_fraction >= fraction
-        fraction = scaled_fraction
+    block = np.stack([scale * samples for scale in (1.0, 1.5, 3.0, 10.0)])
+    for per_channel in (False, True):
+        assert np.all(np.diff(outlier_fraction(block, per_channel)) >= 0.0)
 
 
 def test_artifact_per_channel_variant():
     samples = np.zeros((4, EPOCH_SAMPLES))
     samples[0, :] = 80.0  # one fully saturated channel
-    pooled_verdict, pooled_fraction = artifact_decision(make_epoch(samples, filtered=True))
+    pooled_kept, pooled_fraction = _judge(samples)
     assert pooled_fraction == pytest.approx(0.25)
-    assert pooled_verdict is ArtifactVerdict.KEEP
-    per_verdict, per_fraction = artifact_decision(
-        make_epoch(samples, filtered=True), per_channel=True)
+    assert pooled_kept
+    per_kept, per_fraction = _judge(samples, per_channel=True)
     assert per_fraction == pytest.approx(1.0)
-    assert per_verdict is ArtifactVerdict.DROP
+    assert not per_kept
 
 
 # ---- denoise bookkeeping ----------------------------------------------------
 
-def _epochs_with_states(states):
-    return [make_epoch(np.zeros((4, EPOCH_SAMPLES)), interval_index=k, state=s,
-                       filtered=True)
-            for k, s in enumerate(states)]
+def _epochs_with_states(states, noisy=()):
+    """Zero epochs, except ``noisy`` ones at 90 uV, which denoising drops."""
+    return make_epochs([np.full((4, EPOCH_SAMPLES), 90.0 if k in noisy else 0.0)
+                        for k in range(len(states))], states)
 
 
-def test_denoise_epochs_partitions(rng):
-    good = _epochs_with_states([BinaryState.ALERT, BinaryState.DROWSY])
-    noisy = make_epoch(np.full((4, EPOCH_SAMPLES), 90.0), interval_index=2,
-                       state=BinaryState.DROWSY, filtered=True)
-    result = denoise_epochs(good + [noisy])
-    assert [ep.interval_index for ep in result.epochs] == [0, 1]
-    assert result.dropped == ((2, 1.0),)
+def test_denoise_epochs_partitions():
+    epochs = _epochs_with_states([BinaryState.ALERT, BinaryState.DROWSY, BinaryState.DROWSY],
+                                 noisy=(2,))
+    result = denoise_epochs(epochs)
+    assert result.epochs.interval_index.tolist() == [0, 1]
+    assert result.epochs.state.tolist() == [BinaryState.ALERT, BinaryState.DROWSY]
+    assert [a.tolist() for a in result.dropped] == [[2], [1.0]]
 
 
 def test_denoise_summary_counts():
-    pre = _epochs_with_states(
-        [BinaryState.ALERT] * 3 + [BinaryState.DROWSY] * 5)
-    post = EpochSet(epochs=tuple(pre[:2] + pre[3:6]), dropped=((2, 0.5), (6, 0.4), (7, 0.9)))
-    summary = denoise_summary(pre, post)
+    pre = _epochs_with_states([BinaryState.ALERT] * 3 + [BinaryState.DROWSY] * 5,
+                              noisy=(2, 6, 7))
+    summary = denoise_summary(pre, denoise_epochs(pre))
     assert (summary.pre_alert, summary.pre_drowsy) == (3, 5)
     assert (summary.post_alert, summary.post_drowsy) == (2, 3)
     assert summary.removal_fraction == pytest.approx(3 / 8)
@@ -256,15 +249,8 @@ def test_denoise_summary_counts():
 
 def test_denoise_summary_identity():
     pre = _epochs_with_states([BinaryState.ALERT, BinaryState.DROWSY])
-    summary = denoise_summary(pre, EpochSet(epochs=tuple(pre), dropped=()))
+    summary = denoise_summary(pre, denoise_epochs(pre))
     assert summary.removal_fraction == 0.0
-
-
-def test_denoise_summary_subset_violation():
-    pre = _epochs_with_states([BinaryState.ALERT])
-    alien = make_epoch(np.zeros((4, EPOCH_SAMPLES)), interval_index=9, filtered=True)
-    with pytest.raises(SubsetViolation):
-        denoise_summary(pre, EpochSet(epochs=(alien,), dropped=()))
 
 
 def test_reference_removal_percentage():
@@ -273,11 +259,6 @@ def test_reference_removal_percentage():
     assert summary.post_total == 3812
     assert summary.removal_fraction == pytest.approx(232 / 4044)
     assert summary.removal_percent == 5.74  # round-half-up of 5.7369...
-
-
-def test_from_counts_rejects_growth():
-    with pytest.raises(SubsetViolation):
-        DenoiseSummary.from_counts(10, 10, 11, 9)
 
 
 def test_summary_combine():

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from helpers import make_epoch, sine_wave
+from helpers import band_power, make_epochs, relative_band_power, sine_wave, total_power
 
 from drowsekit.errors import DegeneratePower, TooShort
 from drowsekit.preprocess import EPOCH_SAMPLES
+from drowsekit.session import BinaryState
 from drowsekit.spectral import (
     BANDS,
     PsdEstimate,
-    band_power,
     eeg_feature_names,
     extract_features,
-    relative_band_power,
-    total_power,
     welch_psd,
 )
 
@@ -120,8 +118,7 @@ def test_feature_names_order_pinned():
 
 
 def test_extract_features_invariants(rng):
-    epoch = make_epoch(rng.normal(0, 10.0, (4, EPOCH_SAMPLES)), filtered=True)
-    matrix = extract_features([epoch])
+    matrix = extract_features(make_epochs([rng.normal(0, 10.0, (4, EPOCH_SAMPLES))]))
     assert matrix.values.shape == (1, 40)
     values = matrix.values[0]
     names = eeg_feature_names()
@@ -136,7 +133,7 @@ def test_extract_features_invariants(rng):
 def test_extract_features_tone_on_single_channel(rng):
     samples = rng.normal(0, 1.0, (4, EPOCH_SAMPLES))
     samples[0] += sine_wave(10.0, amplitude=20.0)
-    values = extract_features([make_epoch(samples, filtered=True)]).values[0]
+    values = extract_features(make_epochs([samples])).values[0]
     names = eeg_feature_names()
     tp9_rel = {n: values[i] for i, n in enumerate(names)
                if n.startswith("TP9") and n.endswith("_rel")}
@@ -144,22 +141,21 @@ def test_extract_features_tone_on_single_channel(rng):
 
 
 def test_extract_features_deterministic(rng):
-    epoch = make_epoch(rng.normal(size=(4, EPOCH_SAMPLES)), filtered=True)
-    v1 = extract_features([epoch])
-    v2 = extract_features([epoch])
+    epochs = make_epochs([rng.normal(size=(4, EPOCH_SAMPLES))])
+    v1 = extract_features(epochs)
+    v2 = extract_features(epochs)
     np.testing.assert_array_equal(v1.values, v2.values)
 
 
 def test_extract_features_degenerate_channel():
-    epoch = make_epoch(np.zeros((4, EPOCH_SAMPLES)), filtered=True)
     with pytest.raises(DegeneratePower):
-        extract_features([epoch])
+        extract_features(make_epochs([np.zeros((4, EPOCH_SAMPLES))]))
 
 
 def test_scaling_covariance(rng):
     samples = rng.normal(0, 5.0, (4, EPOCH_SAMPLES))
-    base = extract_features([make_epoch(samples, filtered=True)]).values[0]
-    scaled = extract_features([make_epoch(3.0 * samples, filtered=True)]).values[0]
+    base = extract_features(make_epochs([samples])).values[0]
+    scaled = extract_features(make_epochs([3.0 * samples])).values[0]
     names = eeg_feature_names()
     for i, name in enumerate(names):
         if name.endswith("_abs"):
@@ -184,13 +180,14 @@ def test_frequency_shift_moves_band(rng):
 
 
 def test_feature_matrix_assembly(rng):
-    epochs = [make_epoch(rng.normal(0, 5.0, (4, EPOCH_SAMPLES)), interval_index=k,
-                         filtered=True) for k in range(3)]
+    states = [BinaryState.ALERT, BinaryState.DROWSY, BinaryState.ALERT]
+    epochs = make_epochs([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)], states)
     matrix = extract_features(epochs, session_id="s1")
     assert matrix.values.shape == (3, 40)
     assert matrix.interval_indices == (0, 1, 2)
+    assert matrix.states == tuple(states)
     assert matrix.session_ids == ("s1", "s1", "s1")
-    empty = extract_features([], session_id="s1")
+    empty = extract_features(make_epochs([]), session_id="s1")
     assert empty.values.shape == (0, 40)
     assert empty.feature_names == eeg_feature_names()
 
@@ -198,14 +195,13 @@ def test_feature_matrix_assembly(rng):
 def test_extract_features_matches_per_channel_path(rng):
     # oracle: each channel's Welch PSD integrated on its own; the batched
     # integration must reproduce it bit for bit, not just to rounding
-    epochs = [make_epoch(rng.normal(0.0, scale, (4, EPOCH_SAMPLES)), interval_index=k,
-                         filtered=True)
-              for k, scale in enumerate((0.05, 1.0, 7.0, 30.0, 250.0))]
+    epochs = make_epochs([rng.normal(0.0, scale, (4, EPOCH_SAMPLES))
+                          for scale in (0.05, 1.0, 7.0, 30.0, 250.0)])
     expected = []
-    for ep in epochs:
+    for x in epochs.samples:
         row = []
         for ch in range(4):
-            psd = welch_psd(ep.samples[ch])
+            psd = welch_psd(x[ch])
             total = total_power(psd)
             for band in BANDS:
                 power = band_power(psd, band)

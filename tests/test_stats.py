@@ -6,7 +6,7 @@ import pytest
 from helpers import exact_rank_sum_p, rank_sum_counts_dp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import mannwhitneyu, norm
 
 from drowsekit.errors import (
     EmptySample,
@@ -18,6 +18,7 @@ from drowsekit.errors import (
 from drowsekit.features import FeatureMatrix
 from drowsekit.session import BinaryState
 from drowsekit.stats import (
+    EXACT_PATH_MAX_MIN_N,
     TestMethod,
     _rank_sum_normal_approx,
     _rank_sum_null_counts,
@@ -176,6 +177,24 @@ def test_exact_path_matches_brute_force(rng):
         result = rank_sum_test(a, b)
         assert result.method is TestMethod.EXACT_ENUMERATION
         assert abs(result.p_value - exact_rank_sum_p(a, b)) <= 1e-12
+
+
+def test_exact_path_matches_scipy_mannwhitneyu(rng):
+    # a third oracle, on sizes the brute force cannot reach and in both
+    # orientations; the two differ only by rounding of the final division
+    worst = 0.0
+    for _ in range(400):
+        n_small = int(rng.integers(1, EXACT_PATH_MAX_MIN_N + 1))
+        n_large = int(rng.integers(n_small, 61))
+        values = rng.permutation(10_000)[:n_small + n_large].astype(float)
+        a, b = values[:n_large], values[n_large:]
+        if rng.integers(2):
+            a, b = b, a
+        result = rank_sum_test(a, b)
+        assert result.method is TestMethod.EXACT_ENUMERATION
+        p = mannwhitneyu(a, b, alternative="two-sided", method="exact").pvalue
+        worst = max(worst, abs(result.p_value - p) / p)
+    assert worst <= 1e-14
 
 
 def test_approx_tracks_exact(rng):

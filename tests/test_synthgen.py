@@ -2,13 +2,13 @@ import io
 
 import numpy as np
 import pytest
-from helpers import generate_session_direct
+from helpers import band_power, generate_session_direct
 
 from drowsekit import ingest
 from drowsekit.errors import InvalidSpec
-from drowsekit.preprocess import ArtifactVerdict, artifact_decision, epoch_signal, filter_epoch
+from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, outlier_fraction
 from drowsekit.session import BinaryState, validate_session
-from drowsekit.spectral import BANDS, band_power, welch_psd
+from drowsekit.spectral import BANDS, welch_psd
 from drowsekit.synthgen import (
     DEFAULT_BAND_AMPLITUDES_UV,
     SynthSpec,
@@ -99,12 +99,11 @@ def test_band_power_tracks_spec(default_kernels):
     hp, lp = default_kernels
     spec = SynthSpec(n_intervals=12, drowsy_fraction=0.5)
     session = generate_session(spec, seed=5)
-    epochs = epoch_signal(session.eeg, session.labels)
-    alert = [filter_epoch(ep, hp, lp) for ep in epochs
-             if ep.state is BinaryState.ALERT]
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    alert = epochs.samples[epochs.state == BinaryState.ALERT]
     noise_density = spec.noise_floor_uv**2 / 128.0
     for band in BANDS:
-        powers = [band_power(welch_psd(ep.samples[0]), band) for ep in alert]
+        powers = [band_power(welch_psd(x[0]), band) for x in alert]
         target = target_band_power_uv2(DEFAULT_BAND_AMPLITUDES_UV[band.name])
         target += noise_density * (band.hi_hz - band.lo_hz)
         assert np.mean(powers) == pytest.approx(target, rel=0.15)
@@ -116,11 +115,11 @@ def test_drowsy_multiplier_scales_power(default_kernels):
                      drowsy_band_multipliers={"delta": 1.0, "theta": 2.0,
                                               "alpha": 1.0, "beta": 1.0, "gamma": 1.0})
     session = generate_session(spec, seed=6)
-    epochs = [filter_epoch(ep, hp, lp) for ep in epoch_signal(session.eeg, session.labels)]
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
     theta = next(b for b in BANDS if b.name == "theta")
     by_state = {BinaryState.ALERT: [], BinaryState.DROWSY: []}
-    for ep in epochs:
-        by_state[ep.state].append(band_power(welch_psd(ep.samples[0]), theta))
+    for x, state in zip(epochs.samples, epochs.state):
+        by_state[state].append(band_power(welch_psd(x[0]), theta))
     ratio = np.mean(by_state[BinaryState.DROWSY]) / np.mean(by_state[BinaryState.ALERT])
     assert ratio == pytest.approx(4.0, rel=0.2)  # amplitude x2 -> power x4
 
@@ -130,20 +129,16 @@ def test_outlier_injection_causes_drop(default_kernels, rate):
     hp, lp = default_kernels
     spec = SynthSpec(n_intervals=4, outlier_rate=rate)
     session = generate_session(spec, seed=9)
-    epochs = [filter_epoch(ep, hp, lp) for ep in epoch_signal(session.eeg, session.labels)]
-    for ep in epochs:
-        verdict, fraction = artifact_decision(ep)
-        assert verdict is ArtifactVerdict.DROP
-        assert fraction > 0.30
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    assert np.all(outlier_fraction(epochs.samples) > 0.30)
+    assert len(denoise_epochs(epochs).epochs) == 0
 
 
 def test_no_injection_keeps_epochs(default_kernels):
     hp, lp = default_kernels
     session = generate_session(SynthSpec(n_intervals=4), seed=9)
-    epochs = [filter_epoch(ep, hp, lp) for ep in epoch_signal(session.eeg, session.labels)]
-    for ep in epochs:
-        verdict, _ = artifact_decision(ep)
-        assert verdict is ArtifactVerdict.KEEP
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    assert len(denoise_epochs(epochs).epochs) == len(epochs) == 4
 
 
 def test_telemetry_shift_applies_to_drowsy_intervals():
