@@ -8,6 +8,12 @@ The Welch settings are the reference method's and fixed (Hann segments of
 Welch PSD per epoch over all channels and integrates every band over the
 whole session at once; the result is bit-identical to integrating each
 channel's PSD on its own.
+
+The Welch estimate is computed directly with ``scipy.fft``: strided
+segment views, one module-level scaled Hann window and one ``rfft`` over
+all segments. It is bit-identical to ``scipy.signal.welch`` with the
+reference settings; the oracle tests pin that and were checked against
+scipy 1.17.1.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import welch
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import rfft, rfftfreq
 
 from .errors import DegeneratePower, TooShort
 from .features import FeatureMatrix
@@ -25,6 +32,9 @@ from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
 
 # Welch segment length of the reference method, in samples.
 DEFAULT_NFFT = 1024
+
+# Welch hop between segment starts: 50% overlap.
+_HOP = DEFAULT_NFFT // 2
 
 # Total power over this range is the denominator of every relative power.
 TOTAL_BAND_HZ = (0.1, 40.0)
@@ -80,32 +90,51 @@ def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str,
     )
 
 
+def _density_window() -> np.ndarray:
+    """The periodic Hann window scaled so that a segment's squared rfft
+    magnitudes are a PSD in uV^2/Hz.
+
+    The window is scipy's ``get_window("hann", DEFAULT_NFFT)`` (the
+    general-cosine formula on an extended grid) and the scale is
+    ``ShortTimeFFT.fac_psd``, whose sum of squares is Python's builtin
+    ``sum``; ``np.sum`` adds pairwise and would change the last bits.
+    """
+    w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, DEFAULT_NFFT + 1)[:-1])
+    return w * (1 / np.sqrt(sum(w**2) * EEG_SAMPLE_RATE_HZ))
+
+
+_WINDOW = _density_window()
+_WINDOW.setflags(write=False)
+_FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
+_FREQS_HZ.setflags(write=False)
+
+
 def welch_psd(samples: np.ndarray) -> PsdEstimate:
     """Estimate a one-sided PSD of 256 Hz EEG by Welch's method.
 
     Segments are ``DEFAULT_NFFT`` samples long, Hann windowed, 50%
     overlapped, and their periodograms averaged; a 30 s epoch yields 14
     segments. No detrending is applied, so DC power is preserved and the
-    integral of the density equals the signal's mean square.
+    integral of the density equals the signal's mean square. Works along
+    the last axis of any shape.
+
+    The segments are strided views of the input and are transformed in one
+    ``rfft``; the periodograms are averaged in scipy's ``(freq, segment)``
+    memory order, so the result is bit-identical to ``scipy.signal.welch``
+    with these settings.
 
     Raises:
         TooShort: Fewer samples than one segment.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[-1] < DEFAULT_NFFT:
-        raise TooShort(f"need at least {DEFAULT_NFFT} samples, got {samples.shape[-1]}")
-    freqs, density = welch(
-        samples,
-        fs=EEG_SAMPLE_RATE_HZ,
-        window="hann",
-        nperseg=DEFAULT_NFFT,
-        noverlap=DEFAULT_NFFT // 2,
-        nfft=DEFAULT_NFFT,
-        detrend=False,
-        scaling="density",
-        return_onesided=True,
-    )
-    return PsdEstimate(freqs_hz=freqs, density=density)
+    n = samples.shape[-1]
+    if n < DEFAULT_NFFT:
+        raise TooShort(f"need at least {DEFAULT_NFFT} samples, got {n}")
+    segments = sliding_window_view(samples, DEFAULT_NFFT, axis=-1)[..., ::_HOP, :]
+    spectra = rfft(segments[..., :(n - _HOP) // _HOP, :] * _WINDOW)
+    power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).swapaxes(-1, -2))
+    power[..., 1:-1, :] *= 2  # one-sided: fold in the negative frequencies
+    return PsdEstimate(freqs_hz=_FREQS_HZ, density=power.mean(axis=-1))
 
 
 def _interp_at(f: np.ndarray, density: np.ndarray, x: float) -> np.ndarray:

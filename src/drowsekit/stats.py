@@ -8,6 +8,11 @@ counts of U are the coefficients of a Gaussian binomial, computed in
 integers. Otherwise a refined normal approximation is used.
 ``separation_report`` runs both per feature and returns plain report rows;
 the cohort and the config digest live only in the report built from them.
+
+Normal tails come from ``scipy.special.ndtr`` and the density and midranks
+from numpy, computed as ``scipy.stats.norm`` and ``rankdata`` compute
+them, so importing this module loads no ``scipy.stats``; the oracle tests
+pin the values bit for bit and were checked against scipy 1.17.1.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr
 
 from .errors import (
     EmptySample,
@@ -145,7 +150,7 @@ def ks_normal_test(sample: Sequence[float]) -> TestResult:
     if sd == 0.0:
         raise ZeroVariance("sample has zero variance")
     z = (x - x.mean()) / sd
-    cdf = norm.cdf(z)
+    cdf = ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - cdf)
     d_minus = np.max(cdf - (i - 1) / n)
@@ -155,6 +160,21 @@ def ks_normal_test(sample: Sequence[float]) -> TestResult:
 
 
 # ---- Wilcoxon rank-sum / Mann-Whitney U ------------------------------------
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x`` with ties given the mean of their ranks.
+
+    Every midrank is an exact half-integer, so the values (and any sum of
+    them) equal ``scipy.stats.rankdata(x, method="average")``'s.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
 
 def _rank_sum_null_counts(n_a: int, n_b: int) -> list[int]:
     """Exact counts of the tie-free Mann-Whitney U null distribution.
@@ -217,7 +237,7 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     if min(n_a, n_b) > EXACT_PATH_MAX_MIN_N or len(np.unique(pooled)) < n_a + n_b:
         return _rank_sum_normal_approx(pooled, n_a)
 
-    u = float(rankdata(pooled, method="average")[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    u = float(_average_ranks(pooled)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
     counts = _rank_sum_null_counts(n_a, n_b)
     u_obs = int(round(u))
     p = _two_sided(sum(counts[: u_obs + 1]), sum(counts[u_obs:]), math.comb(n_a + n_b, n_a))
@@ -229,7 +249,7 @@ def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
     """Normal-approximation rank-sum test of pooled[:n_a] against the rest."""
     total_n = len(pooled)
     n_b = total_n - n_a
-    w = float(rankdata(pooled, method="average")[:n_a].sum())
+    w = float(_average_ranks(pooled)[:n_a].sum())
     u = w - n_a * (n_a + 1) / 2.0
     _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts).sum())) / (total_n * (total_n - 1.0))
@@ -254,15 +274,26 @@ def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
 _EDGEWORTH_Z_LIMIT = 5.0
 
 
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: float) -> np.float64:
+    """The standard normal density as ``scipy.stats.norm.pdf`` computes it:
+    squared and exponentiated by numpy on an array, whose ``exp`` may round
+    differently from ``math.exp``."""
+    x = np.asarray(z, dtype=np.float64)
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
 def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
     """Normal tail area with a kurtosis (fourth-cumulant) refinement.
 
     The survival function is evaluated directly so extreme tails keep
     full floating-point precision instead of cancelling against 1.
     """
-    base = norm.sf(z) if upper else norm.cdf(z)
+    base = ndtr(-z) if upper else ndtr(z)
     if abs(z) <= _EDGEWORTH_Z_LIMIT:
-        correction = norm.pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)
+        correction = _norm_pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)
         base = base + correction if upper else base - correction
     return min(1.0, max(0.0, float(base)))
 

@@ -82,9 +82,18 @@ OUTLIER_BLOCK_AMPLITUDE_UV = 700.0
 OUTLIER_BLOCK_HZ = 8.0
 
 
-def _check_finite(name: str, value: object) -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
+def _check_finite(name: str, value: object) -> float:
+    """``value`` as a float if it is a real number (not a bool) that a
+    float holds finitely; otherwise raise InvalidSpec."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
 def _uniform_amplitudes() -> dict[str, dict[str, float]]:
@@ -118,8 +127,12 @@ class SynthSpec:
 
     def validate(self) -> None:
         """Raise InvalidSpec on any out-of-range or non-finite field, on an
-        ``n_intervals`` that is not an integer, and on a telemetry rate that
-        gives fewer than 2 samples per interval."""
+        ``include_telemetry`` that is not a bool, on an ``n_intervals`` that
+        is not an integer, and on a telemetry rate that gives fewer than 2
+        samples per interval."""
+        if not isinstance(self.include_telemetry, bool):
+            raise InvalidSpec(
+                f"include_telemetry must be true or false, got {self.include_telemetry!r}")
         if isinstance(self.n_intervals, bool) or not isinstance(self.n_intervals, numbers.Integral):
             raise InvalidSpec(f"n_intervals must be an integer, got {self.n_intervals!r}")
         if self.n_intervals <= 0:
@@ -184,8 +197,8 @@ class SynthSpec:
 
         Raises:
             InvalidSpec: An unknown key, channel, band or series name, a
-                section that is not a JSON object, or a non-numeric value
-                in one.
+                section that is not a JSON object, or a value in one that
+                is not a finite number.
         """
         kwargs = dict(_json_object("spec", data, [f.name for f in fields(cls)]))
         if "band_amplitudes_uv" in data:
@@ -217,11 +230,10 @@ def _json_object(section: str, raw: object, names) -> Mapping:
 
 
 def _overlay(section: str, base: dict[str, float], raw: object) -> dict[str, float]:
-    """``base`` updated from ``raw``, a JSON object of numbers keyed by names of ``base``."""
+    """``base`` updated from ``raw``, a JSON object of finite numbers keyed
+    by names of ``base``."""
     for k, v in _json_object(section, raw, base).items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidSpec(f"{section}.{k} must be a number, got {v!r}")
-        base[k] = float(v)
+        base[k] = _check_finite(f"{section}.{k}", v)
     return base
 
 

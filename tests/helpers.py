@@ -4,7 +4,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.signal import fftconvolve, welch
+from scipy.stats import norm, rankdata
 
 from drowsekit.errors import DegeneratePower, EmptySample
 from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
@@ -20,7 +21,14 @@ from drowsekit.session import (
     Session,
     VehicleTelemetry,
 )
-from drowsekit.spectral import BANDS, DEGENERATE_POWER_UV2, TOTAL_BAND_HZ, _integrate
+from drowsekit.spectral import (
+    BANDS,
+    DEFAULT_NFFT,
+    DEGENERATE_POWER_UV2,
+    TOTAL_BAND_HZ,
+    PsdEstimate,
+    _integrate,
+)
 from drowsekit.synthgen import (
     ALERT_RATING,
     COMB_PLACEMENT_HZ,
@@ -38,6 +46,45 @@ def freq_response_db(taps, freq_hz, sample_rate_hz=EEG_SAMPLE_RATE_HZ):
     phases = np.exp(-2j * np.pi * freq_hz * np.arange(len(taps)) / sample_rate_hz)
     mag = np.abs(np.dot(np.asarray(taps), phases))
     return 20.0 * np.log10(mag) if mag > 0 else -np.inf
+
+
+def apply_kernel_scipy(samples, kernel):
+    """``preprocess.apply_kernel`` as ``np.pad`` (reflect) plus
+    ``scipy.signal.fftconvolve(mode="valid")``; the reference for the
+    convolver built on ``scipy.fft``."""
+    pad = [(0, 0)] * (samples.ndim - 1) + [(kernel.delay, kernel.delay)]
+    padded = np.pad(samples, pad, mode="reflect")
+    taps = kernel.taps.reshape((1,) * (samples.ndim - 1) + (-1,))
+    return fftconvolve(padded, taps, mode="valid", axes=-1)
+
+
+def welch_psd_scipy(samples):
+    """``spectral.welch_psd`` as ``scipy.signal.welch`` with the reference
+    method's settings; the reference for the direct Welch."""
+    freqs, density = welch(
+        np.asarray(samples, dtype=np.float64),
+        fs=EEG_SAMPLE_RATE_HZ,
+        window="hann",
+        nperseg=DEFAULT_NFFT,
+        noverlap=DEFAULT_NFFT // 2,
+        nfft=DEFAULT_NFFT,
+        detrend=False,
+        scaling="density",
+        return_onesided=True,
+    )
+    return PsdEstimate(freqs_hz=freqs, density=density)
+
+
+def normal_tails_scipy(z):
+    """``(cdf, sf, pdf)`` of the standard normal at ``z`` from
+    ``scipy.stats.norm``; the reference for ``stats``' tails."""
+    return norm.cdf(z), norm.sf(z), norm.pdf(z)
+
+
+def average_ranks_scipy(x):
+    """Midranks from ``scipy.stats.rankdata``; the reference for ``stats``'
+    rank helper."""
+    return rankdata(x, method="average")
 
 
 def make_epochs(epochs, states=None):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,19 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
     '{"drowsy_telemetry_shift": 1.0}',
     '{"drowsy_band_multipliers": {"theta": true}}',
     '[]',
+    # integers no float holds, through validate and through a section
+    pytest.param('{"noise_floor_uv": 1%s}' % ("0" * 400), id="noise_floor_uv-401-digits"),
+    pytest.param('{"band_amplitudes_uv": {"theta": 1%s}}' % ("0" * 400),
+                 id="band_amplitudes_uv-401-digits"),
+    pytest.param('{"telemetry_baseline": {"torque": -1%s}}' % ("0" * 400),
+                 id="telemetry_baseline-401-digits"),
+    # past Python's digit limit for parsing an int
+    pytest.param('{"outlier_rate": 1%s}' % ("0" * 5000), id="outlier_rate-5001-digits"),
+    '{"noise_floor_uv": true}',
+    # a flag that is not a JSON boolean
+    '{"include_telemetry": "no"}',
+    '{"include_telemetry": 0}',
+    '{"include_telemetry": null}',
 ])
 def test_synth_rejects_unusable_spec(tmp_path, capsys, spec_text):
     # unchecked, each of these would write a session that validate rejects, or crash
@@ -428,3 +445,14 @@ def test_analyze_empty_manifest_exits_1(tmp_path, capsys):
                      "--out", str(tmp_path / "r")])
     assert code == 1
     assert "cohort is empty" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # start-up cost: the pipeline needs only scipy.fft and scipy.special
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, drowsekit.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

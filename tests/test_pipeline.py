@@ -1,22 +1,22 @@
-"""The session pipeline on one epoch block against a per-epoch reference."""
+"""The session pipeline on one epoch block against a per-epoch reference
+built on the scipy filter and Welch oracles."""
 
 import numpy as np
 import pytest
-from helpers import band_power, sine_wave, total_power
+from helpers import apply_kernel_scipy, band_power, sine_wave, total_power, welch_psd_scipy
 
 from drowsekit.cli import RunConfig, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
     DEFAULT_MAX_OUTLIER_FRACTION,
     EPOCH_SAMPLES,
-    apply_kernel,
     denoise_epochs,
     epoch_signal,
     filter_epoch,
     reference_kernels,
 )
 from drowsekit.session import BinaryState, Session, make_eeg_recording, majority_label
-from drowsekit.spectral import BANDS, welch_psd
+from drowsekit.spectral import BANDS
 from drowsekit.synthgen import SynthSpec, generate_session
 
 # a 150 uV tone exceeds 70 uV for about 69% of its samples
@@ -46,7 +46,7 @@ def _per_epoch_reference(session, per_channel):
     for iv in session.labels.intervals:
         span = slice(iv.index * EPOCH_SAMPLES, (iv.index + 1) * EPOCH_SAMPLES)
         x = np.stack([c[span] for c in session.eeg.channels])
-        x = apply_kernel(apply_kernel(x, hp), lp)
+        x = apply_kernel_scipy(apply_kernel_scipy(x, hp), lp)
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
@@ -59,7 +59,7 @@ def _per_epoch_reference(session, per_channel):
         post[state] += 1
         row = []
         for channel in x:
-            psd = welch_psd(channel)
+            psd = welch_psd_scipy(channel)
             total = total_power(psd)
             for band in BANDS:
                 power = band_power(psd, band)

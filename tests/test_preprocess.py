@@ -2,13 +2,14 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import freq_response_db, make_epochs, sine_wave
+from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
 
-from drowsekit.errors import InvalidCutoff, InvalidTransition
+from drowsekit.errors import InvalidCutoff, InvalidTransition, TooShort
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     DenoiseSummary,
     FilterKind,
+    apply_kernel,
     denoise_epochs,
     denoise_summary,
     design_fir,
@@ -164,6 +165,24 @@ def test_filter_shift_covariant_in_interior(rng, hp_kernel, lp_kernel):
     lo, hi = margin, EPOCH_SAMPLES - margin - shift
     np.testing.assert_allclose(f0[:, lo + shift:hi + shift], f1[:, lo:hi],
                                rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2113, 4000, EPOCH_SAMPLES])
+@pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
+def test_apply_kernel_matches_scipy_oracle(rng, default_kernels, n, channels):
+    # 2113 is one sample more than the high-pass group delay
+    x = rng.normal(0.0, 30.0, channels + (n,))
+    for kernel in default_kernels:
+        assert apply_kernel(x, kernel).tobytes() == apply_kernel_scipy(x, kernel).tobytes()
+
+
+def test_apply_kernel_rejects_input_within_group_delay(rng, lp_kernel):
+    # one mirror image pads at most n - 1 samples
+    for n in (0, 1, lp_kernel.delay):
+        with pytest.raises(TooShort):
+            apply_kernel(np.zeros((4, n)), lp_kernel)
+    x = rng.normal(size=lp_kernel.delay + 1)
+    assert apply_kernel(x, lp_kernel).tobytes() == apply_kernel_scipy(x, lp_kernel).tobytes()
 
 
 # ---- artifact decisions -----------------------------------------------------

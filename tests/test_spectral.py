@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import band_power, make_epochs, relative_band_power, sine_wave, total_power
+from helpers import (
+    band_power,
+    make_epochs,
+    relative_band_power,
+    sine_wave,
+    total_power,
+    welch_psd_scipy,
+)
 
 from drowsekit.errors import DegeneratePower, TooShort
 from drowsekit.preprocess import EPOCH_SAMPLES
@@ -56,6 +63,16 @@ def test_welch_tone_concentration():
     total = np.trapezoid(psd.density, psd.freqs_hz)
     near_power = np.trapezoid(np.where(near, psd.density, 0.0), psd.freqs_hz)
     assert near_power / total >= 0.95
+
+
+@pytest.mark.parametrize("n", [1024, 1500, EPOCH_SAMPLES])
+@pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
+def test_welch_matches_scipy_oracle(rng, n, channels):
+    x = rng.normal(0.0, 30.0, channels + (n,))
+    psd, expected = welch_psd(x), welch_psd_scipy(x)
+    assert psd.freqs_hz.tobytes() == expected.freqs_hz.tobytes()
+    assert psd.density.shape == expected.density.shape
+    assert psd.density.tobytes() == expected.density.tobytes()
 
 
 def test_welch_density_nonnegative(rng):

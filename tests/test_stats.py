@@ -3,9 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from helpers import exact_rank_sum_p, rank_sum_counts_dp
+from helpers import (
+    average_ranks_scipy,
+    exact_rank_sum_p,
+    normal_tails_scipy,
+    rank_sum_counts_dp,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import mannwhitneyu, norm
 
 from drowsekit.errors import (
@@ -20,6 +26,10 @@ from drowsekit.session import BinaryState
 from drowsekit.stats import (
     EXACT_PATH_MAX_MIN_N,
     TestMethod,
+    _average_ranks,
+    _edgeworth_tail,
+    _norm_pdf,
+    _rank_sum_kurtosis_excess,
     _rank_sum_normal_approx,
     _rank_sum_null_counts,
     ks_normal_test,
@@ -238,6 +248,37 @@ def test_rank_sum_invariant_under_exp(rng):
     moved = rank_sum_test(np.exp(a), np.exp(b))
     assert moved.statistic == base.statistic
     assert moved.p_value == base.p_value
+
+
+# ---- normal tails and ranks against the scipy oracles ------------------------
+
+# 0, the Edgeworth limit +/-5 and its neighbours, and tails past it
+TAIL_Z = np.concatenate([
+    [0.0, -0.0, 5.0, -5.0, np.nextafter(5.0, 6.0), -np.nextafter(5.0, 6.0),
+     8.0, -8.0, 37.5, -37.5, 40.0, -40.0],
+    np.linspace(-12.0, 12.0, 961),
+    np.random.default_rng(5).normal(0.0, 3.0, 400),
+])
+
+
+def test_normal_tails_match_scipy_oracle():
+    cdf, _, _ = normal_tails_scipy(TAIL_Z)
+    assert ndtr(TAIL_Z).tobytes() == cdf.tobytes()  # the KS gate's array form
+    g2 = _rank_sum_kurtosis_excess(6, 9)
+    for z in TAIL_Z.tolist():  # the rank-sum tails take Python floats
+        cdf, sf, pdf = normal_tails_scipy(z)
+        assert np.float64(_norm_pdf(z)).tobytes() == pdf.tobytes()
+        correction = pdf * g2 / 24.0 * (z**3 - 3.0 * z) if abs(z) <= 5.0 else 0.0
+        assert _edgeworth_tail(z, g2, upper=False) == min(1.0, max(0.0, float(cdf - correction)))
+        assert _edgeworth_tail(z, g2, upper=True) == min(1.0, max(0.0, float(sf + correction)))
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
+def test_average_ranks_match_scipy_oracle(rng, ties):
+    for n in (1, 2, 7, 40, 500):
+        for _ in range(20):
+            x = rng.integers(0, 4, n).astype(float) if ties else rng.normal(size=n)
+            assert _average_ranks(x).tobytes() == average_ranks_scipy(x).tobytes()
 
 
 # ---- separation report ------------------------------------------------------
