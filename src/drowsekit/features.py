@@ -39,9 +39,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.states)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
     def select(self, names: Sequence[str]) -> "FeatureMatrix":
         """Project onto a subset of features, keeping the given order."""
         idx = [self.feature_names.index(n) for n in names]
@@ -52,12 +49,6 @@ class FeatureMatrix:
             interval_indices=self.interval_indices,
             session_ids=self.session_ids,
         )
-
-    def by_state(self, name: str) -> dict[BinaryState, np.ndarray]:
-        """Split one feature column into per-state value arrays."""
-        col = self.column(name)
-        mask = np.array([s is BinaryState.ALERT for s in self.states])
-        return {BinaryState.ALERT: col[mask], BinaryState.DROWSY: col[~mask]}
 
     @classmethod
     def from_rows(cls, feature_names: Sequence[str],

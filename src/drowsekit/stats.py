@@ -5,9 +5,12 @@ Kolmogorov-Smirnov test corrected for estimated parameters; the actual
 separation p-value always comes from the two-sided Wilcoxon rank-sum
 (Mann-Whitney) test. For small tie-free samples it is exact: the null
 counts of U are the coefficients of a Gaussian binomial, computed in
-integers. Otherwise a refined normal approximation is used.
-``separation_report`` runs both per feature and returns plain report rows;
-the cohort and the config digest live only in the report built from them.
+integers, once per pair of group sizes. Otherwise a refined normal
+approximation is used. ``separation_report`` splits the feature matrix
+once into an alert and a drowsy block, runs the rank-sum test per feature
+and the normality gate over each block in one pass, and returns plain
+report rows; the cohort and the config digest live only in the report
+built from them.
 
 Normal tails come from ``scipy.special.ndtr`` and the density and midranks
 from numpy, computed as ``scipy.stats.norm`` and ``rankdata`` compute
@@ -17,6 +20,8 @@ pin the values bit for bit and were checked against scipy 1.17.1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -140,23 +145,38 @@ def ks_normal_test(sample: Sequence[float]) -> TestResult:
         TooFewSamples: Fewer than 4 observations.
         ZeroVariance: All observations identical.
     """
-    x = np.sort(np.asarray(sample, dtype=np.float64))
+    x = np.asarray(sample, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NonFiniteSample("sample holds a NaN or infinite value")
     n = len(x)
     if n < KS_MIN_SAMPLES:
         raise TooFewSamples(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
+    result = _ks_normal_rows(x[np.newaxis])[0]
+    if result is None:
         raise ZeroVariance("sample has zero variance")
-    z = (x - x.mean()) / sd
+    return result
+
+
+def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
+    """``ks_normal_test`` of every row of a finite (rows, n) block, n >= 4;
+    None for a row with zero variance.
+
+    Each row is sorted and reduced along the contiguous last axis, which
+    numpy sums in the same order as a 1-D array, so every row's result is
+    the one the row alone would give.
+    """
+    x = np.sort(block, axis=-1)
+    n = x.shape[-1]
+    sd = x.std(ddof=1, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
+        z = (x - x.mean(axis=-1, keepdims=True)) / sd
     cdf = ndtr(z)
     i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    d = float(max(d_plus, d_minus))
-    return TestResult(statistic=d, p_value=_lilliefors_p(d, n),
-                      method=TestMethod.KS_LILLIEFORS, n_a=n, n_b=0)
+    d = np.maximum(np.max(i / n - cdf, axis=-1), np.max(cdf - (i - 1) / n, axis=-1))
+    return [None if s == 0.0 else
+            TestResult(statistic=float(di), p_value=_lilliefors_p(float(di), n),
+                       method=TestMethod.KS_LILLIEFORS, n_a=n, n_b=0)
+            for s, di in zip(sd[:, 0], d)]
 
 
 # ---- Wilcoxon rank-sum / Mann-Whitney U ------------------------------------
@@ -195,6 +215,17 @@ def _rank_sum_null_counts(n_a: int, n_b: int) -> list[int]:
         for j in range(i, len(c)):
             c[j] += c[j - i]
     return c[: k * m + 1]
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_sum_null_cumulative(k: int, m: int) -> tuple[int, ...]:
+    """Entry j + 1 counts the null outcomes with U <= j, for groups of k <= m.
+
+    The null distribution of U depends only on the two group sizes, and
+    a report tests every feature on the same pair, so it is built once per
+    pair. Entry 0 is 0 and the last entry is C(k + m, k), all exact ints.
+    """
+    return (0, *itertools.accumulate(_rank_sum_null_counts(k, m)))
 
 
 def _two_sided(n_le: int, n_ge: int, total: int) -> float:
@@ -238,9 +269,10 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
         return _rank_sum_normal_approx(pooled, n_a)
 
     u = float(_average_ranks(pooled)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
-    counts = _rank_sum_null_counts(n_a, n_b)
+    cum = _rank_sum_null_cumulative(min(n_a, n_b), max(n_a, n_b))
     u_obs = int(round(u))
-    p = _two_sided(sum(counts[: u_obs + 1]), sum(counts[u_obs:]), math.comb(n_a + n_b, n_a))
+    total = cum[-1]
+    p = _two_sided(cum[u_obs + 1], total - cum[u_obs], total)
     return TestResult(statistic=u, p_value=p,
                       method=TestMethod.EXACT_ENUMERATION, n_a=n_a, n_b=n_b)
 
@@ -312,8 +344,10 @@ def separation_report(features: FeatureMatrix,
     Raises:
         NeedTwoGroups: Only one state present.
         TooFewSamples: A state has fewer than 4 rows.
+        NonFiniteSample: A NaN or infinite value.
     """
-    n_alert = sum(1 for s in features.states if s is BinaryState.ALERT)
+    alert_rows = np.array([s is BinaryState.ALERT for s in features.states], dtype=bool)
+    n_alert = int(alert_rows.sum())
     n_drowsy = len(features) - n_alert
     if n_alert == 0 or n_drowsy == 0:
         raise NeedTwoGroups(
@@ -325,28 +359,28 @@ def separation_report(features: FeatureMatrix,
             f"got {n_alert} alert / {n_drowsy} drowsy"
         )
 
-    rows = []
-    for name in features.feature_names:
-        groups = features.by_state(name)
-        alert = groups[BinaryState.ALERT]
-        drowsy = groups[BinaryState.DROWSY]
-        result = rank_sum_test(alert, drowsy)
-        rows.append(ReportRow(
+    # one contiguous (features, rows) block per state
+    alert = np.ascontiguousarray(features.values[alert_rows].T)
+    drowsy = np.ascontiguousarray(features.values[~alert_rows].T)
+    # the rank-sum tests run first: they reject non-finite values
+    results = [rank_sum_test(a, b) for a, b in zip(alert, drowsy)]
+    ks_alert = _ks_normal_rows(alert)
+    ks_drowsy = _ks_normal_rows(drowsy)
+    return [
+        ReportRow(
             feature=name,
             n_alert=n_alert,
             n_drowsy=n_drowsy,
-            ks_p_alert=_ks_p_or_none(alert),
-            ks_p_drowsy=_ks_p_or_none(drowsy),
+            ks_p_alert=_p_or_none(ka),
+            ks_p_drowsy=_p_or_none(kd),
             statistic=result.statistic,
             p_value=result.p_value,
             method=result.method,
             significant=result.p_value < alpha,
-        ))
-    return rows
+        )
+        for name, result, ka, kd in zip(features.feature_names, results, ks_alert, ks_drowsy)
+    ]
 
 
-def _ks_p_or_none(sample: np.ndarray) -> float | None:
-    try:
-        return ks_normal_test(sample).p_value
-    except (ZeroVariance, TooFewSamples):
-        return None
+def _p_or_none(result: TestResult | None) -> float | None:
+    return None if result is None else result.p_value

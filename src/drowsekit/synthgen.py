@@ -73,6 +73,9 @@ COMB_PLACEMENT_HZ = {
     "gamma": (30.4, 37.5),
 }
 
+# Longest session a spec may ask for: 24 h of 30 s labeling intervals.
+MAX_N_INTERVALS = 2880
+
 ALERT_RATING = 1
 DROWSY_RATING = 4
 
@@ -128,8 +131,8 @@ class SynthSpec:
     def validate(self) -> None:
         """Raise InvalidSpec on any out-of-range or non-finite field, on an
         ``include_telemetry`` that is not a bool, on an ``n_intervals`` that
-        is not an integer, and on a telemetry rate that gives fewer than 2
-        samples per interval."""
+        is not an integer in 1..``MAX_N_INTERVALS``, and on a telemetry rate
+        that gives fewer than 2 samples per interval."""
         if not isinstance(self.include_telemetry, bool):
             raise InvalidSpec(
                 f"include_telemetry must be true or false, got {self.include_telemetry!r}")
@@ -137,6 +140,10 @@ class SynthSpec:
             raise InvalidSpec(f"n_intervals must be an integer, got {self.n_intervals!r}")
         if self.n_intervals <= 0:
             raise InvalidSpec(f"n_intervals must be positive, got {self.n_intervals}")
+        if self.n_intervals > MAX_N_INTERVALS:
+            # the value is not echoed: it may have more digits than str() takes
+            raise InvalidSpec(f"n_intervals must be at most {MAX_N_INTERVALS} "
+                              f"(24 h of {ORD_INTERVAL_SECONDS:g} s intervals)")
         for name in ("drowsy_fraction", "noise_floor_uv", "outlier_rate",
                      "telemetry_rate_hz", "telemetry_noise"):
             _check_finite(name, getattr(self, name))

@@ -2,6 +2,8 @@
 
 Telemetry is reduced to one mean value per series per 30-second labeling
 interval so vehicle features line up with the EEG epochs for comparison.
+The timestamps ascend, so each interval's samples are one contiguous
+slice, found by binary search: one pass over the record in all.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns.
     """
-    t = telemetry.timestamps()
+    t = telemetry.timestamps()  # ascending: the sample rate is positive
     step = labels.interval_seconds
     expected = telemetry.sample_rate_hz * step
-    data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series])
+    # (samples, series): an interval is a row slice, and mean(axis=0) adds
+    # its samples one by one in time order, the order report bytes depend on
+    data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series], axis=1)
     if abs_mean:
         data = np.abs(data)
 
@@ -47,12 +51,11 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     skipped = 0
     for iv in labels.intervals:
         lo = iv.index * step
-        mask = (t >= lo) & (t < lo + step)
-        count = int(mask.sum())
-        if count < MIN_COVERAGE * expected:
+        start, end = np.searchsorted(t, (lo, lo + step))
+        if end - start < MIN_COVERAGE * expected:
             skipped += 1
             continue
-        rows.append((iv.index, majority_label(iv.ratings), data[:, mask].mean(axis=1)))
+        rows.append((iv.index, majority_label(iv.ratings), data[start:end].mean(axis=0)))
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 from scipy.signal import fftconvolve, welch
+from scipy.special import ndtr
 from scipy.stats import norm, rankdata
 
 from drowsekit.errors import DegeneratePower, EmptySample
+from drowsekit.features import FeatureMatrix
 from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
 from drowsekit.session import (
     EEG_CHANNELS,
@@ -20,6 +22,7 @@ from drowsekit.session import (
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
+    majority_label,
 )
 from drowsekit.spectral import (
     BANDS,
@@ -29,6 +32,7 @@ from drowsekit.spectral import (
     PsdEstimate,
     _integrate,
 )
+from drowsekit.stats import _lilliefors_p
 from drowsekit.synthgen import (
     ALERT_RATING,
     COMB_PLACEMENT_HZ,
@@ -36,6 +40,7 @@ from drowsekit.synthgen import (
     OUTLIER_BLOCK_AMPLITUDE_UV,
     OUTLIER_BLOCK_HZ,
 )
+from drowsekit.vehicle import MIN_COVERAGE
 
 # Largest pooled size accepted by the brute-force enumeration oracle.
 BRUTE_FORCE_MAX_N = 16
@@ -126,6 +131,19 @@ def relative_band_power(psd, band):
     return band_power(psd, band) / total
 
 
+def ks_normal_1d(sample):
+    """``(D, p)`` of ``stats.ks_normal_test`` for one finite, non-constant
+    1-D sample, as sort, mean, std and maxima over that sample alone; the
+    reference for the block KS pass."""
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = len(x)
+    z = (x - x.mean()) / float(x.std(ddof=1))
+    cdf = ndtr(z)
+    i = np.arange(1, n + 1)
+    d = float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+    return d, _lilliefors_p(d, n)
+
+
 def exact_rank_sum_p(a, b):
     """Brute-force two-sided rank-sum p-value over all rank assignments.
 
@@ -177,6 +195,26 @@ def rank_sum_counts_dp(n_a, n_b):
                 if c:
                     row[s] += c
     return counts[n_a]
+
+
+def interval_aggregate_mask(telemetry, labels, abs_mean=False, session_id=""):
+    """``vehicle.interval_aggregate`` with a full-length boolean mask per
+    interval and a ``(series, samples)`` gather; the reference for the
+    sliced aggregate."""
+    t = telemetry.timestamps()
+    step = labels.interval_seconds
+    expected = telemetry.sample_rate_hz * step
+    data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series])
+    if abs_mean:
+        data = np.abs(data)
+    rows = []
+    for iv in labels.intervals:
+        lo = iv.index * step
+        mask = (t >= lo) & (t < lo + step)
+        if int(mask.sum()) < MIN_COVERAGE * expected:
+            continue
+        rows.append((iv.index, majority_label(iv.ratings), data[:, mask].mean(axis=1)))
+    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows, session_id=session_id)
 
 
 def _direct_comb(rng, lo_hz, hi_hz, amplitude_uv, t):

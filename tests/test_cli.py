@@ -128,6 +128,23 @@ def test_synth_rejects_unusable_spec(tmp_path, capsys, spec_text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_intervals", ["1" + "0" * 400, str(10**9)],
+                         ids=["401-digits", "1e9"])
+def test_synth_rejects_overlong_session_before_generating(tmp_path, capsys, monkeypatch,
+                                                          n_intervals):
+    # unchecked, these overflow or ask for far more memory than a machine has
+    def must_not_run(spec, seed):
+        raise AssertionError("generate_session ran on a spec past the interval cap")
+
+    monkeypatch.setattr(cli, "generate_session", must_not_run)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"n_intervals": %s}' % n_intervals)
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--out", str(out), "--spec", str(spec_path)]) == 2
+    assert "n_intervals must be at most 2880" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_missing_manifest_exits_2(tmp_path):
     assert cli.main(["validate", "--manifest", str(tmp_path / "nope.csv")]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     average_ranks_scipy,
     exact_rank_sum_p,
+    ks_normal_1d,
     normal_tails_scipy,
     rank_sum_counts_dp,
 )
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import mannwhitneyu, norm
 
+from drowsekit import stats
 from drowsekit.errors import (
     EmptySample,
     NeedTwoGroups,
@@ -28,10 +30,12 @@ from drowsekit.stats import (
     TestMethod,
     _average_ranks,
     _edgeworth_tail,
+    _ks_normal_rows,
     _norm_pdf,
     _rank_sum_kurtosis_excess,
     _rank_sum_normal_approx,
     _rank_sum_null_counts,
+    _rank_sum_null_cumulative,
     ks_normal_test,
     rank_sum_test,
     separation_report,
@@ -99,6 +103,24 @@ def test_ks_null_rate_reasonable(rng):
     rejections = sum(ks_normal_test(rng.normal(size=100)).p_value < 0.05
                      for _ in range(200))
     assert rejections <= 30  # approximation is mildly anti-conservative at most
+
+
+def test_ks_block_matches_one_dimensional_test(rng):
+    n = 37
+    block = np.vstack([
+        rng.normal(size=(4, n)) * np.array([[1.0], [1e-3], [50.0], [1e6]]) + 7.0,
+        np.full(n, 2.5),  # zero variance
+        rng.exponential(size=n),
+        np.repeat(rng.normal(size=n // 2 + 1), 2)[:n],  # ties
+    ])
+    results = _ks_normal_rows(block)
+    assert len(results) == len(block)
+    for row, result in zip(block, results):
+        if np.ptp(row) == 0.0:
+            assert result is None
+            continue
+        assert (result.statistic, result.p_value) == ks_normal_1d(row)
+        assert result == ks_normal_test(row)
 
 
 # ---- rank-sum test --------------------------------------------------------
@@ -170,6 +192,37 @@ def test_null_counts_match_dynamic_program(n_a, n_b):
     assert by_rank_sum[:w_min] == [0] * w_min
     assert counts == by_rank_sum[w_min:]
     assert sum(counts) == math.comb(n_a + n_b, n_a)
+
+
+def _exact_p_by_slice_sums(a, b):
+    """The exact-path p-value from slices of freshly built null counts."""
+    n_a, n_b = len(a), len(b)
+    w = float(_average_ranks(np.concatenate([a, b]))[:n_a].sum())
+    u = int(round(w - n_a * (n_a + 1) / 2.0))
+    counts = _rank_sum_null_counts(n_a, n_b)
+    return min(1.0, 2.0 * min(sum(counts[:u + 1]), sum(counts[u:]))
+               / math.comb(n_a + n_b, n_a))
+
+
+def test_memoised_exact_p_matches_slice_sums(rng):
+    sizes = sorted({(k, m) for k in range(1, EXACT_PATH_MAX_MIN_N + 1)
+                    for m in (k, k + 3, 24, 40, 61)})
+    maxsize = _rank_sum_null_cumulative.cache_info().maxsize
+    assert len(sizes) > maxsize  # later keys evict earlier ones
+    _rank_sum_null_cumulative.cache_clear()
+    for _ in range(2):  # the second pass rebuilds evicted entries
+        for k, m in sizes:
+            low, high = np.arange(k, dtype=float), np.arange(k, k + m, dtype=float)
+            shuffled = rng.permutation(10_000)[:k + m].astype(float)
+            # U at 0, at k*m and in between; each pair in both orientations,
+            # the first call with its key cold, the second warm
+            for a, b in ((low, high), (high + m, low), (shuffled[:k], shuffled[k:])):
+                for x, y in ((a, b), (b, a)):
+                    result = rank_sum_test(x, y)
+                    assert result.method is TestMethod.EXACT_ENUMERATION
+                    assert result.p_value == _exact_p_by_slice_sums(x, y)
+    info = _rank_sum_null_cumulative.cache_info()
+    assert info.hits > 0 and info.currsize == maxsize
 
 
 def _random_tie_free_pair(rng, lo=3, hi=6):
@@ -322,6 +375,44 @@ def test_separation_report_zero_variance_group_records_none(rng):
     by_name = {r.feature: r for r in rows}
     assert by_name["f1"].ks_p_alert is None
     assert by_name["f1"].ks_p_drowsy is not None
+
+
+def test_separation_report_ks_matches_per_group_test(rng):
+    alert = rng.normal(size=(12, 3)) * [1.0, 1e4, 1.0]
+    drowsy = rng.exponential(size=(9, 3))
+    alert[:, 2] = -1.5  # zero variance
+    rows = separation_report(_matrix(alert, drowsy, names=("f1", "f2", "f3")))
+    for j, row in enumerate(rows):
+        want_alert = None if j == 2 else ks_normal_test(alert[:, j]).p_value
+        assert row.ks_p_alert == want_alert
+        assert row.ks_p_drowsy == ks_normal_test(drowsy[:, j]).p_value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_separation_report_non_finite_raises_rank_sum_error(rng, bad):
+    # the rank-sum test's error, not one from the normality gate
+    alert = rng.normal(size=(10, 3))
+    drowsy = rng.normal(size=(10, 3))
+    drowsy[4, 2] = bad
+    with pytest.raises(NonFiniteSample, match="^samples hold a NaN or infinite value$"):
+        separation_report(_matrix(alert, drowsy, names=("f1", "f2", "f3")))
+
+
+def test_exact_report_builds_null_distribution_once(rng, monkeypatch):
+    calls = []
+
+    def counted(n_a, n_b):
+        calls.append((n_a, n_b))
+        return _rank_sum_null_counts(n_a, n_b)
+
+    monkeypatch.setattr(stats, "_rank_sum_null_counts", counted)
+    _rank_sum_null_cumulative.cache_clear()
+    names = tuple(f"f{i}" for i in range(44))
+    rows = separation_report(_matrix(rng.normal(size=(24, 44)), rng.normal(size=(8, 44)),
+                                     names=names))
+    _rank_sum_null_cumulative.cache_clear()
+    assert all(r.method is TestMethod.EXACT_ENUMERATION for r in rows)
+    assert calls == [(8, 24)]
 
 
 def test_separation_significance_is_strict(rng):

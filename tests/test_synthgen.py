@@ -11,6 +11,7 @@ from drowsekit.session import BinaryState, validate_session
 from drowsekit.spectral import BANDS, welch_psd
 from drowsekit.synthgen import (
     DEFAULT_BAND_AMPLITUDES_UV,
+    MAX_N_INTERVALS,
     SynthSpec,
     generate_session,
     load_synth_spec,
@@ -170,6 +171,16 @@ def test_telemetry_can_be_disabled():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(InvalidSpec):
         generate_session(SynthSpec(**kwargs), seed=1)
+
+
+@pytest.mark.parametrize("n_intervals", [MAX_N_INTERVALS + 1, 10**9, 10**400])
+def test_overlong_session_rejected_by_validate(n_intervals):
+    with pytest.raises(InvalidSpec, match="at most 2880"):
+        SynthSpec(n_intervals=n_intervals).validate()
+
+
+def test_longest_session_passes_validate():
+    SynthSpec(n_intervals=MAX_N_INTERVALS).validate()
 
 
 def test_spec_json_round_trip():

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from helpers import interval_aggregate_mask
 
 from drowsekit.session import (
     VEHICLE_SERIES,
@@ -100,3 +101,26 @@ def test_vehicle_feature_matrix_shape():
     assert matrix.session_ids == ("v1",) * 3
     assert matrix.values.shape == (3, 4)
     assert np.all(matrix.values == 1.5)
+
+
+@pytest.mark.parametrize("abs_mean", [False, True])
+@pytest.mark.parametrize("n_intervals,n_labels,rate,start_s", [
+    (10, 10, 50.0, 0.0),
+    (40, 40, 50.0, 0.0),
+    (160, 160, 50.0, 0.0),
+    (10, 10, 33.3, 12.25),  # interval edges fall between samples
+    (10, 13, 50.0, 0.0),    # labels past the telemetry: coverage skip
+    (10, 12, 37.0, 16.0),   # a part-covered interval, then none
+])
+def test_sliced_aggregate_matches_mask_reference(rng, abs_mean, n_intervals, n_labels,
+                                                 rate, start_s):
+    n = int(n_intervals * 30 * rate)
+    tel = make_telemetry(rng.normal(0.5, 3.0, (4, n)), sample_rate_hz=rate,
+                         start_time_s=start_s)
+    labels = _labels([(1 + k % 5,) * 3 for k in range(n_labels)])
+    got = interval_aggregate(tel, labels, abs_mean=abs_mean, session_id="s")
+    want = interval_aggregate_mask(tel, labels, abs_mean=abs_mean, session_id="s")
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.interval_indices == want.interval_indices
+    assert got.states == want.states
+    assert got.session_ids == want.session_ids
