@@ -107,6 +107,12 @@ class DegeneratePower(DrowsekitError):
     code = "DegeneratePower"
 
 
+# ---- vehicle ------------------------------------------------------------
+
+class InvalidTelemetryRate(DrowsekitError):
+    code = "InvalidTelemetryRate"
+
+
 # ---- statistics ---------------------------------------------------------
 
 class TooFewSamples(DrowsekitError):

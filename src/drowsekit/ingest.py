@@ -18,13 +18,19 @@ quoting):
 
 Loaders never silently drop or reorder rows; writers emit shortest
 round-trip float representations so load(write(x)) == x exactly. Numeric
-bodies (EEG, telemetry) are parsed by numpy's C parser; the row-by-row
-``float`` parser runs only when that one fails, to build the row-numbered
-error, so both give the same arrays and the same errors.
+bodies (EEG, telemetry) are parsed by numpy's C parser. A file given by
+path is first scanned once in fixed-size binary blocks; when its header
+matches and it holds only bytes both parsers read alike, numpy's chunked
+reader parses it from the path, so a load holds no copy of the text. Only
+streams, and files the scan or numpy turn down, are read into a list of
+lines, which the row-by-row ``float`` parser reads when numpy fails, to
+build the row-numbered error; both parsers give the same arrays and the
+same errors. The float writers format a fixed number of rows at a time.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +77,19 @@ MANIFEST_HEADER = ("session_id", "eeg_path", "telemetry_path", "labels_path")
 # inferred EEG rate against 256 Hz.
 TIMESTEP_TOLERANCE = 0.01
 
+# Bytes per read of the scan that decides whether numpy may parse a file
+# from its path; the scan holds one block at a time.
+_SCAN_BLOCK_BYTES = 1 << 20
+
+# Rows the float writers format and write per block: a block's tolist()
+# values and text take about a megabyte whatever the file's length.
+_WRITE_BLOCK_ROWS = 4096
+
+# numpy strips these next to a number, float() does not
+_NUMPY_ONLY_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
+
 
 @dataclass(frozen=True)
 class SessionManifest:
@@ -101,14 +120,79 @@ def _read_lines(source: IO[bytes] | IO[str] | str | Path) -> list[str]:
     return lines
 
 
+def _header_fields(line: str) -> tuple[str, ...]:
+    return tuple(f.strip() for f in line.split(","))
+
+
 def _parse_header(lines: list[str], expected: tuple[str, ...], what: str) -> None:
     if not lines or not lines[0].strip():
         raise MissingHeader(f"{what}: no header line")
-    header = tuple(f.strip() for f in lines[0].split(","))
+    header = _header_fields(lines[0])
     if header != expected:
         raise WrongColumnSet(
             f"{what}: header {','.join(header)!r}, expected {','.join(expected)!r}"
         )
+
+
+def _load_numeric_csv(source: IO[bytes] | IO[str] | str | Path,
+                      header: tuple[str, ...], what: str) -> np.ndarray:
+    """Check the header of a numeric CSV and parse its data rows into an
+    (n, len(header)) array.
+
+    A path whose header matches and whose bytes pass ``_numpy_reads_like_float``
+    is parsed by ``np.loadtxt`` from the path, in numpy's own chunks. Every
+    other source, and a file numpy rejects, warns about, shapes differently
+    or reads as non-finite, is read into lines and goes through
+    ``_parse_header`` and ``_parse_numeric_rows``, which raise the errors.
+
+    Raises:
+        InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
+        NonNumericValue, NonFiniteValue
+    """
+    if isinstance(source, (str, Path)) and _numpy_reads_like_float(source, header):
+        data = _loadtxt(source, len(header), skiprows=1, encoding="utf-8")
+        if data is not None:
+            return data
+    lines = _read_lines(source)
+    _parse_header(lines, header, what)
+    return _parse_numeric_rows(lines, len(header), what)
+
+
+def _numpy_reads_like_float(path: str | Path, header: tuple[str, ...]) -> bool:
+    """Whether numpy's parse of the file at ``path`` can only agree with
+    ``_parse_row_by_row``'s: the first line is ``header``, and every byte is
+    ASCII (so valid UTF-8 without a BOM, where numpy and ``float`` follow
+    the same rules) outside ``\\x1c``-``\\x1f``.
+
+    Reads the file once, ``_SCAN_BLOCK_BYTES`` at a time.
+    """
+    with open(path, "rb") as f:
+        block = f.read(_SCAN_BLOCK_BYTES)
+        first = _FIRST_LINE.match(block).group()
+        if (len(first) == len(block) or not first.isascii()
+                or _header_fields(first.decode("ascii")) != header):
+            return False  # no line end in the first block, or a header to report
+        while block:
+            if not block.isascii() or any(ord(c) in block for c in _NUMPY_ONLY_SEPARATORS):
+                return False
+            block = f.read(_SCAN_BLOCK_BYTES)
+    return True
+
+
+def _loadtxt(source: str | Path | list[str], n_cols: int, **kwargs) -> np.ndarray | None:
+    """numpy's parse of ``source`` as an (n, n_cols) array of finite values,
+    or None when numpy raises, warns, or reads another shape or a non-finite
+    value: the cases ``_parse_row_by_row`` decides."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(source, delimiter=",", dtype=np.float64, comments=None,
+                              quotechar=None, ndmin=2, **kwargs)
+    except (ValueError, Warning):
+        return None
+    if data.shape[1] != n_cols or not np.isfinite(data).all():
+        return None
+    return data
 
 
 def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
@@ -126,24 +210,16 @@ def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
     """
     body = [line for line in lines[1:] if line.strip()]
     if body and not _has_numpy_only_separator(body):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                data = np.loadtxt(body, delimiter=",", dtype=np.float64, comments=None,
-                                  quotechar=None, ndmin=2)
-        except (ValueError, Warning):
-            pass
-        else:
-            if data.shape == (len(body), n_cols) and np.isfinite(data).all():
-                return data
+        data = _loadtxt(body, n_cols)
+        if data is not None and len(data) == len(body):
+            return data
     return _parse_row_by_row(lines, n_cols, what)
 
 
 def _has_numpy_only_separator(lines: list[str]) -> bool:
-    # numpy strips \x1c-\x1f next to a number, float() does not; four scans
-    # of one string beat one scan per line
+    # four scans of one string beat one scan per line
     text = "".join(lines)
-    return any(c in text for c in "\x1c\x1d\x1e\x1f")
+    return any(c in text for c in _NUMPY_ONLY_SEPARATORS)
 
 
 def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:
@@ -213,9 +289,7 @@ def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
         NonFiniteValue, InconsistentRowLength, NonUniformTimestep
     """
-    lines = _read_lines(source)
-    _parse_header(lines, EEG_HEADER, "EEG CSV")
-    data = _parse_numeric_rows(lines, len(EEG_HEADER), "EEG CSV")
+    data = _load_numeric_csv(source, EEG_HEADER, "EEG CSV")
     rate = EEG_SAMPLE_RATE_HZ
     if len(data) >= 2:
         rate = _sample_rate(data[:, 0], "EEG CSV")
@@ -240,9 +314,7 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
         NonFiniteValue, InconsistentRowLength, EmptyFile, NonUniformTimestep
     """
-    lines = _read_lines(source)
-    _parse_header(lines, TELEMETRY_HEADER, "telemetry CSV")
-    data = _parse_numeric_rows(lines, len(TELEMETRY_HEADER), "telemetry CSV")
+    data = _load_numeric_csv(source, TELEMETRY_HEADER, "telemetry CSV")
     if len(data) < 2:
         raise EmptyFile(f"telemetry CSV: {len(data)} data rows, need at least 2 to infer a rate")
     return make_telemetry(
@@ -360,28 +432,39 @@ def _write_rows(dest: IO[str] | str | Path, header: Iterable[str],
     _write_lines(dest, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _write_float_columns(dest: IO[str] | str | Path, header: Iterable[str],
-                         columns: list[np.ndarray]) -> None:
+def _write_timed_columns(dest: IO[str] | str | Path, header: Iterable[str],
+                         start_time_s: float, sample_rate_hz: float,
+                         columns: Iterable[np.ndarray]) -> None:
+    """Write one row per sample k: ``start_time_s + k / sample_rate_hz``, then
+    the k-th value of each column, for as many samples as the shortest
+    column holds, ``_WRITE_BLOCK_ROWS`` rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    n = min((len(c) for c in columns), default=0)
     # %r of a Python float is its shortest exact round-trip form; one row
-    # template over the tolist() columns formats a row in one call
-    template = ",".join(["%r"] * len(columns)) + "\n"
-    _write_lines(dest, header, (template % row for row in zip(*[c.tolist() for c in columns])))
+    # template over a block's tolist() columns formats a row in one call
+    template = ",".join(["%r"] * (len(columns) + 1)) + "\n"
+
+    def blocks() -> Iterable[str]:
+        for lo in range(0, n, _WRITE_BLOCK_ROWS):
+            hi = min(lo + _WRITE_BLOCK_ROWS, n)
+            # bit for bit the [lo:hi] slice of start_time_s + np.arange(n) / sample_rate_hz
+            t = start_time_s + np.arange(lo, hi) / sample_rate_hz
+            rows = zip(t.tolist(), *[c[lo:hi].tolist() for c in columns])
+            yield "".join([template % row for row in rows])
+
+    _write_lines(dest, header, blocks())
 
 
 def write_eeg_csv(recording: EegRecording, dest: IO[str] | str | Path) -> None:
     """Write a recording in the EEG CSV format (exact round-trip)."""
-    n = recording.n_samples
-    t = recording.start_time_s + np.arange(n) / recording.sample_rate_hz
-    _write_float_columns(dest, EEG_HEADER,
-                         [t] + [np.asarray(c)[:n] for c in recording.channels])
+    _write_timed_columns(dest, EEG_HEADER, recording.start_time_s,
+                         recording.sample_rate_hz, recording.channels)
 
 
 def write_telemetry_csv(telemetry: VehicleTelemetry, dest: IO[str] | str | Path) -> None:
     """Write telemetry in the telemetry CSV format (exact round-trip)."""
-    n = telemetry.n_samples
-    t = telemetry.start_time_s + np.arange(n) / telemetry.sample_rate_hz
-    _write_float_columns(dest, TELEMETRY_HEADER,
-                         [t] + [np.asarray(s)[:n] for s in telemetry.series])
+    _write_timed_columns(dest, TELEMETRY_HEADER, telemetry.start_time_s,
+                         telemetry.sample_rate_hz, telemetry.series)
 
 
 def write_ord_csv(track: OrdLabelTrack, dest: IO[str] | str | Path) -> None:

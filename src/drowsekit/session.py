@@ -7,6 +7,7 @@ threads. Construction does not enforce semantic invariants; use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -175,10 +176,10 @@ def validate_session(session: Session) -> list[Violation]:
 
     tel = session.telemetry
     if tel is not None:
-        if tel.sample_rate_hz <= 0:
+        if not (math.isfinite(tel.sample_rate_hz) and tel.sample_rate_hz > 0):
             out.append(Violation(
                 "InvalidTelemetryRate",
-                f"telemetry sample rate must be positive, got {tel.sample_rate_hz}",
+                f"telemetry sample rate must be finite and positive, got {tel.sample_rate_hz}",
             ))
         if len(tel.series) != len(VEHICLE_SERIES):
             out.append(Violation(

@@ -9,9 +9,11 @@ slice, found by binary search: one pass over the record in all.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
+from .errors import InvalidTelemetryRate
 from .features import FeatureMatrix
 from .session import (
     VEHICLE_SERIES,
@@ -37,10 +39,18 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
 
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns.
+
+    Raises:
+        InvalidTelemetryRate: A sample rate that is not finite and positive,
+            which gives no ascending timestamps or expected sample count.
     """
+    rate = telemetry.sample_rate_hz
+    if not (math.isfinite(rate) and rate > 0):
+        raise InvalidTelemetryRate(
+            f"telemetry sample rate must be finite and positive, got {rate}")
     t = telemetry.timestamps()  # ascending: the sample rate is positive
     step = labels.interval_seconds
-    expected = telemetry.sample_rate_hz * step
+    expected = rate * step
     # (samples, series): an interval is a row slice, and mean(axis=0) adds
     # its samples one by one in time order, the order report bytes depend on
     data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series], axis=1)

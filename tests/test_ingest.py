@@ -1,6 +1,8 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -441,3 +443,101 @@ def test_stream_and_path_line_ends_agree(tmp_path, end):
             ingest.load_eeg_csv(source)
         rows.append(err.value.row)
     assert rows == [3, 3, 3]
+
+
+# ---- path loads against stream loads ------------------------------------------
+
+# files of good rows after a uniform time cell, with at most two odd rows or
+# raw lines and two spliced byte strings: what the scan before numpy's path
+# parse must turn down, in files numpy would otherwise read
+_GOOD_TIMED_ROW = st.tuples(st.lists(_FLOAT_CELL, min_size=4, max_size=4),
+                            st.sampled_from(["\n", "\r\n", "\r"]))
+_ODD_TIMED_CELLS = st.one_of(
+    st.tuples(st.lists(_FLOAT_CELL, min_size=3, max_size=3), _CELL, st.integers(0, 3))
+    .map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+    st.lists(_CELL, min_size=3, max_size=5),
+)
+_RAW_LINE = st.sampled_from(["", " ", "\t ", "\u3000", "\x0c", "\x1c", "nan,1,2,3,4",
+                             "0,inf,2,3,4", "0,1_0,2,3,4", "\xe9"])
+_ODD_ROW = st.tuples(st.one_of(_ODD_TIMED_CELLS, _RAW_LINE), _LINE_END, st.floats(0, 1))
+# a BOM, invalid UTF-8, a valid multi-byte character, the separators only
+# numpy strips
+_SPLICE = st.tuples(
+    st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xc3\xa9", b"\x1f", b"\x1c"]),
+    st.floats(0, 1), st.booleans())
+
+
+@pytest.mark.parametrize("kind, step", [("eeg", 1 / 256), ("telemetry", 0.02)])
+def test_path_and_stream_loads_agree(kind, step, tmp_path_factory):
+    loader, header = FUZZ_LOADERS[kind]
+    path = tmp_path_factory.mktemp("agree") / "input.csv"
+    header_text = ",".join(header)
+
+    def outcome(source):
+        try:
+            rec = loader(source)
+        except DrowsekitError as exc:
+            return type(exc), getattr(exc, "row", None)
+        arrays = rec.channels if kind == "eeg" else rec.series
+        return rec.sample_rate_hz, rec.start_time_s, [a.tobytes() for a in arrays]
+
+    @settings(max_examples=400, deadline=None)
+    @given(header_line=st.sampled_from([header_text] * 4 + [
+               " , ".join(header), "\ufeff" + header_text, header_text + "0",
+               ",".join(header[:-1]), ""]),
+           rows=st.lists(_GOOD_TIMED_ROW, max_size=8),
+           odd_rows=st.lists(_ODD_ROW, max_size=2),
+           final_end=st.booleans(),
+           splices=st.lists(_SPLICE, max_size=2),
+           # small blocks put flagged bytes past the first block, which must
+           # hold the header's line end
+           block=st.sampled_from([len(header_text), len(header_text) + 1,
+                                  len(header_text) + 7, ingest._SCAN_BLOCK_BYTES]))
+    def check(header_line, rows, odd_rows, final_end, splices, block):
+        rows = list(rows)
+        for row, end, where in odd_rows:
+            rows.insert(int(where * len(rows)), (row, end))
+        lines = [header_line]
+        for i, (row, _) in enumerate(rows, start=1):
+            lines.append(row if isinstance(row, str) else ",".join([repr(i * step)] + row))
+        ends = ["\n"] + [end for _, end in rows]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if not final_end:
+            text = text[:-len(ends[-1])]  # a header-only file when there are no rows
+        raw = text.encode("utf-8")
+        for piece, where, at_comma in splices:
+            at = int(where * len(raw))
+            if at_comma and raw.find(b",", at) >= 0:
+                at = raw.find(b",", at)  # next to a number
+            raw = raw[:at] + piece + raw[at:]
+        path.write_bytes(raw)
+        with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", block):
+            assert outcome(path) == outcome(io.BytesIO(raw))
+
+    check()
+
+
+def test_load_eeg_path_holds_no_copy_of_the_text(tmp_path, rng):
+    path = tmp_path / "eeg.csv"
+    ingest.write_eeg_csv(make_eeg_recording(rng.normal(0, 37.5, (4, 8 * 7680))), path)
+    tracemalloc.start()
+    try:
+        rec = ingest.load_eeg_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (n, 5) float64 array the channels are views of
+    assert peak < 2.5 * rec.n_samples * len(ingest.EEG_HEADER) * 8
+
+
+def test_write_eeg_memory_does_not_grow_with_the_recording(tmp_path, rng):
+    peaks = []
+    for n_intervals in (1, 8):
+        rec = make_eeg_recording(rng.normal(0, 37.5, (4, n_intervals * 7680)))
+        tracemalloc.start()
+        try:
+            ingest.write_eeg_csv(rec, tmp_path / "eeg.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20

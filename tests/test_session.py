@@ -129,6 +129,13 @@ def test_validate_flags_bad_telemetry():
     assert "TelemetryLengthMismatch" in codes
 
 
+@pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
+def test_validate_flags_telemetry_rate_not_finite_and_positive(rate):
+    telemetry = make_telemetry(np.zeros((4, 4500)), sample_rate_hz=rate)
+    codes = [v.code for v in validate_session(_session(n_intervals=3, telemetry=telemetry))]
+    assert codes == ["InvalidTelemetryRate"]
+
+
 def test_validate_never_mutates(rng):
     session = _session(sample_rate=250.0)
     before = [c.copy() for c in session.eeg.channels]

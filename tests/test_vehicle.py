@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from helpers import interval_aggregate_mask
 
+from drowsekit.errors import InvalidTelemetryRate
+
 from drowsekit.session import (
     VEHICLE_SERIES,
     BinaryState,
@@ -22,6 +24,15 @@ def _labels(ratings_per_interval):
 def _telemetry(n_intervals, rate=50.0, fill=0.0):
     n = int(n_intervals * 30 * rate)
     return make_telemetry(np.full((4, n), fill), sample_rate_hz=rate)
+
+
+@pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
+def test_rejects_rate_not_finite_and_positive(rate):
+    # unchecked, these average empty slices, divide by zero or skip every
+    # interval, and hand NaN rows or no rows on to the statistics
+    tel = make_telemetry(np.zeros((4, 4500)), sample_rate_hz=rate)
+    with pytest.raises(InvalidTelemetryRate):
+        interval_aggregate(tel, _labels([(1, 1, 1)] * 3))
 
 
 def test_constant_signal_mean():
