@@ -335,6 +335,9 @@ def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None,
               out: IO[str] | None = None) -> int:
     """Generate a synthetic session and write it in the ingest formats."""
     out = out if out is not None else sys.stdout
+    if seed < 0:  # np.random.default_rng takes non-negative seeds only
+        print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
+        return 2
     try:
         spec = load_synth_spec(spec_path) if spec_path is not None else SynthSpec()
         spec.validate()

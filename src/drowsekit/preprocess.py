@@ -14,7 +14,8 @@ per session, and each epoch is mirror-padded into one reused buffer and
 convolved with one forward and one inverse real FFT. The values are
 bit-identical to ``np.pad(mode="reflect")`` plus
 ``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that and
-were checked against scipy 1.17.1.
+were checked against scipy 1.17.1. ``scipy.fft`` is imported when the
+first convolver is built, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidCutoff, InvalidTransition, TooShort
 from .session import (
@@ -241,6 +241,8 @@ def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
         TooShort: The last axis is not longer than the group delay, so a
             single mirror image cannot pad it.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n, d = shape[-1], kernel.delay
     if n <= d:
         raise TooShort(f"need more than {d} samples to mirror-pad, got {n}")

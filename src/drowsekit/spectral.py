@@ -13,7 +13,9 @@ The Welch estimate is computed directly with ``scipy.fft``: strided
 segment views, one module-level scaled Hann window and one ``rfft`` over
 all segments. It is bit-identical to ``scipy.signal.welch`` with the
 reference settings; the oracle tests pin that and were checked against
-scipy 1.17.1.
+scipy 1.17.1. ``scipy.fft`` is imported on the first ``welch_psd`` call and
+the frequency grid comes from ``np.fft.rfftfreq`` (the same bits), so
+importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import rfft, rfftfreq
 
 from .errors import DegeneratePower, TooShort
 from .features import FeatureMatrix
@@ -105,7 +106,7 @@ def _density_window() -> np.ndarray:
 
 _WINDOW = _density_window()
 _WINDOW.setflags(write=False)
-_FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
+_FREQS_HZ = np.fft.rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
 _FREQS_HZ.setflags(write=False)
 
 
@@ -126,6 +127,8 @@ def welch_psd(samples: np.ndarray) -> PsdEstimate:
     Raises:
         TooShort: Fewer samples than one segment.
     """
+    from scipy.fft import rfft
+
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
     if n < DEFAULT_NFFT:

@@ -14,8 +14,10 @@ built from them.
 
 Normal tails come from ``scipy.special.ndtr`` and the density and midranks
 from numpy, computed as ``scipy.stats.norm`` and ``rankdata`` compute
-them, so importing this module loads no ``scipy.stats``; the oracle tests
-pin the values bit for bit and were checked against scipy 1.17.1.
+them; the oracle tests pin the values bit for bit and were checked against
+scipy 1.17.1. ``ndtr`` is imported by the two functions that call it, so
+importing this module (for its constants, say) loads numpy alone and no
+scipy module.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     EmptySample,
@@ -165,6 +166,8 @@ def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
     numpy sums in the same order as a 1-D array, so every row's result is
     the one the row alone would give.
     """
+    from scipy.special import ndtr
+
     x = np.sort(block, axis=-1)
     n = x.shape[-1]
     sd = x.std(ddof=1, axis=-1, keepdims=True)
@@ -323,6 +326,8 @@ def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
     The survival function is evaluated directly so extreme tails keep
     full floating-point precision instead of cancelling against 1.
     """
+    from scipy.special import ndtr
+
     base = ndtr(-z) if upper else ndtr(z)
     if abs(z) <= _EDGEWORTH_Z_LIMIT:
         correction = _norm_pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_synth_rejects_overlong_session_before_generating(tmp_path, capsys, monk
     out = tmp_path / "o"
     assert cli.main(["synth", "--out", str(out), "--spec", str(spec_path)]) == 2
     assert "n_intervals must be at most 2880" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-" + "9" * 30])
+def test_synth_rejects_negative_seed_before_generating(tmp_path, capsys, monkeypatch, seed):
+    # unchecked, np.random.default_rng dies with a ValueError traceback
+    def must_not_run(spec, seed):
+        raise AssertionError("generate_session ran on a negative seed")
+
+    monkeypatch.setattr(cli, "generate_session", must_not_run)
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--out", str(out), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seed must be non-negative" in err
     assert not out.exists()
 
 
@@ -464,12 +480,33 @@ def test_analyze_empty_manifest_exits_1(tmp_path, capsys):
     assert "cohort is empty" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
-    # start-up cost: the pipeline needs only scipy.fft and scipy.special
+def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
+    # start-up cost: import, synth and validate need numpy alone; analyze
+    # loads only scipy.fft and scipy.special, on first use
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, drowsekit.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    (tmp_path / "spec.json").write_text('{"n_intervals": 8}')
+    code = textwrap.dedent("""\
+        import json, sys
+        from drowsekit import cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        out = sys.argv[1]
+        stages = {"import": loaded()}
+        assert cli.main(["synth", "--out", out + "/s", "--spec", out + "/spec.json"]) == 0
+        assert cli.main(["validate", "--manifest", out + "/s/manifest.csv"]) == 0
+        stages["synth+validate"] = loaded()
+        assert cli.main(["analyze", "--manifest", out + "/s/manifest.csv",
+                         "--out", out + "/r"]) == 0
+        stages["analyze"] = loaded()
+        print(json.dumps(stages))
+        """)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                            text=True, env=env, check=True, timeout=120)
+    stages = json.loads(result.stdout.splitlines()[-1])
+    assert stages["import"] == []
+    assert stages["synth+validate"] == []
+    assert {"scipy.fft", "scipy.special"} <= set(stages["analyze"])
+    assert not {"scipy.signal", "scipy.stats"} & set(stages["analyze"])
