@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import __version__, ingest, preprocess, spectral, stats, vehicle
 from .errors import DrowsekitError
 from .features import FeatureMatrix
@@ -73,9 +75,11 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hex digest that changes iff a pipeline parameter, a module constant
-        that changes results, or the package version changes."""
+        that changes results, the package version or the numpy version (whose
+        FFT and ``exp`` set the last bits) changes."""
         constants = {
             "version": __version__,
+            "numpy_version": np.__version__,
             "min_coverage": vehicle.MIN_COVERAGE,
             "exact_path_max_min_n": stats.EXACT_PATH_MAX_MIN_N,
             "bands": [[b.name, b.lo_hz, b.hi_hz] for b in spectral.BANDS],

@@ -9,13 +9,13 @@ below. A session's epochs travel as one ``Epochs`` block; the filter and
 the Welch PSD work on one epoch at a time, which keeps their temporaries
 epoch-sized. All operations are pure.
 
-The filter uses ``scipy.fft`` alone: each kernel's spectrum is taken once
+The filter uses ``numpy.fft`` alone: each kernel's spectrum is taken once
 per session, and each epoch is mirror-padded into one reused buffer and
-convolved with one forward and one inverse real FFT. The values are
-bit-identical to ``np.pad(mode="reflect")`` plus
-``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that and
-were checked against scipy 1.17.1. ``scipy.fft`` is imported when the
-first convolver is built, so importing this module loads numpy alone.
+convolved with one forward and one inverse real FFT. numpy and scipy run
+the same pocketfft, so the values are bit-identical to
+``np.pad(mode="reflect")`` plus ``scipy.signal.fftconvolve(mode="valid")``;
+the oracle tests pin that and were checked against numpy 2.4.6 and scipy
+1.17.1.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .errors import InvalidCutoff, InvalidTransition, TooShort
 from .session import (
@@ -226,6 +227,22 @@ def reference_kernels() -> tuple[FilterKernel, FilterKernel]:
             design_fir(FilterKind.LOW_PASS, LP_CUTOFF_HZ, transition_hz=LP_TRANSITION_HZ))
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2^a * 3^b * 5^c) of at least ``n`` >= 1:
+    ``scipy.fft.next_fast_len(n, real=True)``, the length fftconvolve pads to.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
     """A function that convolves arrays of ``shape`` with ``kernel`` along the
     last axis, mirror-padded by the group delay on each side, and returns the
@@ -241,12 +258,10 @@ def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
         TooShort: The last axis is not longer than the group delay, so a
             single mirror image cannot pad it.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     n, d = shape[-1], kernel.delay
     if n <= d:
         raise TooShort(f"need more than {d} samples to mirror-pad, got {n}")
-    size = next_fast_len(n + 4 * d, real=True)  # fftconvolve's transform length
+    size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
     spectrum = rfft(kernel.taps, size)
     buf = np.zeros(shape[:-1] + (size,))
 

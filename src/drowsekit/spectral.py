@@ -9,13 +9,12 @@ Welch PSD per epoch over all channels and integrates every band over the
 whole session at once; the result is bit-identical to integrating each
 channel's PSD on its own.
 
-The Welch estimate is computed directly with ``scipy.fft``: strided
+The Welch estimate is computed directly with ``numpy.fft``: strided
 segment views, one module-level scaled Hann window and one ``rfft`` over
-all segments. It is bit-identical to ``scipy.signal.welch`` with the
-reference settings; the oracle tests pin that and were checked against
-scipy 1.17.1. ``scipy.fft`` is imported on the first ``welch_psd`` call and
-the frequency grid comes from ``np.fft.rfftfreq`` (the same bits), so
-importing this module loads numpy alone.
+all segments. numpy and scipy run the same pocketfft, so it is
+bit-identical to ``scipy.signal.welch`` with the reference settings; the
+oracle tests pin that and were checked against numpy 2.4.6 and scipy
+1.17.1.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import rfft, rfftfreq
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegeneratePower, TooShort
@@ -106,7 +106,7 @@ def _density_window() -> np.ndarray:
 
 _WINDOW = _density_window()
 _WINDOW.setflags(write=False)
-_FREQS_HZ = np.fft.rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
+_FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
 _FREQS_HZ.setflags(write=False)
 
 
@@ -127,8 +127,6 @@ def welch_psd(samples: np.ndarray) -> PsdEstimate:
     Raises:
         TooShort: Fewer samples than one segment.
     """
-    from scipy.fft import rfft
-
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
     if n < DEFAULT_NFFT:

@@ -12,12 +12,12 @@ and the normality gate over each block in one pass, and returns plain
 report rows; the cohort and the config digest live only in the report
 built from them.
 
-Normal tails come from ``scipy.special.ndtr`` and the density and midranks
-from numpy, computed as ``scipy.stats.norm`` and ``rankdata`` compute
-them; the oracle tests pin the values bit for bit and were checked against
-scipy 1.17.1. ``ndtr`` is imported by the two functions that call it, so
-importing this module (for its constants, say) loads numpy alone and no
-scipy module.
+Normal tails come from ``_ndtr``, a port of the Cephes ``ndtr`` (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989) that
+``scipy.special.ndtr`` also runs, and the density and midranks from numpy,
+computed as ``scipy.stats.norm`` and ``rankdata`` compute them. The oracle
+tests pin the values bit for bit against scipy (checked with scipy 1.17.1);
+the module itself needs numpy alone.
 """
 
 from __future__ import annotations
@@ -98,6 +98,98 @@ class ReportRow:
         }
 
 
+# ---- standard normal CDF ------------------------------------------------------
+
+# Cephes ``ndtr``'s rational approximations: erfc(z) for 1 <= z < 8 (P/Q)
+# and z >= 8 (R/S), erf(x) for |x| < 1 (T/U).
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_SQRTH = 7.07106781186547524401E-1
+# exp(-z * z) underflows past this
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x, coef):
+    """Horner's rule from ``coef[0]``, the leading coefficient."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """``_polevl`` with an implied leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF as Cephes ``ndtr`` (and ``scipy.special.ndtr``)
+    computes it, bit for bit: 0.5 + 0.5 * erf(a / sqrt 2) near 0, half of
+    erfc(|a| / sqrt 2) in the tails, so small tails keep full precision.
+    """
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        w = x * x
+        return 0.5 + 0.5 * (x * _polevl(w, _T) / _p1evl(w, _U))
+    if z < 1.0:
+        w = z * z
+        c = 1.0 - z * _polevl(w, _T) / _p1evl(w, _U)
+    elif z < 8.0:
+        c = math.exp(-z * z) * _polevl(z, _P) / _p1evl(z, _Q)
+    elif -z * z < -_MAXLOG:
+        c = 0.0
+    else:
+        c = math.exp(-z * z) * _polevl(z, _R) / _p1evl(z, _S)
+    y = 0.5 * c
+    return 1.0 - y if x > 0 else y
+
+
+def _ndtr_array(a: np.ndarray) -> np.ndarray:
+    """``_ndtr`` of every element, bit for bit, branch by branch on masks.
+
+    NaN maps to a NaN and +/-inf to 1 and 0, without a warning. ``exp`` is
+    ``math.exp`` element by element, because numpy's may round differently.
+    """
+    x = a * _SQRTH
+    z = np.abs(x)
+    y = np.empty_like(x)
+    central = z < _SQRTH
+    xc = x[central]
+    y[central] = 0.5 + 0.5 * (xc * _polevl(xc * xc, _T) / _p1evl(xc * xc, _U))
+    tail = ~central
+    c = np.zeros_like(x)  # erfc(z) in the tails; stays 0 where it underflows
+    near = tail & (z < 1.0)
+    zn = z[near]
+    c[near] = 1.0 - zn * _polevl(zn * zn, _T) / _p1evl(zn * zn, _U)
+    # NaN fails every comparison and, as in the scalar path, takes R/S
+    mid = tail & ~near & (z < 8.0)
+    with np.errstate(over="ignore"):  # z * z is inf past 1.3e154, as in C
+        far = tail & ~near & ~mid & ~(-z * z < -_MAXLOG)
+    for rows, num, den in ((mid, _P, _Q), (far, _R, _S)):
+        zr = z[rows]
+        e = np.array([math.exp(v) for v in (-zr * zr).tolist()])
+        c[rows] = e * _polevl(zr, num) / _p1evl(zr, den)
+    half = 0.5 * c[tail]
+    y[tail] = np.where(x[tail] > 0, 1.0 - half, half)
+    return y
+
+
 # ---- Kolmogorov-Smirnov normality gate ------------------------------------
 
 def _lilliefors_p(d: float, n: int) -> float:
@@ -166,14 +258,12 @@ def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
     numpy sums in the same order as a 1-D array, so every row's result is
     the one the row alone would give.
     """
-    from scipy.special import ndtr
-
     x = np.sort(block, axis=-1)
     n = x.shape[-1]
     sd = x.std(ddof=1, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
         z = (x - x.mean(axis=-1, keepdims=True)) / sd
-    cdf = ndtr(z)
+    cdf = _ndtr_array(z)
     i = np.arange(1, n + 1)
     d = np.maximum(np.max(i / n - cdf, axis=-1), np.max(cdf - (i - 1) / n, axis=-1))
     return [None if s == 0.0 else
@@ -326,9 +416,7 @@ def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
     The survival function is evaluated directly so extreme tails keep
     full floating-point precision instead of cancelling against 1.
     """
-    from scipy.special import ndtr
-
-    base = ndtr(-z) if upper else ndtr(z)
+    base = _ndtr(-z) if upper else _ndtr(z)
     if abs(z) <= _EDGEWORTH_Z_LIMIT:
         correction = _norm_pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)
         base = base + correction if upper else base - correction

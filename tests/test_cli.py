@@ -350,10 +350,9 @@ def _read_feature_csv(path, session_id):
         session_id=session_id)
 
 
-def test_features_csvs_reproduce_analyze_rows(tmp_path):
-    # 12 alert vs 12 drowsy epochs: the normal-approximation path
-    spec = dataclasses.replace(EFFECT_SPEC, n_intervals=6)
-    manifest = _write_cohort(tmp_path, [(spec, seed) for seed in (41, 42, 43, 44)])
+def _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest):
+    """Stacked ``features`` CSVs passed to ``separation_report`` give the
+    ``analyze`` rows of every section; returns the report."""
     report_dir, features_dir = tmp_path / "report", tmp_path / "features"
     assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(report_dir)]) == 0
     assert cli.main(["features", "--manifest", str(manifest), "--out", str(features_dir)]) == 0
@@ -372,7 +371,27 @@ def test_features_csvs_reproduce_analyze_rows(tmp_path):
     for key, suffix in (("eeg_absolute", "_abs"), ("eeg_relative", "_rel")):
         assert rows(eeg.select([n for n in eeg.feature_names if n.endswith(suffix)])) == report[key]
     assert rows(stacked("vehicle")) == report["vehicle"]
-    assert len(eeg) == report["denoise_table"]["post_total"] == 24
+    assert len(eeg) == report["denoise_table"]["post_total"]
+    return report
+
+
+def test_features_csvs_reproduce_analyze_rows(tmp_path):
+    # 12 alert vs 12 drowsy epochs: the normal-approximation path
+    spec = dataclasses.replace(EFFECT_SPEC, n_intervals=6)
+    manifest = _write_cohort(tmp_path, [(spec, seed) for seed in (41, 42, 43, 44)])
+    report = _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest)
+    assert report["denoise_table"]["post_total"] == 24
+
+
+def test_features_csvs_reproduce_analyze_rows_on_the_exact_path(tmp_path):
+    # 2 x 12 alert vs 2 x 4 drowsy epochs: every row is an exact rank-sum test
+    spec = SynthSpec(n_intervals=16, drowsy_fraction=0.25)
+    manifest = _write_cohort(tmp_path, [(spec, seed) for seed in (3, 4)])
+    report = _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest)
+    rows = [row for key in ("eeg_absolute", "eeg_relative", "vehicle") for row in report[key]]
+    assert len(rows) == 44
+    assert {(row["n_alert"], row["n_drowsy"], row["method"]) for row in rows} == \
+        {(24, 8, "ExactEnumeration")}
 
 
 def test_abs_mean_flag_changes_vehicle_values(tmp_path):
@@ -434,6 +453,7 @@ def test_run_config_rejects_bad_alpha(alpha):
     (stats, "EXACT_PATH_MAX_MIN_N", 9),
     (spectral, "BANDS", spectral.BANDS[:-1] + (spectral.Band("gamma", 30.0, 45.0),)),
     (cli, "__version__", "0.0.0"),  # the package version, as imported by cli
+    (np, "__version__", "0.0.0"),
     # the fixed method values, which fill the rest of the config section
     (preprocess, "HP_CUTOFF_HZ", 0.2),
     (preprocess, "HP_TRANSITION_HZ", 0.4),
@@ -480,9 +500,8 @@ def test_analyze_empty_manifest_exits_1(tmp_path, capsys):
     assert "cohort is empty" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
-    # start-up cost: import, synth and validate need numpy alone; analyze
-    # loads only scipy.fft and scipy.special, on first use
+def test_cli_commands_load_no_scipy(tmp_path):
+    # start-up cost: every command runs on numpy alone
     src = Path(cli.__file__).resolve().parents[1]
     (tmp_path / "spec.json").write_text('{"n_intervals": 8}')
     code = textwrap.dedent("""\
@@ -494,19 +513,17 @@ def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
 
         out = sys.argv[1]
         stages = {"import": loaded()}
-        assert cli.main(["synth", "--out", out + "/s", "--spec", out + "/spec.json"]) == 0
-        assert cli.main(["validate", "--manifest", out + "/s/manifest.csv"]) == 0
-        stages["synth+validate"] = loaded()
-        assert cli.main(["analyze", "--manifest", out + "/s/manifest.csv",
-                         "--out", out + "/r"]) == 0
-        stages["analyze"] = loaded()
+        manifest = out + "/s/manifest.csv"
+        for command in (["synth", "--out", out + "/s", "--spec", out + "/spec.json"],
+                        ["validate", "--manifest", manifest],
+                        ["analyze", "--manifest", manifest, "--out", out + "/r"],
+                        ["features", "--manifest", manifest, "--out", out + "/f"]):
+            assert cli.main(command) == 0, command
+            stages[command[0]] = loaded()
         print(json.dumps(stages))
         """)
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                             text=True, env=env, check=True, timeout=120)
     stages = json.loads(result.stdout.splitlines()[-1])
-    assert stages["import"] == []
-    assert stages["synth+validate"] == []
-    assert {"scipy.fft", "scipy.special"} <= set(stages["analyze"])
-    assert not {"scipy.signal", "scipy.stats"} & set(stages["analyze"])
+    assert stages == dict.fromkeys(["import", "synth", "validate", "analyze", "features"], [])

@@ -1,12 +1,15 @@
 """Cohort-level metamorphic relations of ``analyze_cohort``.
 
-Two relations hold whatever the data, so they check the whole pipeline
-without an expected value:
+Three relations check the whole pipeline without an expected value:
 
 - the order of the sessions in a cohort does not enter the report;
 - mapping every rating r to 6 - r swaps alert and drowsy, and the
   two-sided rank-sum p-value of every row does not depend on which group
-  is which.
+  is which;
+- scaling every EEG sample by 2 scales every filtered sample and spectrum
+  exactly (a power of two), so absolute band powers scale by 4, relative
+  powers do not move, and neither do the ranks and standardised values
+  behind every p-value, as long as no epoch's artifact verdict flips.
 
 Each is checked on a normal-approximation cohort (both groups larger than
 ``EXACT_PATH_MAX_MIN_N``) and on an all-exact one (24 alert vs 8 drowsy).
@@ -17,6 +20,7 @@ import dataclasses
 import pytest
 
 from drowsekit import cli
+from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, reference_kernels
 from drowsekit.session import RATING_MAX, RATING_MIN, OrdInterval, OrdLabelTrack
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -75,3 +79,26 @@ def test_swapped_ratings_leave_every_p_value_identical(cohort, tmp_path):
     assert [(r["n_drowsy"], r["n_alert"]) for r in swapped_rows] == \
         [(r["n_alert"], r["n_drowsy"]) for r in rows]
     assert [r["p_value"] for r in swapped_rows] == [r["p_value"] for r in rows]
+
+
+def _scale_eeg(session, factor):
+    channels = tuple(factor * c for c in session.eeg.channels)
+    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels))
+
+
+def _dropped_intervals(session):
+    filtered = filter_epoch(epoch_signal(session.eeg, session.labels), *reference_kernels())
+    return denoise_epochs(filtered).dropped[0].tolist()
+
+
+def test_doubled_eeg_leaves_every_p_value_identical(cohort, tmp_path):
+    _, sessions = cohort
+    doubled = [_scale_eeg(s, 2.0) for s in sessions]
+    # the relation needs the same epochs on both sides of the 70 uV / 30% rule
+    assert [_dropped_intervals(s) for s in doubled] == [_dropped_intervals(s) for s in sessions]
+    report, _ = _report_bytes(sessions, tmp_path, "as-recorded")
+    scaled, _ = _report_bytes(doubled, tmp_path, "doubled")
+    assert scaled["denoise_table"] == report["denoise_table"]
+    keys = ("feature", "p_value", "ks_p_alert", "ks_p_drowsy")
+    assert [[r[k] for k in keys] for r in _rows(scaled)] == \
+        [[r[k] for k in keys] for r in _rows(report)]

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.fft
 from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
 
 from drowsekit.errors import InvalidCutoff, InvalidTransition, TooShort
@@ -9,6 +10,7 @@ from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     DenoiseSummary,
     FilterKind,
+    _next_fast_len,
     apply_kernel,
     denoise_epochs,
     denoise_summary,
@@ -174,6 +176,12 @@ def test_apply_kernel_matches_scipy_oracle(rng, default_kernels, n, channels):
     x = rng.normal(0.0, 30.0, channels + (n,))
     for kernel in default_kernels:
         assert apply_kernel(x, kernel).tobytes() == apply_kernel_scipy(x, kernel).tobytes()
+
+
+def test_next_fast_len_matches_scipy():
+    # the convolver's transform length, so it fixes the last bits of every filter
+    assert [_next_fast_len(n) for n in range(1, 20001)] == \
+        [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
 def test_apply_kernel_rejects_input_within_group_delay(rng, lp_kernel):

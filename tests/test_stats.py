@@ -31,6 +31,8 @@ from drowsekit.stats import (
     _average_ranks,
     _edgeworth_tail,
     _ks_normal_rows,
+    _ndtr,
+    _ndtr_array,
     _norm_pdf,
     _rank_sum_kurtosis_excess,
     _rank_sum_normal_approx,
@@ -316,7 +318,7 @@ TAIL_Z = np.concatenate([
 
 def test_normal_tails_match_scipy_oracle():
     cdf, _, _ = normal_tails_scipy(TAIL_Z)
-    assert ndtr(TAIL_Z).tobytes() == cdf.tobytes()  # the KS gate's array form
+    assert _ndtr_array(TAIL_Z).tobytes() == cdf.tobytes()  # the KS gate's array form
     g2 = _rank_sum_kurtosis_excess(6, 9)
     for z in TAIL_Z.tolist():  # the rank-sum tails take Python floats
         cdf, sf, pdf = normal_tails_scipy(z)
@@ -324,6 +326,47 @@ def test_normal_tails_match_scipy_oracle():
         correction = pdf * g2 / 24.0 * (z**3 - 3.0 * z) if abs(z) <= 5.0 else 0.0
         assert _edgeworth_tail(z, g2, upper=False) == min(1.0, max(0.0, float(cdf - correction)))
         assert _edgeworth_tail(z, g2, upper=True) == min(1.0, max(0.0, float(sf + correction)))
+
+
+def _ndtr_inputs():
+    """Inputs on both sides of every branch of Cephes ``ndtr``: |a| * sqrt(1/2)
+    at sqrt(1/2), 1 and 8 and where exp(-z * z) underflows, a few ulps
+    either way; +/-0, subnormals, the largest floats and 100k random inputs."""
+    edges = []
+    for z in (stats._SQRTH, 1.0, 8.0, math.sqrt(stats._MAXLOG)):
+        a = z / stats._SQRTH
+        for _ in range(4):
+            a = np.nextafter(a, 0.0)
+        for _ in range(9):
+            edges += [a, -a]
+            a = np.nextafter(a, np.inf)
+    tiny = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]
+    rng = np.random.default_rng(13)
+    return np.concatenate([edges, tiny, np.negative(tiny), rng.uniform(-40.0, 40.0, 60000),
+                           rng.normal(0.0, 3.0, 20000), rng.uniform(-1.5, 1.5, 20000)])
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    a = _ndtr_inputs()
+    z = np.abs(a[:72] * stats._SQRTH)
+    for k, edge in enumerate((stats._SQRTH, 1.0, 8.0)):  # both sides of each edge
+        assert {False, True} == set(z[18 * k:18 * k + 18] < edge)
+    assert {False, True} == set(-z[54:] * z[54:] < -stats._MAXLOG)
+    expected = ndtr(a)
+    assert _ndtr_array(a).tobytes() == expected.tobytes()
+    assert np.array([_ndtr(v) for v in a.tolist()]).tobytes() == expected.tobytes()
+
+
+def test_ndtr_of_nan_and_inf_is_quiet():
+    # zero-variance KS rows standardise to NaN (0/0) or +/-inf; pytest makes
+    # any numpy warning an error
+    a = np.array([[np.nan, np.inf, -np.inf, 0.5], [-np.inf, np.inf, np.nan, 9.0]])
+    got, expected = _ndtr_array(a), ndtr(a)
+    assert np.array_equal(np.isnan(got), np.isnan(a))
+    number = ~np.isnan(a)
+    assert got[number].tobytes() == expected[number].tobytes()
+    assert [_ndtr(v) for v in (np.inf, -np.inf)] == [1.0, 0.0]
+    assert math.isnan(_ndtr(math.nan))
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
