@@ -105,11 +105,11 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     filtered = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
     kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
     summary = denoise_summary(filtered, kept)
-    eeg_matrix = extract_features(kept.epochs, session_id=session.id)
+    eeg_matrix = extract_features(kept.epochs)
     vehicle_matrix = None
     if session.telemetry is not None:
         vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
-                                            abs_mean=config.abs_mean, session_id=session.id)
+                                            abs_mean=config.abs_mean)
     return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
                          denoise=summary)
 
@@ -174,28 +174,22 @@ def format_p(p: float) -> str:
     return f"{p:.4e}" if p < 1e-3 else f"{p:.4f}"
 
 
-def _write_eeg_table(rows: list[dict], dest: IO[str], significant: bool) -> None:
+def _cell(row: dict, significant: bool) -> str:
+    return str(row["significant"]).lower() if significant else format_p(row["p_value"])
+
+
+def _eeg_table(rows: list[dict], significant: bool) -> list[list[str]]:
     by_feature = {row["feature"]: row for row in rows}
     suffix = rows[0]["feature"].rsplit("_", 1)[1] if rows else "abs"
-    dest.write("band," + ",".join(EEG_CHANNELS) + "\n")
-    for band in BANDS:
-        cells = [band.name]
-        for ch in EEG_CHANNELS:
-            row = by_feature[f"{ch}_{band.name}_{suffix}"]
-            cells.append(str(row["significant"]).lower() if significant
-                         else format_p(row["p_value"]))
-        dest.write(",".join(cells) + "\n")
+    return [[band.name] + [_cell(by_feature[f"{ch}_{band.name}_{suffix}"], significant)
+                           for ch in EEG_CHANNELS]
+            for band in BANDS]
 
 
-def _write_vehicle_table(rows: list[dict], dest: IO[str], significant: bool) -> None:
+def _vehicle_table(rows: list[dict], significant: bool) -> list[list[str]]:
     by_feature = {row["feature"]: row for row in rows}
-    dest.write("," + ",".join(VEHICLE_SERIES) + "\n")
-    cells = ["significant" if significant else "p_value"]
-    for name in VEHICLE_SERIES:
-        row = by_feature[name]
-        cells.append(str(row["significant"]).lower() if significant
-                     else format_p(row["p_value"]))
-    dest.write(",".join(cells) + "\n")
+    return [["significant" if significant else "p_value"]
+            + [_cell(by_feature[name], significant) for name in VEHICLE_SERIES]]
 
 
 def write_report_files(report: dict, out_dir: Path) -> list[Path]:
@@ -208,37 +202,38 @@ def write_report_files(report: dict, out_dir: Path) -> list[Path]:
     """
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     report_path = out_dir / "report.json"
     report_path.write_text(text, encoding="utf-8")
-    written.append(report_path)
 
-    for key in ("eeg_absolute", "eeg_relative"):
-        for significant in (False, True):
-            name = key + ("_significant" if significant else "") + ".csv"
-            path = out_dir / name
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                _write_eeg_table(report[key], f, significant)
-            written.append(path)
-
+    # (file stem, header, rows)
+    tables = [(key + ("_significant" if significant else ""), ("band",) + EEG_CHANNELS,
+               _eeg_table(report[key], significant))
+              for key in ("eeg_absolute", "eeg_relative") for significant in (False, True)]
     if report["vehicle"]:
-        for significant in (False, True):
-            name = "vehicle" + ("_significant" if significant else "") + ".csv"
-            path = out_dir / name
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                _write_vehicle_table(report["vehicle"], f, significant)
-            written.append(path)
+        tables += [("vehicle" + ("_significant" if significant else ""), ("",) + VEHICLE_SERIES,
+                    _vehicle_table(report["vehicle"], significant))
+                   for significant in (False, True)]
+    d = report["denoise_table"]
+    tables.append(("denoise", ("stage", "alert_epochs", "drowsy_epochs", "total_epochs"), [
+        ("pre_denoising", d["pre_alert"], d["pre_drowsy"], d["pre_total"]),
+        ("post_denoising", d["post_alert"], d["post_drowsy"], d["post_total"]),
+        ("removal_percent", "", "", d["removal_percent"]),
+    ]))
 
-    denoise = report["denoise_table"]
-    denoise_path = out_dir / "denoise.csv"
-    with open(denoise_path, "w", encoding="utf-8", newline="") as f:
-        f.write("stage,alert_epochs,drowsy_epochs,total_epochs\n")
-        f.write(f"pre_denoising,{denoise['pre_alert']},{denoise['pre_drowsy']},{denoise['pre_total']}\n")
-        f.write(f"post_denoising,{denoise['post_alert']},{denoise['post_drowsy']},{denoise['post_total']}\n")
-        f.write(f"removal_percent,,,{denoise['removal_percent']}\n")
-    written.append(denoise_path)
+    written = [report_path]
+    for stem, header, rows in tables:
+        path = out_dir / f"{stem}.csv"
+        ingest.write_rows(path, header, rows)
+        written.append(path)
     return written
+
+
+def _write_features(matrix: FeatureMatrix, path: Path) -> None:
+    """Write ``interval,state,<feature names...>`` rows."""
+    ingest.write_rows(path, ("interval", "state") + matrix.feature_names,
+                      ((i, s.value, *v) for i, s, v in zip(matrix.interval_indices,
+                                                           matrix.states,
+                                                           matrix.values.tolist())))
 
 
 # ---- commands ---------------------------------------------------------------
@@ -319,11 +314,11 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
         for session in sessions:
             result = process_session(session, config)
             eeg_path = out_dir / f"{session.id}_eeg_features.csv"
-            result.eeg_features.write_csv(eeg_path)
+            _write_features(result.eeg_features, eeg_path)
             out.write(f"wrote {eeg_path}\n")
             if result.vehicle_features is not None:
                 veh_path = out_dir / f"{session.id}_vehicle_features.csv"
-                result.vehicle_features.write_csv(veh_path)
+                _write_features(result.vehicle_features, veh_path)
                 out.write(f"wrote {veh_path}\n")
     except (DrowsekitError, ValueError) as exc:
         code = getattr(exc, "code", type(exc).__name__)

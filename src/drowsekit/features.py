@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ class FeatureMatrix:
     values: np.ndarray  # shape (n_rows, n_features)
     states: tuple[BinaryState, ...]
     interval_indices: tuple[int, ...]
-    session_ids: tuple[str, ...]
 
     def __post_init__(self):
         n = len(self.states)
@@ -33,8 +31,8 @@ class FeatureMatrix:
                 f"values shape {self.values.shape} does not match "
                 f"{n} rows x {len(self.feature_names)} features"
             )
-        if len(self.interval_indices) != n or len(self.session_ids) != n:
-            raise ValueError("row metadata lengths differ from the number of rows")
+        if len(self.interval_indices) != n:
+            raise ValueError("interval_indices length differs from the number of rows")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -47,13 +45,11 @@ class FeatureMatrix:
             values=self.values[:, idx],
             states=self.states,
             interval_indices=self.interval_indices,
-            session_ids=self.session_ids,
         )
 
     @classmethod
     def from_rows(cls, feature_names: Sequence[str],
-                  rows: Iterable[tuple[int, BinaryState, Sequence[float]]],
-                  session_id: str = "") -> "FeatureMatrix":
+                  rows: Iterable[tuple[int, BinaryState, Sequence[float]]]) -> "FeatureMatrix":
         rows = list(rows)
         values = (np.asarray([r[2] for r in rows], dtype=np.float64)
                   if rows else np.empty((0, len(feature_names))))
@@ -62,7 +58,6 @@ class FeatureMatrix:
             values=values.reshape(len(rows), len(feature_names)),
             states=tuple(r[1] for r in rows),
             interval_indices=tuple(r[0] for r in rows),
-            session_ids=(session_id,) * len(rows),
         )
 
     @classmethod
@@ -79,18 +74,4 @@ class FeatureMatrix:
             values=np.concatenate([m.values for m in matrices], axis=0),
             states=tuple(s for m in matrices for s in m.states),
             interval_indices=tuple(i for m in matrices for i in m.interval_indices),
-            session_ids=tuple(s for m in matrices for s in m.session_ids),
         )
-
-    def write_csv(self, dest: IO[str] | str | Path) -> None:
-        """Write ``interval,state,<feature names...>`` rows."""
-        f = open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path)) else dest
-        try:
-            f.write(",".join(("interval", "state") + self.feature_names) + "\n")
-            for i in range(len(self)):
-                cells = [str(self.interval_indices[i]), self.states[i].value]
-                cells += [repr(float(v)) for v in self.values[i]]
-                f.write(",".join(cells) + "\n")
-        finally:
-            if isinstance(dest, (str, Path)):
-                f.close()

@@ -17,15 +17,16 @@ quoting):
   resolve against the manifest's directory.
 
 Loaders never silently drop or reorder rows; writers emit shortest
-round-trip float representations so load(write(x)) == x exactly. Numeric
-bodies (EEG, telemetry) are parsed by numpy's C parser. A file given by
-path is first scanned once in fixed-size binary blocks; when its header
-matches and it holds only bytes both parsers read alike, numpy's chunked
-reader parses it from the path, so a load holds no copy of the text. Only
-streams, and files the scan or numpy turn down, are read into a list of
-lines, which the row-by-row ``float`` parser reads when numpy fails, to
-build the row-numbered error; both parsers give the same arrays and the
-same errors. The float writers format a fixed number of rows at a time.
+round-trip float representations so load(write(x)) == x exactly. A
+numeric body (EEG, telemetry) has one parser per kind of source. A file
+given by path is first scanned once in fixed-size binary blocks; when its
+header matches and it holds only bytes both parsers read alike, numpy's
+chunked reader parses it from the path, so a load holds no copy of the
+text. Streams, and files the scan or numpy turn down, are read into a list
+of lines and parsed one ``float`` at a time, which builds the row-numbered
+errors; both parsers give the same arrays. Every CSV row goes through
+``write_rows`` or the float writers, which format a fixed number of rows
+at a time.
 """
 
 from __future__ import annotations
@@ -143,19 +144,19 @@ def _load_numeric_csv(source: IO[bytes] | IO[str] | str | Path,
     is parsed by ``np.loadtxt`` from the path, in numpy's own chunks. Every
     other source, and a file numpy rejects, warns about, shapes differently
     or reads as non-finite, is read into lines and goes through
-    ``_parse_header`` and ``_parse_numeric_rows``, which raise the errors.
+    ``_parse_header`` and ``_parse_row_by_row``, which raise the errors.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
         NonNumericValue, NonFiniteValue
     """
     if isinstance(source, (str, Path)) and _numpy_reads_like_float(source, header):
-        data = _loadtxt(source, len(header), skiprows=1, encoding="utf-8")
+        data = _loadtxt(source, len(header))
         if data is not None:
             return data
     lines = _read_lines(source)
     _parse_header(lines, header, what)
-    return _parse_numeric_rows(lines, len(header), what)
+    return _parse_row_by_row(lines, len(header), what)
 
 
 def _numpy_reads_like_float(path: str | Path, header: tuple[str, ...]) -> bool:
@@ -179,15 +180,16 @@ def _numpy_reads_like_float(path: str | Path, header: tuple[str, ...]) -> bool:
     return True
 
 
-def _loadtxt(source: str | Path | list[str], n_cols: int, **kwargs) -> np.ndarray | None:
-    """numpy's parse of ``source`` as an (n, n_cols) array of finite values,
-    or None when numpy raises, warns, or reads another shape or a non-finite
-    value: the cases ``_parse_row_by_row`` decides."""
+def _loadtxt(path: str | Path, n_cols: int) -> np.ndarray | None:
+    """numpy's parse of the data rows of the file at ``path`` as an
+    (n, n_cols) array of finite values, or None when numpy raises, warns,
+    or reads another shape or a non-finite value: the cases
+    ``_parse_row_by_row`` decides."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(source, delimiter=",", dtype=np.float64, comments=None,
-                              quotechar=None, ndmin=2, **kwargs)
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, comments=None,
+                              quotechar=None, ndmin=2, skiprows=1, encoding="utf-8")
     except (ValueError, Warning):
         return None
     if data.shape[1] != n_cols or not np.isfinite(data).all():
@@ -195,36 +197,10 @@ def _loadtxt(source: str | Path | list[str], n_cols: int, **kwargs) -> np.ndarra
     return data
 
 
-def _parse_numeric_rows(lines: list[str], n_cols: int, what: str) -> np.ndarray:
-    """Parse data rows (everything after the header) into an (n, n_cols) array.
-
-    numpy's C parser reads the non-blank rows. A body it rejects, warns
-    about, shapes differently or reads as non-finite, and one holding a
-    character in ``\\x1c``-``\\x1f``, goes to ``_parse_row_by_row``
-    unchanged, which raises the row-numbered error (or returns its own
-    array, e.g. for ``1_0``, which only ``float`` accepts). Row numbers in
-    errors are 1-based data-row indices.
-
-    Raises:
-        InconsistentRowLength, NonNumericValue, NonFiniteValue
-    """
-    body = [line for line in lines[1:] if line.strip()]
-    if body and not _has_numpy_only_separator(body):
-        data = _loadtxt(body, n_cols)
-        if data is not None and len(data) == len(body):
-            return data
-    return _parse_row_by_row(lines, n_cols, what)
-
-
-def _has_numpy_only_separator(lines: list[str]) -> bool:
-    # four scans of one string beat one scan per line
-    text = "".join(lines)
-    return any(c in text for c in _NUMPY_ONLY_SEPARATORS)
-
-
 def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:
-    """Parse data rows one ``float`` at a time; the error reporter of
-    ``_parse_numeric_rows``.
+    """Parse the data rows (everything after the header) into an
+    (n, n_cols) array, one ``float`` at a time; blank rows are skipped.
+    Row numbers in errors are 1-based data-row indices.
 
     Raises:
         InconsistentRowLength, NonNumericValue, NonFiniteValue
@@ -427,8 +403,10 @@ def _write_lines(dest: IO[str] | str | Path, header: Iterable[str],
             f.close()
 
 
-def _write_rows(dest: IO[str] | str | Path, header: Iterable[str],
-                rows: Iterable[Iterable[object]]) -> None:
+def write_rows(dest: IO[str] | str | Path, header: Iterable[str],
+               rows: Iterable[Iterable[object]]) -> None:
+    """Write a header line, then one line of ``str`` of each cell per row,
+    comma-separated; a float's ``str`` is its shortest round-trip form."""
     _write_lines(dest, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
@@ -469,8 +447,7 @@ def write_telemetry_csv(telemetry: VehicleTelemetry, dest: IO[str] | str | Path)
 
 def write_ord_csv(track: OrdLabelTrack, dest: IO[str] | str | Path) -> None:
     """Write a label track in the labels CSV format."""
-    _write_rows(dest, LABELS_HEADER,
-                ((iv.index, *iv.ratings) for iv in track.intervals))
+    write_rows(dest, LABELS_HEADER, ((iv.index, *iv.ratings) for iv in track.intervals))
 
 
 def write_manifest(entries: Iterable[SessionManifest], dest: IO[str] | str | Path,
@@ -481,6 +458,6 @@ def write_manifest(entries: Iterable[SessionManifest], dest: IO[str] | str | Pat
             return ""
         return str(p.relative_to(relative_to)) if relative_to is not None else str(p)
 
-    _write_rows(dest, MANIFEST_HEADER,
-                ((e.session_id, rel(e.eeg_path), rel(e.telemetry_path), rel(e.labels_path))
-                 for e in entries))
+    write_rows(dest, MANIFEST_HEADER,
+               ((e.session_id, rel(e.eeg_path), rel(e.telemetry_path), rel(e.labels_path))
+                for e in entries))

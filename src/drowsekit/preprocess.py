@@ -89,9 +89,6 @@ class FilterKernel:
     """Linear-phase FIR kernel with an odd tap count (integer group delay)."""
 
     taps: np.ndarray
-    kind: FilterKind
-    cutoff_hz: float
-    sample_rate_hz: float
 
     @property
     def delay(self) -> int:
@@ -164,7 +161,7 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     index: list[int] = []
     state: list[BinaryState] = []
     for iv in labels.intervals:
-        t0 = iv.index * labels.interval_seconds
+        t0 = iv.index * ORD_INTERVAL_SECONDS
         s0 = int(round((t0 - recording.start_time_s) * rate))
         if 0 <= s0 and s0 + EPOCH_SAMPLES <= n:
             starts.append(s0)
@@ -217,8 +214,7 @@ def design_fir(kind: FilterKind, cutoff_hz: float,
     if kind is FilterKind.HIGH_PASS:
         taps = -taps
         taps[(n - 1) // 2] += 1.0
-    return FilterKernel(taps=taps, kind=kind, cutoff_hz=cutoff_hz,
-                        sample_rate_hz=sample_rate_hz)
+    return FilterKernel(taps=taps)
 
 
 def reference_kernels() -> tuple[FilterKernel, FilterKernel]:

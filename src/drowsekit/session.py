@@ -96,7 +96,6 @@ class OrdLabelTrack:
     """Observer drowsiness ratings on a fixed 30-second grid."""
 
     intervals: tuple[OrdInterval, ...]
-    interval_seconds: float = ORD_INTERVAL_SECONDS
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -208,9 +207,8 @@ def validate_session(session: Session) -> list[Violation]:
                 f"interval {iv.index} has out-of-range ratings {bad}",
             ))
 
-    covered = len(session.labels) * session.labels.interval_seconds
-    slack = session.labels.interval_seconds
-    if covered > eeg.duration_s + slack + 1e-9:
+    covered = len(session.labels) * ORD_INTERVAL_SECONDS
+    if covered > eeg.duration_s + ORD_INTERVAL_SECONDS + 1e-9:
         out.append(Violation(
             "CoverageMismatch",
             f"labels cover {covered:g} s but EEG lasts {eeg.duration_s:g} s",

@@ -175,7 +175,7 @@ def _integrate(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> np.ndarray:
     return np.trapezoid(dens, grid, axis=-1)
 
 
-def extract_features(epochs: Epochs, session_id: str = "") -> FeatureMatrix:
+def extract_features(epochs: Epochs) -> FeatureMatrix:
     """Compute the 40 features of each filtered, kept epoch of a session.
 
     Returns one row per epoch, in epoch order, with the columns of
@@ -204,5 +204,4 @@ def extract_features(epochs: Epochs, session_id: str = "") -> FeatureMatrix:
             )
         values = np.stack([absolute, absolute / total[..., None]], axis=-1).reshape(n, -1)
     return FeatureMatrix(feature_names=names, values=values, states=tuple(epochs.state),
-                         interval_indices=tuple(epochs.interval_index.tolist()),
-                         session_ids=(session_id,) * n)
+                         interval_indices=tuple(epochs.interval_index.tolist()))

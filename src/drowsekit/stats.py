@@ -12,12 +12,14 @@ and the normality gate over each block in one pass, and returns plain
 report rows; the cohort and the config digest live only in the report
 built from them.
 
-Normal tails come from ``_ndtr``, a port of the Cephes ``ndtr`` (Moshier,
-*Methods and Programs for Mathematical Functions*, 1989) that
-``scipy.special.ndtr`` also runs, and the density and midranks from numpy,
-computed as ``scipy.stats.norm`` and ``rankdata`` compute them. The oracle
-tests pin the values bit for bit against scipy (checked with scipy 1.17.1);
-the module itself needs numpy alone.
+Normal tails come from ``_ndtr``, a scalar port of the Cephes ``ndtr``
+(Moshier, *Methods and Programs for Mathematical Functions*, 1989) that
+``scipy.special.ndtr`` also runs; the rank-sum tails call it on one float
+and the normality gate maps it over its standardised block. The density
+and midranks come from numpy, computed as ``scipy.stats.norm`` and
+``rankdata`` compute them. The oracle tests pin the values bit for bit
+against scipy (checked with scipy 1.17.1); the module itself needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -141,6 +143,7 @@ def _ndtr(a: float) -> float:
     """The standard normal CDF as Cephes ``ndtr`` (and ``scipy.special.ndtr``)
     computes it, bit for bit: 0.5 + 0.5 * erf(a / sqrt 2) near 0, half of
     erfc(|a| / sqrt 2) in the tails, so small tails keep full precision.
+    On Python floats NaN maps to NaN and +/-inf to 1 and 0, without a warning.
     """
     x = a * _SQRTH
     z = abs(x)
@@ -158,36 +161,6 @@ def _ndtr(a: float) -> float:
         c = math.exp(-z * z) * _polevl(z, _R) / _p1evl(z, _S)
     y = 0.5 * c
     return 1.0 - y if x > 0 else y
-
-
-def _ndtr_array(a: np.ndarray) -> np.ndarray:
-    """``_ndtr`` of every element, bit for bit, branch by branch on masks.
-
-    NaN maps to a NaN and +/-inf to 1 and 0, without a warning. ``exp`` is
-    ``math.exp`` element by element, because numpy's may round differently.
-    """
-    x = a * _SQRTH
-    z = np.abs(x)
-    y = np.empty_like(x)
-    central = z < _SQRTH
-    xc = x[central]
-    y[central] = 0.5 + 0.5 * (xc * _polevl(xc * xc, _T) / _p1evl(xc * xc, _U))
-    tail = ~central
-    c = np.zeros_like(x)  # erfc(z) in the tails; stays 0 where it underflows
-    near = tail & (z < 1.0)
-    zn = z[near]
-    c[near] = 1.0 - zn * _polevl(zn * zn, _T) / _p1evl(zn * zn, _U)
-    # NaN fails every comparison and, as in the scalar path, takes R/S
-    mid = tail & ~near & (z < 8.0)
-    with np.errstate(over="ignore"):  # z * z is inf past 1.3e154, as in C
-        far = tail & ~near & ~mid & ~(-z * z < -_MAXLOG)
-    for rows, num, den in ((mid, _P, _Q), (far, _R, _S)):
-        zr = z[rows]
-        e = np.array([math.exp(v) for v in (-zr * zr).tolist()])
-        c[rows] = e * _polevl(zr, num) / _p1evl(zr, den)
-    half = 0.5 * c[tail]
-    y[tail] = np.where(x[tail] > 0, 1.0 - half, half)
-    return y
 
 
 # ---- Kolmogorov-Smirnov normality gate ------------------------------------
@@ -263,7 +236,8 @@ def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
     sd = x.std(ddof=1, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
         z = (x - x.mean(axis=-1, keepdims=True)) / sd
-    cdf = _ndtr_array(z)
+    # zero-variance rows hold NaN or +/-inf, which _ndtr maps quietly
+    cdf = np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
     i = np.arange(1, n + 1)
     d = np.maximum(np.max(i / n - cdf, axis=-1), np.max(cdf - (i - 1) / n, axis=-1))
     return [None if s == 0.0 else

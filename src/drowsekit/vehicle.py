@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidTelemetryRate
 from .features import FeatureMatrix
 from .session import (
+    ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
     OrdLabelTrack,
     VehicleTelemetry,
@@ -29,7 +30,7 @@ MIN_COVERAGE = 0.5
 
 
 def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
-                       abs_mean: bool = False, session_id: str = "") -> FeatureMatrix:
+                       abs_mean: bool = False) -> FeatureMatrix:
     """Average each telemetry series over every labeling interval.
 
     A sample belongs to interval k when its timestamp falls in
@@ -49,8 +50,7 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
         raise InvalidTelemetryRate(
             f"telemetry sample rate must be finite and positive, got {rate}")
     t = telemetry.timestamps()  # ascending: the sample rate is positive
-    step = labels.interval_seconds
-    expected = rate * step
+    expected = rate * ORD_INTERVAL_SECONDS
     # (samples, series): an interval is a row slice, and mean(axis=0) adds
     # its samples one by one in time order, the order report bytes depend on
     data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series], axis=1)
@@ -60,8 +60,8 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     rows = []
     skipped = 0
     for iv in labels.intervals:
-        lo = iv.index * step
-        start, end = np.searchsorted(t, (lo, lo + step))
+        lo = iv.index * ORD_INTERVAL_SECONDS
+        start, end = np.searchsorted(t, (lo, lo + ORD_INTERVAL_SECONDS))
         if end - start < MIN_COVERAGE * expected:
             skipped += 1
             continue
@@ -69,4 +69,4 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
-    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows, session_id=session_id)
+    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows)

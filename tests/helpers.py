@@ -197,12 +197,12 @@ def rank_sum_counts_dp(n_a, n_b):
     return counts[n_a]
 
 
-def interval_aggregate_mask(telemetry, labels, abs_mean=False, session_id=""):
+def interval_aggregate_mask(telemetry, labels, abs_mean=False):
     """``vehicle.interval_aggregate`` with a full-length boolean mask per
     interval and a ``(series, samples)`` gather; the reference for the
     sliced aggregate."""
     t = telemetry.timestamps()
-    step = labels.interval_seconds
+    step = ORD_INTERVAL_SECONDS
     expected = telemetry.sample_rate_hz * step
     data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series])
     if abs_mean:
@@ -214,7 +214,7 @@ def interval_aggregate_mask(telemetry, labels, abs_mean=False, session_id=""):
         if int(mask.sum()) < MIN_COVERAGE * expected:
             continue
         rows.append((iv.index, majority_label(iv.ratings), data[:, mask].mean(axis=1)))
-    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows, session_id=session_id)
+    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows)
 
 
 def _direct_comb(rng, lo_hz, hi_hz, amplitude_uv, t):

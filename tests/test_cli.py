@@ -341,13 +341,12 @@ def test_features_command(tmp_path):
     assert veh_csv[0] == "interval,state," + ",".join(VEHICLE_SERIES)
 
 
-def _read_feature_csv(path, session_id):
+def _read_feature_csv(path):
     lines = path.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     return FeatureMatrix.from_rows(
         lines[0].split(",")[2:],
-        ((int(r[0]), BinaryState(r[1]), [float(v) for v in r[2:]]) for r in rows),
-        session_id=session_id)
+        ((int(r[0]), BinaryState(r[1]), [float(v) for v in r[2:]]) for r in rows))
 
 
 def _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest):
@@ -360,8 +359,8 @@ def _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest):
     ids = [entry.session_id for entry in ingest.load_manifest(manifest)]
 
     def stacked(kind):
-        return FeatureMatrix.concat([_read_feature_csv(features_dir / f"{sid}_{kind}_features.csv",
-                                                       sid) for sid in ids])
+        return FeatureMatrix.concat([_read_feature_csv(features_dir / f"{sid}_{kind}_features.csv")
+                                     for sid in ids])
 
     def rows(matrix):
         return json.loads(json.dumps([row.to_json_dict()

@@ -357,7 +357,7 @@ def test_loaders_raise_only_toolkit_errors(kind, tmp_path_factory):
     check()
 
 
-# ---- fast parse against the row-by-row parser ---------------------------------
+# ---- cells and line ends the two parsers must read alike ----------------------
 
 # cells float() and numpy read alike, read differently, or reject
 _ODD_CELLS = ["1_0", "+3", ".5", "5.", "0x1", "1e400", "-1e400", "nan", "inf", "-inf",
@@ -370,49 +370,28 @@ _CELL = st.one_of(
     st.sampled_from(_ODD_CELLS),
     st.text(alphabet="0123456789.+-eE_xna \t\r\x0b\x0c\x1f\x85", max_size=6),
 )
-_GOOD_ROW = st.lists(_FLOAT_CELL, min_size=5, max_size=5).map(",".join)
-_ONE_ODD_ROW = st.tuples(
-    st.lists(_FLOAT_CELL, min_size=4, max_size=4), _CELL, st.integers(0, 4),
-).map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
-_ROW = st.one_of(  # mostly bodies the fast path may accept, with an odd cell or not
-    _GOOD_ROW,
-    _GOOD_ROW,
-    _GOOD_ROW,
-    _ONE_ODD_ROW,
-    _ONE_ODD_ROW,
-    st.lists(_CELL, min_size=4, max_size=6).map(",".join),  # short, full and long rows
-    st.sampled_from(["", " ", "\t ", "\u3000"]),         # blank and whitespace-only
-)
 # line ends, and characters inside a row that str.splitlines would break on
 _LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
                              "\u2028", "\u2029"])
 
 
-def _parse_outcome(parse, lines):
-    try:
-        data = parse(lines, len(ingest.EEG_HEADER), "EEG CSV")
-    except DrowsekitError as exc:
-        return type(exc), exc.row, str(exc)
-    return data.dtype, data.shape, data.tobytes()
+def _stream_and_path(tmp_path, text):
+    """``text`` as a stream, which ``float`` parses, and as a file, which
+    numpy parses unless the scan or numpy turns it down."""
+    path = tmp_path / "eeg.csv"
+    path.write_bytes(text.encode())
+    return [io.StringIO(text), path]
 
 
-@settings(max_examples=600, deadline=None)
-@given(rows=st.lists(st.tuples(_ROW, _LINE_END), max_size=8))  # [] is a header-only body
-def test_fast_parse_matches_row_parser(rows):
-    text = ",".join(ingest.EEG_HEADER) + "\n" + "".join(row + end for row, end in rows)
-    lines = ingest._read_lines(io.StringIO(text))
-    assert (_parse_outcome(ingest._parse_numeric_rows, lines)
-            == _parse_outcome(ingest._parse_row_by_row, lines))
-
-
-def test_load_eeg_cells_numpy_and_float_read_differently():
+def test_load_eeg_cells_numpy_and_float_read_differently(tmp_path):
     # float() accepts underscores, numpy does not; numpy strips \x1f, float() does not
-    rec = ingest.load_eeg_csv(io.StringIO("t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n"))
-    assert rec.channels[0].tolist() == [10.0]
+    for source in _stream_and_path(tmp_path, "t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n"):
+        assert ingest.load_eeg_csv(source).channels[0].tolist() == [10.0]
     for cell in ("1\x1f", "\x1f1"):
-        with pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(io.StringIO(f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n"))
-        assert err.value.row == 2
+        for source in _stream_and_path(tmp_path, f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n"):
+            with pytest.raises(NonNumericValue) as err:
+                ingest.load_eeg_csv(source)
+            assert err.value.row == 2
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"])
@@ -425,11 +404,12 @@ def test_only_line_ends_end_a_row(sep):
 
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e"])
-def test_load_eeg_cells_only_numpy_reads(sep):
+def test_load_eeg_cells_only_numpy_reads(sep, tmp_path):
     # numpy strips these next to a number, float() does not
-    with pytest.raises(NonNumericValue) as err:
-        ingest.load_eeg_csv(io.StringIO(f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n"))
-    assert err.value.row == 1
+    for source in _stream_and_path(tmp_path, f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n"):
+        with pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(source)
+        assert err.value.row == 1
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])

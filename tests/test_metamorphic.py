@@ -13,15 +13,19 @@ Three relations check the whole pipeline without an expected value:
 
 Each is checked on a normal-approximation cohort (both groups larger than
 ``EXACT_PATH_MAX_MIN_N``) and on an all-exact one (24 alert vs 8 drowsy).
+The first is also checked on hypothesis-drawn cohort shapes.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drowsekit import cli
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, reference_kernels
 from drowsekit.session import RATING_MAX, RATING_MIN, OrdInterval, OrdLabelTrack
+from drowsekit.stats import KS_MIN_SAMPLES
 from drowsekit.synthgen import SynthSpec, generate_session
 
 THETA_EFFECT = {"delta": 1.0, "theta": 2.0, "alpha": 1.0, "beta": 1.0, "gamma": 1.0}
@@ -57,8 +61,7 @@ def _swap_states(session):
     flipped = tuple(OrdInterval(index=iv.index,
                                 ratings=tuple(RATING_MIN + RATING_MAX - r for r in iv.ratings))
                     for iv in session.labels.intervals)
-    labels = OrdLabelTrack(intervals=flipped, interval_seconds=session.labels.interval_seconds)
-    return dataclasses.replace(session, labels=labels)
+    return dataclasses.replace(session, labels=OrdLabelTrack(intervals=flipped))
 
 
 def test_reversed_session_order_leaves_report_identical(cohort, tmp_path):
@@ -67,6 +70,25 @@ def test_reversed_session_order_leaves_report_identical(cohort, tmp_path):
     _, backward = _report_bytes(sessions[::-1], tmp_path, "backward")
     assert {row["method"] for row in _rows(report)} == {method}
     assert len(_rows(report)) == 44
+    assert backward == forward
+
+
+# (n_intervals, n_drowsy) of one session
+_SESSION_SHAPE = st.integers(4, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(shapes=st.lists(_SESSION_SHAPE, min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 4))
+def test_reversed_session_order_leaves_report_identical_on_any_shape(shapes, seed,
+                                                                     tmp_path_factory):
+    n_drowsy = sum(d for _, d in shapes)
+    assume(min(n_drowsy, sum(n for n, _ in shapes) - n_drowsy) >= KS_MIN_SAMPLES)
+    sessions = [generate_session(SynthSpec(n_intervals=n, drowsy_fraction=d / n), seed + k)
+                for k, (n, d) in enumerate(shapes)]
+    out = tmp_path_factory.mktemp("shapes")
+    _, forward = _report_bytes(sessions, out, "forward")
+    _, backward = _report_bytes(sessions[::-1], out, "backward")
     assert backward == forward
 
 

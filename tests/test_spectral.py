@@ -199,12 +199,11 @@ def test_frequency_shift_moves_band(rng):
 def test_feature_matrix_assembly(rng):
     states = [BinaryState.ALERT, BinaryState.DROWSY, BinaryState.ALERT]
     epochs = make_epochs([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)], states)
-    matrix = extract_features(epochs, session_id="s1")
+    matrix = extract_features(epochs)
     assert matrix.values.shape == (3, 40)
     assert matrix.interval_indices == (0, 1, 2)
     assert matrix.states == tuple(states)
-    assert matrix.session_ids == ("s1", "s1", "s1")
-    empty = extract_features(make_epochs([]), session_id="s1")
+    empty = extract_features(make_epochs([]))
     assert empty.values.shape == (0, 40)
     assert empty.feature_names == eeg_feature_names()
 

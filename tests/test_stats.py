@@ -32,7 +32,6 @@ from drowsekit.stats import (
     _edgeworth_tail,
     _ks_normal_rows,
     _ndtr,
-    _ndtr_array,
     _norm_pdf,
     _rank_sum_kurtosis_excess,
     _rank_sum_normal_approx,
@@ -317,8 +316,6 @@ TAIL_Z = np.concatenate([
 
 
 def test_normal_tails_match_scipy_oracle():
-    cdf, _, _ = normal_tails_scipy(TAIL_Z)
-    assert _ndtr_array(TAIL_Z).tobytes() == cdf.tobytes()  # the KS gate's array form
     g2 = _rank_sum_kurtosis_excess(6, 9)
     for z in TAIL_Z.tolist():  # the rank-sum tails take Python floats
         cdf, sf, pdf = normal_tails_scipy(z)
@@ -352,20 +349,13 @@ def test_ndtr_matches_scipy_bit_for_bit():
     for k, edge in enumerate((stats._SQRTH, 1.0, 8.0)):  # both sides of each edge
         assert {False, True} == set(z[18 * k:18 * k + 18] < edge)
     assert {False, True} == set(-z[54:] * z[54:] < -stats._MAXLOG)
-    expected = ndtr(a)
-    assert _ndtr_array(a).tobytes() == expected.tobytes()
-    assert np.array([_ndtr(v) for v in a.tolist()]).tobytes() == expected.tobytes()
+    assert np.array([_ndtr(v) for v in a.tolist()]).tobytes() == ndtr(a).tobytes()
 
 
 def test_ndtr_of_nan_and_inf_is_quiet():
-    # zero-variance KS rows standardise to NaN (0/0) or +/-inf; pytest makes
-    # any numpy warning an error
-    a = np.array([[np.nan, np.inf, -np.inf, 0.5], [-np.inf, np.inf, np.nan, 9.0]])
-    got, expected = _ndtr_array(a), ndtr(a)
-    assert np.array_equal(np.isnan(got), np.isnan(a))
-    number = ~np.isnan(a)
-    assert got[number].tobytes() == expected[number].tobytes()
-    assert [_ndtr(v) for v in (np.inf, -np.inf)] == [1.0, 0.0]
+    # zero-variance KS rows standardise to NaN (0/0); z * z overflows past
+    # 1.3e154, and pytest makes any warning an error
+    assert [_ndtr(v) for v in (math.inf, -math.inf, 1e200, -1e200)] == [1.0, 0.0, 1.0, 0.0]
     assert math.isnan(_ndtr(math.nan))
 
 
@@ -383,7 +373,7 @@ def _matrix(alert_rows, drowsy_rows, names=("f1", "f2")):
     rows = [(k, BinaryState.ALERT, r) for k, r in enumerate(alert_rows)]
     rows += [(len(alert_rows) + k, BinaryState.DROWSY, r)
              for k, r in enumerate(drowsy_rows)]
-    return FeatureMatrix.from_rows(names, rows, session_id="t")
+    return FeatureMatrix.from_rows(names, rows)
 
 
 def test_separation_report_flags_shifted_feature(rng):
@@ -496,7 +486,6 @@ def test_permutation_null_calibration(rng):
             values=values,
             states=tuple(states),
             interval_indices=tuple(range(2 * n)),
-            session_ids=("s",) * (2 * n),
         )
         rows = separation_report(matrix, alpha=0.05)
         fractions.append(np.mean([r.significant for r in rows]))

@@ -106,10 +106,8 @@ def test_states_follow_majority_vote():
 
 def test_vehicle_feature_matrix_shape():
     tel = _telemetry(3, fill=1.5)
-    matrix = interval_aggregate(tel, _labels([(1, 1, 1), (4, 4, 4), (2, 2, 2)]),
-                                session_id="v1")
+    matrix = interval_aggregate(tel, _labels([(1, 1, 1), (4, 4, 4), (2, 2, 2)]))
     assert matrix.feature_names == VEHICLE_SERIES
-    assert matrix.session_ids == ("v1",) * 3
     assert matrix.values.shape == (3, 4)
     assert np.all(matrix.values == 1.5)
 
@@ -129,9 +127,8 @@ def test_sliced_aggregate_matches_mask_reference(rng, abs_mean, n_intervals, n_l
     tel = make_telemetry(rng.normal(0.5, 3.0, (4, n)), sample_rate_hz=rate,
                          start_time_s=start_s)
     labels = _labels([(1 + k % 5,) * 3 for k in range(n_labels)])
-    got = interval_aggregate(tel, labels, abs_mean=abs_mean, session_id="s")
-    want = interval_aggregate_mask(tel, labels, abs_mean=abs_mean, session_id="s")
+    got = interval_aggregate(tel, labels, abs_mean=abs_mean)
+    want = interval_aggregate_mask(tel, labels, abs_mean=abs_mean)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.interval_indices == want.interval_indices
     assert got.states == want.states
-    assert got.session_ids == want.session_ids
