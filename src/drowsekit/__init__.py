@@ -3,7 +3,7 @@
 Ingests EEG sessions, vehicle telemetry, and observer drowsiness ratings;
 extracts spectral and vehicle features; and quantifies alert-vs-drowsy
 separation per feature with nonparametric statistics. The pipeline lives
-in the submodules (``drowsekit.cli``, ``drowsekit.stats``, ...); the
+in the submodules (``drowsekit.pipeline``, ``drowsekit.stats``, ...); the
 package root exports only the synthetic-session generator.
 """
 

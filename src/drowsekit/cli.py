@@ -1,4 +1,5 @@
-"""Command-line surface for cohort-level analysis.
+"""Command-line interface: argument parsing, the commands, their messages
+and exit codes; the pipeline they run is ``drowsekit.pipeline``.
 
 Commands:
     validate  Check every session in a manifest and list violations.
@@ -7,240 +8,42 @@ Commands:
     synth     Generate a synthetic session in the ingest CSV formats.
 
 Exit codes: 0 success, 1 analysis or validation failure, 2 usage or
-input error.
+input error. ``analyze`` and ``features`` take the sessions one at a time
+in manifest order, so the first session that fails decides the code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import __version__, ingest, preprocess, spectral, stats, vehicle
+from . import ingest
 from .errors import DrowsekitError
-from .features import FeatureMatrix
-from .preprocess import (
-    DenoiseSummary,
-    denoise_epochs,
-    denoise_summary,
-    epoch_signal,
-    filter_epoch,
-    reference_kernels,
-)
-from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
-from .spectral import BANDS, extract_features
-from .stats import separation_report
+from .pipeline import RunConfig, analyze_cohort, process_session, write_features, write_report_files
+from .session import Session, validate_session
 from .synthgen import SynthSpec, generate_session, load_synth_spec
-from .vehicle import interval_aggregate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The settable pipeline parameters; the defaults reproduce the reference
-    procedure, whose filter, artifact and Welch values are fixed constants.
-
-    Raises:
-        ValueError: ``alpha`` outside (0, 1).
-    """
-
-    alpha: float = stats.DEFAULT_ALPHA
-    abs_mean: bool = False
-    per_channel_outliers: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-    def to_param_dict(self) -> dict:
-        """The settable values plus the fixed method constants, read now."""
-        return {
-            "hp_cutoff_hz": preprocess.HP_CUTOFF_HZ,
-            "hp_transition_hz": preprocess.HP_TRANSITION_HZ,
-            "lp_cutoff_hz": preprocess.LP_CUTOFF_HZ,
-            "lp_transition_hz": preprocess.LP_TRANSITION_HZ,
-            "amplitude_threshold_uv": preprocess.DEFAULT_AMPLITUDE_THRESHOLD_UV,
-            "max_outlier_fraction": preprocess.DEFAULT_MAX_OUTLIER_FRACTION,
-            "nfft": spectral.DEFAULT_NFFT,
-            "alpha": self.alpha,
-            "abs_mean": self.abs_mean,
-            "per_channel_outliers": self.per_channel_outliers,
-        }
-
-    def digest(self) -> str:
-        """Hex digest that changes iff a pipeline parameter, a module constant
-        that changes results, the package version or the numpy version (whose
-        FFT and ``exp`` set the last bits) changes."""
-        constants = {
-            "version": __version__,
-            "numpy_version": np.__version__,
-            "min_coverage": vehicle.MIN_COVERAGE,
-            "exact_path_max_min_n": stats.EXACT_PATH_MAX_MIN_N,
-            "bands": [[b.name, b.lo_hz, b.hi_hz] for b in spectral.BANDS],
-        }
-        canonical = json.dumps({"params": self.to_param_dict(), "constants": constants},
-                               sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+class _LoadFailed(Exception):
+    """Carries the error of a session that could not be loaded."""
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """Per-session pipeline outputs."""
-
-    eeg_features: FeatureMatrix
-    vehicle_features: FeatureMatrix | None
-    denoise: DenoiseSummary
-
-
-def process_session(session: Session, config: RunConfig) -> SessionResult:
-    """Run epoching, filtering, denoising, and feature extraction for one session."""
-    hp, lp = reference_kernels()
-    # the raw block is not kept, so only one sample block outlives the filter
-    filtered = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
-    kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
-    summary = denoise_summary(filtered, kept)
-    eeg_matrix = extract_features(kept.epochs)
-    vehicle_matrix = None
-    if session.telemetry is not None:
-        vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
-                                            abs_mean=config.abs_mean)
-    return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
-                         denoise=summary)
+def _sessions(entries: Iterable[ingest.SessionManifest]) -> Iterator[Session]:
+    """Load the manifest entries one at a time; a load error becomes ``_LoadFailed``."""
+    for entry in entries:
+        try:
+            session = ingest.load_session(entry)
+        except (OSError, DrowsekitError) as exc:
+            raise _LoadFailed(exc) from exc
+        yield session
 
 
-def analyze_cohort(sessions: Sequence[Session], config: RunConfig,
-                   cohort_id: str) -> dict:
-    """Pool per-session results and build the full report structure.
-
-    Raises:
-        DrowsekitError: Any stage precondition failure (for example a
-            single-state cohort).
-        ValueError: An empty cohort or an invalid session.
-    """
-    if not sessions:
-        raise ValueError("cohort is empty")
-    for session in sessions:
-        violations = validate_session(session)
-        if violations:
-            listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
-            raise ValueError(f"session {session.id} is invalid: {listing}")
-
-    results = [process_session(s, config) for s in sessions]
-
-    eeg_all = FeatureMatrix.concat([r.eeg_features for r in results])
-    denoise = results[0].denoise
-    for r in results[1:]:
-        denoise = denoise.combine(r.denoise)
-
-    names = eeg_all.feature_names
-    abs_matrix = eeg_all.select([n for n in names if n.endswith("_abs")])
-    rel_matrix = eeg_all.select([n for n in names if n.endswith("_rel")])
-
-    def report_rows(matrix: FeatureMatrix) -> list[dict]:
-        return [row.to_json_dict() for row in separation_report(matrix, alpha=config.alpha)]
-
-    eeg_abs_rows = report_rows(abs_matrix)
-    eeg_rel_rows = report_rows(rel_matrix)
-
-    vehicle_matrices = [r.vehicle_features for r in results if r.vehicle_features is not None]
-    vehicle_rows = []
-    if vehicle_matrices:
-        vehicle_all = FeatureMatrix.concat(vehicle_matrices)
-        if len(vehicle_all):
-            vehicle_rows = report_rows(vehicle_all)
-
-    return {
-        "cohort": cohort_id,
-        "config_digest": config.digest(),
-        "config": config.to_param_dict(),
-        "n_sessions": len(sessions),
-        "eeg_absolute": eeg_abs_rows,
-        "eeg_relative": eeg_rel_rows,
-        "vehicle": vehicle_rows,
-        "denoise_table": denoise.to_json_dict(),
-    }
-
-
-# ---- report rendering ------------------------------------------------------
-
-def format_p(p: float) -> str:
-    """Render a p-value the way the summary tables print them."""
-    return f"{p:.4e}" if p < 1e-3 else f"{p:.4f}"
-
-
-def _cell(row: dict, significant: bool) -> str:
-    return str(row["significant"]).lower() if significant else format_p(row["p_value"])
-
-
-def _eeg_table(rows: list[dict], significant: bool) -> list[list[str]]:
-    by_feature = {row["feature"]: row for row in rows}
-    suffix = rows[0]["feature"].rsplit("_", 1)[1] if rows else "abs"
-    return [[band.name] + [_cell(by_feature[f"{ch}_{band.name}_{suffix}"], significant)
-                           for ch in EEG_CHANNELS]
-            for band in BANDS]
-
-
-def _vehicle_table(rows: list[dict], significant: bool) -> list[list[str]]:
-    by_feature = {row["feature"]: row for row in rows}
-    return [["significant" if significant else "p_value"]
-            + [_cell(by_feature[name], significant) for name in VEHICLE_SERIES]]
-
-
-def write_report_files(report: dict, out_dir: Path) -> list[Path]:
-    """Write report.json plus the table-shaped CSV mirrors; returns the paths.
-
-    Raises:
-        ValueError: The report holds a NaN or infinite number; nothing is
-            written then.
-        OSError: ``out_dir`` cannot be created or written.
-    """
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    report_path.write_text(text, encoding="utf-8")
-
-    # (file stem, header, rows)
-    tables = [(key + ("_significant" if significant else ""), ("band",) + EEG_CHANNELS,
-               _eeg_table(report[key], significant))
-              for key in ("eeg_absolute", "eeg_relative") for significant in (False, True)]
-    if report["vehicle"]:
-        tables += [("vehicle" + ("_significant" if significant else ""), ("",) + VEHICLE_SERIES,
-                    _vehicle_table(report["vehicle"], significant))
-                   for significant in (False, True)]
-    d = report["denoise_table"]
-    tables.append(("denoise", ("stage", "alert_epochs", "drowsy_epochs", "total_epochs"), [
-        ("pre_denoising", d["pre_alert"], d["pre_drowsy"], d["pre_total"]),
-        ("post_denoising", d["post_alert"], d["post_drowsy"], d["post_total"]),
-        ("removal_percent", "", "", d["removal_percent"]),
-    ]))
-
-    written = [report_path]
-    for stem, header, rows in tables:
-        path = out_dir / f"{stem}.csv"
-        ingest.write_rows(path, header, rows)
-        written.append(path)
-    return written
-
-
-def _write_features(matrix: FeatureMatrix, path: Path) -> None:
-    """Write ``interval,state,<feature names...>`` rows."""
-    ingest.write_rows(path, ("interval", "state") + matrix.feature_names,
-                      ((i, s.value, *v) for i, s, v in zip(matrix.interval_indices,
-                                                           matrix.states,
-                                                           matrix.values.tolist())))
-
-
-# ---- commands ---------------------------------------------------------------
-
-def _load_cohort(manifest_path: Path) -> list[Session]:
-    entries = ingest.load_manifest(manifest_path)
-    return [ingest.load_session(e) for e in entries]
+def _cannot_load(manifest_path: Path, exc: Exception) -> int:
+    print(f"error: cannot load cohort from {manifest_path}: {exc}", file=sys.stderr)
+    return 2
 
 
 def cmd_validate(manifest_path: Path, out: IO[str] | None = None) -> int:
@@ -275,12 +78,13 @@ def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig,
     """Run the pipeline over a cohort and write all report files."""
     out = out if out is not None else sys.stdout
     try:
-        sessions = _load_cohort(manifest_path)
+        entries = ingest.load_manifest(manifest_path)
     except (OSError, DrowsekitError) as exc:
-        print(f"error: cannot load cohort from {manifest_path}: {exc}", file=sys.stderr)
-        return 2
+        return _cannot_load(manifest_path, exc)
     try:
-        report = analyze_cohort(sessions, config, cohort_id=manifest_path.stem)
+        report = analyze_cohort(_sessions(entries), config, cohort_id=manifest_path.stem)
+    except _LoadFailed as exc:
+        return _cannot_load(manifest_path, exc)
     except (DrowsekitError, ValueError) as exc:
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error: analysis failed ({code}): {exc}", file=sys.stderr)
@@ -305,21 +109,21 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
     """Dump per-session EEG and vehicle feature matrices as CSV."""
     out = out if out is not None else sys.stdout
     try:
-        sessions = _load_cohort(manifest_path)
+        entries = ingest.load_manifest(manifest_path)
     except (OSError, DrowsekitError) as exc:
-        print(f"error: cannot load cohort from {manifest_path}: {exc}", file=sys.stderr)
-        return 2
+        return _cannot_load(manifest_path, exc)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for session in sessions:
+        for session in _sessions(entries):
             result = process_session(session, config)
-            eeg_path = out_dir / f"{session.id}_eeg_features.csv"
-            _write_features(result.eeg_features, eeg_path)
-            out.write(f"wrote {eeg_path}\n")
-            if result.vehicle_features is not None:
-                veh_path = out_dir / f"{session.id}_vehicle_features.csv"
-                _write_features(result.vehicle_features, veh_path)
-                out.write(f"wrote {veh_path}\n")
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for kind, matrix in (("eeg", result.eeg_features),
+                                 ("vehicle", result.vehicle_features)):
+                if matrix is not None:
+                    path = out_dir / f"{session.id}_{kind}_features.csv"
+                    write_features(matrix, path)
+                    out.write(f"wrote {path}\n")
+    except _LoadFailed as exc:
+        return _cannot_load(manifest_path, exc)
     except (DrowsekitError, ValueError) as exc:
         code = getattr(exc, "code", type(exc).__name__)
         print(f"error: feature extraction failed ({code}): {exc}", file=sys.stderr)

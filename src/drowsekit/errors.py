@@ -87,16 +87,6 @@ class UnsafeSessionId(IngestError):
     code = "UnsafeSessionId"
 
 
-# ---- preprocessing ------------------------------------------------------
-
-class InvalidCutoff(DrowsekitError):
-    code = "InvalidCutoff"
-
-
-class InvalidTransition(DrowsekitError):
-    code = "InvalidTransition"
-
-
 # ---- spectral -----------------------------------------------------------
 
 class TooShort(DrowsekitError):

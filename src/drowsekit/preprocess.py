@@ -24,12 +24,11 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
-from enum import Enum
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import InvalidCutoff, InvalidTransition, TooShort
+from .errors import TooShort
 from .session import (
     EEG_SAMPLE_RATE_HZ,
     ORD_INTERVAL_SECONDS,
@@ -54,14 +53,6 @@ LP_TRANSITION_HZ = 4.0
 # of its samples exceed this absolute amplitude.
 DEFAULT_AMPLITUDE_THRESHOLD_UV = 70.0
 DEFAULT_MAX_OUTLIER_FRACTION = 0.30
-
-# Hamming-window design: tap count N ~ 3.3 * fs / transition width.
-_HAMMING_TAP_FACTOR = 3.3
-
-
-class FilterKind(Enum):
-    LOW_PASS = "low_pass"
-    HIGH_PASS = "high_pass"
 
 
 @dataclass(frozen=True)
@@ -178,49 +169,31 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
                   state=np.array(state, dtype=object))
 
 
-def design_fir(kind: FilterKind, cutoff_hz: float,
-               sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
-               transition_hz: float = 1.0) -> FilterKernel:
-    """Design a linear-phase windowed-sinc FIR kernel.
-
-    A Hamming-windowed sinc gives the low-pass prototype; the tap count is
-    the smallest odd integer >= 3.3 * sample_rate / transition width. The
-    high-pass is the spectral inversion of the complementary low-pass, so
-    its taps sum to zero exactly (DC null). Either kind passes half
-    amplitude (-6 dB) at the cutoff.
-
-    Args:
-        kind: LOW_PASS or HIGH_PASS.
-        cutoff_hz: -6 dB point; must lie in (0, sample_rate / 2).
-        sample_rate_hz: Design rate of the kernel.
-        transition_hz: Transition band width; sets the tap count.
-
-    Raises:
-        InvalidCutoff: Cutoff outside (0, Nyquist).
-        InvalidTransition: Non-positive transition width.
-    """
-    if not 0.0 < cutoff_hz < sample_rate_hz / 2.0:
-        raise InvalidCutoff(f"cutoff {cutoff_hz} Hz outside (0, {sample_rate_hz / 2:g})")
-    if transition_hz <= 0.0:
-        raise InvalidTransition(f"transition width must be positive, got {transition_hz}")
-
-    n = math.ceil(_HAMMING_TAP_FACTOR * sample_rate_hz / transition_hz)
+def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:
+    """Taps of a linear-phase Hamming-windowed sinc low-pass at the EEG rate,
+    with unit DC gain and half amplitude (-6 dB) at ``cutoff_hz``; the tap
+    count is the smallest odd integer >= 3.3 * sample_rate / transition width."""
+    n = math.ceil(3.3 * EEG_SAMPLE_RATE_HZ / transition_hz)
     if n % 2 == 0:
         n += 1
     k = np.arange(n) - (n - 1) // 2
-    fc = 2.0 * cutoff_hz / sample_rate_hz
+    fc = 2.0 * cutoff_hz / EEG_SAMPLE_RATE_HZ
     taps = fc * np.sinc(fc * k) * np.hamming(n)
     taps /= taps.sum()  # exact unit DC gain
-    if kind is FilterKind.HIGH_PASS:
-        taps = -taps
-        taps[(n - 1) // 2] += 1.0
-    return FilterKernel(taps=taps)
+    return taps
 
 
 def reference_kernels() -> tuple[FilterKernel, FilterKernel]:
-    """The (high-pass, low-pass) kernel pair of the reference band-limit."""
-    return (design_fir(FilterKind.HIGH_PASS, HP_CUTOFF_HZ, transition_hz=HP_TRANSITION_HZ),
-            design_fir(FilterKind.LOW_PASS, LP_CUTOFF_HZ, transition_hz=LP_TRANSITION_HZ))
+    """The (high-pass, low-pass) kernel pair of the reference band-limit.
+
+    The high-pass is the spectral inversion of the complementary low-pass,
+    so its taps sum to zero exactly (DC null) and it too passes half
+    amplitude at its cutoff.
+    """
+    hp = -_hamming_lowpass(HP_CUTOFF_HZ, HP_TRANSITION_HZ)
+    hp[len(hp) // 2] += 1.0
+    return FilterKernel(taps=hp), FilterKernel(taps=_hamming_lowpass(LP_CUTOFF_HZ,
+                                                                     LP_TRANSITION_HZ))
 
 
 def _next_fast_len(n: int) -> int:

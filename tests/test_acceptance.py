@@ -16,7 +16,7 @@ from helpers import (
 )
 
 from drowsekit import cli
-from drowsekit.cli import RunConfig, analyze_cohort
+from drowsekit.pipeline import RunConfig, analyze_cohort
 from drowsekit.preprocess import EPOCH_SAMPLES, DenoiseSummary, reference_kernels
 from drowsekit.session import EEG_CHANNELS
 from drowsekit.spectral import (

@@ -1,8 +1,9 @@
-"""The benchmark tracer still finds every function it traces.
+"""The benchmark still runs on the program.
 
 ``benchmark/spans.py`` patches the names in its ``TARGETS`` table wherever a
-drowsekit module binds them. A refactor that removes or renames one of them
-fails here, not in a benchmark run.
+drowsekit module binds them, and ``benchmark/workloads.py`` calls the
+program's functions and commands. A refactor that removes, renames or
+breaks one of them fails here, not in a benchmark run.
 """
 
 import importlib
@@ -18,9 +19,13 @@ def _original(owner_path, attr):
     return getattr(owner, class_name).__dict__[attr] if class_name else getattr(owner, attr)
 
 
-def test_tracer_patches_every_target(monkeypatch):
+def _benchmark_module(monkeypatch, name):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
-    spans = importlib.import_module("spans")
+    return importlib.import_module(name)
+
+
+def test_tracer_patches_every_target(monkeypatch):
+    spans = _benchmark_module(monkeypatch, "spans")
     originals = {(owner, attr): _original(owner, attr) for owner, attr, *_ in spans.TARGETS}
     tracer = spans.Tracer()
     try:
@@ -32,3 +37,16 @@ def test_tracer_patches_every_target(monkeypatch):
         tracer.uninstall()
     assert not missed
     assert all(_original(*key) is func for key, func in originals.items())
+
+
+def test_every_workload_runs_clean(monkeypatch, tmp_path):
+    # two untraced operations per workload, as a benchmark run makes them
+    workloads = _benchmark_module(monkeypatch, "workloads")
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class()
+        work = tmp_path / name
+        work.mkdir()
+        inputs = workload.prepare(1, work)
+        for _ in range(2):
+            out = workload.op(inputs)
+            assert workload.check(inputs, out, None) == [], name

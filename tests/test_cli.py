@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drowsekit import cli, ingest, preprocess, spectral, stats, vehicle
+from drowsekit import cli, ingest, pipeline, preprocess, spectral, stats, vehicle
 from drowsekit.errors import NonFiniteSample
 from drowsekit.features import FeatureMatrix
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES, BinaryState
@@ -165,12 +165,16 @@ def test_validate_missing_manifest_exits_2(tmp_path):
     assert cli.main(["validate", "--manifest", str(tmp_path / "nope.csv")]) == 2
 
 
-def test_validate_flags_malformed_file(tmp_path, capsys):
-    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), 1)])
-    eeg_path = manifest.parent / "synth-1" / "eeg.csv"
+def _break_eeg_file(manifest, session_id):
+    eeg_path = manifest.parent / session_id / "eeg.csv"
     text = eeg_path.read_text().splitlines()
     text[3] = text[3].replace(",", ",oops", 1)
     eeg_path.write_text("\n".join(text) + "\n")
+
+
+def test_validate_flags_malformed_file(tmp_path, capsys):
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), 1)])
+    _break_eeg_file(manifest, "synth-1")
     code = cli.main(["validate", "--manifest", str(manifest)])
     captured = capsys.readouterr()
     assert code == 1
@@ -203,17 +207,56 @@ def test_manifest_invalid_utf8_exits_2(tmp_path, capsys, command):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
+def _retime_eeg_to_128_hz(manifest, session_id):
+    """Rewrite a session's EEG with the same samples and a ``t`` column
+    stepping by 1/128 s."""
+    eeg_path = manifest.parent / session_id / "eeg.csv"
+    recording = ingest.load_eeg_csv(eeg_path)
+    ingest.write_eeg_csv(dataclasses.replace(recording, sample_rate_hz=128.0), eeg_path)
+
+
 def test_validate_flags_eeg_sampled_at_128_hz(tmp_path, capsys):
     manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), 1)])
-    eeg_path = manifest.parent / "synth-1" / "eeg.csv"
-    recording = ingest.load_eeg_csv(eeg_path)
-    # the same samples, with a time column stepping by 1/128 s
-    ingest.write_eeg_csv(dataclasses.replace(recording, sample_rate_hz=128.0), eeg_path)
+    _retime_eeg_to_128_hz(manifest, "synth-1")
     assert cli.main(["validate", "--manifest", str(manifest)]) == 1
     assert "synth-1: WrongSampleRate: EEG sample rate 128.0 Hz" in capsys.readouterr().out
     out = tmp_path / "report"
     assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 1
     assert not out.exists()
+    # features validates each session too, before it writes that session's files
+    out = tmp_path / "features"
+    assert cli.main(["features", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert ("error: feature extraction failed (ValueError): session synth-1 is invalid: "
+            "WrongSampleRate") in capsys.readouterr().err
+    assert not (out / "synth-1_eeg_features.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "features"])
+def test_unloadable_last_session_exits_2(tmp_path, capsys, command):
+    # the sessions are loaded one at a time, so the first two are processed
+    # before the third turns out to be malformed
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), seed) for seed in (1, 2, 3)])
+    _break_eeg_file(manifest, "synth-3")
+    out = tmp_path / "out"
+    assert cli.main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert f"error: cannot load cohort from {manifest}: " in capsys.readouterr().err
+    if command == "analyze":
+        assert not (out / "report.json").exists()
+    else:
+        # each session's files are written before the next session is loaded
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"synth-{k}_{kind}_features.csv" for k in (1, 2) for kind in ("eeg", "vehicle")]
+
+
+@pytest.mark.parametrize("command", ["analyze", "features"])
+def test_first_failing_session_decides_exit_code(tmp_path, capsys, command):
+    # an invalid first session stops the run before the malformed third one is read
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), seed) for seed in (1, 2, 3)])
+    _retime_eeg_to_128_hz(manifest, "synth-1")
+    _break_eeg_file(manifest, "synth-3")
+    assert cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    assert "session synth-1 is invalid: WrongSampleRate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_effect_cohort(tmp_path):
@@ -274,19 +317,19 @@ def test_analyze_cohort_rejects_nan_eeg_sample():
     session = dataclasses.replace(
         session, eeg=dataclasses.replace(session.eeg, channels=tuple(channels)))
     with pytest.raises(NonFiniteSample):
-        cli.analyze_cohort([session], cli.RunConfig(), cohort_id="nan")
+        pipeline.analyze_cohort([session], pipeline.RunConfig(), cohort_id="nan")
 
 
 def test_write_report_files_rejects_nan(tmp_path):
     row = {"feature": "steer_angle", "n_alert": 4, "n_drowsy": 4, "ks_p_alert": None,
            "ks_p_drowsy": None, "statistic": 8.0, "p_value": float("nan"),
            "method": "ExactEnumeration", "significant": False}
-    report = {"cohort": "c", "config_digest": "d", "config": cli.RunConfig().to_param_dict(),
+    report = {"cohort": "c", "config_digest": "d", "config": pipeline.RunConfig().to_param_dict(),
               "n_sessions": 1, "eeg_absolute": [], "eeg_relative": [], "vehicle": [row],
               "denoise_table": {}}
     out = tmp_path / "r"
     with pytest.raises(ValueError):
-        cli.write_report_files(report, out)
+        pipeline.write_report_files(report, out)
     assert not (out / "report.json").exists()
 
 
@@ -412,11 +455,11 @@ def test_abs_mean_flag_changes_vehicle_values(tmp_path):
 
 
 def test_config_digest_stable_for_same_params():
-    assert cli.RunConfig().digest() == cli.RunConfig().digest()
+    assert pipeline.RunConfig().digest() == pipeline.RunConfig().digest()
 
 
 def test_param_dict_is_the_reference_method():
-    params = cli.RunConfig().to_param_dict()
+    params = pipeline.RunConfig().to_param_dict()
     expected = {
         "hp_cutoff_hz": 0.1,
         "hp_transition_hz": 0.2,
@@ -434,24 +477,24 @@ def test_param_dict_is_the_reference_method():
 
 
 def test_config_digest_changes_with_every_parameter():
-    base = cli.RunConfig()
+    base = pipeline.RunConfig()
     changed = {"alpha": 0.01, "abs_mean": True, "per_channel_outliers": True}
-    assert list(changed) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert list(changed) == [f.name for f in dataclasses.fields(pipeline.RunConfig)]
     for name, value in changed.items():
-        assert cli.RunConfig(**{name: value}).digest() != base.digest(), name
+        assert pipeline.RunConfig(**{name: value}).digest() != base.digest(), name
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
 def test_run_config_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
-        cli.RunConfig(alpha=alpha)
+        pipeline.RunConfig(alpha=alpha)
 
 
 @pytest.mark.parametrize("module, name, value", [
     (vehicle, "MIN_COVERAGE", 0.6),
     (stats, "EXACT_PATH_MAX_MIN_N", 9),
     (spectral, "BANDS", spectral.BANDS[:-1] + (spectral.Band("gamma", 30.0, 45.0),)),
-    (cli, "__version__", "0.0.0"),  # the package version, as imported by cli
+    (pipeline, "__version__", "0.0.0"),  # the package version, as imported by pipeline
     (np, "__version__", "0.0.0"),
     # the fixed method values, which fill the rest of the config section
     (preprocess, "HP_CUTOFF_HZ", 0.2),
@@ -463,9 +506,9 @@ def test_run_config_rejects_bad_alpha(alpha):
     (spectral, "DEFAULT_NFFT", 512),
 ])
 def test_config_digest_changes_with_result_constants(monkeypatch, module, name, value):
-    base = cli.RunConfig().digest()
+    base = pipeline.RunConfig().digest()
     monkeypatch.setattr(module, name, value)
-    assert cli.RunConfig().digest() != base
+    assert pipeline.RunConfig().digest() != base
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drowsekit import cli
+from drowsekit import pipeline
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, reference_kernels
 from drowsekit.session import RATING_MAX, RATING_MIN, OrdInterval, OrdLabelTrack
 from drowsekit.stats import KS_MIN_SAMPLES
@@ -48,8 +48,8 @@ def cohort(request):
 
 
 def _report_bytes(sessions, tmp_path, name):
-    report = cli.analyze_cohort(sessions, cli.RunConfig(), cohort_id="metamorphic")
-    cli.write_report_files(report, tmp_path / name)
+    report = pipeline.analyze_cohort(sessions, pipeline.RunConfig(), cohort_id="metamorphic")
+    pipeline.write_report_files(report, tmp_path / name)
     return report, (tmp_path / name / "report.json").read_bytes()
 
 

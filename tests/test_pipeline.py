@@ -1,11 +1,14 @@
 """The session pipeline on one epoch block against a per-epoch reference
-built on the scipy filter and Welch oracles."""
+built on the scipy filter and Welch oracles, and the cohort pass that
+holds one session at a time."""
+
+import weakref
 
 import numpy as np
 import pytest
 from helpers import apply_kernel_scipy, band_power, sine_wave, total_power, welch_psd_scipy
 
-from drowsekit.cli import RunConfig, process_session
+from drowsekit.pipeline import RunConfig, analyze_cohort, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
     DEFAULT_MAX_OUTLIER_FRACTION,
@@ -95,3 +98,27 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     # channel-0 ones only per channel
     expected = sorted(all_channels + (channel0 if per_channel else ()))
     assert dropped[0] == expected
+
+
+def test_analyze_cohort_holds_one_session_at_a_time():
+    spec = SynthSpec(n_intervals=4, drowsy_fraction=0.5)
+    refs, dead = [], []
+
+    def sessions():
+        for k in range(5):
+            if k >= 2:
+                # the caller still holds session k - 1 while it asks for session k
+                dead.append(refs[k - 2]() is None)
+            session = generate_session(spec, seed=60 + k)
+            refs.append(weakref.ref(session))
+            yield session
+
+    report = analyze_cohort(sessions(), RunConfig(), cohort_id="stream")
+    assert dead == [True, True, True]
+    assert report["n_sessions"] == 5
+    assert report["denoise_table"]["pre_total"] == 20
+
+
+def test_analyze_cohort_rejects_an_empty_generator():
+    with pytest.raises(ValueError, match="cohort is empty"):
+        analyze_cohort((s for s in ()), RunConfig(), cohort_id="empty")

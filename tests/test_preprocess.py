@@ -5,16 +5,14 @@ import pytest
 import scipy.fft
 from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
 
-from drowsekit.errors import InvalidCutoff, InvalidTransition, TooShort
+from drowsekit.errors import TooShort
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     DenoiseSummary,
-    FilterKind,
     _next_fast_len,
     apply_kernel,
     denoise_epochs,
     denoise_summary,
-    design_fir,
     epoch_signal,
     filter_epoch,
     outlier_fraction,
@@ -116,17 +114,6 @@ def test_highpass_response_oracle(hp_kernel):
     assert freq_response_db(hp_kernel.taps, 0.0) <= -60.0
     assert abs(freq_response_db(hp_kernel.taps, 0.1) + 6.0) < 0.5
     assert abs(freq_response_db(hp_kernel.taps, 10.0)) < 0.05
-
-
-@pytest.mark.parametrize("cutoff", [0.0, -1.0, 128.0, 200.0])
-def test_design_rejects_bad_cutoff(cutoff):
-    with pytest.raises(InvalidCutoff):
-        design_fir(FilterKind.LOW_PASS, cutoff, transition_hz=4.0)
-
-
-def test_design_rejects_bad_transition():
-    with pytest.raises(InvalidTransition):
-        design_fir(FilterKind.LOW_PASS, 40.0, transition_hz=0.0)
 
 
 # ---- filtering --------------------------------------------------------------
