@@ -451,12 +451,10 @@ def write_ord_csv(track: OrdLabelTrack, dest: IO[str] | str | Path) -> None:
 
 
 def write_manifest(entries: Iterable[SessionManifest], dest: IO[str] | str | Path,
-                   relative_to: str | Path | None = None) -> None:
-    """Write a cohort manifest, optionally with paths relative to a directory."""
+                   relative_to: str | Path) -> None:
+    """Write a cohort manifest with paths relative to a directory."""
     def rel(p: Path | None) -> str:
-        if p is None:
-            return ""
-        return str(p.relative_to(relative_to)) if relative_to is not None else str(p)
+        return "" if p is None else str(p.relative_to(relative_to))
 
     write_rows(dest, MANIFEST_HEADER,
                ((e.session_id, rel(e.eeg_path), rel(e.telemetry_path), rel(e.labels_path))

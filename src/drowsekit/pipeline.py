@@ -18,14 +18,7 @@ import numpy as np
 
 from . import __version__, ingest, preprocess, spectral, stats, vehicle
 from .features import FeatureMatrix
-from .preprocess import (
-    DenoiseSummary,
-    denoise_epochs,
-    denoise_summary,
-    epoch_signal,
-    filter_epoch,
-    reference_kernels,
-)
+from .preprocess import DenoiseSummary, denoise_epochs, denoise_summary, epoch_signal, filter_epoch
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
 from .spectral import BANDS, extract_features
 from .stats import separation_report
@@ -101,9 +94,8 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     if violations:
         listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise ValueError(f"session {session.id} is invalid: {listing}")
-    hp, lp = reference_kernels()
     # the raw block is not kept, so only one sample block outlives the filter
-    filtered = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    filtered = filter_epoch(epoch_signal(session.eeg, session.labels))
     kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
     summary = denoise_summary(filtered, kept)
     eeg_matrix = extract_features(kept.epochs)

@@ -2,20 +2,20 @@
 
 The pipeline order is: cut the recording into 30-second epochs aligned to
 the labeling grid, band-limit each epoch with the reference 0.1 Hz
-high-pass and 40 Hz low-pass (``reference_kernels``), then drop epochs in
+high-pass and 40 Hz low-pass (``HP_TAPS``, ``LP_TAPS``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
 below. A session's epochs travel as one ``Epochs`` block; the filter and
 the Welch PSD work on one epoch at a time, which keeps their temporaries
 epoch-sized. All operations are pure.
 
-The filter uses ``numpy.fft`` alone: each kernel's spectrum is taken once
-per session, and each epoch is mirror-padded into one reused buffer and
-convolved with one forward and one inverse real FFT. numpy and scipy run
-the same pocketfft, so the values are bit-identical to
-``np.pad(mode="reflect")`` plus ``scipy.signal.fftconvolve(mode="valid")``;
-the oracle tests pin that and were checked against numpy 2.4.6 and scipy
-1.17.1.
+The filter uses ``numpy.fft`` alone: the taps are read-only constants built
+at import, each kernel's spectrum is taken once per session, and each epoch
+is mirror-padded into one reused buffer and convolved with one forward and
+one inverse real FFT. numpy and scipy run the same pocketfft, so the values
+are bit-identical to ``np.pad(mode="reflect")`` plus
+``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that and
+were checked against numpy 2.4.6 and scipy 1.17.1.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ from numpy.fft import irfft, rfft
 from .errors import TooShort
 from .session import (
     EEG_SAMPLE_RATE_HZ,
-    ORD_INTERVAL_SECONDS,
+    EPOCH_SAMPLES,
     BinaryState,
     EegRecording,
     OrdLabelTrack,
+    epoch_starts,
     majority_label,
 )
 
 logger = logging.getLogger(__name__)
-
-EPOCH_SAMPLES = int(ORD_INTERVAL_SECONDS * EEG_SAMPLE_RATE_HZ)  # 7680
 
 # The reference band-limit: -6 dB points and transition widths of the
 # high-pass and low-pass kernels.
@@ -73,17 +72,6 @@ class EpochSet:
 
     epochs: Epochs
     dropped: tuple[np.ndarray, np.ndarray]  # (interval_index, outlier_fraction)
-
-
-@dataclass(frozen=True)
-class FilterKernel:
-    """Linear-phase FIR kernel with an odd tap count (integer group delay)."""
-
-    taps: np.ndarray
-
-    @property
-    def delay(self) -> int:
-        return (len(self.taps) - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -143,30 +131,20 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     """Cut the recording into one epoch per fully covered label interval.
 
     Each epoch carries the majority vote of its interval's ratings.
-    Trailing samples that do not fill an interval are discarded; intervals
-    extending past the recording are skipped (a warning logs the count).
+    ``session.epoch_starts`` decides the covered intervals, as it does for
+    ``validate_session``; the others are skipped (a warning logs the count).
     """
-    n = recording.n_samples
-    rate = recording.sample_rate_hz
-    starts: list[int] = []
-    index: list[int] = []
-    state: list[BinaryState] = []
-    for iv in labels.intervals:
-        t0 = iv.index * ORD_INTERVAL_SECONDS
-        s0 = int(round((t0 - recording.start_time_s) * rate))
-        if 0 <= s0 and s0 + EPOCH_SAMPLES <= n:
-            starts.append(s0)
-            index.append(iv.index)
-            state.append(majority_label(iv.ratings))
+    starts = epoch_starts(recording, labels)
     skipped = len(labels.intervals) - len(starts)
     if skipped:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
     samples = np.empty((len(starts), len(recording.channels), EPOCH_SAMPLES))
     for c, channel in enumerate(recording.channels):
-        for k, s0 in enumerate(starts):
+        for k, (_, s0) in enumerate(starts):
             samples[k, c] = channel[s0:s0 + EPOCH_SAMPLES]
-    return Epochs(samples=samples, interval_index=np.array(index, dtype=np.int64),
-                  state=np.array(state, dtype=object))
+    return Epochs(samples=samples,
+                  interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
+                  state=np.array([majority_label(iv.ratings) for iv, _ in starts], dtype=object))
 
 
 def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:
@@ -183,17 +161,15 @@ def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:
     return taps
 
 
-def reference_kernels() -> tuple[FilterKernel, FilterKernel]:
-    """The (high-pass, low-pass) kernel pair of the reference band-limit.
-
-    The high-pass is the spectral inversion of the complementary low-pass,
-    so its taps sum to zero exactly (DC null) and it too passes half
-    amplitude at its cutoff.
-    """
-    hp = -_hamming_lowpass(HP_CUTOFF_HZ, HP_TRANSITION_HZ)
-    hp[len(hp) // 2] += 1.0
-    return FilterKernel(taps=hp), FilterKernel(taps=_hamming_lowpass(LP_CUTOFF_HZ,
-                                                                     LP_TRANSITION_HZ))
+# The reference band-limit, built once: the low-pass (213 taps) and the
+# high-pass (4225 taps), the spectral inversion of the complementary
+# low-pass, so its taps sum to zero exactly (DC null) and it too passes half
+# amplitude at its cutoff.
+LP_TAPS = _hamming_lowpass(LP_CUTOFF_HZ, LP_TRANSITION_HZ)
+LP_TAPS.setflags(write=False)
+HP_TAPS = -_hamming_lowpass(HP_CUTOFF_HZ, HP_TRANSITION_HZ)
+HP_TAPS[len(HP_TAPS) // 2] += 1.0
+HP_TAPS.setflags(write=False)
 
 
 def _next_fast_len(n: int) -> int:
@@ -212,10 +188,11 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
-    """A function that convolves arrays of ``shape`` with ``kernel`` along the
-    last axis, mirror-padded by the group delay on each side, and returns the
-    centred ``shape``-sized part.
+def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
+    """A function that convolves arrays of ``shape`` with the odd-length,
+    linear-phase ``taps`` along the last axis, mirror-padded by the group
+    delay ``(len(taps) - 1) // 2`` on each side, and returns the centred
+    ``shape``-sized part: output sample k aligns with input sample k.
 
     The kernel spectrum and one zeroed FFT-sized buffer are made once; each
     call copies its input and both mirror pads into the buffer and takes
@@ -227,11 +204,11 @@ def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
         TooShort: The last axis is not longer than the group delay, so a
             single mirror image cannot pad it.
     """
-    n, d = shape[-1], kernel.delay
+    n, d = shape[-1], (len(taps) - 1) // 2
     if n <= d:
         raise TooShort(f"need more than {d} samples to mirror-pad, got {n}")
     size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
-    spectrum = rfft(kernel.taps, size)
+    spectrum = rfft(taps, size)
     buf = np.zeros(shape[:-1] + (size,))
 
     def convolve(x: np.ndarray) -> np.ndarray:
@@ -243,29 +220,21 @@ def _mirror_convolver(kernel: FilterKernel, shape: tuple[int, ...]):
     return convolve
 
 
-def apply_kernel(samples: np.ndarray, kernel: FilterKernel) -> np.ndarray:
-    """Convolve along the last axis with mirror padding and zero net delay.
-
-    Padding by the group delay on each side and taking the valid part of
-    the convolution aligns output sample k with input sample k and keeps
-    the length unchanged.
-
-    Raises:
-        TooShort: At most ``kernel.delay`` samples along the last axis.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    return _mirror_convolver(kernel, samples.shape)(samples)
-
-
-def filter_epoch(epochs: Epochs, hp: FilterKernel, lp: FilterKernel) -> Epochs:
-    """Band-limit every epoch: high-pass then low-pass on every channel.
+def filter_epoch(epochs: Epochs) -> Epochs:
+    """Band-limit every epoch with the reference filter: ``HP_TAPS`` then
+    ``LP_TAPS`` on every channel.
 
     Epochs are filtered one at a time into one new block through one
     convolver per kernel, so the kernel spectra are computed once per call
-    and the convolution temporaries stay the size of one epoch.
+    and the convolution temporaries stay the size of one epoch. Each call
+    builds its own convolvers, whose pad buffers are mutable, so concurrent
+    calls share no state.
+
+    Raises:
+        TooShort: Epochs of at most the high-pass group delay (2112 samples).
     """
     shape = epochs.samples.shape[1:]
-    high_pass, low_pass = _mirror_convolver(hp, shape), _mirror_convolver(lp, shape)
+    high_pass, low_pass = _mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape)
     out = np.empty_like(epochs.samples)
     for k, x in enumerate(epochs.samples):
         out[k] = low_pass(high_pass(x))

@@ -19,6 +19,7 @@ from .errors import InvalidRating
 EEG_CHANNELS = ("TP9", "AF7", "AF8", "TP10")
 EEG_SAMPLE_RATE_HZ = 256.0
 ORD_INTERVAL_SECONDS = 30.0
+EPOCH_SAMPLES = int(ORD_INTERVAL_SECONDS * EEG_SAMPLE_RATE_HZ)  # 7680
 NUM_RATERS = 3
 RATING_MIN = 1
 RATING_MAX = 5
@@ -39,26 +40,20 @@ class EegRecording:
 
     Attributes:
         channels: One amplitude array per channel, ordered as
-            ``channel_names``. Kept as separate arrays so malformed
+            ``EEG_CHANNELS``. Kept as separate arrays so malformed
             (ragged) inputs remain representable for validation.
         sample_rate_hz: Samples per second; the supported devices record
             at 256 Hz and other rates are flagged by validation.
-        channel_names: Electrode labels, expected ``(TP9, AF7, AF8, TP10)``.
         start_time_s: Offset of the first sample on the session clock.
     """
 
     channels: tuple[np.ndarray, ...]
     sample_rate_hz: float = EEG_SAMPLE_RATE_HZ
-    channel_names: tuple[str, ...] = EEG_CHANNELS
     start_time_s: float = 0.0
 
     @property
     def n_samples(self) -> int:
         return min((len(c) for c in self.channels), default=0)
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -156,11 +151,6 @@ def validate_session(session: Session) -> list[Violation]:
             "WrongChannelCount",
             f"expected {len(EEG_CHANNELS)} EEG channels, got {len(eeg.channels)}",
         ))
-    if tuple(eeg.channel_names) != EEG_CHANNELS:
-        out.append(Violation(
-            "WrongChannelNames",
-            f"expected channels {EEG_CHANNELS}, got {tuple(eeg.channel_names)}",
-        ))
     if eeg.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
         out.append(Violation(
             "WrongSampleRate",
@@ -174,8 +164,9 @@ def validate_session(session: Session) -> list[Violation]:
         ))
 
     tel = session.telemetry
+    tel_rate_ok = tel is not None and math.isfinite(tel.sample_rate_hz) and tel.sample_rate_hz > 0
     if tel is not None:
-        if not (math.isfinite(tel.sample_rate_hz) and tel.sample_rate_hz > 0):
+        if not tel_rate_ok:
             out.append(Violation(
                 "InvalidTelemetryRate",
                 f"telemetry sample rate must be finite and positive, got {tel.sample_rate_hz}",
@@ -207,25 +198,44 @@ def validate_session(session: Session) -> list[Violation]:
                 f"interval {iv.index} has out-of-range ratings {bad}",
             ))
 
-    covered = len(session.labels) * ORD_INTERVAL_SECONDS
-    if covered > eeg.duration_s + ORD_INTERVAL_SECONDS + 1e-9:
-        out.append(Violation(
-            "CoverageMismatch",
-            f"labels cover {covered:g} s but EEG lasts {eeg.duration_s:g} s",
-        ))
+    # A recording may leave one label interval, a partial last one, uncovered.
+    def coverage(code: str, what: str, recording: EegRecording | VehicleTelemetry,
+                 n_covered: int) -> None:
+        uncovered = len(session.labels) - n_covered
+        if uncovered > 1:
+            start = recording.start_time_s
+            end = start + recording.n_samples / recording.sample_rate_hz
+            out.append(Violation(code, f"{uncovered} of {len(session.labels)} label intervals "
+                                       f"lie outside the {what} ({start:g} to {end:g} s)"))
 
+    if eeg.sample_rate_hz == EEG_SAMPLE_RATE_HZ:
+        coverage("CoverageMismatch", "EEG", eeg, len(epoch_starts(eeg, session.labels)))
+    if tel_rate_ok:
+        from .vehicle import interval_slices  # vehicle imports this module
+        coverage("TelemetryCoverageMismatch", "telemetry", tel,
+                 len(interval_slices(tel, session.labels)))
     return out
+
+
+def epoch_starts(eeg: EegRecording, labels: OrdLabelTrack) -> list[tuple[OrdInterval, int]]:
+    """The label intervals that the recording covers in full, in label order, each
+    with the recording's sample nearest the interval's start on the session clock."""
+    starts = []
+    for iv in labels.intervals:
+        offset = (iv.index * ORD_INTERVAL_SECONDS - eeg.start_time_s) * eeg.sample_rate_hz
+        s0 = int(round(offset)) if math.isfinite(offset) else -1  # no finite clock: uncovered
+        if 0 <= s0 and s0 + EPOCH_SAMPLES <= eeg.n_samples:
+            starts.append((iv, s0))
+    return starts
 
 
 def make_eeg_recording(channels: Sequence[Sequence[float]],
                        sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
-                       channel_names: Sequence[str] = EEG_CHANNELS,
                        start_time_s: float = 0.0) -> EegRecording:
     """Build a recording from array-likes, coercing each channel to float64."""
     return EegRecording(
         channels=tuple(np.asarray(c, dtype=np.float64) for c in channels),
         sample_rate_hz=sample_rate_hz,
-        channel_names=tuple(channel_names),
         start_time_s=start_time_s,
     )
 

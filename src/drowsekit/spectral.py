@@ -9,18 +9,18 @@ Welch PSD per epoch over all channels and integrates every band over the
 whole session at once; the result is bit-identical to integrating each
 channel's PSD on its own.
 
-The Welch estimate is computed directly with ``numpy.fft``: strided
-segment views, one module-level scaled Hann window and one ``rfft`` over
-all segments. numpy and scipy run the same pocketfft, so it is
-bit-identical to ``scipy.signal.welch`` with the reference settings; the
-oracle tests pin that and were checked against numpy 2.4.6 and scipy
-1.17.1.
+The Welch estimate is a plain density array on the fixed grid
+``FREQS_HZ`` (0..128 Hz in 0.25 Hz steps), inside which every band edge
+lies. It is computed directly with ``numpy.fft``: strided segment views,
+one module-level scaled Hann window and one ``rfft`` over all segments.
+numpy and scipy run the same pocketfft, so it is bit-identical to
+``scipy.signal.welch`` with the reference settings; the oracle tests pin
+that and were checked against numpy 2.4.6 and scipy 1.17.1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.fft import rfft, rfftfreq
@@ -64,19 +64,7 @@ BANDS = (
 FEATURE_KINDS = ("abs", "rel")
 
 
-@dataclass(frozen=True)
-class PsdEstimate:
-    """One-sided power spectral density on a uniform frequency grid.
-
-    Density is in uV^2/Hz and window-power compensated, so the integral
-    over the full grid matches the mean square of the signal.
-    """
-
-    freqs_hz: np.ndarray
-    density: np.ndarray
-
-
-def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str, ...]:
+def eeg_feature_names() -> tuple[str, ...]:
     """Feature names in column order, like ``TP9_delta_abs``.
 
     Ordering is channel-major: for each channel (TP9, AF7, AF8, TP10),
@@ -85,7 +73,7 @@ def eeg_feature_names(channel_names: Sequence[str] = EEG_CHANNELS) -> tuple[str,
     """
     return tuple(
         f"{ch}_{band.name}_{kind}"
-        for ch in channel_names
+        for ch in EEG_CHANNELS
         for band in BANDS
         for kind in FEATURE_KINDS
     )
@@ -106,18 +94,21 @@ def _density_window() -> np.ndarray:
 
 _WINDOW = _density_window()
 _WINDOW.setflags(write=False)
-_FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
-_FREQS_HZ.setflags(write=False)
+
+# The frequency of every Welch density bin: 0..128 Hz in 0.25 Hz steps.
+FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
+FREQS_HZ.setflags(write=False)
 
 
-def welch_psd(samples: np.ndarray) -> PsdEstimate:
-    """Estimate a one-sided PSD of 256 Hz EEG by Welch's method.
+def welch_psd(samples: np.ndarray) -> np.ndarray:
+    """Estimate the one-sided PSD of 256 Hz EEG by Welch's method, in
+    uV^2/Hz at the frequencies ``FREQS_HZ``.
 
     Segments are ``DEFAULT_NFFT`` samples long, Hann windowed, 50%
     overlapped, and their periodograms averaged; a 30 s epoch yields 14
-    segments. No detrending is applied, so DC power is preserved and the
-    integral of the density equals the signal's mean square. Works along
-    the last axis of any shape.
+    segments. No detrending is applied, so DC power is preserved, and the
+    window power is compensated, so the integral of the density equals the
+    signal's mean square. Works along the last axis of any shape.
 
     The segments are strided views of the input and are transformed in one
     ``rfft``; the periodograms are averaged in scipy's ``(freq, segment)``
@@ -135,15 +126,15 @@ def welch_psd(samples: np.ndarray) -> PsdEstimate:
     spectra = rfft(segments[..., :(n - _HOP) // _HOP, :] * _WINDOW)
     power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).swapaxes(-1, -2))
     power[..., 1:-1, :] *= 2  # one-sided: fold in the negative frequencies
-    return PsdEstimate(freqs_hz=_FREQS_HZ, density=power.mean(axis=-1))
+    return power.mean(axis=-1)
 
 
-def _interp_at(f: np.ndarray, density: np.ndarray, x: float) -> np.ndarray:
-    """``np.interp(x, f, d)`` for every 1-D slice ``d`` along the last axis.
-
-    Uses np.interp's own arithmetic, so the values match it bit for bit.
-    ``x`` must lie within ``[f[0], f[-1]]``.
+def _interp_at(density: np.ndarray, x: float) -> np.ndarray:
+    """``np.interp(x, FREQS_HZ, d)`` for every 1-D slice ``d`` along the last
+    axis. Uses np.interp's own arithmetic, so the values match it bit for
+    bit. ``x`` must lie within ``FREQS_HZ``.
     """
+    f = FREQS_HZ
     j = int(np.searchsorted(f, x))
     if f[j] == x:
         return density[..., j]
@@ -151,27 +142,24 @@ def _interp_at(f: np.ndarray, density: np.ndarray, x: float) -> np.ndarray:
     return slope * (x - f[j - 1]) + density[..., j - 1]
 
 
-def _integrate(psd: PsdEstimate, lo_hz: float, hi_hz: float) -> np.ndarray:
-    """Trapezoidal integral of the density over [lo, hi] along the last axis.
+def _integrate(density: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """Trapezoidal integral over [lo, hi] of a density on ``FREQS_HZ`` along
+    the last axis; both edges must lie strictly inside the grid.
 
     The grid is augmented with linearly interpolated points at the exact
     band edges, so adjacent bands share edge mass half-half and partition
     the total exactly. The result has the density's leading shape.
     """
-    f = psd.freqs_hz
-    lo = max(lo_hz, float(f[0]))
-    hi = min(hi_hz, float(f[-1]))
-    if hi <= lo:
-        return np.zeros(psd.density.shape[:-1])
-    inner = (f > lo) & (f < hi)
-    grid = np.concatenate(([lo], f[inner], [hi]))
+    f = FREQS_HZ
+    inner = (f > lo_hz) & (f < hi_hz)
+    grid = np.concatenate(([lo_hz], f[inner], [hi_hz]))
     # Masking the last axis yields a non-C memory order that np.concatenate
     # keeps; a C-contiguous integrand sums each row in the same order as a
     # lone 1-D density, which keeps batched and per-channel results
     # bit-identical.
     dens = np.ascontiguousarray(np.concatenate(
-        (_interp_at(f, psd.density, lo)[..., None], psd.density[..., inner],
-         _interp_at(f, psd.density, hi)[..., None]), axis=-1))
+        (_interp_at(density, lo_hz)[..., None], density[..., inner],
+         _interp_at(density, hi_hz)[..., None]), axis=-1))
     return np.trapezoid(dens, grid, axis=-1)
 
 
@@ -190,10 +178,9 @@ def extract_features(epochs: Epochs) -> FeatureMatrix:
     n = len(epochs)
     values = np.empty((0, len(names)))
     if n:
-        psds = [welch_psd(x) for x in epochs.samples]
-        psd = PsdEstimate(freqs_hz=psds[0].freqs_hz, density=np.stack([p.density for p in psds]))
-        powers = np.stack([_integrate(psd, b.lo_hz, b.hi_hz) for b in BANDS]
-                          + [_integrate(psd, *TOTAL_BAND_HZ)], axis=-1)
+        density = np.stack([welch_psd(x) for x in epochs.samples])
+        powers = np.stack([_integrate(density, b.lo_hz, b.hi_hz) for b in BANDS]
+                          + [_integrate(density, *TOTAL_BAND_HZ)], axis=-1)
         absolute, total = powers[..., :-1], powers[..., -1]
         degenerate = np.argwhere(total <= DEGENERATE_POWER_UV2)
         if len(degenerate):

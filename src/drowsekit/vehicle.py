@@ -18,6 +18,7 @@ from .features import FeatureMatrix
 from .session import (
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
+    OrdInterval,
     OrdLabelTrack,
     VehicleTelemetry,
     majority_label,
@@ -29,14 +30,33 @@ logger = logging.getLogger(__name__)
 MIN_COVERAGE = 0.5
 
 
-def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
-                       abs_mean: bool = False) -> FeatureMatrix:
-    """Average each telemetry series over every labeling interval.
+def interval_slices(telemetry: VehicleTelemetry,
+                    labels: OrdLabelTrack) -> list[tuple[OrdInterval, int, int]]:
+    """The label intervals that hold at least ``MIN_COVERAGE`` of their
+    expected telemetry samples, in label order, each with the ``[start,
+    end)`` slice of those samples.
 
     A sample belongs to interval k when its timestamp falls in
-    ``[30k, 30(k+1))``. Intervals holding less than half their expected
-    samples are skipped (a warning logs the count). ``abs_mean`` switches
-    to the mean of absolute values, removing signed cancellation.
+    ``[30k, 30(k+1))``. The sample rate must be finite and positive, which
+    makes the timestamps ascend.
+    """
+    t = telemetry.timestamps()
+    expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS
+    lo = np.array([iv.index for iv in labels.intervals]) * ORD_INTERVAL_SECONDS
+    bounds = zip(np.searchsorted(t, lo).tolist(),
+                 np.searchsorted(t, lo + ORD_INTERVAL_SECONDS).tolist())
+    return [(iv, start, end) for iv, (start, end) in zip(labels.intervals, bounds)
+            if end - start >= MIN_COVERAGE * expected]
+
+
+def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
+                       abs_mean: bool = False) -> FeatureMatrix:
+    """Average each telemetry series over every labeling interval that
+    ``interval_slices`` finds covered.
+
+    Intervals holding less than half their expected samples are skipped
+    (a warning logs the count). ``abs_mean`` switches to the mean of
+    absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns.
@@ -49,23 +69,16 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     if not (math.isfinite(rate) and rate > 0):
         raise InvalidTelemetryRate(
             f"telemetry sample rate must be finite and positive, got {rate}")
-    t = telemetry.timestamps()  # ascending: the sample rate is positive
-    expected = rate * ORD_INTERVAL_SECONDS
     # (samples, series): an interval is a row slice, and mean(axis=0) adds
     # its samples one by one in time order, the order report bytes depend on
     data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series], axis=1)
     if abs_mean:
         data = np.abs(data)
 
-    rows = []
-    skipped = 0
-    for iv in labels.intervals:
-        lo = iv.index * ORD_INTERVAL_SECONDS
-        start, end = np.searchsorted(t, (lo, lo + ORD_INTERVAL_SECONDS))
-        if end - start < MIN_COVERAGE * expected:
-            skipped += 1
-            continue
-        rows.append((iv.index, majority_label(iv.ratings), data[start:end].mean(axis=0)))
+    slices = interval_slices(telemetry, labels)
+    rows = [(iv.index, majority_label(iv.ratings), data[start:end].mean(axis=0))
+            for iv, start, end in slices]
+    skipped = len(labels.intervals) - len(slices)
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)

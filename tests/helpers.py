@@ -29,7 +29,6 @@ from drowsekit.spectral import (
     DEFAULT_NFFT,
     DEGENERATE_POWER_UV2,
     TOTAL_BAND_HZ,
-    PsdEstimate,
     _integrate,
 )
 from drowsekit.stats import _lilliefors_p
@@ -53,20 +52,22 @@ def freq_response_db(taps, freq_hz, sample_rate_hz=EEG_SAMPLE_RATE_HZ):
     return 20.0 * np.log10(mag) if mag > 0 else -np.inf
 
 
-def apply_kernel_scipy(samples, kernel):
-    """``preprocess.apply_kernel`` as ``np.pad`` (reflect) plus
-    ``scipy.signal.fftconvolve(mode="valid")``; the reference for the
-    convolver built on ``scipy.fft``."""
-    pad = [(0, 0)] * (samples.ndim - 1) + [(kernel.delay, kernel.delay)]
+def apply_kernel_scipy(samples, taps):
+    """``preprocess._mirror_convolver`` as ``np.pad`` (reflect) by the group
+    delay plus ``scipy.signal.fftconvolve(mode="valid")``; the reference for
+    the convolver built on ``numpy.fft``."""
+    delay = (len(taps) - 1) // 2
+    pad = [(0, 0)] * (samples.ndim - 1) + [(delay, delay)]
     padded = np.pad(samples, pad, mode="reflect")
-    taps = kernel.taps.reshape((1,) * (samples.ndim - 1) + (-1,))
+    taps = taps.reshape((1,) * (samples.ndim - 1) + (-1,))
     return fftconvolve(padded, taps, mode="valid", axes=-1)
 
 
 def welch_psd_scipy(samples):
-    """``spectral.welch_psd`` as ``scipy.signal.welch`` with the reference
-    method's settings; the reference for the direct Welch."""
-    freqs, density = welch(
+    """``(FREQS_HZ, welch_psd(samples))`` of ``spectral`` as
+    ``scipy.signal.welch`` with the reference method's settings; the
+    reference for the direct Welch."""
+    return welch(
         np.asarray(samples, dtype=np.float64),
         fs=EEG_SAMPLE_RATE_HZ,
         window="hann",
@@ -77,7 +78,6 @@ def welch_psd_scipy(samples):
         scaling="density",
         return_onesided=True,
     )
-    return PsdEstimate(freqs_hz=freqs, density=density)
 
 
 def normal_tails_scipy(z):
@@ -109,26 +109,26 @@ def sine_wave(freq_hz, amplitude=1.0, n=EPOCH_SAMPLES, phase=0.0):
     return amplitude * np.sin(2.0 * np.pi * freq_hz * t + phase)
 
 
-def band_power(psd, band):
+def band_power(density, band):
     """Absolute band power in uV^2 (integral of the density over the band)."""
-    return float(_integrate(psd, band.lo_hz, band.hi_hz))
+    return float(_integrate(density, band.lo_hz, band.hi_hz))
 
 
-def total_power(psd):
+def total_power(density):
     """Power over the full 0.1..40 Hz analysis range."""
-    return float(_integrate(psd, *TOTAL_BAND_HZ))
+    return float(_integrate(density, *TOTAL_BAND_HZ))
 
 
-def relative_band_power(psd, band):
+def relative_band_power(density, band):
     """Band power as a fraction of the 0.1..40 Hz total.
 
     Raises:
         DegeneratePower: Total power at or below the degeneracy floor.
     """
-    total = total_power(psd)
+    total = total_power(density)
     if total <= DEGENERATE_POWER_UV2:
         raise DegeneratePower(f"total power {total:g} uV^2 is degenerate")
-    return band_power(psd, band) / total
+    return band_power(density, band) / total
 
 
 def ks_normal_1d(sample):

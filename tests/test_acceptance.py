@@ -17,10 +17,11 @@ from helpers import (
 
 from drowsekit import cli
 from drowsekit.pipeline import RunConfig, analyze_cohort
-from drowsekit.preprocess import EPOCH_SAMPLES, DenoiseSummary, reference_kernels
+from drowsekit.preprocess import EPOCH_SAMPLES, HP_TAPS, LP_TAPS, DenoiseSummary
 from drowsekit.session import EEG_CHANNELS
 from drowsekit.spectral import (
     BANDS,
+    FREQS_HZ,
     eeg_feature_names,
     extract_features,
     welch_psd,
@@ -71,8 +72,7 @@ def test_criterion_3_parseval():
     ratios = []
     for _ in range(100):
         x = rng.normal(0.0, rng.uniform(0.5, 20.0), EPOCH_SAMPLES)
-        psd = welch_psd(x)
-        integral = np.trapezoid(psd.density, psd.freqs_hz)
+        integral = np.trapezoid(welch_psd(x), FREQS_HZ)
         ratios.append(integral / np.mean(x**2))
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios - 1.0) < 0.1)
@@ -82,12 +82,11 @@ def test_criterion_3_parseval():
 
 
 def test_criterion_4_filter_responses():
-    hp, lp = reference_kernels()
-    lp_10 = freq_response_db(lp.taps, 10.0)
-    lp_50 = freq_response_db(lp.taps, 50.0)
-    lp_cut = freq_response_db(lp.taps, 40.0)
-    hp_dc = freq_response_db(hp.taps, 0.0)
-    hp_cut = freq_response_db(hp.taps, 0.1)
+    lp_10 = freq_response_db(LP_TAPS, 10.0)
+    lp_50 = freq_response_db(LP_TAPS, 50.0)
+    lp_cut = freq_response_db(LP_TAPS, 40.0)
+    hp_dc = freq_response_db(HP_TAPS, 0.0)
+    hp_cut = freq_response_db(HP_TAPS, 0.1)
     assert abs(lp_10) <= 0.05
     assert lp_50 <= -40.0
     assert hp_dc <= -60.0

@@ -259,6 +259,35 @@ def test_first_failing_session_decides_exit_code(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def _shift_clock(manifest, session_id, kinds, start_s):
+    """Rewrite a session's EEG and/or telemetry with the same samples on a
+    clock that starts at ``start_s``."""
+    for kind in kinds:
+        path = manifest.parent / session_id / f"{kind}.csv"
+        load, write = {"eeg": (ingest.load_eeg_csv, ingest.write_eeg_csv),
+                       "telemetry": (ingest.load_telemetry_csv, ingest.write_telemetry_csv)}[kind]
+        write(dataclasses.replace(load(path), start_time_s=start_s), path)
+
+
+@pytest.mark.parametrize("kinds, codes", [
+    (("eeg", "telemetry"), ["CoverageMismatch", "TelemetryCoverageMismatch"]),
+    (("telemetry",), ["TelemetryCoverageMismatch"]),
+], ids=["eeg-and-telemetry", "telemetry-only"])
+def test_recording_clock_off_the_label_grid_is_invalid(tmp_path, capsys, kinds, codes):
+    # the third session's t columns start at 1000 s, past its 8 label intervals
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=8), seed) for seed in (1, 2, 3)])
+    _shift_clock(manifest, "synth-3", kinds, 1000.0)
+    assert cli.main(["validate", "--manifest", str(manifest)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["synth-1: OK", "synth-2: OK"]
+    assert [line.split(": ")[:2] for line in lines[2:]] == [["synth-3", c] for c in codes]
+    assert "8 of 8 label intervals lie outside" in lines[2]
+    out = tmp_path / "report"
+    assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert f"session synth-3 is invalid: {codes[0]}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_effect_cohort(tmp_path):
     manifest = _write_cohort(
         tmp_path, [(EFFECT_SPEC, seed) for seed in (101, 102, 103)])

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drowsekit import pipeline
-from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, reference_kernels
+from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch
 from drowsekit.session import RATING_MAX, RATING_MIN, OrdInterval, OrdLabelTrack
 from drowsekit.stats import KS_MIN_SAMPLES
 from drowsekit.synthgen import SynthSpec, generate_session
@@ -109,7 +109,7 @@ def _scale_eeg(session, factor):
 
 
 def _dropped_intervals(session):
-    filtered = filter_epoch(epoch_signal(session.eeg, session.labels), *reference_kernels())
+    filtered = filter_epoch(epoch_signal(session.eeg, session.labels))
     return denoise_epochs(filtered).dropped[0].tolist()
 
 

@@ -15,8 +15,9 @@ from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     denoise_epochs,
     epoch_signal,
+    HP_TAPS,
+    LP_TAPS,
     filter_epoch,
-    reference_kernels,
 )
 from drowsekit.session import BinaryState, Session, make_eeg_recording, majority_label
 from drowsekit.spectral import BANDS
@@ -42,14 +43,13 @@ def _session_with_tones(seed, all_channels, channel0):
 
 def _per_epoch_reference(session, per_channel):
     """Features, dropped record and state counts, one epoch at a time."""
-    hp, lp = reference_kernels()
     rows, dropped_index, dropped_fraction = [], [], []
     pre = {BinaryState.ALERT: 0, BinaryState.DROWSY: 0}
     post = dict(pre)
     for iv in session.labels.intervals:
         span = slice(iv.index * EPOCH_SAMPLES, (iv.index + 1) * EPOCH_SAMPLES)
         x = np.stack([c[span] for c in session.eeg.channels])
-        x = apply_kernel_scipy(apply_kernel_scipy(x, hp), lp)
+        x = apply_kernel_scipy(apply_kernel_scipy(x, HP_TAPS), LP_TAPS)
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
@@ -62,7 +62,7 @@ def _per_epoch_reference(session, per_channel):
         post[state] += 1
         row = []
         for channel in x:
-            psd = welch_psd_scipy(channel)
+            _, psd = welch_psd_scipy(channel)
             total = total_power(psd)
             for band in BANDS:
                 power = band_power(psd, band)
@@ -89,8 +89,7 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     assert (summary.pre_alert, summary.pre_drowsy, summary.post_alert,
             summary.post_drowsy) == counts
 
-    hp, lp = reference_kernels()
-    kept = denoise_epochs(filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp),
+    kept = denoise_epochs(filter_epoch(epoch_signal(session.eeg, session.labels)),
                           per_channel=per_channel)
     assert [a.tolist() for a in kept.dropped] == list(dropped)
     assert kept.epochs.interval_index.tolist() == list(result.eeg_features.interval_indices)

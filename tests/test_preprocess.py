@@ -8,9 +8,12 @@ from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
 from drowsekit.errors import TooShort
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
+    HP_TAPS,
+    LP_TAPS,
     DenoiseSummary,
+    Epochs,
+    _mirror_convolver,
     _next_fast_len,
-    apply_kernel,
     denoise_epochs,
     denoise_summary,
     epoch_signal,
@@ -54,14 +57,14 @@ def test_epoch_signal_skips_partial_interval(rng, caplog):
     assert "skipped 1" in caplog.text
 
 
-def test_epoch_signal_too_short_recording(rng, caplog, hp_kernel, lp_kernel):
+def test_epoch_signal_too_short_recording(rng, caplog):
     rec = make_eeg_recording(rng.normal(size=(4, 7000)))
     with caplog.at_level(logging.WARNING, logger="drowsekit.preprocess"):
         epochs = epoch_signal(rec, _labels(1))
     assert epochs.samples.shape == (0, 4, EPOCH_SAMPLES)
     assert "skipped 1" in caplog.text
     # an empty block passes through the rest of the pipeline
-    kept = denoise_epochs(filter_epoch(epochs, hp_kernel, lp_kernel))
+    kept = denoise_epochs(filter_epoch(epochs))
     assert len(kept.epochs) == 0
     assert [a.tolist() for a in kept.dropped] == [[], []]
     assert denoise_summary(epochs, kept).removal_fraction == 0.0
@@ -92,64 +95,69 @@ def test_epoch_signal_assigns_majority_state(rng):
 
 # ---- FIR design -------------------------------------------------------------
 
-def test_lowpass_kernel_shape_and_dc(lp_kernel):
-    assert len(lp_kernel.taps) == 213
-    assert len(lp_kernel.taps) % 2 == 1
-    assert abs(lp_kernel.taps.sum() - 1.0) < 1e-6
+def test_lowpass_kernel_shape_and_dc():
+    assert len(LP_TAPS) == 213
+    assert len(LP_TAPS) % 2 == 1
+    assert abs(LP_TAPS.sum() - 1.0) < 1e-6
 
 
-def test_highpass_kernel_shape_and_dc(hp_kernel):
-    assert len(hp_kernel.taps) == 4225
-    assert len(hp_kernel.taps) % 2 == 1
-    assert abs(hp_kernel.taps.sum()) < 1e-6
+def test_highpass_kernel_shape_and_dc():
+    assert len(HP_TAPS) == 4225
+    assert len(HP_TAPS) % 2 == 1
+    assert abs(HP_TAPS.sum()) < 1e-6
 
 
-def test_lowpass_response_oracle(lp_kernel):
-    assert abs(freq_response_db(lp_kernel.taps, 10.0)) < 0.05
-    assert freq_response_db(lp_kernel.taps, 50.0) <= -40.0
-    assert abs(freq_response_db(lp_kernel.taps, 40.0) + 6.0) < 0.5
+def test_lowpass_response_oracle():
+    assert abs(freq_response_db(LP_TAPS, 10.0)) < 0.05
+    assert freq_response_db(LP_TAPS, 50.0) <= -40.0
+    assert abs(freq_response_db(LP_TAPS, 40.0) + 6.0) < 0.5
 
 
-def test_highpass_response_oracle(hp_kernel):
-    assert freq_response_db(hp_kernel.taps, 0.0) <= -60.0
-    assert abs(freq_response_db(hp_kernel.taps, 0.1) + 6.0) < 0.5
-    assert abs(freq_response_db(hp_kernel.taps, 10.0)) < 0.05
+def test_highpass_response_oracle():
+    assert freq_response_db(HP_TAPS, 0.0) <= -60.0
+    assert abs(freq_response_db(HP_TAPS, 0.1) + 6.0) < 0.5
+    assert abs(freq_response_db(HP_TAPS, 10.0)) < 0.05
+
+
+@pytest.mark.parametrize("taps", [HP_TAPS, LP_TAPS], ids=["hp", "lp"])
+def test_taps_are_read_only(taps):
+    with pytest.raises(ValueError, match="read-only"):
+        taps[0] = 0.0
 
 
 # ---- filtering --------------------------------------------------------------
 
-def test_filter_removes_dc(hp_kernel, lp_kernel):
-    out = filter_epoch(make_epochs([np.full((4, EPOCH_SAMPLES), 100.0)]), hp_kernel, lp_kernel)
+def test_filter_removes_dc():
+    out = filter_epoch(make_epochs([np.full((4, EPOCH_SAMPLES), 100.0)]))
     assert out.samples.shape == (1, 4, EPOCH_SAMPLES)
     assert np.max(np.abs(out.samples)) < 0.1
 
 
-def test_filter_passband_amplitude(hp_kernel, lp_kernel):
-    out = filter_epoch(make_epochs([sine_wave(10.0)]), hp_kernel, lp_kernel)
+def test_filter_passband_amplitude():
+    out = filter_epoch(make_epochs([sine_wave(10.0)]))
     interior = out.samples[0, :, EDGE:-EDGE]
     assert abs(np.max(np.abs(interior)) - 1.0) < 0.01
 
 
-def test_filter_stopband_amplitude(hp_kernel, lp_kernel):
-    out = filter_epoch(make_epochs([sine_wave(60.0)]), hp_kernel, lp_kernel)
+def test_filter_stopband_amplitude():
+    out = filter_epoch(make_epochs([sine_wave(60.0)]))
     interior = out.samples[0, :, EDGE:-EDGE]
     assert np.max(np.abs(interior)) <= 0.01
 
 
-def test_filter_is_linear(rng, hp_kernel, lp_kernel):
+def test_filter_is_linear(rng):
     x = rng.normal(size=(4, EPOCH_SAMPLES))
     y = rng.normal(size=(4, EPOCH_SAMPLES))
     a, b = 2.5, -1.25
-    fx, fy, fxy = filter_epoch(make_epochs([x, y, a * x + b * y]), hp_kernel, lp_kernel).samples
+    fx, fy, fxy = filter_epoch(make_epochs([x, y, a * x + b * y])).samples
     scale = np.max(np.abs(fxy))
     assert np.max(np.abs(fxy - (a * fx + b * fy))) < 1e-9 * scale
 
 
-def test_filter_shift_covariant_in_interior(rng, hp_kernel, lp_kernel):
+def test_filter_shift_covariant_in_interior(rng):
     shift = 128
     long = rng.normal(size=(4, EPOCH_SAMPLES + shift))
-    f0, f1 = filter_epoch(make_epochs([long[:, :EPOCH_SAMPLES], long[:, shift:]]),
-                          hp_kernel, lp_kernel).samples
+    f0, f1 = filter_epoch(make_epochs([long[:, :EPOCH_SAMPLES], long[:, shift:]])).samples
     margin = EDGE + 256
     lo, hi = margin, EPOCH_SAMPLES - margin - shift
     np.testing.assert_allclose(f0[:, lo + shift:hi + shift], f1[:, lo:hi],
@@ -158,11 +166,13 @@ def test_filter_shift_covariant_in_interior(rng, hp_kernel, lp_kernel):
 
 @pytest.mark.parametrize("n", [2113, 4000, EPOCH_SAMPLES])
 @pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
-def test_apply_kernel_matches_scipy_oracle(rng, default_kernels, n, channels):
-    # 2113 is one sample more than the high-pass group delay
+def test_apply_kernel_matches_scipy_oracle(rng, n, channels):
+    # the convolver that filter_epoch builds per kernel; 2113 is one sample
+    # more than the high-pass group delay
     x = rng.normal(0.0, 30.0, channels + (n,))
-    for kernel in default_kernels:
-        assert apply_kernel(x, kernel).tobytes() == apply_kernel_scipy(x, kernel).tobytes()
+    for taps in (HP_TAPS, LP_TAPS):
+        convolve = _mirror_convolver(taps, x.shape)
+        assert convolve(x).tobytes() == apply_kernel_scipy(x, taps).tobytes()
 
 
 def test_next_fast_len_matches_scipy():
@@ -171,13 +181,23 @@ def test_next_fast_len_matches_scipy():
         [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
-def test_apply_kernel_rejects_input_within_group_delay(rng, lp_kernel):
-    # one mirror image pads at most n - 1 samples
-    for n in (0, 1, lp_kernel.delay):
+def test_apply_kernel_rejects_input_within_group_delay(rng):
+    # one mirror image pads at most n - 1 samples; the low-pass delay is 106
+    delay = (len(LP_TAPS) - 1) // 2
+    for n in (0, 1, delay):
         with pytest.raises(TooShort):
-            apply_kernel(np.zeros((4, n)), lp_kernel)
-    x = rng.normal(size=lp_kernel.delay + 1)
-    assert apply_kernel(x, lp_kernel).tobytes() == apply_kernel_scipy(x, lp_kernel).tobytes()
+            _mirror_convolver(LP_TAPS, (4, n))
+    x = rng.normal(size=delay + 1)
+    assert _mirror_convolver(LP_TAPS, x.shape)(x).tobytes() == \
+        apply_kernel_scipy(x, LP_TAPS).tobytes()
+
+
+def test_filter_epoch_rejects_epochs_within_group_delay():
+    # a hand-built block too short for the high-pass to mirror-pad
+    epochs = Epochs(samples=np.zeros((1, 4, (len(HP_TAPS) - 1) // 2)),
+                    interval_index=np.arange(1), state=np.array([BinaryState.ALERT]))
+    with pytest.raises(TooShort):
+        filter_epoch(epochs)
 
 
 # ---- artifact decisions -----------------------------------------------------

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drowsekit.errors import InvalidRating
+from drowsekit.preprocess import epoch_signal
 from drowsekit.session import (
-    EEG_CHANNELS,
     BinaryState,
     OrdInterval,
     OrdLabelTrack,
@@ -15,6 +15,7 @@ from drowsekit.session import (
     make_telemetry,
     validate_session,
 )
+from drowsekit.vehicle import interval_aggregate
 
 ratings_strategy = st.tuples(*[st.integers(1, 5)] * 3)
 
@@ -64,7 +65,6 @@ def _session(n_intervals=20, sample_rate=256.0, n_channels=4,
     eeg = make_eeg_recording(
         [np.zeros(samples_per_channel)] * n_channels,
         sample_rate_hz=sample_rate,
-        channel_names=EEG_CHANNELS[:n_channels],
     )
     return Session(id="s1", eeg=eeg,
                    labels=labels if labels is not None else _labels(n_intervals),
@@ -118,6 +118,47 @@ def test_validate_flags_labels_past_recording():
 def test_validate_allows_one_interval_slack():
     session = _session(n_intervals=4, samples_per_channel=3 * 7680)
     assert validate_session(session) == []
+
+
+def _telemetry(n_intervals, start_time_s=0.0, rate=50.0):
+    return make_telemetry(np.zeros((4, int(n_intervals * 30 * rate))), sample_rate_hz=rate,
+                          start_time_s=start_time_s)
+
+
+@pytest.mark.parametrize("start_time_s", [1000.0, float("nan"), float("inf")])
+def test_validate_flags_eeg_clock_off_the_label_grid(start_time_s):
+    # a clock past the labels, or no finite clock at all, covers no interval
+    eeg = make_eeg_recording(np.zeros((4, 4 * 7680)), start_time_s=start_time_s)
+    session = Session(id="s", eeg=eeg, labels=_labels(4))
+    assert [v.code for v in validate_session(session)] == ["CoverageMismatch"]
+
+
+@pytest.mark.parametrize("start_time_s, codes", [
+    (1000.0, ["TelemetryCoverageMismatch"]),
+    (30.0, []),  # one interval left uncovered: the slack
+    (45.0, []),  # the second interval holds half its samples, which is enough
+    (46.0, ["TelemetryCoverageMismatch"]),  # ... and under half
+    (-46.0, ["TelemetryCoverageMismatch"]),  # the last two hold under half and none
+])
+def test_validate_checks_the_telemetry_clock(start_time_s, codes):
+    session = _session(n_intervals=4, telemetry=_telemetry(4, start_time_s))
+    assert [v.code for v in validate_session(session)] == codes
+
+
+@pytest.mark.parametrize("start_time_s", [-45.0, -30.0, -15.0, -0.01, 0.0, 0.01, 15.0, 30.0,
+                                          31.0, 60.0, 75.0, 1000.0])
+def test_validate_and_the_stages_agree_on_coverage(start_time_s):
+    # a recording is flagged exactly when the stages would skip more than
+    # one label interval of it
+    labels = _labels(4)
+    eeg = make_eeg_recording(np.zeros((4, 4 * 7680)), start_time_s=start_time_s)
+    telemetry = _telemetry(4, start_time_s)
+    session = Session(id="s", eeg=eeg, labels=labels, telemetry=telemetry)
+    codes = [v.code for v in validate_session(session)]
+    n_epochs = len(epoch_signal(eeg, labels))
+    n_rows = len(interval_aggregate(telemetry, labels))
+    assert ("CoverageMismatch" in codes) == (len(labels) - n_epochs > 1)
+    assert ("TelemetryCoverageMismatch" in codes) == (len(labels) - n_rows > 1)
 
 
 def test_validate_flags_bad_telemetry():

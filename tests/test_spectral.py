@@ -14,7 +14,8 @@ from drowsekit.preprocess import EPOCH_SAMPLES
 from drowsekit.session import BinaryState
 from drowsekit.spectral import (
     BANDS,
-    PsdEstimate,
+    FREQS_HZ,
+    TOTAL_BAND_HZ,
     eeg_feature_names,
     extract_features,
     welch_psd,
@@ -26,16 +27,25 @@ BAND_BY_NAME = {b.name: b for b in BANDS}
 # ---- Welch estimation ---------------------------------------------------
 
 def test_welch_grid():
-    psd = welch_psd(np.zeros(EPOCH_SAMPLES))
-    assert len(psd.freqs_hz) == 513
-    assert psd.freqs_hz[0] == 0.0
-    assert psd.freqs_hz[-1] == 128.0
-    assert np.allclose(np.diff(psd.freqs_hz), 0.25)
+    assert welch_psd(np.zeros(EPOCH_SAMPLES)).shape == FREQS_HZ.shape == (513,)
+    assert FREQS_HZ[0] == 0.0
+    assert FREQS_HZ[-1] == 128.0
+    assert np.allclose(np.diff(FREQS_HZ), 0.25)
+
+
+def test_band_edges_lie_strictly_inside_the_grid():
+    # _integrate interpolates at each edge and has no branch for edges off the grid
+    edges = [e for b in BANDS for e in (b.lo_hz, b.hi_hz)] + list(TOTAL_BAND_HZ)
+    assert all(FREQS_HZ[0] < e < FREQS_HZ[-1] for e in edges)
+
+
+def test_freqs_are_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        FREQS_HZ[0] = 1.0
 
 
 def test_welch_zero_signal():
-    psd = welch_psd(np.zeros(EPOCH_SAMPLES))
-    assert np.all(psd.density == 0.0)
+    assert np.all(welch_psd(np.zeros(EPOCH_SAMPLES)) == 0.0)
 
 
 def test_welch_too_short():
@@ -48,8 +58,7 @@ def test_welch_parseval_oracle(rng):
     ratios = []
     for _ in range(1000):
         x = rng.normal(0.0, 3.0, EPOCH_SAMPLES)
-        psd = welch_psd(x)
-        integral = np.trapezoid(psd.density, psd.freqs_hz)
+        integral = np.trapezoid(welch_psd(x), FREQS_HZ)
         ratios.append(integral / np.mean(x**2))
     ratios = np.asarray(ratios)
     assert np.all(np.abs(ratios - 1.0) < 0.1)
@@ -59,9 +68,9 @@ def test_welch_parseval_oracle(rng):
 def test_welch_tone_concentration():
     x = sine_wave(10.0, amplitude=np.sqrt(2.0))  # unit variance
     psd = welch_psd(x)
-    near = (psd.freqs_hz >= 9.0) & (psd.freqs_hz <= 11.0)
-    total = np.trapezoid(psd.density, psd.freqs_hz)
-    near_power = np.trapezoid(np.where(near, psd.density, 0.0), psd.freqs_hz)
+    near = (FREQS_HZ >= 9.0) & (FREQS_HZ <= 11.0)
+    total = np.trapezoid(psd, FREQS_HZ)
+    near_power = np.trapezoid(np.where(near, psd, 0.0), FREQS_HZ)
     assert near_power / total >= 0.95
 
 
@@ -69,26 +78,24 @@ def test_welch_tone_concentration():
 @pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
 def test_welch_matches_scipy_oracle(rng, n, channels):
     x = rng.normal(0.0, 30.0, channels + (n,))
-    psd, expected = welch_psd(x), welch_psd_scipy(x)
-    assert psd.freqs_hz.tobytes() == expected.freqs_hz.tobytes()
-    assert psd.density.shape == expected.density.shape
-    assert psd.density.tobytes() == expected.density.tobytes()
+    psd, (freqs, expected) = welch_psd(x), welch_psd_scipy(x)
+    assert FREQS_HZ.tobytes() == freqs.tobytes()
+    assert psd.shape == expected.shape
+    assert psd.tobytes() == expected.tobytes()
 
 
 def test_welch_density_nonnegative(rng):
-    psd = welch_psd(rng.normal(size=EPOCH_SAMPLES))
-    assert np.all(psd.density >= 0.0)
+    assert np.all(welch_psd(rng.normal(size=EPOCH_SAMPLES)) >= 0.0)
 
 
 # ---- band powers ---------------------------------------------------------
 
 def test_band_power_single_grid_point():
-    freqs = np.arange(513) * 0.25
     density = np.zeros(513)
     density[40] = 8.0  # spike at 10 Hz, integrated power 8 * 0.25
-    psd = PsdEstimate(freqs_hz=freqs, density=density)
-    assert band_power(psd, BAND_BY_NAME["alpha"]) == pytest.approx(2.0)
-    assert band_power(psd, BAND_BY_NAME["delta"]) == 0.0
+    assert FREQS_HZ[40] == 10.0
+    assert band_power(density, BAND_BY_NAME["alpha"]) == pytest.approx(2.0)
+    assert band_power(density, BAND_BY_NAME["delta"]) == 0.0
 
 
 def test_band_powers_partition_total(rng):

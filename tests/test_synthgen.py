@@ -96,11 +96,10 @@ def test_label_composition():
     assert len(alert) == 7
 
 
-def test_band_power_tracks_spec(default_kernels):
-    hp, lp = default_kernels
+def test_band_power_tracks_spec():
     spec = SynthSpec(n_intervals=12, drowsy_fraction=0.5)
     session = generate_session(spec, seed=5)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
     alert = epochs.samples[epochs.state == BinaryState.ALERT]
     noise_density = spec.noise_floor_uv**2 / 128.0
     for band in BANDS:
@@ -110,13 +109,12 @@ def test_band_power_tracks_spec(default_kernels):
         assert np.mean(powers) == pytest.approx(target, rel=0.15)
 
 
-def test_drowsy_multiplier_scales_power(default_kernels):
-    hp, lp = default_kernels
+def test_drowsy_multiplier_scales_power():
     spec = SynthSpec(n_intervals=12, drowsy_fraction=0.5,
                      drowsy_band_multipliers={"delta": 1.0, "theta": 2.0,
                                               "alpha": 1.0, "beta": 1.0, "gamma": 1.0})
     session = generate_session(spec, seed=6)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
     theta = next(b for b in BANDS if b.name == "theta")
     by_state = {BinaryState.ALERT: [], BinaryState.DROWSY: []}
     for x, state in zip(epochs.samples, epochs.state):
@@ -126,19 +124,17 @@ def test_drowsy_multiplier_scales_power(default_kernels):
 
 
 @pytest.mark.parametrize("rate", [0.35, 0.6])
-def test_outlier_injection_causes_drop(default_kernels, rate):
-    hp, lp = default_kernels
+def test_outlier_injection_causes_drop(rate):
     spec = SynthSpec(n_intervals=4, outlier_rate=rate)
     session = generate_session(spec, seed=9)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
     assert np.all(outlier_fraction(epochs.samples) > 0.30)
     assert len(denoise_epochs(epochs).epochs) == 0
 
 
-def test_no_injection_keeps_epochs(default_kernels):
-    hp, lp = default_kernels
+def test_no_injection_keeps_epochs():
     session = generate_session(SynthSpec(n_intervals=4), seed=9)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels), hp, lp)
+    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
     assert len(denoise_epochs(epochs).epochs) == len(epochs) == 4
 
 
