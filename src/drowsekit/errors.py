@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every error carries a stable ``code`` string so callers (and the CLI) can
-branch or report without string-matching messages.
+branch or report without string-matching messages. A subclass's code is
+its class name.
 """
 
 from __future__ import annotations
@@ -12,120 +13,118 @@ class DrowsekitError(Exception):
 
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
+
+class _AtRow:
+    """Mixin for an error found in one data row: ``row`` is its 1-based number."""
+
+    def __init__(self, row: int, message: str):
+        self.row = row
+        super().__init__(message)
+
 
 # ---- session / labeling -------------------------------------------------
 
 class InvalidRating(DrowsekitError):
-    code = "InvalidRating"
+    pass
 
 
 # ---- ingestion ----------------------------------------------------------
 
 class IngestError(DrowsekitError):
-    code = "IngestError"
+    pass
 
 
 class MissingHeader(IngestError):
-    code = "MissingHeader"
+    pass
 
 
 class WrongColumnSet(IngestError):
-    code = "WrongColumnSet"
+    pass
 
 
-class NonNumericValue(IngestError):
-    code = "NonNumericValue"
-
-    def __init__(self, row: int, message: str = ""):
-        self.row = row
-        super().__init__(message or f"non-numeric value in data row {row}")
+class NonNumericValue(_AtRow, IngestError):
+    pass
 
 
-class NonFiniteValue(IngestError):
-    code = "NonFiniteValue"
-
-    def __init__(self, row: int, message: str = ""):
-        self.row = row
-        super().__init__(message or f"NaN or infinite value in data row {row}")
+class NonFiniteValue(_AtRow, IngestError):
+    pass
 
 
-class InconsistentRowLength(IngestError):
-    code = "InconsistentRowLength"
-
-    def __init__(self, row: int, message: str = ""):
-        self.row = row
-        super().__init__(message or f"wrong field count in data row {row}")
+class InconsistentRowLength(_AtRow, IngestError):
+    pass
 
 
 class NonUniformTimestep(IngestError):
-    code = "NonUniformTimestep"
+    pass
 
 
 class EmptyFile(IngestError):
-    code = "EmptyFile"
+    pass
 
 
 class GapInIntervals(IngestError):
-    code = "GapInIntervals"
+    pass
 
 
 class MissingRater(IngestError):
-    code = "MissingRater"
+    pass
 
 
 class InvalidEncoding(IngestError):
-    code = "InvalidEncoding"
+    pass
 
 
 class DuplicateSessionId(IngestError):
-    code = "DuplicateSessionId"
+    pass
 
 
 class UnsafeSessionId(IngestError):
     """A session id that is not a plain file-name part (``features`` names files by it)."""
 
-    code = "UnsafeSessionId"
-
 
 # ---- spectral -----------------------------------------------------------
 
 class TooShort(DrowsekitError):
-    code = "TooShort"
+    pass
 
 
 class DegeneratePower(DrowsekitError):
-    code = "DegeneratePower"
+    pass
 
 
 # ---- vehicle ------------------------------------------------------------
 
 class InvalidTelemetryRate(DrowsekitError):
-    code = "InvalidTelemetryRate"
+    pass
 
 
 # ---- statistics ---------------------------------------------------------
 
 class TooFewSamples(DrowsekitError):
-    code = "TooFewSamples"
+    pass
 
 
 class ZeroVariance(DrowsekitError):
-    code = "ZeroVariance"
+    pass
 
 
 class EmptySample(DrowsekitError):
-    code = "EmptySample"
+    pass
 
 
 class NeedTwoGroups(DrowsekitError):
-    code = "NeedTwoGroups"
+    pass
 
 
 class NonFiniteSample(DrowsekitError):
-    code = "NonFiniteSample"
+    pass
 
 
 # ---- synthesis ----------------------------------------------------------
 
 class InvalidSpec(DrowsekitError):
-    code = "InvalidSpec"
+    pass

@@ -16,26 +16,27 @@ quoting):
   with one session per row; ``telemetry_path`` may be empty; relative paths
   resolve against the manifest's directory.
 
-Loaders never silently drop or reorder rows; writers emit shortest
-round-trip float representations so load(write(x)) == x exactly. A
-numeric body (EEG, telemetry) has one parser per kind of source. A file
-given by path is first scanned once in fixed-size binary blocks; when its
-header matches and it holds only bytes both parsers read alike, numpy's
-chunked reader parses it from the path, so a load holds no copy of the
-text. Streams, and files the scan or numpy turn down, are read into a list
-of lines and parsed one ``float`` at a time, which builds the row-numbered
-errors; both parsers give the same arrays. Every CSV row goes through
-``write_rows`` or the float writers, which format a fixed number of rows
-at a time.
+Every loader and writer takes a file path. Loaders never silently drop or
+reorder rows; writers emit shortest round-trip float representations so
+load(write(x)) == x exactly. A numeric file (EEG, telemetry) is first
+scanned once in fixed-size binary blocks; when its header matches and it
+holds only bytes numpy and ``float`` read alike, numpy's chunked reader
+parses it from the path, so a load holds no copy of the text. A file the
+scan or numpy turns down is read into a list of lines and parsed one
+``float`` at a time, which builds the row-numbered errors and gives the
+same arrays. That row reader, ``_data_rows``, also serves the labels and
+manifest loaders. Every CSV row goes through ``write_rows`` or the float
+writers, which format a fixed number of rows at a time.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,19 +103,13 @@ class SessionManifest:
     telemetry_path: Path | None = None
 
 
-def _read_lines(source: IO[bytes] | IO[str] | str | Path) -> list[str]:
-    """The lines of ``source``; only ``\\n``, ``\\r\\n`` and ``\\r`` end one."""
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of the file at ``path``; only ``\\n``, ``\\r\\n`` and ``\\r`` end one."""
     try:
-        if isinstance(source, (str, Path)):
-            # text mode already turns \r\n and \r into \n
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            raw = source.read()
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # text mode turns \r\n and \r into \n
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        name = f"{source}: " if isinstance(source, (str, Path)) else ""
-        raise InvalidEncoding(f"{name}not valid UTF-8 at byte {exc.start}") from None
+        raise InvalidEncoding(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     lines = text.split("\n")
     if not lines[-1]:  # a final \n ends a line, it starts none; popping copies no text
         lines.pop()
@@ -125,45 +120,71 @@ def _header_fields(line: str) -> tuple[str, ...]:
     return tuple(f.strip() for f in line.split(","))
 
 
-def _parse_header(lines: list[str], expected: tuple[str, ...], what: str) -> None:
+def _data_rows(path: str | Path, header: tuple[str, ...], what: str) -> Iterator[tuple[int, str]]:
+    """Check that the first line of the file at ``path`` is ``header``, then
+    give each non-blank data row with its 1-based row number (blank rows
+    count).
+
+    Raises:
+        InvalidEncoding, MissingHeader, WrongColumnSet
+    """
+    lines = _read_lines(path)
     if not lines or not lines[0].strip():
         raise MissingHeader(f"{what}: no header line")
-    header = _header_fields(lines[0])
-    if header != expected:
+    found = _header_fields(lines[0])
+    if found != header:
         raise WrongColumnSet(
-            f"{what}: header {','.join(header)!r}, expected {','.join(expected)!r}"
+            f"{what}: header {','.join(found)!r}, expected {','.join(header)!r}"
         )
+    for i, line in enumerate(lines[1:], start=1):
+        if line.strip():
+            yield i, line
 
 
-def _load_numeric_csv(source: IO[bytes] | IO[str] | str | Path,
-                      header: tuple[str, ...], what: str) -> np.ndarray:
+def _load_numeric_csv(path: str | Path, header: tuple[str, ...], what: str) -> np.ndarray:
     """Check the header of a numeric CSV and parse its data rows into an
     (n, len(header)) array.
 
-    A path whose header matches and whose bytes pass ``_numpy_reads_like_float``
+    A file whose header matches and whose bytes pass ``_numpy_reads_like_float``
     is parsed by ``np.loadtxt`` from the path, in numpy's own chunks. Every
-    other source, and a file numpy rejects, warns about, shapes differently
-    or reads as non-finite, is read into lines and goes through
-    ``_parse_header`` and ``_parse_row_by_row``, which raise the errors.
+    other file, and one numpy rejects, warns about, shapes differently or
+    reads as non-finite, is parsed one ``float`` at a time, which raises the
+    errors: row numbers are 1-based data-row indices (blank rows count), and
+    a non-finite value is reported only when every row parses.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
         NonNumericValue, NonFiniteValue
     """
-    if isinstance(source, (str, Path)) and _numpy_reads_like_float(source, header):
-        data = _loadtxt(source, len(header))
+    n_cols = len(header)
+    if _numpy_reads_like_float(path, header):
+        data = _loadtxt(path, n_cols)
         if data is not None:
             return data
-    lines = _read_lines(source)
-    _parse_header(lines, header, what)
-    return _parse_row_by_row(lines, len(header), what)
+    rows: list[list[float]] = []
+    first_non_finite: tuple[int, str] | None = None
+    for i, line in _data_rows(path, header, what):
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise InconsistentRowLength(i, f"{what}: row {i} has {len(fields)} fields, expected {n_cols}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}") from None
+        if first_non_finite is None and not all(map(math.isfinite, row)):
+            first_non_finite = i, line
+        rows.append(row)
+    if first_non_finite is not None:
+        i, line = first_non_finite
+        raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {line!r}")
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), n_cols)
 
 
 def _numpy_reads_like_float(path: str | Path, header: tuple[str, ...]) -> bool:
-    """Whether numpy's parse of the file at ``path`` can only agree with
-    ``_parse_row_by_row``'s: the first line is ``header``, and every byte is
-    ASCII (so valid UTF-8 without a BOM, where numpy and ``float`` follow
-    the same rules) outside ``\\x1c``-``\\x1f``.
+    """Whether numpy's parse of the file at ``path`` can only agree with the
+    ``float`` parse: the first line is ``header``, and every byte is ASCII
+    (so valid UTF-8 without a BOM, where numpy and ``float`` follow the same
+    rules) outside ``\\x1c``-``\\x1f``.
 
     Reads the file once, ``_SCAN_BLOCK_BYTES`` at a time.
     """
@@ -184,7 +205,7 @@ def _loadtxt(path: str | Path, n_cols: int) -> np.ndarray | None:
     """numpy's parse of the data rows of the file at ``path`` as an
     (n, n_cols) array of finite values, or None when numpy raises, warns,
     or reads another shape or a non-finite value: the cases
-    ``_parse_row_by_row`` decides."""
+    the ``float`` parse decides."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -194,34 +215,6 @@ def _loadtxt(path: str | Path, n_cols: int) -> np.ndarray | None:
         return None
     if data.shape[1] != n_cols or not np.isfinite(data).all():
         return None
-    return data
-
-
-def _parse_row_by_row(lines: list[str], n_cols: int, what: str) -> np.ndarray:
-    """Parse the data rows (everything after the header) into an
-    (n, n_cols) array, one ``float`` at a time; blank rows are skipped.
-    Row numbers in errors are 1-based data-row indices.
-
-    Raises:
-        InconsistentRowLength, NonNumericValue, NonFiniteValue
-    """
-    rows: list[list[float]] = []
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != n_cols:
-            raise InconsistentRowLength(i, f"{what}: row {i} has {len(fields)} fields, expected {n_cols}")
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}") from None
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), n_cols)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # map the first bad array row back to its data-row number (blank lines skipped)
-        i = [i for i, line in enumerate(lines[1:], start=1) if line.strip()][int(np.argmin(finite))]
-        raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {lines[i]!r}")
     return data
 
 
@@ -254,7 +247,7 @@ def _sample_rate(t: np.ndarray, what: str) -> float:
     return 1.0 / median_step
 
 
-def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
+def load_eeg_csv(source: str | Path) -> EegRecording:
     """Parse an EEG CSV into a 4-channel recording.
 
     Row order defines sample order. The sample rate is inferred from the
@@ -278,7 +271,7 @@ def load_eeg_csv(source: IO[bytes] | IO[str] | str | Path) -> EegRecording:
     )
 
 
-def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelemetry:
+def load_telemetry_csv(source: str | Path) -> VehicleTelemetry:
     """Parse a telemetry CSV, inferring the sample rate from the time column.
 
     The rate is the reciprocal of the median time step; every step must
@@ -300,19 +293,15 @@ def load_telemetry_csv(source: IO[bytes] | IO[str] | str | Path) -> VehicleTelem
     )
 
 
-def load_ord_csv(source: IO[bytes] | IO[str] | str | Path) -> OrdLabelTrack:
+def load_ord_csv(source: str | Path) -> OrdLabelTrack:
     """Parse a labels CSV into an observer-rating track.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, GapInIntervals,
-        InvalidRating, MissingRater
+        InvalidRating, MissingRater, InconsistentRowLength
     """
-    lines = _read_lines(source)
-    _parse_header(lines, LABELS_HEADER, "labels CSV")
     intervals: list[OrdInterval] = []
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
+    for i, line in _data_rows(source, LABELS_HEADER, "labels CSV"):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < len(LABELS_HEADER) or any(f == "" for f in fields[1:]):
             raise MissingRater(f"labels CSV: row {i} does not carry three ratings: {line!r}")
@@ -340,17 +329,12 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
-        DuplicateSessionId, UnsafeSessionId
+        DuplicateSessionId, UnsafeSessionId, EmptyFile
     """
-    path = Path(path)
-    lines = _read_lines(path)
-    _parse_header(lines, MANIFEST_HEADER, "manifest")
-    base = path.parent
+    base = Path(path).parent
     entries: list[SessionManifest] = []
     first_row: dict[str, int] = {}
-    for i, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
+    for i, line in _data_rows(path, MANIFEST_HEADER, "manifest"):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != len(MANIFEST_HEADER):
             raise InconsistentRowLength(i, f"manifest: row {i} has {len(fields)} fields")
@@ -371,6 +355,8 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
             telemetry_path=(base / tel_p) if tel_p else None,
             labels_path=base / lab_p,
         ))
+    if not entries:
+        raise EmptyFile("manifest: no session rows")
     return entries
 
 
@@ -386,31 +372,20 @@ def load_session(manifest: SessionManifest) -> Session:
 
 # ---- writers -------------------------------------------------------------
 
-def _open_out(dest: IO[str] | str | Path):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline=""), True
-    return dest, False
-
-
-def _write_lines(dest: IO[str] | str | Path, header: Iterable[str],
-                 lines: Iterable[str]) -> None:
-    f, close = _open_out(dest)
-    try:
+def _write_lines(dest: str | Path, header: Iterable[str], lines: Iterable[str]) -> None:
+    with open(dest, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         f.writelines(lines)
-    finally:
-        if close:
-            f.close()
 
 
-def write_rows(dest: IO[str] | str | Path, header: Iterable[str],
+def write_rows(dest: str | Path, header: Iterable[str],
                rows: Iterable[Iterable[object]]) -> None:
     """Write a header line, then one line of ``str`` of each cell per row,
     comma-separated; a float's ``str`` is its shortest round-trip form."""
     _write_lines(dest, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _write_timed_columns(dest: IO[str] | str | Path, header: Iterable[str],
+def _write_timed_columns(dest: str | Path, header: Iterable[str],
                          start_time_s: float, sample_rate_hz: float,
                          columns: Iterable[np.ndarray]) -> None:
     """Write one row per sample k: ``start_time_s + k / sample_rate_hz``, then
@@ -433,24 +408,24 @@ def _write_timed_columns(dest: IO[str] | str | Path, header: Iterable[str],
     _write_lines(dest, header, blocks())
 
 
-def write_eeg_csv(recording: EegRecording, dest: IO[str] | str | Path) -> None:
+def write_eeg_csv(recording: EegRecording, dest: str | Path) -> None:
     """Write a recording in the EEG CSV format (exact round-trip)."""
     _write_timed_columns(dest, EEG_HEADER, recording.start_time_s,
                          recording.sample_rate_hz, recording.channels)
 
 
-def write_telemetry_csv(telemetry: VehicleTelemetry, dest: IO[str] | str | Path) -> None:
+def write_telemetry_csv(telemetry: VehicleTelemetry, dest: str | Path) -> None:
     """Write telemetry in the telemetry CSV format (exact round-trip)."""
     _write_timed_columns(dest, TELEMETRY_HEADER, telemetry.start_time_s,
                          telemetry.sample_rate_hz, telemetry.series)
 
 
-def write_ord_csv(track: OrdLabelTrack, dest: IO[str] | str | Path) -> None:
+def write_ord_csv(track: OrdLabelTrack, dest: str | Path) -> None:
     """Write a label track in the labels CSV format."""
     write_rows(dest, LABELS_HEADER, ((iv.index, *iv.ratings) for iv in track.intervals))
 
 
-def write_manifest(entries: Iterable[SessionManifest], dest: IO[str] | str | Path,
+def write_manifest(entries: Iterable[SessionManifest], dest: str | Path,
                    relative_to: str | Path) -> None:
     """Write a cohort manifest with paths relative to a directory."""
     def rel(p: Path | None) -> str:

@@ -76,22 +76,12 @@ class EpochSet:
 
 @dataclass(frozen=True)
 class DenoiseSummary:
-    """Pre/post epoch counts split by state, with the removal fraction."""
+    """Pre/post epoch counts split by state."""
 
     pre_alert: int
     pre_drowsy: int
     post_alert: int
     post_drowsy: int
-    removal_fraction: float
-
-    @classmethod
-    def from_counts(cls, pre_alert: int, pre_drowsy: int,
-                    post_alert: int, post_drowsy: int) -> "DenoiseSummary":
-        pre_total = pre_alert + pre_drowsy
-        fraction = 0.0
-        if pre_total > 0:
-            fraction = 1.0 - (post_alert + post_drowsy) / pre_total
-        return cls(pre_alert, pre_drowsy, post_alert, post_drowsy, fraction)
 
     @property
     def pre_total(self) -> int:
@@ -102,13 +92,20 @@ class DenoiseSummary:
         return self.post_alert + self.post_drowsy
 
     @property
+    def removal_fraction(self) -> float:
+        """The share of epochs denoising removed; 0.0 when there were none."""
+        if self.pre_total == 0:
+            return 0.0
+        return 1.0 - self.post_total / self.pre_total
+
+    @property
     def removal_percent(self) -> float:
         """Removal fraction as a percentage, rounded half-up to 2 decimals."""
         return float(Decimal(repr(self.removal_fraction * 100.0))
                      .quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
     def combine(self, other: "DenoiseSummary") -> "DenoiseSummary":
-        return DenoiseSummary.from_counts(
+        return DenoiseSummary(
             self.pre_alert + other.pre_alert,
             self.pre_drowsy + other.pre_drowsy,
             self.post_alert + other.post_alert,
@@ -272,5 +269,5 @@ def denoise_summary(pre: Epochs, post: EpochSet) -> DenoiseSummary:
     """Tabulate pre/post denoising epoch counts by state."""
     pre_alert = int(np.count_nonzero(pre.state == BinaryState.ALERT))
     post_alert = int(np.count_nonzero(post.epochs.state == BinaryState.ALERT))
-    return DenoiseSummary.from_counts(pre_alert, len(pre) - pre_alert,
-                                      post_alert, len(post.epochs) - post_alert)
+    return DenoiseSummary(pre_alert, len(pre) - pre_alert,
+                          post_alert, len(post.epochs) - post_alert)

@@ -29,7 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -244,13 +244,9 @@ def _overlay(section: str, base: dict[str, float], raw: object) -> dict[str, flo
     return base
 
 
-def load_synth_spec(source: IO[str] | str | Path) -> SynthSpec:
-    """Load a spec from a JSON file or stream."""
-    if isinstance(source, (str, Path)):
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    else:
-        data = json.load(source)
-    return SynthSpec.from_json_dict(data)
+def load_synth_spec(source: str | Path) -> SynthSpec:
+    """Load a spec from a JSON file."""
+    return SynthSpec.from_json_dict(json.loads(Path(source).read_text(encoding="utf-8")))
 
 
 def target_band_power_uv2(amplitude_uv: float) -> float:

@@ -33,7 +33,7 @@ CONFIG = RunConfig()
 
 
 def test_criterion_1_reference_denoise_arithmetic():
-    summary = DenoiseSummary.from_counts(1058, 2986, 998, 2814)
+    summary = DenoiseSummary(1058, 2986, 998, 2814)
     assert summary.pre_total == 4044
     assert summary.post_total == 3812
     percent = summary.removal_fraction * 100.0

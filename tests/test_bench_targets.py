@@ -6,6 +6,7 @@ program's functions and commands. A refactor that removes, renames or
 breaks one of them fails here, not in a benchmark run.
 """
 
+import contextlib
 import importlib
 import sys
 from pathlib import Path
@@ -39,8 +40,20 @@ def test_tracer_patches_every_target(monkeypatch):
     assert all(_original(*key) is func for key, func in originals.items())
 
 
+@contextlib.contextmanager
+def _installed(tracer, run_id):
+    tracer.run_id = run_id
+    tracer.install()
+    try:
+        yield
+    finally:
+        tracer.uninstall()
+
+
 def test_every_workload_runs_clean(monkeypatch, tmp_path):
-    # two untraced operations per workload, as a benchmark run makes them
+    # two untraced operations per workload, then a traced set-up and operation
+    # whose per-layer values feed the checks, as benchmark runs make them
+    spans = _benchmark_module(monkeypatch, "spans")
     workloads = _benchmark_module(monkeypatch, "workloads")
     for name, workload_class in workloads.WORKLOADS.items():
         workload = workload_class()
@@ -50,3 +63,13 @@ def test_every_workload_runs_clean(monkeypatch, tmp_path):
         for _ in range(2):
             out = workload.op(inputs)
             assert workload.check(inputs, out, None) == [], name
+
+        tracer = spans.Tracer()
+        work = tmp_path / f"{name}-traced"
+        work.mkdir()
+        with _installed(tracer, "setup"):
+            inputs = workload.prepare(1, work)
+        with _installed(tracer, "op"):
+            out = workload.op(inputs)
+        layers = spans.layer_metrics(tracer, {"setup", "op"})
+        assert workload.check(inputs, out, layers) == [], f"{name} traced"

@@ -562,13 +562,19 @@ def test_path_like_session_id_exits_2(tmp_path, capsys, one_session_files, comma
     assert [p.name for p in tmp_path.rglob("*")] == ["manifest.csv"]
 
 
-def test_analyze_empty_manifest_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "analyze", "features"])
+def test_empty_manifest_exits_2(tmp_path, capsys, command):
+    # a header and no session rows is a bad manifest to every command
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("session_id,eeg_path,telemetry_path,labels_path\n")
-    code = cli.main(["analyze", "--manifest", str(manifest),
-                     "--out", str(tmp_path / "r")])
-    assert code == 1
-    assert "cohort is empty" in capsys.readouterr().err
+    manifest.write_text("session_id,eeg_path,telemetry_path,labels_path\n\n")
+    argv = [command, "--manifest", str(manifest)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "manifest: no session rows" in captured.err
+    assert [p.name for p in tmp_path.rglob("*")] == ["manifest.csv"]
 
 
 def test_cli_commands_load_no_scipy(tmp_path):

@@ -1,4 +1,4 @@
-import io
+import contextlib
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -34,31 +34,47 @@ from drowsekit.session import (
 )
 
 
-def _eeg_csv(n_rows, header="t,TP9,AF7,AF8,TP10"):
+def _csv(tmp_path, text):
+    """A file holding ``text`` (``str`` as UTF-8, or ``bytes``) as written."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def _float_route():
+    """Turn numpy's route off, so numeric files go through the ``float`` parse."""
+    return mock.patch.object(ingest, "_numpy_reads_like_float", return_value=False)
+
+
+# numpy's route where the scan lets it, then the ``float`` route alone
+ROUTES = (contextlib.nullcontext, _float_route)
+
+
+def _eeg_csv(tmp_path, n_rows, header="t,TP9,AF7,AF8,TP10"):
     lines = [header]
     for k in range(n_rows):
         lines.append(f"{k / 256.0!r},{1.0 * k!r},{2.0!r},{3.0!r},{4.0!r}")
-    return io.StringIO("\n".join(lines) + "\n")
+    return _csv(tmp_path, "\n".join(lines) + "\n")
 
 
-def test_load_eeg_full_epoch_count():
-    rec = ingest.load_eeg_csv(_eeg_csv(7680))
+def test_load_eeg_full_epoch_count(tmp_path):
+    rec = ingest.load_eeg_csv(_eeg_csv(tmp_path, 7680))
     assert rec.n_samples == 7680
     assert rec.sample_rate_hz == 256.0
     assert len(rec.channels) == 4
 
 
-def test_load_eeg_single_row():
+def test_load_eeg_single_row(tmp_path):
     # one row must still load as (1, 5), not as a flat 5-vector
-    rec = ingest.load_eeg_csv(_eeg_csv(1))
+    rec = ingest.load_eeg_csv(_eeg_csv(tmp_path, 1))
     assert rec.n_samples == 1
     assert [c.tolist() for c in rec.channels] == [[0.0], [2.0], [3.0], [4.0]]
     assert rec.start_time_s == 0.0
 
 
-def _eeg_csv_at(times):
+def _eeg_csv_at(tmp_path, times):
     lines = ["t,TP9,AF7,AF8,TP10"] + [f"{t!r},1.0,2.0,3.0,4.0" for t in times]
-    return io.StringIO("\n".join(lines) + "\n")
+    return _csv(tmp_path, "\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("start, step, rate", [
@@ -68,8 +84,8 @@ def _eeg_csv_at(times):
     (0.0, 1 / 128, 128.0),
     (0.0, 1 / 512, 512.0),
 ])
-def test_load_eeg_infers_rate(start, step, rate):
-    rec = ingest.load_eeg_csv(_eeg_csv_at([start + k * step for k in range(100)]))
+def test_load_eeg_infers_rate(start, step, rate, tmp_path):
+    rec = ingest.load_eeg_csv(_eeg_csv_at(tmp_path, [start + k * step for k in range(100)]))
     assert rec.sample_rate_hz == rate
 
 
@@ -81,77 +97,71 @@ def test_load_eeg_infers_rate(start, step, rate):
     [-1e308, 1e308],
     [0.0, 5e-324, 1e-323],
 ])
-def test_load_eeg_rejects_bad_time_steps(times):
+def test_load_eeg_rejects_bad_time_steps(times, tmp_path):
     with pytest.raises(NonUniformTimestep):
-        ingest.load_eeg_csv(_eeg_csv_at(times))
+        ingest.load_eeg_csv(_eeg_csv_at(tmp_path, times))
 
 
-def test_load_eeg_preserves_row_order():
-    rec = ingest.load_eeg_csv(_eeg_csv(100))
+def test_load_eeg_preserves_row_order(tmp_path):
+    rec = ingest.load_eeg_csv(_eeg_csv(tmp_path, 100))
     np.testing.assert_array_equal(rec.channels[0], np.arange(100, dtype=float))
 
 
-def test_load_eeg_missing_column():
+def test_load_eeg_missing_column(tmp_path):
     with pytest.raises(WrongColumnSet):
-        ingest.load_eeg_csv(_eeg_csv(10, header="t,TP9,AF7,TP10"))
+        ingest.load_eeg_csv(_eeg_csv(tmp_path, 10, header="t,TP9,AF7,TP10"))
 
 
-def test_load_eeg_missing_header():
+def test_load_eeg_missing_header(tmp_path):
     with pytest.raises(MissingHeader):
-        ingest.load_eeg_csv(io.StringIO(""))
+        ingest.load_eeg_csv(_csv(tmp_path, ""))
 
 
-def test_load_eeg_non_numeric_row_index():
+def test_load_eeg_non_numeric_row_index(tmp_path):
     lines = ["t,TP9,AF7,AF8,TP10"]
     for k in range(1, 11):
         v = "abc" if k == 5 else "1.0"
         lines.append(f"0.0,{v},2.0,3.0,4.0")
     with pytest.raises(NonNumericValue) as err:
-        ingest.load_eeg_csv(io.StringIO("\n".join(lines)))
+        ingest.load_eeg_csv(_csv(tmp_path, "\n".join(lines)))
     assert err.value.row == 5
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
-def test_load_eeg_non_finite_row_index(token):
+def test_load_eeg_non_finite_row_index(token, tmp_path):
     lines = ["t,TP9,AF7,AF8,TP10"]
     for k in range(1, 11):
         # a blank data row still counts, as it does for NonNumericValue
         lines.append("" if k == 3 else f"0.0,1.0,{token if k == 7 else '2.0'},3.0,4.0")
     with pytest.raises(NonFiniteValue) as err:
-        ingest.load_eeg_csv(io.StringIO("\n".join(lines)))
+        ingest.load_eeg_csv(_csv(tmp_path, "\n".join(lines)))
     assert err.value.row == 7
 
 
-def test_load_eeg_inconsistent_row():
+def test_load_eeg_inconsistent_row(tmp_path):
     text = "t,TP9,AF7,AF8,TP10\n0.0,1.0,2.0,3.0,4.0\n0.1,1.0,2.0\n"
     with pytest.raises(InconsistentRowLength) as err:
-        ingest.load_eeg_csv(io.StringIO(text))
+        ingest.load_eeg_csv(_csv(tmp_path, text))
     assert err.value.row == 2
 
 
-def test_load_eeg_accepts_bytes():
-    raw = _eeg_csv(3).getvalue().encode("utf-8")
-    rec = ingest.load_eeg_csv(io.BytesIO(raw))
-    assert rec.n_samples == 3
-
-
-def _telemetry_csv(times, value=0.5):
+def _telemetry_csv(tmp_path, times, value=0.5):
     lines = ["t,steer_angle,steer_speed,lane_deviation,torque"]
     for t in times:
         lines.append(f"{t!r},{value!r},{value!r},{value!r},{value!r}")
-    return io.StringIO("\n".join(lines) + "\n")
+    return _csv(tmp_path, "\n".join(lines) + "\n")
 
 
-def test_load_telemetry_infers_rate():
-    tel = ingest.load_telemetry_csv(_telemetry_csv([k * 0.02 for k in range(100)]))
+def test_load_telemetry_infers_rate(tmp_path):
+    tel = ingest.load_telemetry_csv(_telemetry_csv(tmp_path, [k * 0.02 for k in range(100)]))
     assert tel.sample_rate_hz == pytest.approx(50.0)
     assert tel.n_samples == 100
 
 
-def test_load_telemetry_rejects_gap():
+def test_load_telemetry_rejects_gap(tmp_path):
     times = [0.0, 0.02, 0.04, 0.24, 0.26]
     with pytest.raises(NonUniformTimestep):
-        ingest.load_telemetry_csv(_telemetry_csv(times))
+        ingest.load_telemetry_csv(_telemetry_csv(tmp_path, times))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -161,84 +171,82 @@ def test_load_telemetry_rejects_gap():
     [-1.7e308, -0.2e308, 1.3e308],  # finite steps, their mean (the median) overflows
     [0.0, 5e-324, 1e-323],          # the rate 1 / 5e-324 overflows
 ])
-def test_load_telemetry_overflowing_steps(times):
+def test_load_telemetry_overflowing_steps(times, tmp_path):
     # the first case used to load with sample_rate_hz 0.0 and two RuntimeWarnings
     with pytest.raises(NonUniformTimestep):
-        ingest.load_telemetry_csv(_telemetry_csv(times))
+        ingest.load_telemetry_csv(_telemetry_csv(tmp_path, times))
 
 
-def test_load_telemetry_nan_timestamp():
+def test_load_telemetry_nan_timestamp(tmp_path):
     # a NaN time used to load as sample_rate_hz = nan and pass validation
     with pytest.raises(NonFiniteValue) as err:
-        ingest.load_telemetry_csv(_telemetry_csv([0.0, 0.02, float("nan"), 0.06]))
+        ingest.load_telemetry_csv(_telemetry_csv(tmp_path, [0.0, 0.02, float("nan"), 0.06]))
     assert err.value.row == 3
 
 
-def test_load_telemetry_empty_body():
+def test_load_telemetry_empty_body(tmp_path):
     with pytest.raises(EmptyFile):
-        ingest.load_telemetry_csv(_telemetry_csv([]))
+        ingest.load_telemetry_csv(_telemetry_csv(tmp_path, []))
 
 
 @pytest.mark.parametrize("loader", [ingest.load_eeg_csv, ingest.load_telemetry_csv,
                                     ingest.load_ord_csv])
-def test_load_invalid_utf8(loader):
+def test_load_invalid_utf8(loader, tmp_path):
     with pytest.raises(InvalidEncoding):
-        loader(io.BytesIO(b"t,TP9\n\xff\xfe\n"))
+        loader(_csv(tmp_path, b"t,TP9\n\xff\xfe\n"))
 
 
-def _labels_csv(rows):
+def _labels_csv(tmp_path, rows):
     lines = ["interval,rater1,rater2,rater3"]
     lines += [",".join(str(v) for v in row) for row in rows]
-    return io.StringIO("\n".join(lines) + "\n")
+    return _csv(tmp_path, "\n".join(lines) + "\n")
 
 
-def test_load_ord_two_intervals():
-    track = ingest.load_ord_csv(_labels_csv([(0, 1, 1, 2), (1, 2, 3, 3)]))
+def test_load_ord_two_intervals(tmp_path):
+    track = ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 1, 2), (1, 2, 3, 3)]))
     assert len(track) == 2
     assert track.intervals[1].ratings == (2, 3, 3)
 
 
-def test_load_ord_gap():
+def test_load_ord_gap(tmp_path):
     with pytest.raises(GapInIntervals):
-        ingest.load_ord_csv(_labels_csv([(0, 1, 1, 1), (2, 1, 1, 1)]))
+        ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 1, 1), (2, 1, 1, 1)]))
 
 
-def test_load_ord_invalid_rating():
+def test_load_ord_invalid_rating(tmp_path):
     with pytest.raises(InvalidRating):
-        ingest.load_ord_csv(_labels_csv([(0, 1, 6, 1)]))
+        ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 6, 1)]))
 
 
-def test_load_ord_missing_rater():
+def test_load_ord_missing_rater(tmp_path):
     text = "interval,rater1,rater2,rater3\n0,1,1\n"
     with pytest.raises(MissingRater):
-        ingest.load_ord_csv(io.StringIO(text))
+        ingest.load_ord_csv(_csv(tmp_path, text))
 
 
-def test_load_ord_empty_rater_cell():
+def test_load_ord_empty_rater_cell(tmp_path):
     text = "interval,rater1,rater2,rater3\n0,1,,1\n"
     with pytest.raises(MissingRater):
-        ingest.load_ord_csv(io.StringIO(text))
+        ingest.load_ord_csv(_csv(tmp_path, text))
 
 
 # ---- round trips -----------------------------------------------------------
 
-def test_eeg_round_trip_exact(rng):
+def test_eeg_round_trip_exact(rng, tmp_path):
     rec = make_eeg_recording(rng.normal(0, 37.5, (4, 2000)), start_time_s=0.0)
-    buf = io.StringIO()
-    ingest.write_eeg_csv(rec, buf)
-    buf.seek(0)
-    back = ingest.load_eeg_csv(buf)
+    path = tmp_path / "eeg.csv"
+    ingest.write_eeg_csv(rec, path)
+    back = ingest.load_eeg_csv(path)
     for a, b in zip(rec.channels, back.channels):
         np.testing.assert_array_equal(a, b)
     assert back.start_time_s == rec.start_time_s
 
 
-def test_telemetry_round_trip_exact(rng):
+def test_telemetry_round_trip_exact(rng, tmp_path):
     tel = make_telemetry(rng.normal(0, 2.0, (4, 500)), sample_rate_hz=50.0)
-    buf = io.StringIO()
-    ingest.write_telemetry_csv(tel, buf)
-    buf.seek(0)
-    back = ingest.load_telemetry_csv(buf)
+    path = tmp_path / "telemetry.csv"
+    ingest.write_telemetry_csv(tel, path)
+    back = ingest.load_telemetry_csv(path)
     assert back.sample_rate_hz == pytest.approx(tel.sample_rate_hz, rel=1e-12)
     for a, b in zip(tel.series, back.series):
         np.testing.assert_array_equal(a, b)
@@ -270,9 +278,6 @@ def test_float_writers_match_per_cell_output(writer, loader, header, min_rows, r
     t = start + np.arange(n) / rate
     expected = write_rows_per_cell(header, zip(t.tolist(), *columns.tolist())).encode("utf-8")
 
-    buf = io.StringIO()
-    writer(rec, buf)
-    assert buf.getvalue().encode("utf-8") == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
         writer(rec, path)
@@ -284,13 +289,12 @@ def test_float_writers_match_per_cell_output(writer, loader, header, min_rows, r
     assert back.start_time_s == t[0]
 
 
-def test_labels_round_trip():
+def test_labels_round_trip(tmp_path):
     track = OrdLabelTrack(intervals=tuple(
         OrdInterval(index=k, ratings=(1 + k % 5, 1, 5)) for k in range(7)))
-    buf = io.StringIO()
-    ingest.write_ord_csv(track, buf)
-    buf.seek(0)
-    assert ingest.load_ord_csv(buf) == track
+    path = tmp_path / "labels.csv"
+    ingest.write_ord_csv(track, path)
+    assert ingest.load_ord_csv(path) == track
 
 
 def test_manifest_round_trip(tmp_path):
@@ -343,21 +347,16 @@ def test_loaders_raise_only_toolkit_errors(kind, tmp_path_factory):
     @settings(max_examples=200, deadline=None)
     @given(body=_FUZZ_BODY, with_header=st.booleans())
     def check(body, with_header):
-        data = (",".join(header) + "\n").encode() + body if with_header else body
-        if loader is ingest.load_manifest:  # the only loader that takes a path
-            path.write_bytes(data)
-            source = path
-        else:
-            source = io.BytesIO(data)
+        path.write_bytes((",".join(header) + "\n").encode() + body if with_header else body)
         try:
-            loader(source)
+            loader(path)
         except DrowsekitError:
             pass
 
     check()
 
 
-# ---- cells and line ends the two parsers must read alike ----------------------
+# ---- cells and line ends the two routes must read alike -----------------------
 
 # cells float() and numpy read alike, read differently, or reject
 _ODD_CELLS = ["1_0", "+3", ".5", "5.", "0x1", "1e400", "-1e400", "nan", "inf", "-inf",
@@ -375,57 +374,54 @@ _LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "
                              "\u2028", "\u2029"])
 
 
-def _stream_and_path(tmp_path, text):
-    """``text`` as a stream, which ``float`` parses, and as a file, which
-    numpy parses unless the scan or numpy turns it down."""
-    path = tmp_path / "eeg.csv"
-    path.write_bytes(text.encode())
-    return [io.StringIO(text), path]
-
-
 def test_load_eeg_cells_numpy_and_float_read_differently(tmp_path):
     # float() accepts underscores, numpy does not; numpy strips \x1f, float() does not
-    for source in _stream_and_path(tmp_path, "t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n"):
-        assert ingest.load_eeg_csv(source).channels[0].tolist() == [10.0]
+    path = _csv(tmp_path, "t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n")
+    for route in ROUTES:
+        with route():
+            assert ingest.load_eeg_csv(path).channels[0].tolist() == [10.0]
     for cell in ("1\x1f", "\x1f1"):
-        for source in _stream_and_path(tmp_path, f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n"):
-            with pytest.raises(NonNumericValue) as err:
-                ingest.load_eeg_csv(source)
+        path = _csv(tmp_path, f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n")
+        for route in ROUTES:
+            with route(), pytest.raises(NonNumericValue) as err:
+                ingest.load_eeg_csv(path)
             assert err.value.row == 2
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"])
-def test_only_line_ends_end_a_row(sep):
+def test_only_line_ends_end_a_row(sep, tmp_path):
     # str.splitlines would break row 1 in two and report InconsistentRowLength at row 1
     body = f"0.0,1.0{sep},2.0,3.0,4.0\n0.1,1,2,3,4\n0.2,oops,2,3,4\n"
-    with pytest.raises(NonNumericValue) as err:
-        ingest.load_eeg_csv(io.StringIO("t,TP9,AF7,AF8,TP10\n" + body))
-    assert err.value.row == 3
+    path = _csv(tmp_path, "t,TP9,AF7,AF8,TP10\n" + body)
+    for route in ROUTES:
+        with route(), pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(path)
+        assert err.value.row == 3
 
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e"])
 def test_load_eeg_cells_only_numpy_reads(sep, tmp_path):
     # numpy strips these next to a number, float() does not
-    for source in _stream_and_path(tmp_path, f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n"):
-        with pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(source)
+    path = _csv(tmp_path, f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n")
+    for route in ROUTES:
+        with route(), pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(path)
         assert err.value.row == 1
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_stream_and_path_line_ends_agree(tmp_path, end):
-    text = end.join(["t,TP9,AF7,AF8,TP10", "0.0,1,2,3,4", "", "0.1,oops,2,3,4", ""])
-    path = tmp_path / "eeg.csv"
-    path.write_bytes(text.encode())
+    # both routes read \r\n and \r as \n
+    path = _csv(tmp_path, end.join(["t,TP9,AF7,AF8,TP10", "0.0,1,2,3,4", "", "0.1,oops,2,3,4", ""]))
     rows = []
-    for source in (path, io.BytesIO(text.encode()), io.StringIO(text)):
-        with pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(source)
+    for route in ROUTES:
+        with route(), pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(path)
         rows.append(err.value.row)
-    assert rows == [3, 3, 3]
+    assert rows == [3, 3]
 
 
-# ---- path loads against stream loads ------------------------------------------
+# ---- numpy's route against the float route -------------------------------------
 
 # files of good rows after a uniform time cell, with at most two odd rows or
 # raw lines and two spliced byte strings: what the scan before numpy's path
@@ -449,15 +445,16 @@ _SPLICE = st.tuples(
 
 @pytest.mark.parametrize("kind, step", [("eeg", 1 / 256), ("telemetry", 0.02)])
 def test_path_and_stream_loads_agree(kind, step, tmp_path_factory):
+    # each file loads as the loader takes it, and with numpy's route off
     loader, header = FUZZ_LOADERS[kind]
     path = tmp_path_factory.mktemp("agree") / "input.csv"
     header_text = ",".join(header)
 
-    def outcome(source):
+    def outcome():
         try:
-            rec = loader(source)
+            rec = loader(path)
         except DrowsekitError as exc:
-            return type(exc), getattr(exc, "row", None)
+            return type(exc), getattr(exc, "row", None), str(exc)
         arrays = rec.channels if kind == "eeg" else rec.series
         return rec.sample_rate_hz, rec.start_time_s, [a.tobytes() for a in arrays]
 
@@ -492,7 +489,9 @@ def test_path_and_stream_loads_agree(kind, step, tmp_path_factory):
             raw = raw[:at] + piece + raw[at:]
         path.write_bytes(raw)
         with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", block):
-            assert outcome(path) == outcome(io.BytesIO(raw))
+            loaded = outcome()
+        with _float_route():
+            assert loaded == outcome()
 
     check()
 

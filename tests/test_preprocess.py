@@ -288,7 +288,7 @@ def test_denoise_summary_identity():
 
 
 def test_reference_removal_percentage():
-    summary = DenoiseSummary.from_counts(1058, 2986, 998, 2814)
+    summary = DenoiseSummary(1058, 2986, 998, 2814)
     assert summary.pre_total == 4044
     assert summary.post_total == 3812
     assert summary.removal_fraction == pytest.approx(232 / 4044)
@@ -296,8 +296,8 @@ def test_reference_removal_percentage():
 
 
 def test_summary_combine():
-    a = DenoiseSummary.from_counts(10, 20, 9, 18)
-    b = DenoiseSummary.from_counts(5, 5, 5, 4)
+    a = DenoiseSummary(10, 20, 9, 18)
+    b = DenoiseSummary(5, 5, 5, 4)
     c = a.combine(b)
     assert (c.pre_alert, c.pre_drowsy, c.post_alert, c.post_drowsy) == (15, 25, 14, 22)
     assert c.removal_fraction == pytest.approx(1 - 36 / 40)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from helpers import band_power, generate_session_direct
@@ -30,14 +28,13 @@ def test_generation_is_deterministic():
     assert s1.labels == s2.labels
 
 
-def test_serialized_sessions_byte_identical():
+def test_serialized_sessions_byte_identical(tmp_path):
     spec = SynthSpec(n_intervals=2)
     outputs = []
     for _ in range(2):
         session = generate_session(spec, seed=7)
-        buf = io.StringIO()
-        ingest.write_eeg_csv(session.eeg, buf)
-        outputs.append(buf.getvalue())
+        ingest.write_eeg_csv(session.eeg, tmp_path / "eeg.csv")
+        outputs.append((tmp_path / "eeg.csv").read_bytes())
     assert outputs[0] == outputs[1]
 
 
