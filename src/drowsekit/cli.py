@@ -18,7 +18,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import ingest
 from .errors import DrowsekitError
@@ -46,9 +46,8 @@ def _cannot_load(manifest_path: Path, exc: Exception) -> int:
     return 2
 
 
-def cmd_validate(manifest_path: Path, out: IO[str] | None = None) -> int:
+def cmd_validate(manifest_path: Path) -> int:
     """List per-session validity; exit 0 only when every session is valid."""
-    out = out if out is not None else sys.stdout
     try:
         entries = ingest.load_manifest(manifest_path)
     except (OSError, DrowsekitError) as exc:
@@ -60,23 +59,21 @@ def cmd_validate(manifest_path: Path, out: IO[str] | None = None) -> int:
             session = ingest.load_session(entry)
         except (OSError, DrowsekitError) as exc:
             code = getattr(exc, "code", type(exc).__name__)
-            out.write(f"{entry.session_id}: LOAD FAILED {code}: {exc}\n")
+            print(f"{entry.session_id}: LOAD FAILED {code}: {exc}")
             failures += 1
             continue
         violations = validate_session(session)
         if violations:
             for v in violations:
-                out.write(f"{entry.session_id}: {v.code}: {v.message}\n")
+                print(f"{entry.session_id}: {v.code}: {v.message}")
             failures += 1
         else:
-            out.write(f"{entry.session_id}: OK\n")
+            print(f"{entry.session_id}: OK")
     return 1 if failures else 0
 
 
-def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig,
-                out: IO[str] | None = None) -> int:
+def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig) -> int:
     """Run the pipeline over a cohort and write all report files."""
-    out = out if out is not None else sys.stdout
     try:
         entries = ingest.load_manifest(manifest_path)
     except (OSError, DrowsekitError) as exc:
@@ -97,17 +94,15 @@ def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig,
     n_sig = sum(row["significant"]
                 for key in ("eeg_absolute", "eeg_relative", "vehicle")
                 for row in report[key])
-    out.write(f"analyzed {report['n_sessions']} session(s); "
-              f"{n_sig} significant feature(s) at alpha={config.alpha:g}\n")
+    print(f"analyzed {report['n_sessions']} session(s); "
+          f"{n_sig} significant feature(s) at alpha={config.alpha:g}")
     for p in paths:
-        out.write(f"wrote {p}\n")
+        print(f"wrote {p}")
     return 0
 
 
-def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
-                 out: IO[str] | None = None) -> int:
+def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig) -> int:
     """Dump per-session EEG and vehicle feature matrices as CSV."""
-    out = out if out is not None else sys.stdout
     try:
         entries = ingest.load_manifest(manifest_path)
     except (OSError, DrowsekitError) as exc:
@@ -121,7 +116,7 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
                 if matrix is not None:
                     path = out_dir / f"{session.id}_{kind}_features.csv"
                     write_features(matrix, path)
-                    out.write(f"wrote {path}\n")
+                    print(f"wrote {path}")
     except _LoadFailed as exc:
         return _cannot_load(manifest_path, exc)
     except (DrowsekitError, ValueError) as exc:
@@ -134,10 +129,8 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig,
     return 0
 
 
-def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None,
-              out: IO[str] | None = None) -> int:
+def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None) -> int:
     """Generate a synthetic session and write it in the ingest formats."""
-    out = out if out is not None else sys.stdout
     if seed < 0:  # np.random.default_rng takes non-negative seeds only
         print(f"error: --seed must be non-negative, got {seed}", file=sys.stderr)
         return 2
@@ -169,7 +162,7 @@ def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None,
         return 2
     for p in (eeg_path, telemetry_path, labels_path, manifest_path):
         if p is not None:
-            out.write(f"wrote {p}\n")
+            print(f"wrote {p}")
     return 0
 
 

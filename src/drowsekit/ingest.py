@@ -265,7 +265,7 @@ def load_eeg_csv(source: str | Path) -> EegRecording:
         if abs(rate - EEG_SAMPLE_RATE_HZ) <= TIMESTEP_TOLERANCE * EEG_SAMPLE_RATE_HZ:
             rate = EEG_SAMPLE_RATE_HZ
     return make_eeg_recording(
-        channels=[data[:, k + 1] for k in range(len(EEG_CHANNELS))],
+        channels=data[:, 1:].T,  # a view: the load holds one copy of the values
         sample_rate_hz=rate,
         start_time_s=float(data[0, 0]) if len(data) else 0.0,
     )
@@ -287,7 +287,7 @@ def load_telemetry_csv(source: str | Path) -> VehicleTelemetry:
     if len(data) < 2:
         raise EmptyFile(f"telemetry CSV: {len(data)} data rows, need at least 2 to infer a rate")
     return make_telemetry(
-        series=[data[:, k + 1] for k in range(len(VEHICLE_SERIES))],
+        series=data[:, 1:].T,
         sample_rate_hz=_sample_rate(data[:, 0], "telemetry CSV"),
         start_time_s=float(data[0, 0]),
     )
@@ -387,12 +387,11 @@ def write_rows(dest: str | Path, header: Iterable[str],
 
 def _write_timed_columns(dest: str | Path, header: Iterable[str],
                          start_time_s: float, sample_rate_hz: float,
-                         columns: Iterable[np.ndarray]) -> None:
+                         columns: np.ndarray) -> None:
     """Write one row per sample k: ``start_time_s + k / sample_rate_hz``, then
-    the k-th value of each column, for as many samples as the shortest
-    column holds, ``_WRITE_BLOCK_ROWS`` rows at a time."""
-    columns = [np.asarray(c) for c in columns]
-    n = min((len(c) for c in columns), default=0)
+    column k of the ``(columns, samples)`` array, ``_WRITE_BLOCK_ROWS`` rows
+    at a time."""
+    n = columns.shape[1]
     # %r of a Python float is its shortest exact round-trip form; one row
     # template over a block's tolist() columns formats a row in one call
     template = ",".join(["%r"] * (len(columns) + 1)) + "\n"
@@ -402,7 +401,7 @@ def _write_timed_columns(dest: str | Path, header: Iterable[str],
             hi = min(lo + _WRITE_BLOCK_ROWS, n)
             # bit for bit the [lo:hi] slice of start_time_s + np.arange(n) / sample_rate_hz
             t = start_time_s + np.arange(lo, hi) / sample_rate_hz
-            rows = zip(t.tolist(), *[c[lo:hi].tolist() for c in columns])
+            rows = zip(t.tolist(), *columns[:, lo:hi].tolist())
             yield "".join([template % row for row in rows])
 
     _write_lines(dest, header, blocks())

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__, ingest, preprocess, spectral, stats, vehicle
+from . import __version__, ingest, preprocess, session, spectral, stats
 from .features import FeatureMatrix
 from .preprocess import DenoiseSummary, denoise_epochs, denoise_summary, epoch_signal, filter_epoch
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
@@ -64,7 +64,7 @@ class RunConfig:
         constants = {
             "version": __version__,
             "numpy_version": np.__version__,
-            "min_coverage": vehicle.MIN_COVERAGE,
+            "min_coverage": session.MIN_COVERAGE,
             "exact_path_max_min_n": stats.EXACT_PATH_MAX_MIN_N,
             "bands": [[b.name, b.lo_hz, b.hi_hz] for b in spectral.BANDS],
         }
@@ -130,18 +130,15 @@ def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
     abs_matrix = eeg_all.select([n for n in names if n.endswith("_abs")])
     rel_matrix = eeg_all.select([n for n in names if n.endswith("_rel")])
 
-    def report_rows(matrix: FeatureMatrix) -> list[dict]:
-        return [row.to_json_dict() for row in separation_report(matrix, alpha=config.alpha)]
-
-    eeg_abs_rows = report_rows(abs_matrix)
-    eeg_rel_rows = report_rows(rel_matrix)
+    eeg_abs_rows = separation_report(abs_matrix, alpha=config.alpha)
+    eeg_rel_rows = separation_report(rel_matrix, alpha=config.alpha)
 
     vehicle_matrices = [r.vehicle_features for r in results if r.vehicle_features is not None]
     vehicle_rows = []
     if vehicle_matrices:
         vehicle_all = FeatureMatrix.concat(vehicle_matrices)
         if len(vehicle_all):
-            vehicle_rows = report_rows(vehicle_all)
+            vehicle_rows = separation_report(vehicle_all, alpha=config.alpha)
 
     return {
         "cohort": cohort_id,

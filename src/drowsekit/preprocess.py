@@ -136,9 +136,8 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     if skipped:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
     samples = np.empty((len(starts), len(recording.channels), EPOCH_SAMPLES))
-    for c, channel in enumerate(recording.channels):
-        for k, (_, s0) in enumerate(starts):
-            samples[k, c] = channel[s0:s0 + EPOCH_SAMPLES]
+    for k, (_, s0) in enumerate(starts):
+        samples[k] = recording.channels[:, s0:s0 + EPOCH_SAMPLES]
     return Epochs(samples=samples,
                   interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
                   state=np.array([majority_label(iv.ratings) for iv, _ in starts], dtype=object))

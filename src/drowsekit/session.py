@@ -1,8 +1,12 @@
 """Domain model: recordings, telemetry, observer ratings, and sessions.
 
-All types are immutable after construction and safe to share across
-threads. Construction does not enforce semantic invariants; use
+A recording is one ``(channels, samples)`` float64 array, so it cannot be
+ragged; ``make_eeg_recording`` and ``make_telemetry`` build one from
+array-likes. All types are immutable after construction and safe to share
+across threads. Construction checks only that layout; use
 :func:`validate_session` to obtain a machine-readable violation listing.
+``epoch_starts`` and ``interval_slices`` decide which label intervals the
+EEG and the telemetry cover, for validation and the pipeline alike.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ RATING_MAX = 5
 
 VEHICLE_SERIES = ("steer_angle", "steer_speed", "lane_deviation", "torque")
 
+# Minimum fraction of an interval's expected telemetry samples required for its mean.
+MIN_COVERAGE = 0.5
+
 
 class BinaryState(Enum):
     """Two-valued drowsiness state derived from observer ratings."""
@@ -39,43 +46,55 @@ class EegRecording:
     """Multi-channel EEG amplitudes in microvolts.
 
     Attributes:
-        channels: One amplitude array per channel, ordered as
-            ``EEG_CHANNELS``. Kept as separate arrays so malformed
-            (ragged) inputs remain representable for validation.
+        channels: A ``(channels, samples)`` float64 array whose rows follow
+            ``EEG_CHANNELS``; any other value raises ValueError.
         sample_rate_hz: Samples per second; the supported devices record
             at 256 Hz and other rates are flagged by validation.
         start_time_s: Offset of the first sample on the session clock.
     """
 
-    channels: tuple[np.ndarray, ...]
+    channels: np.ndarray
     sample_rate_hz: float = EEG_SAMPLE_RATE_HZ
     start_time_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_rows("channels", self.channels)
+
     @property
     def n_samples(self) -> int:
-        return min((len(c) for c in self.channels), default=0)
+        return self.channels.shape[1]
 
 
 @dataclass(frozen=True)
 class VehicleTelemetry:
-    """Simulator telemetry series, ordered as ``VEHICLE_SERIES``.
+    """Simulator telemetry: a ``(series, samples)`` float64 array whose rows
+    follow ``VEHICLE_SERIES``; any other value raises ValueError.
 
     Units: degrees, degrees/second, meters, newton-meters. The telemetry
     clock is independent of the EEG clock; ``sample_rate_hz`` is whatever
     the simulator exported.
     """
 
-    series: tuple[np.ndarray, ...]
+    series: np.ndarray
     sample_rate_hz: float
     start_time_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_rows("series", self.series)
+
     @property
     def n_samples(self) -> int:
-        return min((len(s) for s in self.series), default=0)
+        return self.series.shape[1]
 
     def timestamps(self) -> np.ndarray:
         """Session-clock timestamp of every sample."""
         return self.start_time_s + np.arange(self.n_samples) / self.sample_rate_hz
+
+
+def _check_rows(name: str, value: object) -> None:
+    if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64):
+        raise ValueError(f"{name} must be a 2-D float64 array, got {type(value).__name__} "
+                         f"{getattr(value, 'shape', '')} {getattr(value, 'dtype', '')}")
 
 
 @dataclass(frozen=True)
@@ -146,21 +165,15 @@ def validate_session(session: Session) -> list[Violation]:
     out: list[Violation] = []
     eeg = session.eeg
 
-    if len(eeg.channels) != len(EEG_CHANNELS):
+    if eeg.channels.shape[0] != len(EEG_CHANNELS):
         out.append(Violation(
             "WrongChannelCount",
-            f"expected {len(EEG_CHANNELS)} EEG channels, got {len(eeg.channels)}",
+            f"expected {len(EEG_CHANNELS)} EEG channels, got {eeg.channels.shape[0]}",
         ))
     if eeg.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
         out.append(Violation(
             "WrongSampleRate",
             f"EEG sample rate {eeg.sample_rate_hz} Hz, expected {EEG_SAMPLE_RATE_HZ:g} Hz",
-        ))
-    lengths = {len(c) for c in eeg.channels}
-    if len(lengths) > 1:
-        out.append(Violation(
-            "ChannelLengthMismatch",
-            f"EEG channel lengths differ: {sorted(lengths)}",
         ))
 
     tel = session.telemetry
@@ -171,16 +184,10 @@ def validate_session(session: Session) -> list[Violation]:
                 "InvalidTelemetryRate",
                 f"telemetry sample rate must be finite and positive, got {tel.sample_rate_hz}",
             ))
-        if len(tel.series) != len(VEHICLE_SERIES):
+        if tel.series.shape[0] != len(VEHICLE_SERIES):
             out.append(Violation(
                 "WrongTelemetrySeriesCount",
-                f"expected {len(VEHICLE_SERIES)} telemetry series, got {len(tel.series)}",
-            ))
-        tlengths = {len(s) for s in tel.series}
-        if len(tlengths) > 1:
-            out.append(Violation(
-                "TelemetryLengthMismatch",
-                f"telemetry series lengths differ: {sorted(tlengths)}",
+                f"expected {len(VEHICLE_SERIES)} telemetry series, got {tel.series.shape[0]}",
             ))
 
     for pos, iv in enumerate(session.labels.intervals):
@@ -211,7 +218,6 @@ def validate_session(session: Session) -> list[Violation]:
     if eeg.sample_rate_hz == EEG_SAMPLE_RATE_HZ:
         coverage("CoverageMismatch", "EEG", eeg, len(epoch_starts(eeg, session.labels)))
     if tel_rate_ok:
-        from .vehicle import interval_slices  # vehicle imports this module
         coverage("TelemetryCoverageMismatch", "telemetry", tel,
                  len(interval_slices(tel, session.labels)))
     return out
@@ -229,23 +235,36 @@ def epoch_starts(eeg: EegRecording, labels: OrdLabelTrack) -> list[tuple[OrdInte
     return starts
 
 
+def interval_slices(telemetry: VehicleTelemetry,
+                    labels: OrdLabelTrack) -> list[tuple[OrdInterval, int, int]]:
+    """The label intervals that hold at least ``MIN_COVERAGE`` of their
+    expected telemetry samples, in label order, each with the ``[start,
+    end)`` slice of those samples.
+
+    A sample belongs to interval k when its timestamp falls in
+    ``[30k, 30(k+1))``. The sample rate must be finite and positive, which
+    makes the timestamps ascend.
+    """
+    t = telemetry.timestamps()
+    expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS
+    lo = np.array([iv.index for iv in labels.intervals]) * ORD_INTERVAL_SECONDS
+    bounds = zip(np.searchsorted(t, lo).tolist(),
+                 np.searchsorted(t, lo + ORD_INTERVAL_SECONDS).tolist())
+    return [(iv, start, end) for iv, (start, end) in zip(labels.intervals, bounds)
+            if end - start >= MIN_COVERAGE * expected]
+
+
 def make_eeg_recording(channels: Sequence[Sequence[float]],
                        sample_rate_hz: float = EEG_SAMPLE_RATE_HZ,
                        start_time_s: float = 0.0) -> EegRecording:
-    """Build a recording from array-likes, coercing each channel to float64."""
-    return EegRecording(
-        channels=tuple(np.asarray(c, dtype=np.float64) for c in channels),
-        sample_rate_hz=sample_rate_hz,
-        start_time_s=start_time_s,
-    )
+    """Build a recording from one row per channel, coerced to a float64
+    array (a float64 array is not copied); ragged rows raise ValueError."""
+    return EegRecording(np.asarray(channels, dtype=np.float64), sample_rate_hz, start_time_s)
 
 
 def make_telemetry(series: Sequence[Sequence[float]],
                    sample_rate_hz: float,
                    start_time_s: float = 0.0) -> VehicleTelemetry:
-    """Build telemetry from array-likes, coercing each series to float64."""
-    return VehicleTelemetry(
-        series=tuple(np.asarray(s, dtype=np.float64) for s in series),
-        sample_rate_hz=sample_rate_hz,
-        start_time_s=start_time_s,
-    )
+    """Build telemetry from one row per series, coerced to a float64 array
+    (a float64 array is not copied); ragged rows raise ValueError."""
+    return VehicleTelemetry(np.asarray(series, dtype=np.float64), sample_rate_hz, start_time_s)

@@ -8,9 +8,9 @@ counts of U are the coefficients of a Gaussian binomial, computed in
 integers, once per pair of group sizes. Otherwise a refined normal
 approximation is used. ``separation_report`` splits the feature matrix
 once into an alert and a drowsy block, runs the rank-sum test per feature
-and the normality gate over each block in one pass, and returns plain
-report rows; the cohort and the config digest live only in the report
-built from them.
+and the normality gate over each block in one pass, and returns the
+report rows as the dicts ``report.json`` holds; the cohort and the config
+digest live only in the report built from them.
 
 Normal tails come from ``_ndtr``, a scalar port of the Cephes ``ndtr``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989) that
@@ -70,34 +70,6 @@ class TestResult:
     method: TestMethod
     n_a: int
     n_b: int
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """Separation verdict for one feature."""
-
-    feature: str
-    n_alert: int
-    n_drowsy: int
-    ks_p_alert: float | None
-    ks_p_drowsy: float | None
-    statistic: float
-    p_value: float
-    method: TestMethod
-    significant: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "n_alert": self.n_alert,
-            "n_drowsy": self.n_drowsy,
-            "ks_p_alert": self.ks_p_alert,
-            "ks_p_drowsy": self.ks_p_drowsy,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method.value,
-            "significant": self.significant,
-        }
 
 
 # ---- standard normal CDF ------------------------------------------------------
@@ -400,13 +372,16 @@ def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
 # ---- per-feature report -----------------------------------------------------
 
 def separation_report(features: FeatureMatrix,
-                      alpha: float = DEFAULT_ALPHA) -> list[ReportRow]:
-    """Test every feature's alert-vs-drowsy separation, one row per feature.
+                      alpha: float = DEFAULT_ALPHA) -> list[dict]:
+    """Test every feature's alert-vs-drowsy separation, one report row per
+    feature.
 
     Features are pooled across whatever sessions the matrix holds. Each
-    row records the per-group normality gate (None when a group is
-    degenerate), the rank-sum result, and the strict ``p < alpha``
-    significance flag. Row order follows the matrix's feature order.
+    row is the dict ``report.json`` holds: the feature name and group
+    sizes, the per-group normality gate p-values (None when a group is
+    degenerate), the rank-sum statistic, p-value and method name, and the
+    strict ``p < alpha`` significance flag. Row order follows the matrix's
+    feature order.
 
     Raises:
         NeedTwoGroups: Only one state present.
@@ -434,20 +409,16 @@ def separation_report(features: FeatureMatrix,
     ks_alert = _ks_normal_rows(alert)
     ks_drowsy = _ks_normal_rows(drowsy)
     return [
-        ReportRow(
-            feature=name,
-            n_alert=n_alert,
-            n_drowsy=n_drowsy,
-            ks_p_alert=_p_or_none(ka),
-            ks_p_drowsy=_p_or_none(kd),
-            statistic=result.statistic,
-            p_value=result.p_value,
-            method=result.method,
-            significant=result.p_value < alpha,
-        )
+        {
+            "feature": name,
+            "n_alert": n_alert,
+            "n_drowsy": n_drowsy,
+            "ks_p_alert": None if ka is None else ka.p_value,
+            "ks_p_drowsy": None if kd is None else kd.p_value,
+            "statistic": result.statistic,
+            "p_value": result.p_value,
+            "method": result.method.value,
+            "significant": result.p_value < alpha,
+        }
         for name, result, ka, kd in zip(features.feature_names, results, ks_alert, ks_drowsy)
     ]
-
-
-def _p_or_none(result: TestResult | None) -> float | None:
-    return None if result is None else result.p_value

@@ -353,9 +353,7 @@ def generate_session(spec: SynthSpec, seed: int) -> Session:
         for ci in range(n_ch):
             for k in range(n):
                 x[ci, k, starts[ci, k]:starts[ci, k] + len(block)] += block
-    channels = [x[ci].reshape(-1) for ci in range(n_ch)]
-
-    eeg = EegRecording(channels=tuple(channels))
+    eeg = EegRecording(channels=x.reshape(n_ch, -1))
 
     intervals = tuple(
         OrdInterval(index=k, ratings=(DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3)
@@ -368,13 +366,11 @@ def generate_session(spec: SynthSpec, seed: int) -> Session:
         per_interval = int(round(spec.telemetry_rate_hz * ORD_INTERVAL_SECONDS))
         n_samples = per_interval * n
         drowsy_mask = np.repeat(drowsy, per_interval)
-        series = []
-        for name in VEHICLE_SERIES:
-            values = spec.telemetry_baseline[name] + rng.normal(
+        series = np.empty((len(VEHICLE_SERIES), n_samples))
+        for values, name in zip(series, VEHICLE_SERIES):
+            values[:] = spec.telemetry_baseline[name] + rng.normal(
                 0.0, spec.telemetry_noise, n_samples)
             values[drowsy_mask] += spec.drowsy_telemetry_shift[name]
-            series.append(values)
-        telemetry = VehicleTelemetry(series=tuple(series),
-                                     sample_rate_hz=spec.telemetry_rate_hz)
+        telemetry = VehicleTelemetry(series=series, sample_rate_hz=spec.telemetry_rate_hz)
 
     return Session(id=f"synth-{seed}", eeg=eeg, labels=labels, telemetry=telemetry)

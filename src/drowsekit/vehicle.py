@@ -16,43 +16,21 @@ import numpy as np
 from .errors import InvalidTelemetryRate
 from .features import FeatureMatrix
 from .session import (
-    ORD_INTERVAL_SECONDS,
+    MIN_COVERAGE,
     VEHICLE_SERIES,
-    OrdInterval,
     OrdLabelTrack,
     VehicleTelemetry,
+    interval_slices,
     majority_label,
 )
 
 logger = logging.getLogger(__name__)
 
-# Minimum fraction of an interval's expected samples required for its mean.
-MIN_COVERAGE = 0.5
-
-
-def interval_slices(telemetry: VehicleTelemetry,
-                    labels: OrdLabelTrack) -> list[tuple[OrdInterval, int, int]]:
-    """The label intervals that hold at least ``MIN_COVERAGE`` of their
-    expected telemetry samples, in label order, each with the ``[start,
-    end)`` slice of those samples.
-
-    A sample belongs to interval k when its timestamp falls in
-    ``[30k, 30(k+1))``. The sample rate must be finite and positive, which
-    makes the timestamps ascend.
-    """
-    t = telemetry.timestamps()
-    expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS
-    lo = np.array([iv.index for iv in labels.intervals]) * ORD_INTERVAL_SECONDS
-    bounds = zip(np.searchsorted(t, lo).tolist(),
-                 np.searchsorted(t, lo + ORD_INTERVAL_SECONDS).tolist())
-    return [(iv, start, end) for iv, (start, end) in zip(labels.intervals, bounds)
-            if end - start >= MIN_COVERAGE * expected]
-
 
 def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
                        abs_mean: bool = False) -> FeatureMatrix:
     """Average each telemetry series over every labeling interval that
-    ``interval_slices`` finds covered.
+    ``session.interval_slices`` finds covered.
 
     Intervals holding less than half their expected samples are skipped
     (a warning logs the count). ``abs_mean`` switches to the mean of
@@ -69,9 +47,10 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     if not (math.isfinite(rate) and rate > 0):
         raise InvalidTelemetryRate(
             f"telemetry sample rate must be finite and positive, got {rate}")
-    # (samples, series): an interval is a row slice, and mean(axis=0) adds
-    # its samples one by one in time order, the order report bytes depend on
-    data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series], axis=1)
+    # a C-contiguous (samples, series) block: an interval is a row slice, and
+    # mean(axis=0) adds its samples one by one in time order, the order report
+    # bytes depend on (on a transposed view numpy would sum pairwise)
+    data = np.ascontiguousarray(telemetry.series.T)
     if abs_mean:
         data = np.abs(data)
 

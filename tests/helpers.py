@@ -14,6 +14,7 @@ from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
 from drowsekit.session import (
     EEG_CHANNELS,
     EEG_SAMPLE_RATE_HZ,
+    MIN_COVERAGE,
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
     BinaryState,
@@ -39,7 +40,6 @@ from drowsekit.synthgen import (
     OUTLIER_BLOCK_AMPLITUDE_UV,
     OUTLIER_BLOCK_HZ,
 )
-from drowsekit.vehicle import MIN_COVERAGE
 
 # Largest pooled size accepted by the brute-force enumeration oracle.
 BRUTE_FORCE_MAX_N = 16
@@ -204,7 +204,7 @@ def interval_aggregate_mask(telemetry, labels, abs_mean=False):
     t = telemetry.timestamps()
     step = ORD_INTERVAL_SECONDS
     expected = telemetry.sample_rate_hz * step
-    data = np.stack([np.asarray(s)[:telemetry.n_samples] for s in telemetry.series])
+    data = telemetry.series
     if abs_mean:
         data = np.abs(data)
     rows = []
@@ -250,7 +250,7 @@ def generate_session_direct(spec, seed):
     drowsy[rng.permutation(n)[:n_drowsy]] = True
 
     t_epoch = np.arange(EPOCH_SAMPLES) / EEG_SAMPLE_RATE_HZ
-    channels = [np.empty(n * EPOCH_SAMPLES) for _ in EEG_CHANNELS]
+    channels = np.empty((len(EEG_CHANNELS), n * EPOCH_SAMPLES))
     for k in range(n):
         for ci, ch in enumerate(EEG_CHANNELS):
             x = rng.normal(0.0, spec.noise_floor_uv, EPOCH_SAMPLES)
@@ -263,9 +263,9 @@ def generate_session_direct(spec, seed):
             if spec.outlier_rate > 0.0:
                 start, block = _direct_outlier_block(rng, spec.outlier_rate)
                 x[start:start + len(block)] += block
-            channels[ci][k * EPOCH_SAMPLES:(k + 1) * EPOCH_SAMPLES] = x
+            channels[ci, k * EPOCH_SAMPLES:(k + 1) * EPOCH_SAMPLES] = x
 
-    eeg = EegRecording(channels=tuple(channels))
+    eeg = EegRecording(channels=channels)
 
     intervals = tuple(
         OrdInterval(index=k, ratings=(DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3)
@@ -284,7 +284,7 @@ def generate_session_direct(spec, seed):
                 0.0, spec.telemetry_noise, n_samples)
             values[drowsy_mask] += spec.drowsy_telemetry_shift[name]
             series.append(values)
-        telemetry = VehicleTelemetry(series=tuple(series),
+        telemetry = VehicleTelemetry(series=np.array(series),
                                      sample_rate_hz=spec.telemetry_rate_hz)
 
     return Session(id=f"synth-{seed}", eeg=eeg, labels=labels, telemetry=telemetry)

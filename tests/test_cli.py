@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drowsekit import cli, ingest, pipeline, preprocess, spectral, stats, vehicle
+from drowsekit import cli, ingest, pipeline, preprocess, session, spectral, stats
 from drowsekit.errors import NonFiniteSample
 from drowsekit.features import FeatureMatrix
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES, BinaryState
@@ -341,10 +342,10 @@ def test_analyze_cohort_rejects_nan_eeg_sample():
     # a NaN passes the artifact rule and the degeneracy check, so the
     # statistics are the last line of defence against a false "significant"
     session = generate_session(SynthSpec(n_intervals=10, drowsy_fraction=0.5), 11)
-    channels = [c.copy() for c in session.eeg.channels]
-    channels[0][1000] = np.nan
+    channels = session.eeg.channels.copy()
+    channels[0, 1000] = np.nan
     session = dataclasses.replace(
-        session, eeg=dataclasses.replace(session.eeg, channels=tuple(channels)))
+        session, eeg=dataclasses.replace(session.eeg, channels=channels))
     with pytest.raises(NonFiniteSample):
         pipeline.analyze_cohort([session], pipeline.RunConfig(), cohort_id="nan")
 
@@ -435,8 +436,7 @@ def _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest):
                                      for sid in ids])
 
     def rows(matrix):
-        return json.loads(json.dumps([row.to_json_dict()
-                                      for row in stats.separation_report(matrix)]))
+        return json.loads(json.dumps(stats.separation_report(matrix)))
 
     eeg = stacked("eeg")
     for key, suffix in (("eeg_absolute", "_abs"), ("eeg_relative", "_rel")):
@@ -520,7 +520,7 @@ def test_run_config_rejects_bad_alpha(alpha):
 
 
 @pytest.mark.parametrize("module, name, value", [
-    (vehicle, "MIN_COVERAGE", 0.6),
+    (session, "MIN_COVERAGE", 0.6),
     (stats, "EXACT_PATH_MAX_MIN_N", 9),
     (spectral, "BANDS", spectral.BANDS[:-1] + (spectral.Band("gamma", 30.0, 45.0),)),
     (pipeline, "__version__", "0.0.0"),  # the package version, as imported by pipeline
@@ -604,3 +604,14 @@ def test_cli_commands_load_no_scipy(tmp_path):
                             text=True, env=env, check=True, timeout=120)
     stages = json.loads(result.stdout.splitlines()[-1])
     assert stages == dict.fromkeys(["import", "synth", "validate", "analyze", "features"], [])
+
+
+def test_no_import_inside_a_function():
+    # a function-level import can hide an import cycle between modules
+    nested = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []

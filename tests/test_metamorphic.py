@@ -104,8 +104,8 @@ def test_swapped_ratings_leave_every_p_value_identical(cohort, tmp_path):
 
 
 def _scale_eeg(session, factor):
-    channels = tuple(factor * c for c in session.eeg.channels)
-    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels))
+    return dataclasses.replace(
+        session, eeg=dataclasses.replace(session.eeg, channels=factor * session.eeg.channels))
 
 
 def _dropped_intervals(session):

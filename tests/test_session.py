@@ -7,9 +7,11 @@ from drowsekit.errors import InvalidRating
 from drowsekit.preprocess import epoch_signal
 from drowsekit.session import (
     BinaryState,
+    EegRecording,
     OrdInterval,
     OrdLabelTrack,
     Session,
+    VehicleTelemetry,
     majority_label,
     make_eeg_recording,
     make_telemetry,
@@ -85,12 +87,28 @@ def test_validate_flags_wrong_channel_count():
     assert "WrongChannelCount" in codes
 
 
-def test_validate_flags_ragged_channels():
-    eeg = make_eeg_recording(
-        [np.zeros(7680), np.zeros(7680), np.zeros(7680), np.zeros(7000)])
-    session = Session(id="s", eeg=eeg, labels=_labels(1))
-    codes = [v.code for v in validate_session(session)]
-    assert "ChannelLengthMismatch" in codes
+@pytest.mark.parametrize("rows", [
+    [np.zeros(7680), np.zeros(7680), np.zeros(7680), np.zeros(100)],  # ragged
+    np.zeros(7680),  # one row, not one per channel
+], ids=["ragged", "1d"])
+@pytest.mark.parametrize("build", [
+    make_eeg_recording,
+    lambda rows: make_telemetry(rows, sample_rate_hz=50.0),
+], ids=["eeg", "telemetry"])
+def test_recording_must_be_a_rectangular_array(build, rows):
+    # a recording holds equal-length rows by construction: nothing to validate
+    with pytest.raises(ValueError):
+        build(rows)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EegRecording(channels=(np.zeros(7680),) * 4),
+    lambda: EegRecording(channels=np.zeros((4, 7680), dtype=np.float32)),
+    lambda: VehicleTelemetry(series=np.zeros(100), sample_rate_hz=50.0),
+], ids=["tuple", "float32", "1d"])
+def test_recording_constructors_take_only_2d_float64_arrays(build):
+    with pytest.raises(ValueError, match="2-D float64 array"):
+        build()
 
 
 def test_validate_flags_noncontiguous_intervals():
@@ -162,12 +180,9 @@ def test_validate_and_the_stages_agree_on_coverage(start_time_s):
 
 
 def test_validate_flags_bad_telemetry():
-    telemetry = make_telemetry(
-        [np.zeros(10), np.zeros(10), np.zeros(10), np.zeros(9)],
-        sample_rate_hz=0.0)
+    telemetry = make_telemetry(np.zeros((4, 10)), sample_rate_hz=0.0)
     codes = [v.code for v in validate_session(_session(telemetry=telemetry))]
     assert "InvalidTelemetryRate" in codes
-    assert "TelemetryLengthMismatch" in codes
 
 
 @pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])

@@ -381,11 +381,11 @@ def test_separation_report_flags_shifted_feature(rng):
     alert = np.column_stack([rng.normal(0, 1, n), rng.normal(5, 1, n)])
     drowsy = np.column_stack([rng.normal(0, 1, n), rng.normal(9, 1, n)])
     rows = separation_report(_matrix(alert, drowsy), alpha=0.05)
-    by_name = {r.feature: r for r in rows}
-    assert not by_name["f1"].significant
-    assert by_name["f2"].significant
-    assert by_name["f2"].p_value < 1e-6
-    assert by_name["f2"].n_alert == n and by_name["f2"].n_drowsy == n
+    by_name = {r["feature"]: r for r in rows}
+    assert not by_name["f1"]["significant"]
+    assert by_name["f2"]["significant"]
+    assert by_name["f2"]["p_value"] < 1e-6
+    assert by_name["f2"]["n_alert"] == n and by_name["f2"]["n_drowsy"] == n
 
 
 def test_separation_report_single_state(rng):
@@ -405,9 +405,9 @@ def test_separation_report_zero_variance_group_records_none(rng):
     alert = np.column_stack([np.full(10, 3.0), rng.normal(size=10)])
     drowsy = np.column_stack([rng.normal(size=12), rng.normal(size=12)])
     rows = separation_report(_matrix(alert, drowsy))
-    by_name = {r.feature: r for r in rows}
-    assert by_name["f1"].ks_p_alert is None
-    assert by_name["f1"].ks_p_drowsy is not None
+    by_name = {r["feature"]: r for r in rows}
+    assert by_name["f1"]["ks_p_alert"] is None
+    assert by_name["f1"]["ks_p_drowsy"] is not None
 
 
 def test_separation_report_ks_matches_per_group_test(rng):
@@ -417,8 +417,8 @@ def test_separation_report_ks_matches_per_group_test(rng):
     rows = separation_report(_matrix(alert, drowsy, names=("f1", "f2", "f3")))
     for j, row in enumerate(rows):
         want_alert = None if j == 2 else ks_normal_test(alert[:, j]).p_value
-        assert row.ks_p_alert == want_alert
-        assert row.ks_p_drowsy == ks_normal_test(drowsy[:, j]).p_value
+        assert row["ks_p_alert"] == want_alert
+        assert row["ks_p_drowsy"] == ks_normal_test(drowsy[:, j]).p_value
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -444,7 +444,7 @@ def test_exact_report_builds_null_distribution_once(rng, monkeypatch):
     rows = separation_report(_matrix(rng.normal(size=(24, 44)), rng.normal(size=(8, 44)),
                                      names=names))
     _rank_sum_null_cumulative.cache_clear()
-    assert all(r.method is TestMethod.EXACT_ENUMERATION for r in rows)
+    assert all(r["method"] == TestMethod.EXACT_ENUMERATION.value for r in rows)
     assert calls == [(8, 24)]
 
 
@@ -453,23 +453,23 @@ def test_separation_significance_is_strict(rng):
     alert = rng.normal(0, 1, (30, 1))
     drowsy = rng.normal(0.4, 1, (30, 1))
     row = separation_report(_matrix(alert, drowsy, names=("f",)), alpha=0.05)[0]
-    assert row.significant == (row.p_value < 0.05)
+    assert row["significant"] == (row["p_value"] < 0.05)
 
 
 def test_separation_report_row_order_follows_matrix(rng):
     names = ("z_last", "a_first", "m_mid")
     matrix = _matrix(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)), names=names)
     rows = separation_report(matrix)
-    assert tuple(r.feature for r in rows) == names
+    assert tuple(r["feature"] for r in rows) == names
 
 
 def test_separation_report_json_round_trip(rng):
     matrix = _matrix(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
-    rows = [row.to_json_dict() for row in separation_report(matrix)]
+    rows = separation_report(matrix)
     recovered = json.loads(json.dumps(rows))
     assert recovered == rows
-    assert {"feature", "n_alert", "n_drowsy", "ks_p_alert", "ks_p_drowsy",
-            "statistic", "p_value", "method", "significant"} == set(rows[0])
+    assert list(rows[0]) == ["feature", "n_alert", "n_drowsy", "ks_p_alert", "ks_p_drowsy",
+                             "statistic", "p_value", "method", "significant"]
 
 
 def test_permutation_null_calibration(rng):
@@ -488,5 +488,5 @@ def test_permutation_null_calibration(rng):
             interval_indices=tuple(range(2 * n)),
         )
         rows = separation_report(matrix, alpha=0.05)
-        fractions.append(np.mean([r.significant for r in rows]))
+        fractions.append(np.mean([r["significant"] for r in rows]))
     assert 0.02 <= np.mean(fractions) <= 0.08
