@@ -136,7 +136,6 @@ def cmd_synth(out_dir: Path, seed: int, spec_path: Path | None = None) -> int:
         return 2
     try:
         spec = load_synth_spec(spec_path) if spec_path is not None else SynthSpec()
-        spec.validate()
     except (OSError, DrowsekitError, ValueError, TypeError) as exc:
         # ValueError: malformed JSON, or an integer past Python's digit limit
         print(f"error: invalid synth spec: {exc}", file=sys.stderr)

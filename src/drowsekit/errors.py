@@ -96,12 +96,6 @@ class DegeneratePower(DrowsekitError):
     pass
 
 
-# ---- vehicle ------------------------------------------------------------
-
-class InvalidTelemetryRate(DrowsekitError):
-    pass
-
-
 # ---- statistics ---------------------------------------------------------
 
 class TooFewSamples(DrowsekitError):

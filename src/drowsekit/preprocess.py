@@ -36,7 +36,6 @@ from .session import (
     EegRecording,
     OrdLabelTrack,
     epoch_starts,
-    majority_label,
 )
 
 logger = logging.getLogger(__name__)
@@ -140,7 +139,7 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
         samples[k] = recording.channels[:, s0:s0 + EPOCH_SAMPLES]
     return Epochs(samples=samples,
                   interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
-                  state=np.array([majority_label(iv.ratings) for iv, _ in starts], dtype=object))
+                  state=np.array([iv.state for iv, _ in starts], dtype=object))
 
 
 def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:

@@ -3,10 +3,14 @@
 A recording is one ``(channels, samples)`` float64 array, so it cannot be
 ragged; ``make_eeg_recording`` and ``make_telemetry`` build one from
 array-likes. All types are immutable after construction and safe to share
-across threads. Construction checks only that layout; use
-:func:`validate_session` to obtain a machine-readable violation listing.
-``epoch_starts`` and ``interval_slices`` decide which label intervals the
-EEG and the telemetry cover, for validation and the pipeline alike.
+across threads. Each type checks its own structure when it is built: a
+recording's rows follow ``EEG_CHANNELS`` / ``VEHICLE_SERIES``, telemetry has a
+finite, positive rate, an interval holds three ratings in 1..5, and a label
+track numbers its intervals 0, 1, 2, ... :func:`validate_session` lists what
+a well-formed session can still get wrong: the EEG rate and the coverage of
+the labels. ``epoch_starts`` and ``interval_slices`` decide which label
+intervals the EEG and the telemetry cover, for validation and the pipeline
+alike.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class EegRecording:
     """Multi-channel EEG amplitudes in microvolts.
 
     Attributes:
-        channels: A ``(channels, samples)`` float64 array whose rows follow
-            ``EEG_CHANNELS``; any other value raises ValueError.
+        channels: A ``(channels, samples)`` float64 array with one row per
+            ``EEG_CHANNELS`` entry; any other value raises ValueError.
         sample_rate_hz: Samples per second; the supported devices record
             at 256 Hz and other rates are flagged by validation.
         start_time_s: Offset of the first sample on the session clock.
@@ -58,7 +62,7 @@ class EegRecording:
     start_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_rows("channels", self.channels)
+        _check_rows("channels", self.channels, EEG_CHANNELS)
 
     @property
     def n_samples(self) -> int:
@@ -67,12 +71,13 @@ class EegRecording:
 
 @dataclass(frozen=True)
 class VehicleTelemetry:
-    """Simulator telemetry: a ``(series, samples)`` float64 array whose rows
-    follow ``VEHICLE_SERIES``; any other value raises ValueError.
+    """Simulator telemetry: a ``(series, samples)`` float64 array with one
+    row per ``VEHICLE_SERIES`` entry; any other value raises ValueError.
 
     Units: degrees, degrees/second, meters, newton-meters. The telemetry
     clock is independent of the EEG clock; ``sample_rate_hz`` is whatever
-    the simulator exported.
+    the simulator exported, and a rate that is not finite and positive
+    raises ValueError.
     """
 
     series: np.ndarray
@@ -80,7 +85,10 @@ class VehicleTelemetry:
     start_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_rows("series", self.series)
+        _check_rows("series", self.series, VEHICLE_SERIES)
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError(
+                f"telemetry sample rate must be finite and positive, got {self.sample_rate_hz}")
 
     @property
     def n_samples(self) -> int:
@@ -91,25 +99,46 @@ class VehicleTelemetry:
         return self.start_time_s + np.arange(self.n_samples) / self.sample_rate_hz
 
 
-def _check_rows(name: str, value: object) -> None:
-    if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64):
-        raise ValueError(f"{name} must be a 2-D float64 array, got {type(value).__name__} "
+def _check_rows(name: str, value: object, rows: tuple[str, ...]) -> None:
+    if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
+            and value.shape[0] == len(rows)):
+        raise ValueError(f"{name} must be a 2-D float64 array of {len(rows)} rows "
+                         f"({', '.join(rows)}), got {type(value).__name__} "
                          f"{getattr(value, 'shape', '')} {getattr(value, 'dtype', '')}")
 
 
 @dataclass(frozen=True)
 class OrdInterval:
-    """One labeling interval: index on the 30 s grid plus three observer ratings."""
+    """One labeling interval: index on the 30 s grid plus three observer
+    ratings, each an integer in 1..5; anything else raises InvalidRating."""
 
     index: int
     ratings: tuple[int, int, int]
 
+    def __post_init__(self) -> None:
+        if len(self.ratings) != NUM_RATERS:
+            raise InvalidRating(f"expected {NUM_RATERS} ratings, got {len(self.ratings)}")
+        for r in self.ratings:
+            if not (isinstance(r, (int, np.integer)) and RATING_MIN <= r <= RATING_MAX):
+                raise InvalidRating(f"rating {r!r} outside {RATING_MIN}..{RATING_MAX}")
+
+    @property
+    def state(self) -> BinaryState:
+        """The majority vote: the median rating, 1 or 2 ALERT and 3 through 5 DROWSY."""
+        return BinaryState.ALERT if sorted(self.ratings)[1] <= 2 else BinaryState.DROWSY
+
 
 @dataclass(frozen=True)
 class OrdLabelTrack:
-    """Observer drowsiness ratings on a fixed 30-second grid."""
+    """Observer drowsiness ratings on a fixed 30-second grid; interval ``k``
+    must have index ``k``, or ValueError is raised."""
 
     intervals: tuple[OrdInterval, ...]
+
+    def __post_init__(self) -> None:
+        for pos, iv in enumerate(self.intervals):
+            if iv.index != pos:
+                raise ValueError(f"interval at position {pos} has index {iv.index}")
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -137,73 +166,17 @@ class Violation:
     message: str
 
 
-def majority_label(ratings: Sequence[int]) -> BinaryState:
-    """Combine three observer ratings into a binary state.
-
-    The vote is the median of the three integer ratings; a median of 1 or
-    2 maps to ALERT and 3 through 5 to DROWSY.
-
-    Raises:
-        InvalidRating: If any rating is outside 1..5 or not three ratings
-            were given.
-    """
-    if len(ratings) != NUM_RATERS:
-        raise InvalidRating(f"expected {NUM_RATERS} ratings, got {len(ratings)}")
-    for r in ratings:
-        if not (isinstance(r, (int, np.integer)) and RATING_MIN <= r <= RATING_MAX):
-            raise InvalidRating(f"rating {r!r} outside {RATING_MIN}..{RATING_MAX}")
-    median = sorted(ratings)[1]
-    return BinaryState.ALERT if median <= 2 else BinaryState.DROWSY
-
-
 def validate_session(session: Session) -> list[Violation]:
-    """Check every session invariant and return the violations found.
+    """List what a well-formed session can still get wrong: an EEG rate
+    other than 256 Hz (``WrongSampleRate``), and EEG or telemetry that leaves
+    more than one label interval uncovered (``CoverageMismatch``,
+    ``TelemetryCoverageMismatch``). The types check everything else when
+    they are built.
 
     Never raises and never mutates its input; an empty list means the
     session is well-formed for the downstream pipeline.
     """
     out: list[Violation] = []
-    eeg = session.eeg
-
-    if eeg.channels.shape[0] != len(EEG_CHANNELS):
-        out.append(Violation(
-            "WrongChannelCount",
-            f"expected {len(EEG_CHANNELS)} EEG channels, got {eeg.channels.shape[0]}",
-        ))
-    if eeg.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
-        out.append(Violation(
-            "WrongSampleRate",
-            f"EEG sample rate {eeg.sample_rate_hz} Hz, expected {EEG_SAMPLE_RATE_HZ:g} Hz",
-        ))
-
-    tel = session.telemetry
-    tel_rate_ok = tel is not None and math.isfinite(tel.sample_rate_hz) and tel.sample_rate_hz > 0
-    if tel is not None:
-        if not tel_rate_ok:
-            out.append(Violation(
-                "InvalidTelemetryRate",
-                f"telemetry sample rate must be finite and positive, got {tel.sample_rate_hz}",
-            ))
-        if tel.series.shape[0] != len(VEHICLE_SERIES):
-            out.append(Violation(
-                "WrongTelemetrySeriesCount",
-                f"expected {len(VEHICLE_SERIES)} telemetry series, got {tel.series.shape[0]}",
-            ))
-
-    for pos, iv in enumerate(session.labels.intervals):
-        if iv.index != pos:
-            out.append(Violation(
-                "NonContiguousIntervals",
-                f"interval at position {pos} has index {iv.index}",
-            ))
-            break
-    for iv in session.labels.intervals:
-        bad = [r for r in iv.ratings if not RATING_MIN <= r <= RATING_MAX]
-        if bad:
-            out.append(Violation(
-                "InvalidRating",
-                f"interval {iv.index} has out-of-range ratings {bad}",
-            ))
 
     # A recording may leave one label interval, a partial last one, uncovered.
     def coverage(code: str, what: str, recording: EegRecording | VehicleTelemetry,
@@ -215,9 +188,16 @@ def validate_session(session: Session) -> list[Violation]:
             out.append(Violation(code, f"{uncovered} of {len(session.labels)} label intervals "
                                        f"lie outside the {what} ({start:g} to {end:g} s)"))
 
-    if eeg.sample_rate_hz == EEG_SAMPLE_RATE_HZ:
+    eeg = session.eeg
+    if eeg.sample_rate_hz != EEG_SAMPLE_RATE_HZ:
+        out.append(Violation(
+            "WrongSampleRate",
+            f"EEG sample rate {eeg.sample_rate_hz} Hz, expected {EEG_SAMPLE_RATE_HZ:g} Hz",
+        ))
+    else:
         coverage("CoverageMismatch", "EEG", eeg, len(epoch_starts(eeg, session.labels)))
-    if tel_rate_ok:
+    tel = session.telemetry
+    if tel is not None:
         coverage("TelemetryCoverageMismatch", "telemetry", tel,
                  len(interval_slices(tel, session.labels)))
     return out
@@ -242,8 +222,8 @@ def interval_slices(telemetry: VehicleTelemetry,
     end)`` slice of those samples.
 
     A sample belongs to interval k when its timestamp falls in
-    ``[30k, 30(k+1))``. The sample rate must be finite and positive, which
-    makes the timestamps ascend.
+    ``[30k, 30(k+1))``; the timestamps ascend, as the rate is finite and
+    positive.
     """
     t = telemetry.timestamps()
     expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS

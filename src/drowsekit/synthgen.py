@@ -113,7 +113,8 @@ def _zero_series() -> dict[str, float]:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Configuration of one synthetic session."""
+    """Configuration of one synthetic session; an invalid one raises
+    InvalidSpec when it is built (see ``__post_init__``)."""
 
     n_intervals: int = 20
     drowsy_fraction: float = 0.5
@@ -128,7 +129,7 @@ class SynthSpec:
     telemetry_noise: float = 1.0
     drowsy_telemetry_shift: Mapping[str, float] = field(default_factory=_zero_series)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise InvalidSpec on any out-of-range or non-finite field, on an
         ``include_telemetry`` that is not a bool, on an ``n_intervals`` that
         is not an integer in 1..``MAX_N_INTERVALS``, and on a telemetry rate
@@ -178,21 +179,6 @@ class SynthSpec:
                 raise InvalidSpec(f"telemetry configuration missing series {s}")
             _check_finite(f"telemetry baseline for {s}", self.telemetry_baseline[s])
             _check_finite(f"drowsy telemetry shift for {s}", self.drowsy_telemetry_shift[s])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_intervals": self.n_intervals,
-            "drowsy_fraction": self.drowsy_fraction,
-            "band_amplitudes_uv": {ch: dict(b) for ch, b in self.band_amplitudes_uv.items()},
-            "drowsy_band_multipliers": dict(self.drowsy_band_multipliers),
-            "noise_floor_uv": self.noise_floor_uv,
-            "outlier_rate": self.outlier_rate,
-            "include_telemetry": self.include_telemetry,
-            "telemetry_rate_hz": self.telemetry_rate_hz,
-            "telemetry_baseline": dict(self.telemetry_baseline),
-            "telemetry_noise": self.telemetry_noise,
-            "drowsy_telemetry_shift": dict(self.drowsy_telemetry_shift),
-        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SynthSpec":
@@ -318,11 +304,7 @@ def generate_session(spec: SynthSpec, seed: int) -> Session:
     Random numbers are drawn per interval and channel, in this order: the
     noise, each band's tone phases, then the outlier block's start. The
     combs and outlier blocks are added after all draws.
-
-    Raises:
-        InvalidSpec: The spec fails validation.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     n = spec.n_intervals
 

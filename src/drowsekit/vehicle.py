@@ -9,11 +9,9 @@ slice, found by binary search: one pass over the record in all.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
-from .errors import InvalidTelemetryRate
 from .features import FeatureMatrix
 from .session import (
     MIN_COVERAGE,
@@ -21,7 +19,6 @@ from .session import (
     OrdLabelTrack,
     VehicleTelemetry,
     interval_slices,
-    majority_label,
 )
 
 logger = logging.getLogger(__name__)
@@ -37,16 +34,8 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
-    ``VEHICLE_SERIES`` columns.
-
-    Raises:
-        InvalidTelemetryRate: A sample rate that is not finite and positive,
-            which gives no ascending timestamps or expected sample count.
+    ``VEHICLE_SERIES`` columns and the interval's majority vote as state.
     """
-    rate = telemetry.sample_rate_hz
-    if not (math.isfinite(rate) and rate > 0):
-        raise InvalidTelemetryRate(
-            f"telemetry sample rate must be finite and positive, got {rate}")
     # a C-contiguous (samples, series) block: an interval is a row slice, and
     # mean(axis=0) adds its samples one by one in time order, the order report
     # bytes depend on (on a transposed view numpy would sum pairwise)
@@ -55,7 +44,7 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
         data = np.abs(data)
 
     slices = interval_slices(telemetry, labels)
-    rows = [(iv.index, majority_label(iv.ratings), data[start:end].mean(axis=0))
+    rows = [(iv.index, iv.state, data[start:end].mean(axis=0))
             for iv, start, end in slices]
     skipped = len(labels.intervals) - len(slices)
     if skipped:

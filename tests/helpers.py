@@ -23,7 +23,6 @@ from drowsekit.session import (
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
-    majority_label,
 )
 from drowsekit.spectral import (
     BANDS,
@@ -213,7 +212,7 @@ def interval_aggregate_mask(telemetry, labels, abs_mean=False):
         mask = (t >= lo) & (t < lo + step)
         if int(mask.sum()) < MIN_COVERAGE * expected:
             continue
-        rows.append((iv.index, majority_label(iv.ratings), data[:, mask].mean(axis=1)))
+        rows.append((iv.index, iv.state, data[:, mask].mean(axis=1)))
     return FeatureMatrix.from_rows(VEHICLE_SERIES, rows)
 
 
@@ -241,7 +240,6 @@ def generate_session_direct(spec, seed):
     the full epoch time grid, one interval and channel at a time; the
     reference for the table-based generator.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     n = spec.n_intervals
 

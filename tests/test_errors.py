@@ -19,7 +19,6 @@ CODES = {
     "UnsafeSessionId": "UnsafeSessionId",
     "TooShort": "TooShort",
     "DegeneratePower": "DegeneratePower",
-    "InvalidTelemetryRate": "InvalidTelemetryRate",
     "TooFewSamples": "TooFewSamples",
     "ZeroVariance": "ZeroVariance",
     "EmptySample": "EmptySample",

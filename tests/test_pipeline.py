@@ -19,7 +19,7 @@ from drowsekit.preprocess import (
     LP_TAPS,
     filter_epoch,
 )
-from drowsekit.session import BinaryState, Session, make_eeg_recording, majority_label
+from drowsekit.session import BinaryState, Session, make_eeg_recording
 from drowsekit.spectral import BANDS
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -53,7 +53,7 @@ def _per_epoch_reference(session, per_channel):
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
-        state = majority_label(iv.ratings)
+        state = iv.state
         pre[state] += 1
         if fraction > DEFAULT_MAX_OUTLIER_FRACTION:
             dropped_index.append(iv.index)

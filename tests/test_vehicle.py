@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from helpers import interval_aggregate_mask
 
-from drowsekit.errors import InvalidTelemetryRate
-
 from drowsekit.session import (
     VEHICLE_SERIES,
     BinaryState,
@@ -28,11 +26,10 @@ def _telemetry(n_intervals, rate=50.0, fill=0.0):
 
 @pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
 def test_rejects_rate_not_finite_and_positive(rate):
-    # unchecked, these average empty slices, divide by zero or skip every
-    # interval, and hand NaN rows or no rows on to the statistics
-    tel = make_telemetry(np.zeros((4, 4500)), sample_rate_hz=rate)
-    with pytest.raises(InvalidTelemetryRate):
-        interval_aggregate(tel, _labels([(1, 1, 1)] * 3))
+    # such a rate gives no ascending timestamps or expected sample count, so
+    # telemetry with it cannot be built
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_telemetry(np.zeros((4, 4500)), sample_rate_hz=rate)
 
 
 def test_constant_signal_mean():

@@ -1,12 +1,16 @@
-"""Print a sha256 digest of every file that analyze and features write.
+"""Print a sha256 digest of every file that analyze and features write,
+and of what validate prints.
 
 Writes the benchmark's cohort shapes, plus one cohort in which the artifact
 rule drops every epoch of one session, at seeds 1 and 4242 through the
-``ingest`` writers; runs ``analyze`` and ``features`` on each cohort with
-the default flags and with ``--abs-mean --per-channel-outliers``; and
-prints ``sha256  path`` for every file written, inputs included, with paths
-relative to a temporary directory. Two trees write the same bytes when
-their outputs are equal:
+``ingest`` writers, and two cohorts that ``validate`` rejects: one with a
+250 Hz EEG and one whose telemetry clock starts at 1000 s. ``validate`` runs
+on every cohort, and its stdout and exit code go to ``validate.txt`` in the
+cohort's directory; ``analyze`` and ``features`` run on each valid cohort
+with the default flags and with ``--abs-mean --per-channel-outliers``. The
+tool prints ``sha256  path`` for every file written, inputs included, with
+paths relative to a temporary directory. Two trees write the same bytes
+when their outputs are equal:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 """
@@ -30,45 +34,67 @@ from drowsekit import cli, ingest, synthgen  # noqa: E402
 SEEDS = (1, 4242)
 FLAG_SETS = {"default": [], "flags": ["--abs-mean", "--per-channel-outliers"]}
 
-# (cohort name, [(spec, session count), ...]); "drops" adds a session to the
-# analyze_memory shape whose every epoch the artifact rule drops.
+
+def _eeg_at_250_hz(session):
+    return replace(session, eeg=replace(session.eeg, sample_rate_hz=250.0))
+
+
+def _telemetry_from_1000_s(session):
+    return replace(session, telemetry=replace(session.telemetry, start_time_s=1000.0))
+
+
+# (cohort name, [(spec, session count, edit), ...]); ``edit``, when given,
+# changes each such session before it is written. "drops" adds a session to
+# the analyze_memory shape whose every epoch the artifact rule drops.
 _MEMORY = WORKLOADS["analyze_memory"]
-COHORTS = [(name, [(w.spec, w.n_sessions)])
+COHORTS = [(name, [(w.spec, w.n_sessions, None)])
            for name, w in WORKLOADS.items() if hasattr(w, "n_sessions")]
-COHORTS.append(("drops", [(_MEMORY.spec, _MEMORY.n_sessions),
-                          (replace(_MEMORY.spec, n_intervals=12, outlier_rate=1.0), 1)]))
+COHORTS.append(("drops", [(_MEMORY.spec, _MEMORY.n_sessions, None),
+                          (replace(_MEMORY.spec, n_intervals=12, outlier_rate=1.0), 1, None)]))
+# Cohorts that validate rejects (WrongSampleRate, TelemetryCoverageMismatch).
+REJECTED = [("eeg-250hz", [(_MEMORY.spec, 1, None), (_MEMORY.spec, 1, _eeg_at_250_hz)]),
+            ("telemetry-at-1000s", [(_MEMORY.spec, 1, _telemetry_from_1000_s)])]
 
 
 def write_cohort(shape, seed: int, cohort: Path) -> Path:
     entries = []
-    for spec, n_sessions in shape:
+    for spec, n_sessions, edit in shape:
         for _ in range(n_sessions):
             k = len(entries)
             session = synthgen.generate_session(spec, session_seed(seed, k))
+            if edit is not None:
+                session = edit(session)
             entries.append(write_session(session, cohort / f"session{k}"))
     manifest = cohort / "manifest.csv"
     ingest.write_manifest(entries, manifest, relative_to=cohort)
     return manifest
 
 
-def run(args: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(args: list[str]) -> tuple[str, int]:
+    """The stdout and exit code of one drowsekit command."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = cli.main(args)
-    if code != 0:
-        sys.exit(f"error: drowsekit {' '.join(args)} exited with code {code}")
+    return stdout.getvalue(), code
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, shape in COHORTS:
+        for name, shape in COHORTS + REJECTED:
             for seed in SEEDS:
                 cohort = root / f"{name}-{seed}"
                 manifest = write_cohort(shape, seed, cohort / "input")
+                stdout, code = run(["validate", "--manifest", str(manifest)])
+                (cohort / "validate.txt").write_text(f"{stdout}exit {code}\n")
+                if code != 0:  # analyze and features are run on valid cohorts only
+                    continue
                 for label, flags in FLAG_SETS.items():
                     for command in ("analyze", "features"):
                         out = cohort / f"{command}-{label}"
-                        run([command, "--manifest", str(manifest), "--out", str(out), *flags])
+                        args = [command, "--manifest", str(manifest), "--out", str(out), *flags]
+                        if run(args)[1] != 0:
+                            sys.exit(f"error: drowsekit {' '.join(args)} failed")
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root)}")
