@@ -82,6 +82,10 @@ class DuplicateSessionId(IngestError):
     pass
 
 
+class DuplicateSessionFiles(IngestError):
+    """A manifest entry that lists a file an earlier entry already lists."""
+
+
 class UnsafeSessionId(IngestError):
     """A session id that is not a plain file-name part (``features`` names files by it)."""
 
@@ -94,6 +98,11 @@ class TooShort(DrowsekitError):
 
 class DegeneratePower(DrowsekitError):
     pass
+
+
+class NonFinitePower(DrowsekitError):
+    """A band or total power that is not finite: a sample so large that its
+    Welch PSD overflows float64."""
 
 
 # ---- statistics ---------------------------------------------------------

@@ -41,6 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    DuplicateSessionFiles,
     DuplicateSessionId,
     EmptyFile,
     GapInIntervals,
@@ -329,11 +330,12 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
-        DuplicateSessionId, UnsafeSessionId, EmptyFile
+        DuplicateSessionId, DuplicateSessionFiles, UnsafeSessionId, EmptyFile
     """
     base = Path(path).parent
     entries: list[SessionManifest] = []
     first_row: dict[str, int] = {}
+    listed_in: dict[Path, int] = {}
     for i, line in _data_rows(path, MANIFEST_HEADER, "manifest"):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != len(MANIFEST_HEADER):
@@ -349,12 +351,22 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
                 f"manifest: row {i} repeats session id {sid!r} from row {first_row[sid]}"
             )
         first_row[sid] = i
-        entries.append(SessionManifest(
+        entry = SessionManifest(
             session_id=sid,
             eeg_path=base / eeg_p,
             telemetry_path=(base / tel_p) if tel_p else None,
             labels_path=base / lab_p,
-        ))
+        )
+        # one set of files under two ids would pool the session twice
+        paths = [p.resolve() for p in (entry.eeg_path, entry.labels_path, entry.telemetry_path)
+                 if p is not None]
+        for file in paths:
+            if file in listed_in:
+                raise DuplicateSessionFiles(
+                    f"manifest: row {i} repeats file '{file}' from row {listed_in[file]}"
+                )
+        listed_in.update(dict.fromkeys(paths, i))
+        entries.append(entry)
     if not entries:
         raise EmptyFile("manifest: no session rows")
     return entries

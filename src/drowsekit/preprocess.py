@@ -5,25 +5,35 @@ the labeling grid, band-limit each epoch with the reference 0.1 Hz
 high-pass and 40 Hz low-pass (``HP_TAPS``, ``LP_TAPS``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
-below. A session's epochs travel as one ``Epochs`` block; the filter and
-the Welch PSD work on one epoch at a time, which keeps their temporaries
-epoch-sized. All operations are pure.
+below. A session's epochs travel as one ``Epochs`` block. The filter and
+the Welch PSD split the block into one contiguous chunk per available CPU
+(``for_each_chunk``) and run the chunks on threads, since numpy's FFTs
+release the GIL; each worker holds one epoch's buffers, so the temporaries
+stay epoch-sized per worker. Each epoch goes through the same arithmetic
+whichever thread runs it, so the output bytes do not depend on the worker
+count. All operations are pure.
 
 The filter uses ``numpy.fft`` alone: the taps are read-only constants built
-at import, each kernel's spectrum is taken once per session, and each epoch
-is mirror-padded into one reused buffer and convolved with one forward and
-one inverse real FFT. numpy and scipy run the same pocketfft, so the values
-are bit-identical to ``np.pad(mode="reflect")`` plus
+at import, each kernel's spectrum is taken once per transform length and
+shared read-only, and each worker mirror-pads every epoch into its own
+reused buffer and convolves it with one forward and one inverse real FFT
+into reused output buffers. numpy and scipy run the same pocketfft, so the
+values are bit-identical to ``np.pad(mode="reflect")`` plus
 ``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that and
 were checked against numpy 2.4.6 and scipy 1.17.1.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -183,17 +193,31 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(taps: bytes, size: int) -> np.ndarray:
+    """The read-only ``rfft`` of the float64 taps whose bytes are ``taps``,
+    zero-padded to ``size``; taken once per (taps, transform length) and
+    shared by every convolver and thread."""
+    spectrum = rfft(np.frombuffer(taps), size)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
     """A function that convolves arrays of ``shape`` with the odd-length,
     linear-phase ``taps`` along the last axis, mirror-padded by the group
     delay ``(len(taps) - 1) // 2`` on each side, and returns the centred
     ``shape``-sized part: output sample k aligns with input sample k.
 
-    The kernel spectrum and one zeroed FFT-sized buffer are made once; each
-    call copies its input and both mirror pads into the buffer and takes
-    one forward and one inverse real FFT. This is ``np.pad(mode="reflect")``
-    followed by ``scipy.signal.fftconvolve(mode="valid")``, bit for bit,
-    without transforming the kernel again on every call.
+    The kernel spectrum is shared (``_kernel_spectrum``); one zeroed
+    FFT-sized pad buffer and the forward and inverse FFT outputs are made
+    once per convolver. Each call copies its input and both mirror pads
+    into the pad buffer, takes one forward real FFT into its output,
+    multiplies it by the spectrum in place and takes one inverse real FFT
+    into its output. This is ``np.pad(mode="reflect")`` followed by
+    ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The returned
+    array is a view of a buffer that the next call overwrites, and the
+    buffers are mutable, so one convolver serves one thread.
 
     Raises:
         TooShort: The last axis is not longer than the group delay, so a
@@ -203,36 +227,101 @@ def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
     if n <= d:
         raise TooShort(f"need more than {d} samples to mirror-pad, got {n}")
     size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
-    spectrum = rfft(taps, size)
+    spectrum = _kernel_spectrum(np.asarray(taps, dtype=np.float64).tobytes(), size)
     buf = np.zeros(shape[:-1] + (size,))
+    freq = np.empty(shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
+    full = np.empty(shape[:-1] + (size,))
 
     def convolve(x: np.ndarray) -> np.ndarray:
         buf[..., d:d + n] = x
         buf[..., :d] = x[..., d:0:-1]
         buf[..., d + n:n + 2 * d] = x[..., -2:-d - 2:-1]
-        return irfft(rfft(buf) * spectrum, size)[..., 2 * d:2 * d + n]
+        rfft(buf, out=freq)
+        np.multiply(freq, spectrum, out=freq)
+        return irfft(freq, size, out=full)[..., 2 * d:2 * d + n]
 
     return convolve
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    (``taskset`` narrows it) where the platform has one, else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def for_each_chunk(n: int, work: Callable[[int, int], None]) -> None:
+    """Call ``work(lo, hi)`` on contiguous chunks that cover ``range(n)`` in
+    order, one chunk per worker and ``min(available_cpus(), n)`` workers.
+
+    The calling thread runs the first chunk; one ``threading.Thread`` per
+    other chunk, started by this call, runs each of the rest in a copy of
+    the caller's ``contextvars`` context, so the caller's numpy error state
+    applies there too. The chunks run at once, so ``work`` may write only
+    its own chunk's part of a shared array and must keep other state local.
+
+    Raises:
+        Exception: Once every thread has joined, the exception of the first
+            chunk, in chunk order, that raised one; so a caller never gets
+            a block that only some chunks filled.
+    """
+    workers = min(available_cpus(), n)
+    if workers == 0:
+        return
+    bounds = [n * i // workers for i in range(workers + 1)]
+    errors: list[BaseException | None] = [None] * workers
+
+    def run(i: int) -> None:
+        try:
+            work(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised in the caller after the join
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def filter_epoch(epochs: Epochs) -> Epochs:
     """Band-limit every epoch with the reference filter: ``HP_TAPS`` then
     ``LP_TAPS`` on every channel.
 
-    Epochs are filtered one at a time into one new block through one
-    convolver per kernel, so the kernel spectra are computed once per call
-    and the convolution temporaries stay the size of one epoch. Each call
-    builds its own convolvers, whose pad buffers are mutable, so concurrent
-    calls share no state.
+    Epochs are filtered into one new block by ``for_each_chunk``: each
+    worker builds one convolver per kernel, whose pad and FFT buffers hold
+    one epoch and are reused for every epoch of its chunk, and all share
+    the read-only kernel spectra. Each epoch goes through the same
+    arithmetic whichever worker runs it, so the output does not depend on
+    the worker count, and concurrent calls share no mutable state.
 
     Raises:
         TooShort: Epochs of at most the high-pass group delay (2112 samples).
     """
-    shape = epochs.samples.shape[1:]
-    high_pass, low_pass = _mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape)
-    out = np.empty_like(epochs.samples)
-    for k, x in enumerate(epochs.samples):
-        out[k] = low_pass(high_pass(x))
+    samples = epochs.samples
+    shape = samples.shape[1:]
+    # the calling thread's convolvers, built before any thread starts: a
+    # too-short block raises here, and the workers find the spectra cached
+    first = (_mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape))
+    out = np.empty_like(samples)
+
+    def work(lo: int, hi: int) -> None:
+        high_pass, low_pass = first if lo == 0 else (
+            _mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape))
+        for k in range(lo, hi):
+            out[k] = low_pass(high_pass(samples[k]))
+
+    for_each_chunk(len(samples), work)
     return replace(epochs, samples=out)
 
 

@@ -5,9 +5,11 @@ of the five classic bands and the relative power of each band against
 the 0.1..40 Hz total, for 10 features per channel and 40 per epoch.
 The Welch settings are the reference method's and fixed (Hann segments of
 ``DEFAULT_NFFT`` samples, 50% overlap). ``extract_features`` computes one
-Welch PSD per epoch over all channels and integrates every band over the
+Welch PSD per epoch over all channels, on one thread per available CPU
+(``preprocess.for_each_chunk``; each worker holds one epoch's
+temporaries), into one density block, and integrates every band over the
 whole session at once; the result is bit-identical to integrating each
-channel's PSD on its own.
+channel's PSD on its own, whatever the worker count.
 
 The Welch estimate is a plain density array on the fixed grid
 ``FREQS_HZ`` (0..128 Hz in 0.25 Hz steps), inside which every band edge
@@ -26,9 +28,9 @@ import numpy as np
 from numpy.fft import rfft, rfftfreq
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegeneratePower, TooShort
+from .errors import DegeneratePower, NonFinitePower, TooShort
 from .features import FeatureMatrix
-from .preprocess import Epochs
+from .preprocess import Epochs, for_each_chunk
 from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
 
 # Welch segment length of the reference method, in samples.
@@ -168,20 +170,39 @@ def extract_features(epochs: Epochs) -> FeatureMatrix:
 
     Returns one row per epoch, in epoch order, with the columns of
     ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix. The
-    Welch PSD is taken one epoch at a time, which keeps its temporaries
-    epoch-sized.
+    Welch PSDs are taken by ``for_each_chunk``, each worker one epoch at a
+    time into its rows of one preallocated density block, so each worker's
+    temporaries stay epoch-sized. numpy does not warn about an overflowing
+    or invalid PSD; a non-finite power raises ``NonFinitePower`` instead.
 
     Raises:
+        NonFinitePower: Any channel's band or total power is not finite:
+            a sample so large that its squared spectrum overflows float64.
         DegeneratePower: Any channel's total power is degenerate.
     """
     names = eeg_feature_names()
     n = len(epochs)
     values = np.empty((0, len(names)))
     if n:
-        density = np.stack([welch_psd(x) for x in epochs.samples])
-        powers = np.stack([_integrate(density, b.lo_hz, b.hi_hz) for b in BANDS]
-                          + [_integrate(density, *TOTAL_BAND_HZ)], axis=-1)
+        samples = epochs.samples
+        density = np.empty(samples.shape[:-1] + FREQS_HZ.shape)
+
+        def work(lo: int, hi: int) -> None:
+            for k in range(lo, hi):
+                density[k] = welch_psd(samples[k])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for_each_chunk(n, work)
+            powers = np.stack([_integrate(density, b.lo_hz, b.hi_hz) for b in BANDS]
+                              + [_integrate(density, *TOTAL_BAND_HZ)], axis=-1)
         absolute, total = powers[..., :-1], powers[..., -1]
+        nonfinite = np.argwhere(~np.isfinite(powers).all(axis=-1))
+        if len(nonfinite):
+            k, ch = nonfinite[0]
+            raise NonFinitePower(
+                f"channel {EEG_CHANNELS[ch]} of epoch {epochs.interval_index[k]} "
+                f"has a non-finite band or total power (total {total[k, ch]:g})"
+            )
         degenerate = np.argwhere(total <= DEGENERATE_POWER_UV2)
         if len(degenerate):
             k, ch = degenerate[0]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from drowsekit import cli, ingest, pipeline, preprocess, session, spectral, stats
-from drowsekit.errors import NonFiniteSample
+from drowsekit.errors import NonFinitePower
 from drowsekit.features import FeatureMatrix
 from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES, BinaryState
 from drowsekit.synthgen import SynthSpec, generate_session
@@ -339,15 +339,52 @@ def test_analyze_single_state_cohort_exits_1(tmp_path, capsys):
 
 
 def test_analyze_cohort_rejects_nan_eeg_sample():
-    # a NaN passes the artifact rule and the degeneracy check, so the
-    # statistics are the last line of defence against a false "significant"
+    # a NaN passes the artifact rule and the degeneracy check; the feature
+    # step names it before the statistics could report a false "significant"
     session = generate_session(SynthSpec(n_intervals=10, drowsy_fraction=0.5), 11)
     channels = session.eeg.channels.copy()
     channels[0, 1000] = np.nan
     session = dataclasses.replace(
         session, eeg=dataclasses.replace(session.eeg, channels=channels))
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(NonFinitePower, match="^channel TP9 of epoch 0 "):
         pipeline.analyze_cohort([session], pipeline.RunConfig(), cohort_id="nan")
+
+
+def test_overflowing_eeg_sample_exits_1_naming_its_epoch(tmp_path):
+    # one 1e160 uV sample passes validate and the artifact rule; its Welch
+    # power overflows, which must end analyze and features with a named
+    # error and no numpy warning on stderr
+    session = generate_session(SynthSpec(n_intervals=8, drowsy_fraction=0.5), 3)
+    channels = session.eeg.channels.copy()
+    channels[1, 3 * preprocess.EPOCH_SAMPLES + 1000] = 1e160
+    session = dataclasses.replace(
+        session, eeg=dataclasses.replace(session.eeg, channels=channels))
+    eeg, labels = tmp_path / "eeg.csv", tmp_path / "labels.csv"
+    ingest.write_eeg_csv(session.eeg, eeg)
+    ingest.write_ord_csv(session.labels, labels)
+    manifest = tmp_path / "manifest.csv"
+    ingest.write_manifest([ingest.SessionManifest(session_id="s", eeg_path=eeg,
+                                                  telemetry_path=None, labels_path=labels)],
+                          manifest, relative_to=tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    script = textwrap.dedent("""\
+        import sys
+        from drowsekit import cli
+        manifest, out = sys.argv[1:]
+        codes = [cli.main(["validate", "--manifest", manifest])]
+        for command in ("analyze", "features"):
+            codes.append(cli.main([command, "--manifest", manifest, "--out", out]))
+        print(codes)
+        """)
+    result = subprocess.run([sys.executable, "-W", "default", "-c", script, str(manifest),
+                             str(tmp_path / "out")],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.stdout.splitlines()[-1] == "[0, 1, 1]"
+    message = "(NonFinitePower): channel AF7 of epoch 3 has a non-finite band or total power"
+    assert result.stderr.splitlines() == [
+        f"error: analysis failed {message} (total nan)",
+        f"error: feature extraction failed {message} (total nan)",
+    ]
 
 
 def test_write_report_files_rejects_nan(tmp_path):
@@ -574,6 +611,24 @@ def test_empty_manifest_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "manifest: no session rows" in captured.err
+    assert [p.name for p in tmp_path.rglob("*")] == ["manifest.csv"]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "features"])
+def test_files_listed_under_two_session_ids_exit_2(tmp_path, capsys, one_session_files, command):
+    # without the check, analyze pools the one session twice
+    entry = one_session_files
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("session_id,eeg_path,telemetry_path,labels_path\n" + "".join(
+        f"{sid},{entry.eeg_path},{entry.telemetry_path},{entry.labels_path}\n"
+        for sid in ("a", "b")))
+    argv = [command, "--manifest", str(manifest)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"row 2 repeats file '{entry.eeg_path.resolve()}' from row 1" in captured.err
     assert [p.name for p in tmp_path.rglob("*")] == ["manifest.csv"]
 
 

@@ -16,9 +16,11 @@ CODES = {
     "MissingRater": "MissingRater",
     "InvalidEncoding": "InvalidEncoding",
     "DuplicateSessionId": "DuplicateSessionId",
+    "DuplicateSessionFiles": "DuplicateSessionFiles",
     "UnsafeSessionId": "UnsafeSessionId",
     "TooShort": "TooShort",
     "DegeneratePower": "DegeneratePower",
+    "NonFinitePower": "NonFinitePower",
     "TooFewSamples": "TooFewSamples",
     "ZeroVariance": "ZeroVariance",
     "EmptySample": "EmptySample",

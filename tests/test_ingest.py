@@ -13,6 +13,7 @@ from helpers import write_rows_per_cell
 from drowsekit import ingest
 from drowsekit.errors import (
     DrowsekitError,
+    DuplicateSessionFiles,
     DuplicateSessionId,
     EmptyFile,
     GapInIntervals,
@@ -318,6 +319,22 @@ def test_manifest_duplicate_session_id(tmp_path):
                     "s2,b.csv,,b_lab.csv\n"
                     "s1,c.csv,,c_lab.csv\n")
     with pytest.raises(DuplicateSessionId, match="row 3 repeats session id 's1' from row 1"):
+        ingest.load_manifest(path)
+
+
+@pytest.mark.parametrize("row2,repeated", [
+    ("s2,sub/../a.csv,,b_lab.csv", "a.csv"),  # the same EEG file, spelled otherwise
+    ("s2,b.csv,,./a_lab.csv", "a_lab.csv"),
+    ("s2,b.csv,a_tel.csv,b_lab.csv", "a_tel.csv"),
+    ("s2,b.csv,,a_tel.csv", "a_tel.csv"),  # another entry's telemetry as labels
+])
+def test_manifest_rejects_files_listed_under_two_session_ids(tmp_path, row2, repeated):
+    path = tmp_path / "manifest.csv"
+    path.write_text("session_id,eeg_path,telemetry_path,labels_path\n"
+                    f"s1,a.csv,a_tel.csv,a_lab.csv\n{row2}\n")
+    file = (tmp_path / repeated).resolve()
+    with pytest.raises(DuplicateSessionFiles, match=f"^manifest: row 2 repeats file '{file}' "
+                                                    "from row 1$"):
         ingest.load_manifest(path)
 
 

@@ -1,10 +1,14 @@
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.fft
 from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
 
+from drowsekit import preprocess
 from drowsekit.errors import TooShort
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
@@ -18,6 +22,7 @@ from drowsekit.preprocess import (
     denoise_summary,
     epoch_signal,
     filter_epoch,
+    for_each_chunk,
     outlier_fraction,
 )
 from drowsekit.session import (
@@ -198,6 +203,86 @@ def test_filter_epoch_rejects_epochs_within_group_delay():
                     interval_index=np.arange(1), state=np.array([BinaryState.ALERT]))
     with pytest.raises(TooShort):
         filter_epoch(epochs)
+
+
+# ---- the thread split of the epoch block -------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_filter_epoch_split_matches_per_epoch_convolvers(rng, monkeypatch, workers, n):
+    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(n)])
+    # a fresh pair of convolvers per epoch: no buffer is reused
+    expected = np.array([
+        _mirror_convolver(LP_TAPS, x.shape)(_mirror_convolver(HP_TAPS, x.shape)(x))
+        for x in epochs.samples]).reshape(epochs.samples.shape)
+    threads = set()
+
+    def recording(taps, shape):
+        convolve = _mirror_convolver(taps, shape)
+
+        def counted(x):
+            threads.add(threading.current_thread())
+            return convolve(x)
+        return counted
+
+    monkeypatch.setattr(preprocess, "_mirror_convolver", recording)
+    assert filter_epoch(epochs).samples.tobytes() == expected.tobytes()
+    assert len(threads) == min(workers, n)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_filter_epoch_split_rejects_a_too_short_block(workers, n):
+    epochs = Epochs(samples=np.zeros((n, 4, (len(HP_TAPS) - 1) // 2)),
+                    interval_index=np.arange(n), state=np.array([BinaryState.ALERT] * n))
+    with pytest.raises(TooShort):
+        filter_epoch(epochs)
+
+
+def test_epoch_split_under_fast_thread_switching(rng, monkeypatch):
+    # more workers than cores, switching every microsecond: a buffer that
+    # two workers shared would mix epochs and change the bytes
+    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(8)])
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 1)
+    serial = filter_epoch(epochs)
+    expected = serial.samples.tobytes(), extract_features(serial).values.tobytes()
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            split = filter_epoch(epochs)
+            assert (split.samples.tobytes(), extract_features(split).values.tobytes()) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_for_each_chunk_covers_the_range_in_contiguous_chunks(monkeypatch):
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
+    chunks = []
+    for_each_chunk(7, lambda lo, hi: chunks.append((lo, hi, threading.current_thread())))
+    assert sorted(c[:2] for c in chunks) == [(0, 2), (2, 4), (4, 7)]
+    assert len({c[2] for c in chunks}) == 3
+    # the calling thread runs the first chunk
+    assert [c[2] for c in chunks if c[0] == 0] == [threading.current_thread()]
+
+
+def test_for_each_chunk_raises_the_first_failing_chunk_after_every_join(monkeypatch):
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
+    errors = {1: ValueError("chunk 1"), 3: KeyError("chunk 2")}
+    finished = []
+
+    def work(lo, hi):
+        if lo == 3:
+            time.sleep(0.2)  # the last chunk fails after the one before it
+        finished.append(lo)
+        if lo in errors:
+            raise errors[lo]
+
+    before = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        for_each_chunk(5, work)
+    assert raised.value is errors[1]
+    assert sorted(finished) == [0, 1, 3]
+    assert threading.active_count() == before
 
 
 # ---- artifact decisions -----------------------------------------------------

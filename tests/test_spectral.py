@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from helpers import (
@@ -9,8 +12,9 @@ from helpers import (
     welch_psd_scipy,
 )
 
-from drowsekit.errors import DegeneratePower, TooShort
-from drowsekit.preprocess import EPOCH_SAMPLES
+from drowsekit import preprocess, spectral
+from drowsekit.errors import DegeneratePower, NonFinitePower, TooShort
+from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
 from drowsekit.session import BinaryState
 from drowsekit.spectral import (
     BANDS,
@@ -215,11 +219,8 @@ def test_feature_matrix_assembly(rng):
     assert empty.feature_names == eeg_feature_names()
 
 
-def test_extract_features_matches_per_channel_path(rng):
-    # oracle: each channel's Welch PSD integrated on its own; the batched
-    # integration must reproduce it bit for bit, not just to rounding
-    epochs = make_epochs([rng.normal(0.0, scale, (4, EPOCH_SAMPLES))
-                          for scale in (0.05, 1.0, 7.0, 30.0, 250.0)])
+def _per_channel_features(epochs):
+    """Each channel's Welch PSD of each epoch integrated on its own."""
     expected = []
     for x in epochs.samples:
         row = []
@@ -230,4 +231,85 @@ def test_extract_features_matches_per_channel_path(rng):
                 power = band_power(psd, band)
                 row += [power, power / total]
         expected.append(row)
-    np.testing.assert_array_equal(extract_features(epochs).values, np.array(expected))
+    return np.array(expected).reshape(len(epochs), 40)
+
+
+def test_extract_features_matches_per_channel_path(rng):
+    # oracle: each channel's Welch PSD integrated on its own; the batched
+    # integration must reproduce it bit for bit, not just to rounding
+    epochs = make_epochs([rng.normal(0.0, scale, (4, EPOCH_SAMPLES))
+                          for scale in (0.05, 1.0, 7.0, 30.0, 250.0)])
+    np.testing.assert_array_equal(extract_features(epochs).values, _per_channel_features(epochs))
+
+
+# ---- the thread split of the epoch block -------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_extract_features_split_matches_per_epoch_welch(rng, monkeypatch, workers, n):
+    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(n)])
+    expected = _per_channel_features(epochs)
+    threads = set()
+
+    def recording(samples):
+        threads.add(threading.current_thread())
+        return welch_psd(samples)
+
+    monkeypatch.setattr(spectral, "welch_psd", recording)
+    assert extract_features(epochs).values.tobytes() == expected.tobytes()
+    assert len(threads) == min(workers, n)
+
+
+def test_extract_features_reraises_the_error_of_a_later_chunk(rng, monkeypatch, workers):
+    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)])
+    error = RuntimeError("the last epoch failed")
+
+    def failing(samples):
+        if np.shares_memory(samples, epochs.samples[-1]):
+            raise error
+        return welch_psd(samples)
+
+    monkeypatch.setattr(spectral, "welch_psd", failing)
+    with pytest.raises(RuntimeError) as raised:
+        extract_features(epochs)
+    assert raised.value is error
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_extract_features_split_rejects_a_too_short_block(workers, n):
+    epochs = Epochs(samples=np.ones((n, 4, 1000)), interval_index=np.arange(n),
+                    state=np.array([BinaryState.ALERT] * n))
+    with pytest.raises(TooShort):
+        extract_features(epochs)
+
+
+def test_extract_features_workers_run_under_the_callers_errstate(rng, monkeypatch):
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
+    seen = []
+
+    def recording(samples):
+        seen.append((threading.current_thread(), np.geterr()["under"]))
+        return welch_psd(samples)
+
+    monkeypatch.setattr(spectral, "welch_psd", recording)
+    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)])
+    with np.errstate(under="raise"):
+        extract_features(epochs)
+    assert len({thread for thread, _ in seen}) == 3
+    assert [under for _, under in seen] == ["raise"] * 5
+
+
+@pytest.mark.parametrize("magnitude,error", [(1e150, None), (1e160, NonFinitePower)])
+def test_extract_features_names_an_epoch_whose_power_overflows(rng, workers, magnitude, error):
+    # the squared spectrum of a 1e160 uV sample overflows float64; that of
+    # 1e150 uV does not; neither may make numpy warn, in any thread
+    samples = [rng.normal(0.0, 10.0, (4, EPOCH_SAMPLES)) for _ in range(3)]
+    samples[2][1, 1000] = magnitude
+    epochs = make_epochs(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert np.isfinite(extract_features(epochs).values).all()
+        else:
+            with pytest.raises(error, match="^channel AF7 of epoch 2 has a non-finite band "
+                                            "or total power"):
+                extract_features(epochs)

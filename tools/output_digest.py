@@ -2,7 +2,9 @@
 and of what validate prints.
 
 Writes the benchmark's cohort shapes, plus one cohort in which the artifact
-rule drops every epoch of one session, at seeds 1 and 4242 through the
+rule drops every epoch of one session and one of sessions with 1, 3, 5 and 7
+epochs (odd block sizes, so a slip at a boundary of the filter's and the
+Welch PSD's per-thread chunks shows), at seeds 1 and 4242 through the
 ``ingest`` writers, and two cohorts that ``validate`` rejects: one with a
 250 Hz EEG and one whose telemetry clock starts at 1000 s. ``validate`` runs
 on every cohort, and its stdout and exit code go to ``validate.txt`` in the
@@ -45,12 +47,14 @@ def _telemetry_from_1000_s(session):
 
 # (cohort name, [(spec, session count, edit), ...]); ``edit``, when given,
 # changes each such session before it is written. "drops" adds a session to
-# the analyze_memory shape whose every epoch the artifact rule drops.
+# the analyze_memory shape whose every epoch the artifact rule drops; "odd"
+# has one session of each odd epoch count up to 7, a single epoch included.
 _MEMORY = WORKLOADS["analyze_memory"]
 COHORTS = [(name, [(w.spec, w.n_sessions, None)])
            for name, w in WORKLOADS.items() if hasattr(w, "n_sessions")]
 COHORTS.append(("drops", [(_MEMORY.spec, _MEMORY.n_sessions, None),
                           (replace(_MEMORY.spec, n_intervals=12, outlier_rate=1.0), 1, None)]))
+COHORTS.append(("odd", [(replace(_MEMORY.spec, n_intervals=n), 1, None) for n in (1, 3, 5, 7)]))
 # Cohorts that validate rejects (WrongSampleRate, TelemetryCoverageMismatch).
 REJECTED = [("eeg-250hz", [(_MEMORY.spec, 1, None), (_MEMORY.spec, 1, _eeg_at_250_hz)]),
             ("telemetry-at-1000s", [(_MEMORY.spec, 1, _telemetry_from_1000_s)])]
