@@ -92,10 +92,6 @@ class UnsafeSessionId(IngestError):
 
 # ---- spectral -----------------------------------------------------------
 
-class TooShort(DrowsekitError):
-    pass
-
-
 class DegeneratePower(DrowsekitError):
     pass
 

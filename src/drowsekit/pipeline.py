@@ -94,10 +94,9 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     if violations:
         listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise ValueError(f"session {session.id} is invalid: {listing}")
-    # the raw block is not kept, so only one sample block outlives the filter
-    filtered = filter_epoch(epoch_signal(session.eeg, session.labels))
-    kept = denoise_epochs(filtered, per_channel=config.per_channel_outliers)
-    summary = denoise_summary(filtered, kept)
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+    kept = denoise_epochs(spectra, per_channel=config.per_channel_outliers)
+    summary = denoise_summary(spectra, kept)
     eeg_matrix = extract_features(kept.epochs)
     vehicle_matrix = None
     if session.telemetry is not None:

@@ -1,13 +1,16 @@
 """Epoching, FIR band-limiting, and amplitude-based artifact rejection.
 
-The pipeline order is: cut the recording into 30-second epochs aligned to
+The pipeline order is: find the recording's 30-second epochs aligned to
 the labeling grid, band-limit each epoch with the reference 0.1 Hz
 high-pass and 40 Hz low-pass (``HP_TAPS``, ``LP_TAPS``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
-below. A session's epochs travel as one ``Epochs`` block. The filter and
-the Welch PSD split the block into one contiguous chunk per available CPU
-(``for_each_chunk``) and run the chunks on threads, since numpy's FFTs
+below. No session-sized sample block is built: ``Epochs`` holds where each
+epoch starts in the recording, and ``filter_epoch`` takes every epoch in
+one pass from the recording to what the later stages read of it, its
+per-channel outlier counts and its Welch PSD (``EpochSpectra``). The pass
+splits the epochs into one contiguous chunk per available CPU
+(``for_each_chunk``) and runs the chunks on threads, since numpy's FFTs
 release the GIL; each worker holds one epoch's buffers, so the temporaries
 stay epoch-sized per worker. Each epoch goes through the same arithmetic
 whichever thread runs it, so the output bytes do not depend on the worker
@@ -15,12 +18,13 @@ count. All operations are pure.
 
 The filter uses ``numpy.fft`` alone: the taps are read-only constants built
 at import, each kernel's spectrum is taken once per transform length and
-shared read-only, and each worker mirror-pads every epoch into its own
-reused buffer and convolves it with one forward and one inverse real FFT
-into reused output buffers. numpy and scipy run the same pocketfft, so the
-values are bit-identical to ``np.pad(mode="reflect")`` plus
-``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that and
-were checked against numpy 2.4.6 and scipy 1.17.1.
+shared read-only, and each worker mirror-pads every epoch straight from the
+recording into its own reused buffer and convolves it with one forward and
+one inverse real FFT, the inverse back into that buffer. numpy and scipy
+run the same pocketfft, so the values are bit-identical to
+``np.pad(mode="reflect")`` plus ``scipy.signal.fftconvolve(mode="valid")``;
+the oracle tests pin that and were checked against numpy 2.4.6 and scipy
+1.17.1.
 """
 
 from __future__ import annotations
@@ -31,14 +35,13 @@ import logging
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import TooShort
 from .session import (
     EEG_SAMPLE_RATE_HZ,
     EPOCH_SAMPLES,
@@ -47,6 +50,7 @@ from .session import (
     OrdLabelTrack,
     epoch_starts,
 )
+from .spectral import FREQS_HZ, welch_psd
 
 logger = logging.getLogger(__name__)
 
@@ -65,11 +69,26 @@ DEFAULT_MAX_OUTLIER_FRACTION = 0.30
 
 @dataclass(frozen=True)
 class Epochs:
-    """A session's 30-second, 4-channel EEG epochs with their binary states."""
+    """Where a session's 30-second epochs lie in its recording, with their
+    binary states."""
 
-    samples: np.ndarray  # shape (n, 4, 7680), microvolts
+    start: np.ndarray  # shape (n,), first recording sample of each epoch
     interval_index: np.ndarray  # shape (n,), label-grid index of each epoch
     state: np.ndarray  # shape (n,), the BinaryState of each epoch
+
+    def __len__(self) -> int:
+        return len(self.interval_index)
+
+
+@dataclass(frozen=True)
+class EpochSpectra:
+    """What the artifact rule and the features read of each band-limited
+    epoch: its outlier counts and its Welch PSD."""
+
+    interval_index: np.ndarray  # shape (n,), label-grid index of each epoch
+    state: np.ndarray  # shape (n,), the BinaryState of each epoch
+    outliers: np.ndarray  # shape (n, 4), samples per channel beyond +/-70 uV or not finite
+    density: np.ndarray  # shape (n, 4, 513), uV^2/Hz at spectral.FREQS_HZ
 
     def __len__(self) -> int:
         return len(self.interval_index)
@@ -79,7 +98,7 @@ class Epochs:
 class EpochSet:
     """Kept epochs plus the rejection record for dropped ones."""
 
-    epochs: Epochs
+    epochs: EpochSpectra
     dropped: tuple[np.ndarray, np.ndarray]  # (interval_index, outlier_fraction)
 
 
@@ -134,7 +153,7 @@ class DenoiseSummary:
 
 
 def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
-    """Cut the recording into one epoch per fully covered label interval.
+    """Find one epoch per fully covered label interval; no sample is copied.
 
     Each epoch carries the majority vote of its interval's ratings.
     ``session.epoch_starts`` decides the covered intervals, as it does for
@@ -144,10 +163,7 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     skipped = len(labels.intervals) - len(starts)
     if skipped:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
-    samples = np.empty((len(starts), len(recording.channels), EPOCH_SAMPLES))
-    for k, (_, s0) in enumerate(starts):
-        samples[k] = recording.channels[:, s0:s0 + EPOCH_SAMPLES]
-    return Epochs(samples=samples,
+    return Epochs(start=np.array([s0 for _, s0 in starts], dtype=np.int64),
                   interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
                   state=np.array([iv.state for iv, _ in starts], dtype=object))
 
@@ -209,36 +225,31 @@ def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
     delay ``(len(taps) - 1) // 2`` on each side, and returns the centred
     ``shape``-sized part: output sample k aligns with input sample k.
 
-    The kernel spectrum is shared (``_kernel_spectrum``); one zeroed
-    FFT-sized pad buffer and the forward and inverse FFT outputs are made
-    once per convolver. Each call copies its input and both mirror pads
-    into the pad buffer, takes one forward real FFT into its output,
-    multiplies it by the spectrum in place and takes one inverse real FFT
-    into its output. This is ``np.pad(mode="reflect")`` followed by
+    The kernel spectrum is shared (``_kernel_spectrum``); one FFT-sized
+    buffer and the forward FFT output are made once per convolver. Each
+    call copies its input and both mirror pads into the buffer and zeroes
+    the rest, takes one forward real FFT into its output, multiplies it by
+    the spectrum in place and takes one inverse real FFT back into the
+    buffer. This is ``np.pad(mode="reflect")`` followed by
     ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The returned
     array is a view of a buffer that the next call overwrites, and the
-    buffers are mutable, so one convolver serves one thread.
-
-    Raises:
-        TooShort: The last axis is not longer than the group delay, so a
-            single mirror image cannot pad it.
+    buffers are mutable, so one convolver serves one thread. The last axis
+    must be longer than the group delay, so that one mirror image pads it.
     """
     n, d = shape[-1], (len(taps) - 1) // 2
-    if n <= d:
-        raise TooShort(f"need more than {d} samples to mirror-pad, got {n}")
     size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
     spectrum = _kernel_spectrum(np.asarray(taps, dtype=np.float64).tobytes(), size)
-    buf = np.zeros(shape[:-1] + (size,))
+    buf = np.empty(shape[:-1] + (size,))
     freq = np.empty(shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
-    full = np.empty(shape[:-1] + (size,))
 
     def convolve(x: np.ndarray) -> np.ndarray:
         buf[..., d:d + n] = x
         buf[..., :d] = x[..., d:0:-1]
         buf[..., d + n:n + 2 * d] = x[..., -2:-d - 2:-1]
+        buf[..., n + 2 * d:] = 0.0
         rfft(buf, out=freq)
         np.multiply(freq, spectrum, out=freq)
-        return irfft(freq, size, out=full)[..., 2 * d:2 * d + n]
+        return irfft(freq, size, out=buf)[..., 2 * d:2 * d + n]
 
     return convolve
 
@@ -294,65 +305,75 @@ def for_each_chunk(n: int, work: Callable[[int, int], None]) -> None:
             raise exc
 
 
-def filter_epoch(epochs: Epochs) -> Epochs:
-    """Band-limit every epoch with the reference filter: ``HP_TAPS`` then
-    ``LP_TAPS`` on every channel.
+def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
+    """Band-limit every epoch of ``recording`` with the reference filter
+    (``HP_TAPS`` then ``LP_TAPS`` on every channel) and reduce it to its
+    per-channel outlier counts (``outlier_counts``) and its Welch PSD.
 
-    Epochs are filtered into one new block by ``for_each_chunk``: each
-    worker builds one convolver per kernel, whose pad and FFT buffers hold
-    one epoch and are reused for every epoch of its chunk, and all share
-    the read-only kernel spectra. Each epoch goes through the same
+    One pass by ``for_each_chunk``: each worker builds one convolver per
+    kernel, whose pad and FFT buffers hold one epoch and are reused for
+    every epoch of its chunk, pads each epoch straight from the recording,
+    and writes its counts and density into its rows of two preallocated
+    blocks; no filtered block is kept. Each epoch goes through the same
     arithmetic whichever worker runs it, so the output does not depend on
-    the worker count, and concurrent calls share no mutable state.
-
-    Raises:
-        TooShort: Epochs of at most the high-pass group delay (2112 samples).
+    the worker count, and concurrent calls share no mutable state. numpy
+    does not warn about a sample so large that the filter overflows; its
+    channel's samples count as outliers, and its density is not finite.
     """
-    samples = epochs.samples
-    shape = samples.shape[1:]
-    # the calling thread's convolvers, built before any thread starts: a
-    # too-short block raises here, and the workers find the spectra cached
-    first = (_mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape))
-    out = np.empty_like(samples)
+    n, channels = len(epochs), recording.channels
+    shape = (len(channels), EPOCH_SAMPLES)
+    outliers = np.empty((n, len(channels)), dtype=np.int64)
+    density = np.empty((n, len(channels), len(FREQS_HZ)))
 
     def work(lo: int, hi: int) -> None:
-        high_pass, low_pass = first if lo == 0 else (
-            _mirror_convolver(HP_TAPS, shape), _mirror_convolver(LP_TAPS, shape))
+        high_pass = _mirror_convolver(HP_TAPS, shape)
+        low_pass = _mirror_convolver(LP_TAPS, shape)
         for k in range(lo, hi):
-            out[k] = low_pass(high_pass(samples[k]))
+            s0 = epochs.start[k]
+            filtered = low_pass(high_pass(channels[:, s0:s0 + EPOCH_SAMPLES]))
+            outliers[k] = outlier_counts(filtered)
+            density[k] = welch_psd(filtered)
 
-    for_each_chunk(len(samples), work)
-    return replace(epochs, samples=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for_each_chunk(n, work)
+    return EpochSpectra(interval_index=epochs.interval_index, state=epochs.state,
+                        outliers=outliers, density=density)
 
 
-def outlier_fraction(samples: np.ndarray, per_channel: bool = False) -> np.ndarray:
-    """Per epoch of an ``(n, channels, time)`` block, the fraction of samples
-    beyond +/-70 uV.
+def outlier_counts(filtered: np.ndarray) -> np.ndarray:
+    """The samples along the last axis beyond +/-70 uV or not finite, so that
+    an overflowed filter output counts as an outlier whether inf or NaN."""
+    within = np.abs(filtered) <= DEFAULT_AMPLITUDE_THRESHOLD_UV
+    return filtered.shape[-1] - np.count_nonzero(within, axis=-1)
+
+
+def outlier_fraction(counts: np.ndarray, per_channel: bool = False) -> np.ndarray:
+    """Per epoch of an ``(n, channels)`` array of ``outlier_counts``, the
+    fraction of its samples that are outliers.
 
     By default outliers are pooled across all channels; with
-    ``per_channel`` an epoch's fraction is its worst single channel's.
+    ``per_channel`` an epoch's fraction is its worst single channel's. The
+    counts are exact in float64, so either is the mean of the epoch's
+    boolean outlier mask, bit for bit.
     """
-    # two boolean blocks instead of np.abs, which would copy the float block
-    threshold = DEFAULT_AMPLITUDE_THRESHOLD_UV
-    outliers = (samples > threshold) | (samples < -threshold)
     if per_channel:
-        return np.max(np.mean(outliers, axis=-1), axis=-1)
-    return np.mean(outliers, axis=(1, 2))
+        return np.max(counts / EPOCH_SAMPLES, axis=-1)
+    return counts.sum(axis=-1) / (counts.shape[-1] * EPOCH_SAMPLES)
 
 
-def denoise_epochs(epochs: Epochs, per_channel: bool = False) -> EpochSet:
+def denoise_epochs(epochs: EpochSpectra, per_channel: bool = False) -> EpochSet:
     """Keep the filtered epochs whose outlier fraction is at most 30%.
 
     Dropped epochs are recorded by interval index and outlier fraction.
     """
-    fraction = outlier_fraction(epochs.samples, per_channel)
+    fraction = outlier_fraction(epochs.outliers, per_channel)
     keep = fraction <= DEFAULT_MAX_OUTLIER_FRACTION
-    kept = Epochs(samples=epochs.samples[keep], interval_index=epochs.interval_index[keep],
-                  state=epochs.state[keep])
+    kept = EpochSpectra(interval_index=epochs.interval_index[keep], state=epochs.state[keep],
+                        outliers=epochs.outliers[keep], density=epochs.density[keep])
     return EpochSet(epochs=kept, dropped=(epochs.interval_index[~keep], fraction[~keep]))
 
 
-def denoise_summary(pre: Epochs, post: EpochSet) -> DenoiseSummary:
+def denoise_summary(pre: EpochSpectra, post: EpochSet) -> DenoiseSummary:
     """Tabulate pre/post denoising epoch counts by state."""
     pre_alert = int(np.count_nonzero(pre.state == BinaryState.ALERT))
     post_alert = int(np.count_nonzero(post.epochs.state == BinaryState.ALERT))

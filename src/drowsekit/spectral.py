@@ -4,12 +4,12 @@ Per channel, an epoch yields the absolute power (in microvolts squared)
 of the five classic bands and the relative power of each band against
 the 0.1..40 Hz total, for 10 features per channel and 40 per epoch.
 The Welch settings are the reference method's and fixed (Hann segments of
-``DEFAULT_NFFT`` samples, 50% overlap). ``extract_features`` computes one
-Welch PSD per epoch over all channels, on one thread per available CPU
-(``preprocess.for_each_chunk``; each worker holds one epoch's
-temporaries), into one density block, and integrates every band over the
-whole session at once; the result is bit-identical to integrating each
-channel's PSD on its own, whatever the worker count.
+``DEFAULT_NFFT`` samples, 50% overlap). ``preprocess.filter_epoch`` takes
+``welch_psd`` of each band-limited epoch over all channels on its worker
+threads, into one density block per session, and ``extract_features``
+integrates every band over the kept epochs' block at once; the result is
+bit-identical to integrating each channel's PSD on its own, whatever the
+worker count.
 
 The Welch estimate is a plain density array on the fixed grid
 ``FREQS_HZ`` (0..128 Hz in 0.25 Hz steps), inside which every band edge
@@ -23,15 +23,18 @@ that and were checked against numpy 2.4.6 and scipy 1.17.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.fft import rfft, rfftfreq
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegeneratePower, NonFinitePower, TooShort
+from .errors import DegeneratePower, NonFinitePower
 from .features import FeatureMatrix
-from .preprocess import Epochs, for_each_chunk
 from .session import EEG_CHANNELS, EEG_SAMPLE_RATE_HZ
+
+if TYPE_CHECKING:
+    from .preprocess import EpochSpectra
 
 # Welch segment length of the reference method, in samples.
 DEFAULT_NFFT = 1024
@@ -115,15 +118,10 @@ def welch_psd(samples: np.ndarray) -> np.ndarray:
     The segments are strided views of the input and are transformed in one
     ``rfft``; the periodograms are averaged in scipy's ``(freq, segment)``
     memory order, so the result is bit-identical to ``scipy.signal.welch``
-    with these settings.
-
-    Raises:
-        TooShort: Fewer samples than one segment.
+    with these settings. The last axis must hold at least one segment.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
-    if n < DEFAULT_NFFT:
-        raise TooShort(f"need at least {DEFAULT_NFFT} samples, got {n}")
     segments = sliding_window_view(samples, DEFAULT_NFFT, axis=-1)[..., ::_HOP, :]
     spectra = rfft(segments[..., :(n - _HOP) // _HOP, :] * _WINDOW)
     power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).swapaxes(-1, -2))
@@ -165,15 +163,15 @@ def _integrate(density: np.ndarray, lo_hz: float, hi_hz: float) -> np.ndarray:
     return np.trapezoid(dens, grid, axis=-1)
 
 
-def extract_features(epochs: Epochs) -> FeatureMatrix:
-    """Compute the 40 features of each filtered, kept epoch of a session.
+def extract_features(epochs: EpochSpectra) -> FeatureMatrix:
+    """Compute the 40 features of each kept epoch of a session from its
+    Welch PSD (``preprocess.filter_epoch``).
 
     Returns one row per epoch, in epoch order, with the columns of
-    ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix. The
-    Welch PSDs are taken by ``for_each_chunk``, each worker one epoch at a
-    time into its rows of one preallocated density block, so each worker's
-    temporaries stay epoch-sized. numpy does not warn about an overflowing
-    or invalid PSD; a non-finite power raises ``NonFinitePower`` instead.
+    ``eeg_feature_names()``; no epochs give a ``(0, 40)`` matrix. Every band
+    is integrated over the whole density block at once. numpy does not warn
+    about an overflowing or invalid PSD; a non-finite power raises
+    ``NonFinitePower`` instead.
 
     Raises:
         NonFinitePower: Any channel's band or total power is not finite:
@@ -184,15 +182,8 @@ def extract_features(epochs: Epochs) -> FeatureMatrix:
     n = len(epochs)
     values = np.empty((0, len(names)))
     if n:
-        samples = epochs.samples
-        density = np.empty(samples.shape[:-1] + FREQS_HZ.shape)
-
-        def work(lo: int, hi: int) -> None:
-            for k in range(lo, hi):
-                density[k] = welch_psd(samples[k])
-
+        density = epochs.density
         with np.errstate(over="ignore", invalid="ignore"):
-            for_each_chunk(n, work)
             powers = np.stack([_integrate(density, b.lo_hz, b.hi_hz) for b in BANDS]
                               + [_integrate(density, *TOTAL_BAND_HZ)], axis=-1)
         absolute, total = powers[..., :-1], powers[..., -1]

@@ -10,7 +10,14 @@ from scipy.stats import norm, rankdata
 
 from drowsekit.errors import DegeneratePower, EmptySample
 from drowsekit.features import FeatureMatrix
-from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
+from drowsekit.preprocess import (
+    EPOCH_SAMPLES,
+    HP_TAPS,
+    LP_TAPS,
+    EpochSpectra,
+    epoch_signal,
+    outlier_counts,
+)
 from drowsekit.session import (
     EEG_CHANNELS,
     EEG_SAMPLE_RATE_HZ,
@@ -30,6 +37,7 @@ from drowsekit.spectral import (
     DEGENERATE_POWER_UV2,
     TOTAL_BAND_HZ,
     _integrate,
+    welch_psd,
 )
 from drowsekit.stats import _lilliefors_p
 from drowsekit.synthgen import (
@@ -91,16 +99,45 @@ def average_ranks_scipy(x):
     return rankdata(x, method="average")
 
 
-def make_epochs(epochs, states=None):
-    """An ``Epochs`` block with interval indices 0, 1, ...; each epoch is a
-    (4, 7680) array, or a 7680-sample array repeated on all four channels.
-    Every epoch is alert unless ``states`` says otherwise."""
-    samples = np.array([np.broadcast_to(np.asarray(x, dtype=np.float64), (4, EPOCH_SAMPLES))
-                        for x in epochs]).reshape(len(epochs), 4, EPOCH_SAMPLES)
-    if states is None:
-        states = [BinaryState.ALERT] * len(epochs)
-    return Epochs(samples=samples, interval_index=np.arange(len(epochs)),
-                  state=np.array(states, dtype=object))
+def _epoch_block(epochs):
+    """An ``(n, 4, 7680)`` block of epochs, each a (4, 7680) array or a
+    7680-sample array repeated on all four channels."""
+    return np.array([np.broadcast_to(np.asarray(x, dtype=np.float64), (4, EPOCH_SAMPLES))
+                     for x in epochs]).reshape(len(epochs), 4, EPOCH_SAMPLES)
+
+
+def _states(n, states):
+    return [BinaryState.ALERT] * n if states is None else list(states)
+
+
+def make_recording(epochs, states=None):
+    """A recording of ``epochs`` (see ``_epoch_block``) back to back, and
+    its ``Epochs``, with interval indices 0, 1, ...; every epoch is alert
+    unless ``states`` says otherwise."""
+    block = _epoch_block(epochs)
+    recording = EegRecording(channels=np.ascontiguousarray(
+        block.transpose(1, 0, 2).reshape(4, len(block) * EPOCH_SAMPLES)))
+    labels = OrdLabelTrack(intervals=tuple(
+        OrdInterval(index=k, ratings=(1, 1, 1) if state is BinaryState.ALERT else (5, 5, 5))
+        for k, state in enumerate(_states(len(block), states))))
+    return recording, epoch_signal(recording, labels)
+
+
+def make_spectra(epochs, states=None):
+    """An ``EpochSpectra`` of ``epochs`` (see ``_epoch_block``) taken as
+    already band-limited: the outlier counts and the Welch PSD of each as
+    given, interval indices 0, 1, ..., and every epoch alert unless
+    ``states`` says otherwise."""
+    block = _epoch_block(epochs)
+    return EpochSpectra(interval_index=np.arange(len(block)),
+                        state=np.array(_states(len(block), states), dtype=object),
+                        outliers=outlier_counts(block), density=welch_psd(block))
+
+
+def band_limit(x):
+    """The reference filter on one epoch as the ``apply_kernel_scipy``
+    chain: high-pass, then low-pass."""
+    return apply_kernel_scipy(apply_kernel_scipy(x, HP_TAPS), LP_TAPS)
 
 
 def sine_wave(freq_hz, amplitude=1.0, n=EPOCH_SAMPLES, phase=0.0):

@@ -10,7 +10,7 @@ import pytest
 from helpers import (
     exact_rank_sum_p,
     freq_response_db,
-    make_epochs,
+    make_spectra,
     relative_band_power,
     sine_wave,
 )
@@ -102,8 +102,8 @@ def test_criterion_5_relative_power_normalization():
     rel_idx = [i for i, n in enumerate(names) if n.endswith("_rel")]
     worst = 0.0
     for _ in range(1000):
-        epochs = make_epochs([rng.normal(0.0, rng.uniform(1.0, 30.0), (4, EPOCH_SAMPLES))])
-        rel = extract_features(epochs).values[0, rel_idx]
+        spectra = make_spectra([rng.normal(0.0, rng.uniform(1.0, 30.0), (4, EPOCH_SAMPLES))])
+        rel = extract_features(spectra).values[0, rel_idx]
         for ch in range(4):
             worst = max(worst, abs(rel[5 * ch:5 * ch + 5].sum() - 1.0))
     assert worst <= 1e-9

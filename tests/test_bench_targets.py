@@ -3,15 +3,26 @@
 ``benchmark/spans.py`` patches the names in its ``TARGETS`` table wherever a
 drowsekit module binds them, and ``benchmark/workloads.py`` calls the
 program's functions and commands. A refactor that removes, renames or
-breaks one of them fails here, not in a benchmark run.
+breaks one of them fails here, not in a benchmark run; so does one that
+calls a traced name from a worker thread, whose spans the tracer's single
+span stack would misplace.
 """
 
+import collections
 import contextlib
 import importlib
+import json
 import sys
+import threading
 from pathlib import Path
 
+import pytest
+
 import drowsekit.cli  # noqa: F401  (imports every module the tracer patches)
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD_NAMES = [w["name"] for w in
+                  json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def _original(owner_path, attr):
@@ -21,7 +32,7 @@ def _original(owner_path, attr):
 
 
 def _benchmark_module(monkeypatch, name):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
     return importlib.import_module(name)
 
 
@@ -73,3 +84,26 @@ def test_every_workload_runs_clean(monkeypatch, tmp_path):
             out = workload.op(inputs)
         layers = spans.layer_metrics(tracer, {"setup", "op"})
         assert workload.check(inputs, out, layers) == [], f"{name} traced"
+
+
+@pytest.mark.parametrize("workload_name", WORKLOAD_NAMES)
+def test_traced_functions_run_on_the_calling_thread_once_per_session(monkeypatch, tmp_path,
+                                                                     workload_name):
+    spans = _benchmark_module(monkeypatch, "spans")
+    workload = _benchmark_module(monkeypatch, "workloads").WORKLOADS[workload_name]()
+    entered = []
+
+    class Recorder(spans.Tracer):
+        def open(self, name):
+            entered.append((name, threading.current_thread()))
+            return super().open(name)
+
+    inputs = workload.prepare(1, tmp_path)
+    with _installed(Recorder(), "op"):
+        workload.op(inputs)
+    assert entered
+    assert {thread for _, thread in entered} == {threading.current_thread()}
+    calls = collections.Counter(traced for traced, _ in entered)
+    sessions = getattr(workload, "n_sessions", 0)
+    assert calls["preprocess.filter_epoch"] == sessions
+    assert calls["spectral.extract_features"] == sessions

@@ -350,41 +350,91 @@ def test_analyze_cohort_rejects_nan_eeg_sample():
         pipeline.analyze_cohort([session], pipeline.RunConfig(), cohort_id="nan")
 
 
-def test_overflowing_eeg_sample_exits_1_naming_its_epoch(tmp_path):
-    # one 1e160 uV sample passes validate and the artifact rule; its Welch
-    # power overflows, which must end analyze and features with a named
-    # error and no numpy warning on stderr
-    session = generate_session(SynthSpec(n_intervals=8, drowsy_fraction=0.5), 3)
+def test_analyze_cohort_drops_a_nan_epoch_per_channel():
+    # the filter spreads the NaN over its channel of the epoch, every sample
+    # of which then counts as an outlier: 100% on that channel
+    session = generate_session(SynthSpec(n_intervals=10, drowsy_fraction=0.5), 11)
     channels = session.eeg.channels.copy()
-    channels[1, 3 * preprocess.EPOCH_SAMPLES + 1000] = 1e160
+    channels[0, 1000] = np.nan
     session = dataclasses.replace(
         session, eeg=dataclasses.replace(session.eeg, channels=channels))
-    eeg, labels = tmp_path / "eeg.csv", tmp_path / "labels.csv"
+    report = pipeline.analyze_cohort([session], pipeline.RunConfig(per_channel_outliers=True),
+                                     cohort_id="nan")
+    table = report["denoise_table"]
+    assert (table["pre_total"], table["post_total"]) == (10, 9)
+
+
+def _session_with_sample(magnitude, n_intervals):
+    """A synthetic session with one AF7 sample of ``magnitude`` uV in epoch 3."""
+    session = generate_session(SynthSpec(n_intervals=n_intervals, drowsy_fraction=0.5), 3)
+    channels = session.eeg.channels.copy()
+    channels[1, 3 * preprocess.EPOCH_SAMPLES + 1000] = magnitude
+    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels))
+
+
+def _run_commands(session, work, flags=()):
+    """Write ``session`` under ``work``, then run validate, analyze and
+    features on it in a fresh interpreter that shows every warning; returns
+    the three exit codes and the stderr lines."""
+    work.mkdir()
+    eeg, labels = work / "eeg.csv", work / "labels.csv"
     ingest.write_eeg_csv(session.eeg, eeg)
     ingest.write_ord_csv(session.labels, labels)
-    manifest = tmp_path / "manifest.csv"
+    manifest = work / "manifest.csv"
     ingest.write_manifest([ingest.SessionManifest(session_id="s", eeg_path=eeg,
                                                   telemetry_path=None, labels_path=labels)],
-                          manifest, relative_to=tmp_path)
+                          manifest, relative_to=work)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     script = textwrap.dedent("""\
         import sys
         from drowsekit import cli
-        manifest, out = sys.argv[1:]
+        manifest, out, *flags = sys.argv[1:]
         codes = [cli.main(["validate", "--manifest", manifest])]
         for command in ("analyze", "features"):
-            codes.append(cli.main([command, "--manifest", manifest, "--out", out]))
+            codes.append(cli.main([command, "--manifest", manifest, "--out", out, *flags]))
         print(codes)
         """)
     result = subprocess.run([sys.executable, "-W", "default", "-c", script, str(manifest),
-                             str(tmp_path / "out")],
+                             str(work / "out"), *flags],
                             capture_output=True, text=True, env=env, timeout=120)
-    assert result.stdout.splitlines()[-1] == "[0, 1, 1]"
+    return result.stdout.splitlines()[-1], result.stderr.splitlines()
+
+
+def test_overflowing_eeg_sample_exits_1_naming_its_epoch(tmp_path):
+    # one 1e160 uV sample passes validate and the artifact rule; its Welch
+    # power overflows, which must end analyze and features with a named
+    # error and no numpy warning on stderr
+    codes, stderr = _run_commands(_session_with_sample(1e160, n_intervals=8), tmp_path / "s")
+    assert codes == "[0, 1, 1]"
     message = "(NonFinitePower): channel AF7 of epoch 3 has a non-finite band or total power"
-    assert result.stderr.splitlines() == [
+    assert stderr == [
         f"error: analysis failed {message} (total nan)",
         f"error: feature extraction failed {message} (total nan)",
     ]
+
+
+def test_eeg_sample_that_overflows_the_filter_exits_1_without_a_warning(tmp_path):
+    # a 1.7e308 uV sample overflows the filter's own FFTs, which turns its
+    # channel of the epoch into inf and NaN: every sample of it counts as an
+    # outlier, so the pooled rule keeps the epoch (25%) and its power is not
+    # finite, while the per-channel rule drops it (100%)
+    session = _session_with_sample(1.7e308, n_intervals=10)
+    codes, stderr = _run_commands(session, tmp_path / "pooled")
+    assert codes == "[0, 1, 1]"
+    message = "(NonFinitePower): channel AF7 of epoch 3 has a non-finite band or total power"
+    assert stderr == [
+        f"error: analysis failed {message} (total nan)",
+        f"error: feature extraction failed {message} (total nan)",
+    ]
+
+    codes, stderr = _run_commands(session, tmp_path / "per-channel", ["--per-channel-outliers"])
+    assert (codes, stderr) == ("[0, 0, 0]", [])
+    report = json.loads((tmp_path / "per-channel" / "out" / "report.json").read_text())
+    assert (report["denoise_table"]["pre_total"], report["denoise_table"]["post_total"]) == (10, 9)
+    spectra = preprocess.filter_epoch(session.eeg, preprocess.epoch_signal(session.eeg,
+                                                                          session.labels))
+    assert [a.tolist() for a in preprocess.denoise_epochs(spectra, per_channel=True).dropped] \
+        == [[3], [1.0]]
 
 
 def test_write_report_files_rejects_nan(tmp_path):

@@ -18,7 +18,6 @@ CODES = {
     "DuplicateSessionId": "DuplicateSessionId",
     "DuplicateSessionFiles": "DuplicateSessionFiles",
     "UnsafeSessionId": "UnsafeSessionId",
-    "TooShort": "TooShort",
     "DegeneratePower": "DegeneratePower",
     "NonFinitePower": "NonFinitePower",
     "TooFewSamples": "TooFewSamples",

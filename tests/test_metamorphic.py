@@ -109,8 +109,8 @@ def _scale_eeg(session, factor):
 
 
 def _dropped_intervals(session):
-    filtered = filter_epoch(epoch_signal(session.eeg, session.labels))
-    return denoise_epochs(filtered).dropped[0].tolist()
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+    return denoise_epochs(spectra).dropped[0].tolist()
 
 
 def test_doubled_eeg_leaves_every_p_value_identical(cohort, tmp_path):

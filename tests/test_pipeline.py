@@ -1,13 +1,15 @@
-"""The session pipeline on one epoch block against a per-epoch reference
-built on the scipy filter and Welch oracles, and the cohort pass that
-holds one session at a time."""
+"""The session pipeline against a per-epoch reference built on the scipy
+filter and Welch oracles, its memory bound, and the cohort pass that holds
+one session at a time."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from helpers import apply_kernel_scipy, band_power, sine_wave, total_power, welch_psd_scipy
+from helpers import band_limit, band_power, sine_wave, total_power, welch_psd_scipy
 
+from drowsekit import preprocess
 from drowsekit.pipeline import RunConfig, analyze_cohort, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
@@ -15,8 +17,6 @@ from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     denoise_epochs,
     epoch_signal,
-    HP_TAPS,
-    LP_TAPS,
     filter_epoch,
 )
 from drowsekit.session import BinaryState, Session, make_eeg_recording
@@ -49,7 +49,7 @@ def _per_epoch_reference(session, per_channel):
     for iv in session.labels.intervals:
         span = slice(iv.index * EPOCH_SAMPLES, (iv.index + 1) * EPOCH_SAMPLES)
         x = np.stack([c[span] for c in session.eeg.channels])
-        x = apply_kernel_scipy(apply_kernel_scipy(x, HP_TAPS), LP_TAPS)
+        x = band_limit(x)
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
@@ -89,7 +89,7 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     assert (summary.pre_alert, summary.pre_drowsy, summary.post_alert,
             summary.post_drowsy) == counts
 
-    kept = denoise_epochs(filter_epoch(epoch_signal(session.eeg, session.labels)),
+    kept = denoise_epochs(filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels)),
                           per_channel=per_channel)
     assert [a.tolist() for a in kept.dropped] == list(dropped)
     assert kept.epochs.interval_index.tolist() == list(result.eeg_features.interval_indices)
@@ -97,6 +97,22 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     # channel-0 ones only per channel
     expected = sorted(all_channels + (channel0 if per_channel else ()))
     assert dropped[0] == expected
+
+
+def test_process_session_never_holds_an_epoch_block(monkeypatch):
+    # the pass keeps a few numbers per epoch and only its worker's buffers
+    # are epoch-sized, so one worker's peak stays below the size of the
+    # session's epochs as one (n, 4, 7680) float64 block
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 1)
+    session = generate_session(SynthSpec(n_intervals=16), seed=3)
+    process_session(session, RunConfig())  # the kernel spectra are cached from here on
+    tracemalloc.start()
+    try:
+        process_session(session, RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4 * EPOCH_SAMPLES * 8
 
 
 def test_analyze_cohort_holds_one_session_at_a_time():

@@ -2,20 +2,29 @@ import logging
 import sys
 import threading
 import time
+import tracemalloc
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
-from helpers import apply_kernel_scipy, freq_response_db, make_epochs, sine_wave
+from helpers import (
+    apply_kernel_scipy,
+    band_limit,
+    freq_response_db,
+    make_recording,
+    make_spectra,
+    sine_wave,
+)
 
 from drowsekit import preprocess
-from drowsekit.errors import TooShort
 from drowsekit.preprocess import (
+    DEFAULT_AMPLITUDE_THRESHOLD_UV,
     EPOCH_SAMPLES,
     HP_TAPS,
     LP_TAPS,
     DenoiseSummary,
-    Epochs,
     _mirror_convolver,
     _next_fast_len,
     denoise_epochs,
@@ -23,6 +32,7 @@ from drowsekit.preprocess import (
     epoch_signal,
     filter_epoch,
     for_each_chunk,
+    outlier_counts,
     outlier_fraction,
 )
 from drowsekit.session import (
@@ -31,7 +41,7 @@ from drowsekit.session import (
     OrdLabelTrack,
     make_eeg_recording,
 )
-from drowsekit.spectral import extract_features
+from drowsekit.spectral import FREQS_HZ, extract_features, welch_psd
 
 # region excluded when measuring interior amplitudes (high-pass group delay)
 EDGE = 2112
@@ -48,10 +58,8 @@ def test_epoch_signal_full_coverage(rng):
     rec = make_eeg_recording(rng.normal(size=(4, 20 * EPOCH_SAMPLES)))
     epochs = epoch_signal(rec, _labels(20))
     assert len(epochs) == 20
-    assert epochs.samples.shape == (20, 4, EPOCH_SAMPLES)
+    assert epochs.start.tolist() == [k * EPOCH_SAMPLES for k in range(20)]
     assert epochs.interval_index.tolist() == list(range(20))
-    np.testing.assert_array_equal(
-        epochs.samples[3, 1], rec.channels[1][3 * EPOCH_SAMPLES:4 * EPOCH_SAMPLES])
 
 
 def test_epoch_signal_skips_partial_interval(rng, caplog):
@@ -66,13 +74,15 @@ def test_epoch_signal_too_short_recording(rng, caplog):
     rec = make_eeg_recording(rng.normal(size=(4, 7000)))
     with caplog.at_level(logging.WARNING, logger="drowsekit.preprocess"):
         epochs = epoch_signal(rec, _labels(1))
-    assert epochs.samples.shape == (0, 4, EPOCH_SAMPLES)
+    assert epochs.start.shape == (0,)
     assert "skipped 1" in caplog.text
-    # an empty block passes through the rest of the pipeline
-    kept = denoise_epochs(filter_epoch(epochs))
+    # no epochs pass through the rest of the pipeline
+    spectra = filter_epoch(rec, epochs)
+    assert (spectra.outliers.shape, spectra.density.shape) == ((0, 4), (0, 4, 513))
+    kept = denoise_epochs(spectra)
     assert len(kept.epochs) == 0
     assert [a.tolist() for a in kept.dropped] == [[], []]
-    assert denoise_summary(epochs, kept).removal_fraction == 0.0
+    assert denoise_summary(spectra, kept).removal_fraction == 0.0
     assert extract_features(kept.epochs).values.shape == (0, 40)
 
 
@@ -132,21 +142,25 @@ def test_taps_are_read_only(taps):
 
 # ---- filtering --------------------------------------------------------------
 
+def _fresh_filter(x):
+    """One epoch through a fresh pair of the convolvers that ``filter_epoch``
+    builds: the high-pass, then the low-pass."""
+    return _mirror_convolver(LP_TAPS, x.shape)(_mirror_convolver(HP_TAPS, x.shape)(x))
+
+
 def test_filter_removes_dc():
-    out = filter_epoch(make_epochs([np.full((4, EPOCH_SAMPLES), 100.0)]))
-    assert out.samples.shape == (1, 4, EPOCH_SAMPLES)
-    assert np.max(np.abs(out.samples)) < 0.1
+    out = _fresh_filter(np.full((4, EPOCH_SAMPLES), 100.0))
+    assert out.shape == (4, EPOCH_SAMPLES)
+    assert np.max(np.abs(out)) < 0.1
 
 
 def test_filter_passband_amplitude():
-    out = filter_epoch(make_epochs([sine_wave(10.0)]))
-    interior = out.samples[0, :, EDGE:-EDGE]
+    interior = _fresh_filter(np.tile(sine_wave(10.0), (4, 1)))[:, EDGE:-EDGE]
     assert abs(np.max(np.abs(interior)) - 1.0) < 0.01
 
 
 def test_filter_stopband_amplitude():
-    out = filter_epoch(make_epochs([sine_wave(60.0)]))
-    interior = out.samples[0, :, EDGE:-EDGE]
+    interior = _fresh_filter(np.tile(sine_wave(60.0), (4, 1)))[:, EDGE:-EDGE]
     assert np.max(np.abs(interior)) <= 0.01
 
 
@@ -154,7 +168,7 @@ def test_filter_is_linear(rng):
     x = rng.normal(size=(4, EPOCH_SAMPLES))
     y = rng.normal(size=(4, EPOCH_SAMPLES))
     a, b = 2.5, -1.25
-    fx, fy, fxy = filter_epoch(make_epochs([x, y, a * x + b * y])).samples
+    fx, fy, fxy = (_fresh_filter(v) for v in (x, y, a * x + b * y))
     scale = np.max(np.abs(fxy))
     assert np.max(np.abs(fxy - (a * fx + b * fy))) < 1e-9 * scale
 
@@ -162,7 +176,7 @@ def test_filter_is_linear(rng):
 def test_filter_shift_covariant_in_interior(rng):
     shift = 128
     long = rng.normal(size=(4, EPOCH_SAMPLES + shift))
-    f0, f1 = filter_epoch(make_epochs([long[:, :EPOCH_SAMPLES], long[:, shift:]])).samples
+    f0, f1 = _fresh_filter(long[:, :EPOCH_SAMPLES]), _fresh_filter(long[:, shift:])
     margin = EDGE + 256
     lo, hi = margin, EPOCH_SAMPLES - margin - shift
     np.testing.assert_allclose(f0[:, lo + shift:hi + shift], f1[:, lo:hi],
@@ -173,11 +187,14 @@ def test_filter_shift_covariant_in_interior(rng):
 @pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
 def test_apply_kernel_matches_scipy_oracle(rng, n, channels):
     # the convolver that filter_epoch builds per kernel; 2113 is one sample
-    # more than the high-pass group delay
+    # more than the high-pass group delay. A second call reuses the buffer
+    # that the first call's inverse FFT filled.
     x = rng.normal(0.0, 30.0, channels + (n,))
+    y = rng.normal(0.0, 30.0, channels + (n,))
     for taps in (HP_TAPS, LP_TAPS):
         convolve = _mirror_convolver(taps, x.shape)
         assert convolve(x).tobytes() == apply_kernel_scipy(x, taps).tobytes()
+        assert convolve(y).tobytes() == apply_kernel_scipy(y, taps).tobytes()
 
 
 def test_next_fast_len_matches_scipy():
@@ -186,37 +203,24 @@ def test_next_fast_len_matches_scipy():
         [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
-def test_apply_kernel_rejects_input_within_group_delay(rng):
-    # one mirror image pads at most n - 1 samples; the low-pass delay is 106
-    delay = (len(LP_TAPS) - 1) // 2
-    for n in (0, 1, delay):
-        with pytest.raises(TooShort):
-            _mirror_convolver(LP_TAPS, (4, n))
-    x = rng.normal(size=delay + 1)
-    assert _mirror_convolver(LP_TAPS, x.shape)(x).tobytes() == \
-        apply_kernel_scipy(x, LP_TAPS).tobytes()
+# ---- the per-epoch pass and its thread split -----------------------------------
 
+def _epoch_samples(rng, n):
+    """``n`` epochs whose filtered samples pass +/-70 uV about a quarter of the time."""
+    return [rng.normal(0.0, 60.0, (4, EPOCH_SAMPLES)) for _ in range(n)]
 
-def test_filter_epoch_rejects_epochs_within_group_delay():
-    # a hand-built block too short for the high-pass to mirror-pad
-    epochs = Epochs(samples=np.zeros((1, 4, (len(HP_TAPS) - 1) // 2)),
-                    interval_index=np.arange(1), state=np.array([BinaryState.ALERT]))
-    with pytest.raises(TooShort):
-        filter_epoch(epochs)
-
-
-# ---- the thread split of the epoch block -------------------------------------
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_filter_epoch_split_matches_per_epoch_convolvers(rng, monkeypatch, workers, n):
-    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(n)])
+    samples = _epoch_samples(rng, n)
+    recording, epochs = make_recording(samples)
     # a fresh pair of convolvers per epoch: no buffer is reused
-    expected = np.array([
-        _mirror_convolver(LP_TAPS, x.shape)(_mirror_convolver(HP_TAPS, x.shape)(x))
-        for x in epochs.samples]).reshape(epochs.samples.shape)
+    filtered = [_fresh_filter(x) for x in samples]
+    expected_outliers = np.array([outlier_counts(y) for y in filtered]).reshape(n, 4)
+    expected_density = np.array([welch_psd(y) for y in filtered]).reshape(n, 4, 513)
     threads = set()
 
-    def recording(taps, shape):
+    def recording_convolver(taps, shape):
         convolve = _mirror_convolver(taps, shape)
 
         def counted(x):
@@ -224,33 +228,107 @@ def test_filter_epoch_split_matches_per_epoch_convolvers(rng, monkeypatch, worke
             return convolve(x)
         return counted
 
-    monkeypatch.setattr(preprocess, "_mirror_convolver", recording)
-    assert filter_epoch(epochs).samples.tobytes() == expected.tobytes()
+    monkeypatch.setattr(preprocess, "_mirror_convolver", recording_convolver)
+    spectra = filter_epoch(recording, epochs)
+    assert spectra.outliers.dtype == np.int64
+    assert spectra.outliers.tobytes() == expected_outliers.astype(np.int64).tobytes()
+    assert spectra.density.tobytes() == expected_density.tobytes()
+    assert spectra.interval_index.tolist() == list(range(n))
     assert len(threads) == min(workers, n)
+    if n:
+        assert 0 < expected_outliers.sum() < expected_outliers.size * EPOCH_SAMPLES
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_filter_epoch_split_rejects_a_too_short_block(workers, n):
-    epochs = Epochs(samples=np.zeros((n, 4, (len(HP_TAPS) - 1) // 2)),
-                    interval_index=np.arange(n), state=np.array([BinaryState.ALERT] * n))
-    with pytest.raises(TooShort):
-        filter_epoch(epochs)
+def test_filter_epoch_reads_each_epoch_from_its_start(rng, workers):
+    # a clock 10.5 s before the label grid puts interval k at sample
+    # 7680 k + 2688; the recording's tail covers no third interval
+    recording = make_eeg_recording(rng.normal(0.0, 60.0, (4, 3 * EPOCH_SAMPLES + 2000)))
+    recording = replace(recording, start_time_s=-10.5)
+    before = recording.channels.tobytes()
+    epochs = epoch_signal(recording, _labels(3))
+    assert epochs.start.tolist() == [2688, 2688 + EPOCH_SAMPLES]
+    spectra = filter_epoch(recording, epochs)
+    for k, s0 in enumerate(epochs.start):
+        filtered = band_limit(recording.channels[:, s0:s0 + EPOCH_SAMPLES])
+        assert spectra.outliers[k].tolist() == outlier_counts(filtered).tolist()
+        assert spectra.density[k].tobytes() == welch_psd(filtered).tobytes()
+    # the pass only reads the recording
+    assert recording.channels.tobytes() == before
+
+
+def test_filter_epoch_peak_does_not_grow_with_the_session(rng, monkeypatch):
+    # beyond its output rows (4 counts and 4 x 513 densities an epoch), one
+    # worker's pass holds the same epoch-sized buffers for 4 epochs as for 24
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 1)
+
+    def peak(n):
+        recording, epochs = make_recording(_epoch_samples(rng, n))
+        filter_epoch(recording, epochs)
+        tracemalloc.start()
+        try:
+            filter_epoch(recording, epochs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    row = 4 * 8 + 4 * len(FREQS_HZ) * 8
+    assert 20 * row <= peak(24) - peak(4) < 20 * row + 64 * 1024
+
+
+def test_filter_epoch_reraises_the_error_of_a_later_chunk(rng, monkeypatch, workers):
+    samples = _epoch_samples(rng, 5)
+    recording, epochs = make_recording(samples)
+    last = _fresh_filter(samples[-1])[0, 0]
+    error = RuntimeError("the last epoch failed")
+
+    def failing(filtered):
+        if filtered[0, 0] == last:
+            raise error
+        return welch_psd(filtered)
+
+    monkeypatch.setattr(preprocess, "welch_psd", failing)
+    with pytest.raises(RuntimeError) as raised:
+        filter_epoch(recording, epochs)
+    assert raised.value is error
+
+
+def test_filter_epoch_workers_run_under_the_callers_errstate(rng, monkeypatch):
+    # the caller's numpy error state holds in every worker, except that the
+    # pass itself ignores overflow and invalid values
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
+    seen = []
+
+    def recording_welch(filtered):
+        state = np.geterr()
+        seen.append((threading.current_thread(), state["under"], state["over"]))
+        return welch_psd(filtered)
+
+    monkeypatch.setattr(preprocess, "welch_psd", recording_welch)
+    recording, epochs = make_recording(_epoch_samples(rng, 5))
+    with np.errstate(under="raise"):
+        filter_epoch(recording, epochs)
+    assert len({thread for thread, *_ in seen}) == 3
+    assert [state for _, *state in seen] == [["raise", "ignore"]] * 5
 
 
 def test_epoch_split_under_fast_thread_switching(rng, monkeypatch):
     # more workers than cores, switching every microsecond: a buffer that
     # two workers shared would mix epochs and change the bytes
-    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(8)])
+    recording, epochs = make_recording(_epoch_samples(rng, 8))
+
+    def run():
+        spectra = filter_epoch(recording, epochs)
+        return (spectra.outliers.tobytes(), spectra.density.tobytes(),
+                extract_features(spectra).values.tobytes())
+
     monkeypatch.setattr(preprocess, "available_cpus", lambda: 1)
-    serial = filter_epoch(epochs)
-    expected = serial.samples.tobytes(), extract_features(serial).values.tobytes()
+    expected = run()
     monkeypatch.setattr(preprocess, "available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            split = filter_epoch(epochs)
-            assert (split.samples.tobytes(), extract_features(split).values.tobytes()) == expected
+            assert run() == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -289,9 +367,10 @@ def test_for_each_chunk_raises_the_first_failing_chunk_after_every_join(monkeypa
 
 def _judge(samples, per_channel=False):
     """Whether denoising keeps one filtered epoch, and its outlier fraction."""
-    fraction = outlier_fraction(samples[None], per_channel)
+    spectra = make_spectra([samples])
+    fraction = outlier_fraction(spectra.outliers, per_channel)
     assert fraction.shape == (1,)
-    result = denoise_epochs(make_epochs([samples]), per_channel)
+    result = denoise_epochs(spectra, per_channel)
     kept = len(result.epochs) == 1
     expected_dropped = [[], []] if kept else [[0], [fraction[0]]]
     assert [a.tolist() for a in result.dropped] == expected_dropped
@@ -326,7 +405,7 @@ def test_artifact_monotone_in_amplitude(rng):
     samples = rng.normal(0, 50.0, (4, EPOCH_SAMPLES))
     block = np.stack([scale * samples for scale in (1.0, 1.5, 3.0, 10.0)])
     for per_channel in (False, True):
-        assert np.all(np.diff(outlier_fraction(block, per_channel)) >= 0.0)
+        assert np.all(np.diff(outlier_fraction(outlier_counts(block), per_channel)) >= 0.0)
 
 
 def test_artifact_per_channel_variant():
@@ -340,11 +419,32 @@ def test_artifact_per_channel_variant():
     assert not per_kept
 
 
+def test_outlier_fraction_is_the_mean_of_the_outlier_mask(rng):
+    # the counts are exact in float64, so the fractions are the boolean
+    # mask's means bit for bit, samples at exactly +/-70 uV included
+    block = rng.normal(0.0, 70.0, (6, 4, EPOCH_SAMPLES))
+    block[0, 1, :10] = DEFAULT_AMPLITUDE_THRESHOLD_UV
+    block[1, 2, :10] = -DEFAULT_AMPLITUDE_THRESHOLD_UV
+    mask = np.abs(block) > DEFAULT_AMPLITUDE_THRESHOLD_UV
+    counts = outlier_counts(block)
+    assert outlier_fraction(counts).tobytes() == np.mean(mask, axis=(1, 2)).tobytes()
+    assert outlier_fraction(counts, per_channel=True).tobytes() == \
+        np.max(np.mean(mask, axis=-1), axis=-1).tobytes()
+
+
+def test_non_finite_samples_count_as_outliers():
+    filtered = np.zeros((4, EPOCH_SAMPLES))
+    filtered[0, :3] = np.nan
+    filtered[1, :2] = np.inf
+    filtered[2, :1] = -np.inf
+    assert outlier_counts(filtered).tolist() == [3, 2, 1, 0]
+
+
 # ---- denoise bookkeeping ----------------------------------------------------
 
 def _epochs_with_states(states, noisy=()):
     """Zero epochs, except ``noisy`` ones at 90 uV, which denoising drops."""
-    return make_epochs([np.full((4, EPOCH_SAMPLES), 90.0 if k in noisy else 0.0)
+    return make_spectra([np.full((4, EPOCH_SAMPLES), 90.0 if k in noisy else 0.0)
                         for k in range(len(states))], states)
 
 
@@ -355,6 +455,14 @@ def test_denoise_epochs_partitions():
     assert result.epochs.interval_index.tolist() == [0, 1]
     assert result.epochs.state.tolist() == [BinaryState.ALERT, BinaryState.DROWSY]
     assert [a.tolist() for a in result.dropped] == [[2], [1.0]]
+
+
+def test_denoise_epochs_keeps_each_epochs_counts_and_density():
+    spectra = _epochs_with_states([BinaryState.ALERT] * 5, noisy=(1, 3))
+    kept = denoise_epochs(spectra).epochs
+    assert kept.interval_index.tolist() == [0, 2, 4]
+    assert kept.outliers.tobytes() == spectra.outliers[[0, 2, 4]].tobytes()
+    assert kept.density.tobytes() == spectra.density[[0, 2, 4]].tobytes()
 
 
 def test_denoise_summary_counts():

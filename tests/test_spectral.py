@@ -4,17 +4,19 @@ import warnings
 import numpy as np
 import pytest
 from helpers import (
+    band_limit,
     band_power,
-    make_epochs,
+    make_recording,
+    make_spectra,
     relative_band_power,
     sine_wave,
     total_power,
     welch_psd_scipy,
 )
 
-from drowsekit import preprocess, spectral
-from drowsekit.errors import DegeneratePower, NonFinitePower, TooShort
-from drowsekit.preprocess import EPOCH_SAMPLES, Epochs
+from drowsekit import preprocess
+from drowsekit.errors import DegeneratePower, NonFinitePower
+from drowsekit.preprocess import DEFAULT_AMPLITUDE_THRESHOLD_UV, EPOCH_SAMPLES, filter_epoch
 from drowsekit.session import BinaryState
 from drowsekit.spectral import (
     BANDS,
@@ -50,11 +52,6 @@ def test_freqs_are_read_only():
 
 def test_welch_zero_signal():
     assert np.all(welch_psd(np.zeros(EPOCH_SAMPLES)) == 0.0)
-
-
-def test_welch_too_short():
-    with pytest.raises(TooShort):
-        welch_psd(np.zeros(1023))
 
 
 def test_welch_parseval_oracle(rng):
@@ -146,7 +143,7 @@ def test_feature_names_order_pinned():
 
 
 def test_extract_features_invariants(rng):
-    matrix = extract_features(make_epochs([rng.normal(0, 10.0, (4, EPOCH_SAMPLES))]))
+    matrix = extract_features(make_spectra([rng.normal(0, 10.0, (4, EPOCH_SAMPLES))]))
     assert matrix.values.shape == (1, 40)
     values = matrix.values[0]
     names = eeg_feature_names()
@@ -161,7 +158,7 @@ def test_extract_features_invariants(rng):
 def test_extract_features_tone_on_single_channel(rng):
     samples = rng.normal(0, 1.0, (4, EPOCH_SAMPLES))
     samples[0] += sine_wave(10.0, amplitude=20.0)
-    values = extract_features(make_epochs([samples])).values[0]
+    values = extract_features(make_spectra([samples])).values[0]
     names = eeg_feature_names()
     tp9_rel = {n: values[i] for i, n in enumerate(names)
                if n.startswith("TP9") and n.endswith("_rel")}
@@ -169,7 +166,7 @@ def test_extract_features_tone_on_single_channel(rng):
 
 
 def test_extract_features_deterministic(rng):
-    epochs = make_epochs([rng.normal(size=(4, EPOCH_SAMPLES))])
+    epochs = make_spectra([rng.normal(size=(4, EPOCH_SAMPLES))])
     v1 = extract_features(epochs)
     v2 = extract_features(epochs)
     np.testing.assert_array_equal(v1.values, v2.values)
@@ -177,13 +174,13 @@ def test_extract_features_deterministic(rng):
 
 def test_extract_features_degenerate_channel():
     with pytest.raises(DegeneratePower):
-        extract_features(make_epochs([np.zeros((4, EPOCH_SAMPLES))]))
+        extract_features(make_spectra([np.zeros((4, EPOCH_SAMPLES))]))
 
 
 def test_scaling_covariance(rng):
     samples = rng.normal(0, 5.0, (4, EPOCH_SAMPLES))
-    base = extract_features(make_epochs([samples])).values[0]
-    scaled = extract_features(make_epochs([3.0 * samples])).values[0]
+    base = extract_features(make_spectra([samples])).values[0]
+    scaled = extract_features(make_spectra([3.0 * samples])).values[0]
     names = eeg_feature_names()
     for i, name in enumerate(names):
         if name.endswith("_abs"):
@@ -209,107 +206,80 @@ def test_frequency_shift_moves_band(rng):
 
 def test_feature_matrix_assembly(rng):
     states = [BinaryState.ALERT, BinaryState.DROWSY, BinaryState.ALERT]
-    epochs = make_epochs([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)], states)
+    epochs = make_spectra([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)], states)
     matrix = extract_features(epochs)
     assert matrix.values.shape == (3, 40)
     assert matrix.interval_indices == (0, 1, 2)
     assert matrix.states == tuple(states)
-    empty = extract_features(make_epochs([]))
+    empty = extract_features(make_spectra([]))
     assert empty.values.shape == (0, 40)
     assert empty.feature_names == eeg_feature_names()
 
 
-def _per_channel_features(epochs):
+def _per_channel_features(densities):
     """Each channel's Welch PSD of each epoch integrated on its own."""
     expected = []
-    for x in epochs.samples:
+    for epoch in densities:
         row = []
-        for ch in range(4):
-            psd = welch_psd(x[ch])
+        for psd in epoch:
             total = total_power(psd)
             for band in BANDS:
                 power = band_power(psd, band)
                 row += [power, power / total]
         expected.append(row)
-    return np.array(expected).reshape(len(epochs), 40)
+    return np.array(expected).reshape(len(densities), 40)
 
 
 def test_extract_features_matches_per_channel_path(rng):
     # oracle: each channel's Welch PSD integrated on its own; the batched
     # integration must reproduce it bit for bit, not just to rounding
-    epochs = make_epochs([rng.normal(0.0, scale, (4, EPOCH_SAMPLES))
-                          for scale in (0.05, 1.0, 7.0, 30.0, 250.0)])
-    np.testing.assert_array_equal(extract_features(epochs).values, _per_channel_features(epochs))
+    samples = [rng.normal(0.0, scale, (4, EPOCH_SAMPLES))
+               for scale in (0.05, 1.0, 7.0, 30.0, 250.0)]
+    expected = _per_channel_features([[welch_psd(channel) for channel in x] for x in samples])
+    np.testing.assert_array_equal(extract_features(make_spectra(samples)).values, expected)
 
 
-# ---- the thread split of the epoch block -------------------------------------
+# ---- the per-epoch pass on worker threads ----------------------------------------
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
 def test_extract_features_split_matches_per_epoch_welch(rng, monkeypatch, workers, n):
-    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(n)])
-    expected = _per_channel_features(epochs)
+    # oracle: each epoch on its own through np.pad + fftconvolve (high-pass,
+    # then low-pass) and scipy.signal.welch, channel by channel
+    samples = [rng.normal(0.0, 60.0, (4, EPOCH_SAMPLES)) for _ in range(n)]
+    filtered = [band_limit(x) for x in samples]
+    density = np.array([[welch_psd_scipy(channel)[1] for channel in y]
+                        for y in filtered]).reshape(n, 4, 513)
+    outliers = np.array([np.count_nonzero(np.abs(y) > DEFAULT_AMPLITUDE_THRESHOLD_UV, axis=-1)
+                         for y in filtered], dtype=np.int64).reshape(n, 4)
     threads = set()
 
     def recording(samples):
         threads.add(threading.current_thread())
         return welch_psd(samples)
 
-    monkeypatch.setattr(spectral, "welch_psd", recording)
-    assert extract_features(epochs).values.tobytes() == expected.tobytes()
+    monkeypatch.setattr(preprocess, "welch_psd", recording)
+    spectra = filter_epoch(*make_recording(samples))
+    assert spectra.outliers.tobytes() == outliers.tobytes()
+    assert spectra.density.tobytes() == density.tobytes()
+    assert extract_features(spectra).values.tobytes() == _per_channel_features(density).tobytes()
     assert len(threads) == min(workers, n)
 
 
-def test_extract_features_reraises_the_error_of_a_later_chunk(rng, monkeypatch, workers):
-    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)])
-    error = RuntimeError("the last epoch failed")
-
-    def failing(samples):
-        if np.shares_memory(samples, epochs.samples[-1]):
-            raise error
-        return welch_psd(samples)
-
-    monkeypatch.setattr(spectral, "welch_psd", failing)
-    with pytest.raises(RuntimeError) as raised:
-        extract_features(epochs)
-    assert raised.value is error
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_extract_features_split_rejects_a_too_short_block(workers, n):
-    epochs = Epochs(samples=np.ones((n, 4, 1000)), interval_index=np.arange(n),
-                    state=np.array([BinaryState.ALERT] * n))
-    with pytest.raises(TooShort):
-        extract_features(epochs)
-
-
-def test_extract_features_workers_run_under_the_callers_errstate(rng, monkeypatch):
-    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
-    seen = []
-
-    def recording(samples):
-        seen.append((threading.current_thread(), np.geterr()["under"]))
-        return welch_psd(samples)
-
-    monkeypatch.setattr(spectral, "welch_psd", recording)
-    epochs = make_epochs([rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)])
-    with np.errstate(under="raise"):
-        extract_features(epochs)
-    assert len({thread for thread, _ in seen}) == 3
-    assert [under for _, under in seen] == ["raise"] * 5
-
-
-@pytest.mark.parametrize("magnitude,error", [(1e150, None), (1e160, NonFinitePower)])
+@pytest.mark.parametrize("magnitude,error", [(1e150, None), (1e160, NonFinitePower),
+                                             (1.7e308, NonFinitePower)])
 def test_extract_features_names_an_epoch_whose_power_overflows(rng, workers, magnitude, error):
-    # the squared spectrum of a 1e160 uV sample overflows float64; that of
-    # 1e150 uV does not; neither may make numpy warn, in any thread
+    # the squared spectrum of a 1e160 uV sample overflows float64, and a
+    # 1.7e308 uV sample overflows the filter's FFTs; a 1e150 uV sample
+    # overflows neither. None may make numpy warn, in any thread.
     samples = [rng.normal(0.0, 10.0, (4, EPOCH_SAMPLES)) for _ in range(3)]
     samples[2][1, 1000] = magnitude
-    epochs = make_epochs(samples)
+    recording, epochs = make_recording(samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        spectra = filter_epoch(recording, epochs)
         if error is None:
-            assert np.isfinite(extract_features(epochs).values).all()
+            assert np.isfinite(extract_features(spectra).values).all()
         else:
             with pytest.raises(error, match="^channel AF7 of epoch 2 has a non-finite band "
                                             "or total power"):
-                extract_features(epochs)
+                extract_features(spectra)

@@ -8,7 +8,7 @@ from drowsekit import ingest
 from drowsekit.errors import InvalidSpec
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, outlier_fraction
 from drowsekit.session import BinaryState, validate_session
-from drowsekit.spectral import BANDS, welch_psd
+from drowsekit.spectral import BANDS
 from drowsekit.synthgen import (
     DEFAULT_BAND_AMPLITUDES_UV,
     MAX_N_INTERVALS,
@@ -98,11 +98,11 @@ def test_label_composition():
 def test_band_power_tracks_spec():
     spec = SynthSpec(n_intervals=12, drowsy_fraction=0.5)
     session = generate_session(spec, seed=5)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
-    alert = epochs.samples[epochs.state == BinaryState.ALERT]
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+    alert = spectra.density[spectra.state == BinaryState.ALERT]
     noise_density = spec.noise_floor_uv**2 / 128.0
     for band in BANDS:
-        powers = [band_power(welch_psd(x[0]), band) for x in alert]
+        powers = [band_power(density[0], band) for density in alert]
         target = target_band_power_uv2(DEFAULT_BAND_AMPLITUDES_UV[band.name])
         target += noise_density * (band.hi_hz - band.lo_hz)
         assert np.mean(powers) == pytest.approx(target, rel=0.15)
@@ -113,11 +113,11 @@ def test_drowsy_multiplier_scales_power():
                      drowsy_band_multipliers={"delta": 1.0, "theta": 2.0,
                                               "alpha": 1.0, "beta": 1.0, "gamma": 1.0})
     session = generate_session(spec, seed=6)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
     theta = next(b for b in BANDS if b.name == "theta")
     by_state = {BinaryState.ALERT: [], BinaryState.DROWSY: []}
-    for x, state in zip(epochs.samples, epochs.state):
-        by_state[state].append(band_power(welch_psd(x[0]), theta))
+    for density, state in zip(spectra.density, spectra.state):
+        by_state[state].append(band_power(density[0], theta))
     ratio = np.mean(by_state[BinaryState.DROWSY]) / np.mean(by_state[BinaryState.ALERT])
     assert ratio == pytest.approx(4.0, rel=0.2)  # amplitude x2 -> power x4
 
@@ -126,15 +126,15 @@ def test_drowsy_multiplier_scales_power():
 def test_outlier_injection_causes_drop(rate):
     spec = SynthSpec(n_intervals=4, outlier_rate=rate)
     session = generate_session(spec, seed=9)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
-    assert np.all(outlier_fraction(epochs.samples) > 0.30)
-    assert len(denoise_epochs(epochs).epochs) == 0
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+    assert np.all(outlier_fraction(spectra.outliers) > 0.30)
+    assert len(denoise_epochs(spectra).epochs) == 0
 
 
 def test_no_injection_keeps_epochs():
     session = generate_session(SynthSpec(n_intervals=4), seed=9)
-    epochs = filter_epoch(epoch_signal(session.eeg, session.labels))
-    assert len(denoise_epochs(epochs).epochs) == len(epochs) == 4
+    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+    assert len(denoise_epochs(spectra).epochs) == len(spectra) == 4
 
 
 def test_telemetry_shift_applies_to_drowsy_intervals():
