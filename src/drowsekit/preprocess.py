@@ -234,7 +234,8 @@ def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
     ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The returned
     array is a view of a buffer that the next call overwrites, and the
     buffers are mutable, so one convolver serves one thread. The last axis
-    must be longer than the group delay, so that one mirror image pads it.
+    must be longer than the group delay, so that one mirror image pads it;
+    a call with a shorter input raises ``ValueError``.
     """
     n, d = shape[-1], (len(taps) - 1) // 2
     size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
@@ -319,6 +320,7 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
     the worker count, and concurrent calls share no mutable state. numpy
     does not warn about a sample so large that the filter overflows; its
     channel's samples count as outliers, and its density is not finite.
+    An epoch that runs past the end of the recording raises ``ValueError``.
     """
     n, channels = len(epochs), recording.channels
     shape = (len(channels), EPOCH_SAMPLES)

@@ -118,7 +118,8 @@ def welch_psd(samples: np.ndarray) -> np.ndarray:
     The segments are strided views of the input and are transformed in one
     ``rfft``; the periodograms are averaged in scipy's ``(freq, segment)``
     memory order, so the result is bit-identical to ``scipy.signal.welch``
-    with these settings. The last axis must hold at least one segment.
+    with these settings. The last axis must hold at least one segment;
+    a shorter one raises ``ValueError``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]

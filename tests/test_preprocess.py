@@ -25,6 +25,7 @@ from drowsekit.preprocess import (
     HP_TAPS,
     LP_TAPS,
     DenoiseSummary,
+    Epochs,
     _mirror_convolver,
     _next_fast_len,
     denoise_epochs,
@@ -197,6 +198,17 @@ def test_apply_kernel_matches_scipy_oracle(rng, n, channels):
         assert convolve(y).tobytes() == apply_kernel_scipy(y, taps).tobytes()
 
 
+def test_apply_kernel_rejects_input_within_group_delay(rng):
+    # one mirror image pads at most n - 1 samples; the low-pass delay is 106
+    delay = (len(LP_TAPS) - 1) // 2
+    for n in (0, 1, delay):
+        with pytest.raises(ValueError):
+            _mirror_convolver(LP_TAPS, (4, n))(np.zeros((4, n)))
+    x = rng.normal(size=delay + 1)
+    assert _mirror_convolver(LP_TAPS, x.shape)(x).tobytes() == \
+        apply_kernel_scipy(x, LP_TAPS).tobytes()
+
+
 def test_next_fast_len_matches_scipy():
     # the convolver's transform length, so it fixes the last bits of every filter
     assert [_next_fast_len(n) for n in range(1, 20001)] == \
@@ -275,40 +287,26 @@ def test_filter_epoch_peak_does_not_grow_with_the_session(rng, monkeypatch):
     assert 20 * row <= peak(24) - peak(4) < 20 * row + 64 * 1024
 
 
-def test_filter_epoch_reraises_the_error_of_a_later_chunk(rng, monkeypatch, workers):
-    samples = _epoch_samples(rng, 5)
-    recording, epochs = make_recording(samples)
-    last = _fresh_filter(samples[-1])[0, 0]
-    error = RuntimeError("the last epoch failed")
-
-    def failing(filtered):
-        if filtered[0, 0] == last:
-            raise error
-        return welch_psd(filtered)
-
-    monkeypatch.setattr(preprocess, "welch_psd", failing)
-    with pytest.raises(RuntimeError) as raised:
-        filter_epoch(recording, epochs)
-    assert raised.value is error
+def _epochs_past_the_end(n, short):
+    """A recording whose ``n``-th epoch holds only ``short`` samples, and
+    the ``Epochs`` of all ``n``, as no label grid would place them."""
+    recording = make_eeg_recording(np.zeros((4, (n - 1) * EPOCH_SAMPLES + short)))
+    return recording, Epochs(start=np.arange(n) * EPOCH_SAMPLES, interval_index=np.arange(n),
+                             state=np.array([BinaryState.ALERT] * n, dtype=object))
 
 
-def test_filter_epoch_workers_run_under_the_callers_errstate(rng, monkeypatch):
-    # the caller's numpy error state holds in every worker, except that the
-    # pass itself ignores overflow and invalid values
-    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
-    seen = []
+def test_filter_epoch_rejects_epochs_within_group_delay():
+    # a recording too short for the high-pass to mirror-pad its one epoch
+    with pytest.raises(ValueError):
+        filter_epoch(*_epochs_past_the_end(1, (len(HP_TAPS) - 1) // 2))
 
-    def recording_welch(filtered):
-        state = np.geterr()
-        seen.append((threading.current_thread(), state["under"], state["over"]))
-        return welch_psd(filtered)
 
-    monkeypatch.setattr(preprocess, "welch_psd", recording_welch)
-    recording, epochs = make_recording(_epoch_samples(rng, 5))
-    with np.errstate(under="raise"):
-        filter_epoch(recording, epochs)
-    assert len({thread for thread, *_ in seen}) == 3
-    assert [state for _, *state in seen] == [["raise", "ignore"]] * 5
+@pytest.mark.parametrize("n", [1, 3])
+def test_filter_epoch_split_rejects_a_too_short_block(workers, n):
+    # the last epoch runs past the end of the recording; whichever chunk
+    # holds it, the pass raises rather than filter a truncated slice
+    with pytest.raises(ValueError):
+        filter_epoch(*_epochs_past_the_end(n, (len(HP_TAPS) - 1) // 2))
 
 
 def test_epoch_split_under_fast_thread_switching(rng, monkeypatch):

@@ -54,6 +54,12 @@ def test_welch_zero_signal():
     assert np.all(welch_psd(np.zeros(EPOCH_SAMPLES)) == 0.0)
 
 
+def test_welch_too_short():
+    # one segment needs DEFAULT_NFFT samples
+    with pytest.raises(ValueError):
+        welch_psd(np.zeros(1023))
+
+
 def test_welch_parseval_oracle(rng):
     # oracle: the direct mean square of the signal
     ratios = []
@@ -263,6 +269,42 @@ def test_extract_features_split_matches_per_epoch_welch(rng, monkeypatch, worker
     assert spectra.density.tobytes() == density.tobytes()
     assert extract_features(spectra).values.tobytes() == _per_channel_features(density).tobytes()
     assert len(threads) == min(workers, n)
+
+
+def test_extract_features_reraises_the_error_of_a_later_chunk(rng, monkeypatch, workers):
+    # the Welch PSD that the features integrate is taken on the pass's workers
+    samples = [rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)]
+    last = band_limit(samples[-1])[0, 0]
+    error = RuntimeError("the last epoch failed")
+
+    def failing(filtered):
+        if filtered[0, 0] == last:
+            raise error
+        return welch_psd(filtered)
+
+    monkeypatch.setattr(preprocess, "welch_psd", failing)
+    with pytest.raises(RuntimeError) as raised:
+        extract_features(filter_epoch(*make_recording(samples)))
+    assert raised.value is error
+
+
+def test_extract_features_workers_run_under_the_callers_errstate(rng, monkeypatch):
+    # the caller's numpy error state holds in every worker that takes a
+    # Welch PSD, except that the pass itself ignores overflow and invalid values
+    monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
+    seen = []
+
+    def recording_welch(filtered):
+        state = np.geterr()
+        seen.append((threading.current_thread(), state["under"], state["over"]))
+        return welch_psd(filtered)
+
+    monkeypatch.setattr(preprocess, "welch_psd", recording_welch)
+    samples = [rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)]
+    with np.errstate(under="raise"):
+        extract_features(filter_epoch(*make_recording(samples)))
+    assert len({thread for thread, *_ in seen}) == 3
+    assert [state for _, *state in seen] == [["raise", "ignore"]] * 5
 
 
 @pytest.mark.parametrize("magnitude,error", [(1e150, None), (1e160, NonFinitePower),
