@@ -111,10 +111,6 @@ class ZeroVariance(DrowsekitError):
     pass
 
 
-class EmptySample(DrowsekitError):
-    pass
-
-
 class NeedTwoGroups(DrowsekitError):
     pass
 

@@ -213,8 +213,8 @@ def write_report_files(report: dict, out_dir: Path) -> list[Path]:
 
 
 def write_features(matrix: FeatureMatrix, path: Path) -> None:
-    """Write ``interval,state,<feature names...>`` rows."""
+    """Write ``interval,state,<feature names...>`` rows; state is alert or drowsy."""
     ingest.write_rows(path, ("interval", "state") + matrix.feature_names,
-                      ((i, s.value, *v) for i, s, v in zip(matrix.interval_indices,
-                                                           matrix.states,
-                                                           matrix.values.tolist())))
+                      ((i, "drowsy" if d else "alert", *v)
+                       for i, d, v in zip(matrix.interval_index.tolist(), matrix.drowsy.tolist(),
+                                          matrix.values.tolist())))

@@ -45,7 +45,6 @@ from numpy.fft import irfft, rfft
 from .session import (
     EEG_SAMPLE_RATE_HZ,
     EPOCH_SAMPLES,
-    BinaryState,
     EegRecording,
     OrdLabelTrack,
     epoch_starts,
@@ -70,11 +69,11 @@ DEFAULT_MAX_OUTLIER_FRACTION = 0.30
 @dataclass(frozen=True)
 class Epochs:
     """Where a session's 30-second epochs lie in its recording, with their
-    binary states."""
+    drowsiness labels."""
 
     start: np.ndarray  # shape (n,), first recording sample of each epoch
-    interval_index: np.ndarray  # shape (n,), label-grid index of each epoch
-    state: np.ndarray  # shape (n,), the BinaryState of each epoch
+    interval_index: np.ndarray  # shape (n,), int64 label-grid index of each epoch
+    drowsy: np.ndarray  # shape (n,), bool majority vote of each epoch's interval
 
     def __len__(self) -> int:
         return len(self.interval_index)
@@ -85,8 +84,8 @@ class EpochSpectra:
     """What the artifact rule and the features read of each band-limited
     epoch: its outlier counts and its Welch PSD."""
 
-    interval_index: np.ndarray  # shape (n,), label-grid index of each epoch
-    state: np.ndarray  # shape (n,), the BinaryState of each epoch
+    interval_index: np.ndarray  # shape (n,), int64 label-grid index of each epoch
+    drowsy: np.ndarray  # shape (n,), bool majority vote of each epoch's interval
     outliers: np.ndarray  # shape (n, 4), samples per channel beyond +/-70 uV or not finite
     density: np.ndarray  # shape (n, 4, 513), uV^2/Hz at spectral.FREQS_HZ
 
@@ -165,7 +164,7 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
     return Epochs(start=np.array([s0 for _, s0 in starts], dtype=np.int64),
                   interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
-                  state=np.array([iv.state for iv, _ in starts], dtype=object))
+                  drowsy=np.array([iv.drowsy for iv, _ in starts], dtype=bool))
 
 
 def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:
@@ -338,7 +337,7 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for_each_chunk(n, work)
-    return EpochSpectra(interval_index=epochs.interval_index, state=epochs.state,
+    return EpochSpectra(interval_index=epochs.interval_index, drowsy=epochs.drowsy,
                         outliers=outliers, density=density)
 
 
@@ -370,14 +369,14 @@ def denoise_epochs(epochs: EpochSpectra, per_channel: bool = False) -> EpochSet:
     """
     fraction = outlier_fraction(epochs.outliers, per_channel)
     keep = fraction <= DEFAULT_MAX_OUTLIER_FRACTION
-    kept = EpochSpectra(interval_index=epochs.interval_index[keep], state=epochs.state[keep],
+    kept = EpochSpectra(interval_index=epochs.interval_index[keep], drowsy=epochs.drowsy[keep],
                         outliers=epochs.outliers[keep], density=epochs.density[keep])
     return EpochSet(epochs=kept, dropped=(epochs.interval_index[~keep], fraction[~keep]))
 
 
 def denoise_summary(pre: EpochSpectra, post: EpochSet) -> DenoiseSummary:
     """Tabulate pre/post denoising epoch counts by state."""
-    pre_alert = int(np.count_nonzero(pre.state == BinaryState.ALERT))
-    post_alert = int(np.count_nonzero(post.epochs.state == BinaryState.ALERT))
-    return DenoiseSummary(pre_alert, len(pre) - pre_alert,
-                          post_alert, len(post.epochs) - post_alert)
+    pre_drowsy = int(np.count_nonzero(pre.drowsy))
+    post_drowsy = int(np.count_nonzero(post.epochs.drowsy))
+    return DenoiseSummary(len(pre) - pre_drowsy, pre_drowsy,
+                          len(post.epochs) - post_drowsy, post_drowsy)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +35,6 @@ VEHICLE_SERIES = ("steer_angle", "steer_speed", "lane_deviation", "torque")
 
 # Minimum fraction of an interval's expected telemetry samples required for its mean.
 MIN_COVERAGE = 0.5
-
-
-class BinaryState(Enum):
-    """Two-valued drowsiness state derived from observer ratings."""
-
-    ALERT = "alert"
-    DROWSY = "drowsy"
 
 
 @dataclass(frozen=True)
@@ -123,9 +115,9 @@ class OrdInterval:
                 raise InvalidRating(f"rating {r!r} outside {RATING_MIN}..{RATING_MAX}")
 
     @property
-    def state(self) -> BinaryState:
-        """The majority vote: the median rating, 1 or 2 ALERT and 3 through 5 DROWSY."""
-        return BinaryState.ALERT if sorted(self.ratings)[1] <= 2 else BinaryState.DROWSY
+    def drowsy(self) -> bool:
+        """The majority vote: the median rating, 1 or 2 alert and 3 through 5 drowsy."""
+        return sorted(self.ratings)[1] >= 3
 
 
 @dataclass(frozen=True)

@@ -203,5 +203,5 @@ def extract_features(epochs: EpochSpectra) -> FeatureMatrix:
                 f"has degenerate total power {total[k, ch]:g}"
             )
         values = np.stack([absolute, absolute / total[..., None]], axis=-1).reshape(n, -1)
-    return FeatureMatrix(feature_names=names, values=values, states=tuple(epochs.state),
-                         interval_indices=tuple(epochs.interval_index.tolist()))
+    return FeatureMatrix(feature_names=names, values=values, drowsy=epochs.drowsy,
+                         interval_index=epochs.interval_index)

@@ -33,15 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptySample,
-    NeedTwoGroups,
-    NonFiniteSample,
-    TooFewSamples,
-    ZeroVariance,
-)
+from .errors import NeedTwoGroups, NonFiniteSample, TooFewSamples, ZeroVariance
 from .features import FeatureMatrix
-from .session import BinaryState
 
 DEFAULT_ALPHA = 0.05
 
@@ -199,11 +192,13 @@ def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
     """``ks_normal_test`` of every row of a finite (rows, n) block, n >= 4;
     None for a row with zero variance.
 
-    Each row is sorted and reduced along the contiguous last axis, which
-    numpy sums in the same order as a 1-D array, so every row's result is
-    the one the row alone would give.
+    Each row is sorted, scaled by a power of two into [-1, 1] (which keeps
+    its standardised values bit for bit, and its squared deviations finite)
+    and reduced along the contiguous last axis, which numpy sums in the same
+    order as a 1-D array, so every row's result is the one it alone gives.
     """
     x = np.sort(block, axis=-1)
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1])
     n = x.shape[-1]
     sd = x.std(ddof=1, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
@@ -281,7 +276,7 @@ def _rank_sum_kurtosis_excess(n_a: int, n_b: int) -> float:
 
 
 def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
-    """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
+    """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test of two non-empty samples.
 
     Ranks are midranks (ties averaged) and the statistic is the U of the
     first sample. Tie-free problems whose smaller group has at most
@@ -293,14 +288,11 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     smaller tail, clamped to [0, 1].
 
     Raises:
-        EmptySample: Either sample is empty.
         NonFiniteSample: A NaN or infinite value in either sample.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n_a, n_b = len(a), len(b)
-    if n_a == 0 or n_b == 0:
-        raise EmptySample(f"both samples must be non-empty, got sizes ({n_a}, {n_b})")
     pooled = np.concatenate([a, b])
     if not np.isfinite(pooled).all():
         raise NonFiniteSample("samples hold a NaN or infinite value")
@@ -388,9 +380,8 @@ def separation_report(features: FeatureMatrix,
         TooFewSamples: A state has fewer than 4 rows.
         NonFiniteSample: A NaN or infinite value.
     """
-    alert_rows = np.array([s is BinaryState.ALERT for s in features.states], dtype=bool)
-    n_alert = int(alert_rows.sum())
-    n_drowsy = len(features) - n_alert
+    n_drowsy = int(np.count_nonzero(features.drowsy))
+    n_alert = len(features) - n_drowsy
     if n_alert == 0 or n_drowsy == 0:
         raise NeedTwoGroups(
             f"need both states, got {n_alert} alert / {n_drowsy} drowsy rows"
@@ -402,8 +393,8 @@ def separation_report(features: FeatureMatrix,
         )
 
     # one contiguous (features, rows) block per state
-    alert = np.ascontiguousarray(features.values[alert_rows].T)
-    drowsy = np.ascontiguousarray(features.values[~alert_rows].T)
+    alert = np.ascontiguousarray(features.values[~features.drowsy].T)
+    drowsy = np.ascontiguousarray(features.values[features.drowsy].T)
     # the rank-sum tests run first: they reject non-finite values
     results = [rank_sum_test(a, b) for a, b in zip(alert, drowsy)]
     ks_alert = _ks_normal_rows(alert)

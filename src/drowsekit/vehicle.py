@@ -34,7 +34,7 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
-    ``VEHICLE_SERIES`` columns and the interval's majority vote as state.
+    ``VEHICLE_SERIES`` columns and the interval's majority vote as ``drowsy``.
     """
     # a C-contiguous (samples, series) block: an interval is a row slice, and
     # mean(axis=0) adds its samples one by one in time order, the order report
@@ -44,10 +44,13 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
         data = np.abs(data)
 
     slices = interval_slices(telemetry, labels)
-    rows = [(iv.index, iv.state, data[start:end].mean(axis=0))
-            for iv, start, end in slices]
     skipped = len(labels.intervals) - len(slices)
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
-    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows)
+    values = np.array([data[start:end].mean(axis=0) for _, start, end in slices])
+    return FeatureMatrix(feature_names=VEHICLE_SERIES,
+                         values=values.reshape(len(slices), len(VEHICLE_SERIES)),  # (0, 4) if none
+                         drowsy=np.array([iv.drowsy for iv, _, _ in slices], dtype=bool),
+                         interval_index=np.array([iv.index for iv, _, _ in slices],
+                                                 dtype=np.int64))

@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve, welch
 from scipy.special import ndtr
 from scipy.stats import norm, rankdata
 
-from drowsekit.errors import DegeneratePower, EmptySample
+from drowsekit.errors import DegeneratePower
 from drowsekit.features import FeatureMatrix
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
@@ -24,7 +24,6 @@ from drowsekit.session import (
     MIN_COVERAGE,
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
-    BinaryState,
     EegRecording,
     OrdInterval,
     OrdLabelTrack,
@@ -106,31 +105,31 @@ def _epoch_block(epochs):
                      for x in epochs]).reshape(len(epochs), 4, EPOCH_SAMPLES)
 
 
-def _states(n, states):
-    return [BinaryState.ALERT] * n if states is None else list(states)
+def _drowsy(n, drowsy):
+    return np.zeros(n, dtype=bool) if drowsy is None else np.array(drowsy, dtype=bool)
 
 
-def make_recording(epochs, states=None):
+def make_recording(epochs, drowsy=None):
     """A recording of ``epochs`` (see ``_epoch_block``) back to back, and
     its ``Epochs``, with interval indices 0, 1, ...; every epoch is alert
-    unless ``states`` says otherwise."""
+    unless the bools ``drowsy`` say otherwise."""
     block = _epoch_block(epochs)
     recording = EegRecording(channels=np.ascontiguousarray(
         block.transpose(1, 0, 2).reshape(4, len(block) * EPOCH_SAMPLES)))
     labels = OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=(1, 1, 1) if state is BinaryState.ALERT else (5, 5, 5))
-        for k, state in enumerate(_states(len(block), states))))
+        OrdInterval(index=k, ratings=(5, 5, 5) if d else (1, 1, 1))
+        for k, d in enumerate(_drowsy(len(block), drowsy).tolist())))
     return recording, epoch_signal(recording, labels)
 
 
-def make_spectra(epochs, states=None):
+def make_spectra(epochs, drowsy=None):
     """An ``EpochSpectra`` of ``epochs`` (see ``_epoch_block``) taken as
     already band-limited: the outlier counts and the Welch PSD of each as
-    given, interval indices 0, 1, ..., and every epoch alert unless
-    ``states`` says otherwise."""
+    given, interval indices 0, 1, ..., and every epoch alert unless the
+    bools ``drowsy`` say otherwise."""
     block = _epoch_block(epochs)
-    return EpochSpectra(interval_index=np.arange(len(block)),
-                        state=np.array(_states(len(block), states), dtype=object),
+    return EpochSpectra(interval_index=np.arange(len(block), dtype=np.int64),
+                        drowsy=_drowsy(len(block), drowsy),
                         outliers=outlier_counts(block), density=welch_psd(block))
 
 
@@ -187,14 +186,14 @@ def exact_rank_sum_p(a, b):
     group; an independent oracle for small problems.
 
     Raises:
-        EmptySample: Either sample is empty.
-        ValueError: More than 16 pooled observations.
+        ValueError: Either sample is empty, or more than 16 pooled
+            observations.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n_a, n_b = len(a), len(b)
     if n_a == 0 or n_b == 0:
-        raise EmptySample(f"both samples must be non-empty, got sizes ({n_a}, {n_b})")
+        raise ValueError(f"both samples must be non-empty, got sizes ({n_a}, {n_b})")
     total_n = n_a + n_b
     if total_n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"enumeration limited to {BRUTE_FORCE_MAX_N} pooled samples, got {total_n}")
@@ -249,8 +248,11 @@ def interval_aggregate_mask(telemetry, labels, abs_mean=False):
         mask = (t >= lo) & (t < lo + step)
         if int(mask.sum()) < MIN_COVERAGE * expected:
             continue
-        rows.append((iv.index, iv.state, data[:, mask].mean(axis=1)))
-    return FeatureMatrix.from_rows(VEHICLE_SERIES, rows)
+        rows.append((iv.index, iv.drowsy, data[:, mask].mean(axis=1)))
+    return FeatureMatrix(feature_names=VEHICLE_SERIES,
+                         values=np.array([r[2] for r in rows]).reshape(len(rows), -1),
+                         drowsy=np.array([r[1] for r in rows], dtype=bool),
+                         interval_index=np.array([r[0] for r in rows], dtype=np.int64))
 
 
 def _direct_comb(rng, lo_hz, hi_hz, amplitude_uv, t):

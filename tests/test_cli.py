@@ -1,29 +1,39 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drowsekit import cli, ingest, pipeline, preprocess, session, spectral, stats
 from drowsekit.errors import NonFinitePower
 from drowsekit.features import FeatureMatrix
-from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES, BinaryState
+from drowsekit.session import EEG_CHANNELS, VEHICLE_SERIES
 from drowsekit.synthgen import SynthSpec, generate_session
 
 
 def _write_cohort(tmp_path, specs_and_seeds, subdir="cohort"):
     """Generate sessions and lay them out as an on-disk cohort."""
-    root = tmp_path / subdir
+    return _write_sessions(tmp_path / subdir,
+                           [generate_session(spec, seed) for spec, seed in specs_and_seeds])
+
+
+def _write_sessions(root, sessions):
+    """Lay ``sessions`` out as an on-disk cohort under ``root``; returns its manifest."""
     root.mkdir()
     entries = []
-    for spec, seed in specs_and_seeds:
-        session = generate_session(spec, seed)
+    for session in sessions:
         sdir = root / session.id
         sdir.mkdir()
         eeg = sdir / "eeg.csv"
@@ -437,6 +447,82 @@ def test_eeg_sample_that_overflows_the_filter_exits_1_without_a_warning(tmp_path
         == [[3], [1.0]]
 
 
+# The cohort-level errors with which analyze may end a cohort that validate
+# accepts: a flat channel (DegeneratePower), a spike whose power overflows
+# (NonFinitePower), and too few kept epochs of a state (the other two).
+COHORT_ERRORS = ("DegeneratePower", "NonFinitePower", "NeedTwoGroups", "TooFewSamples")
+
+# What a session gets on top of its synthetic signal: nothing, a spike at
+# (channel, interval, sample) whose decimal exponent is drawn evenly up to
+# float64's largest, a flat channel at a constant, or artifacts in every
+# epoch, so that the artifact rule drops them all.
+_SPIKE_UV = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.0, 308.0)).map(
+    lambda se: se[0] * 10.0**se[1])
+_PERTURBATION = st.one_of(
+    st.none(),
+    st.tuples(st.just("spike"), st.integers(0, 3), st.integers(0, 5),
+              st.integers(0, preprocess.EPOCH_SAMPLES - 1), _SPIKE_UV),
+    st.tuples(st.just("flat"), st.integers(0, 3), st.floats(-50.0, 50.0)),
+    st.just(("drop",)),
+)
+# (n_intervals, n_drowsy, perturbation); n_drowsy 0 or n_intervals is a
+# single-state session
+_PERTURBED_SESSION = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n), _PERTURBATION))
+
+
+def _perturbed_session(n, n_drowsy, perturbation, seed):
+    # no telemetry: it is not perturbed, and writing and loading it is slow
+    spec = SynthSpec(n_intervals=n, drowsy_fraction=n_drowsy / n, include_telemetry=False,
+                     outlier_rate=1.0 if perturbation == ("drop",) else 0.0)
+    session = generate_session(spec, seed)
+    channels = session.eeg.channels.copy()
+    if perturbation is not None and perturbation[0] == "spike":
+        _, channel, interval, sample, magnitude = perturbation
+        channels[channel, (interval % n) * preprocess.EPOCH_SAMPLES + sample] = magnitude
+    elif perturbation is not None and perturbation[0] == "flat":
+        _, channel, level = perturbation
+        channels[channel] = level
+    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes=st.lists(_PERTURBED_SESSION, min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 4))
+# a 1e100 uV spike that the artifact rule keeps: its band powers, near 1e194,
+# overflow float64 when squared unless the normality gate scales them first
+@example(shapes=[(4, 2, ("spike", 1, 2, 100, 1e100)), (4, 2, None)], seed=1)
+def test_validate_accepting_a_cohort_means_analyze_treats_it_cleanly(shapes, seed,
+                                                                     tmp_path_factory):
+    sessions = [_perturbed_session(*shape, seed + k) for k, shape in enumerate(shapes)]
+    work = tmp_path_factory.mktemp("perturbed")
+    manifest = _write_sessions(work / "cohort", sessions)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        assert cli.main(["validate", "--manifest", str(manifest)]) == 0
+        code = cli.main(["analyze", "--manifest", str(manifest), "--out", str(work / "out")])
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in stderr.getvalue()
+    errors = re.findall(r"^error: analysis failed \((\w+)\)", stderr.getvalue(), re.MULTILINE)
+    if code == 0:
+        assert errors == []
+    else:
+        assert code == 1
+        assert len(errors) == 1 and errors[0] in COHORT_ERRORS
+
+
+def test_flat_channel_passes_validate_and_ends_analyze_with_degenerate_power(tmp_path, capsys):
+    session = _perturbed_session(4, 2, ("flat", 2, 30.0), seed=3)
+    manifest = _write_sessions(tmp_path / "cohort", [session])
+    assert cli.main(["validate", "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: analysis failed (DegeneratePower): "
+                                              "channel AF8 of epoch 0 has degenerate total power")
+
+
 def test_write_report_files_rejects_nan(tmp_path):
     row = {"feature": "steer_angle", "n_alert": 4, "n_drowsy": 4, "ks_p_alert": None,
            "ks_p_drowsy": None, "statistic": 8.0, "p_value": float("nan"),
@@ -504,9 +590,13 @@ def test_features_command(tmp_path):
 def _read_feature_csv(path):
     lines = path.read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
-    return FeatureMatrix.from_rows(
-        lines[0].split(",")[2:],
-        ((int(r[0]), BinaryState(r[1]), [float(v) for v in r[2:]]) for r in rows))
+    names = tuple(lines[0].split(",")[2:])
+    assert {r[1] for r in rows} <= {"alert", "drowsy"}
+    return FeatureMatrix(
+        feature_names=names,
+        values=np.array([[float(v) for v in r[2:]] for r in rows]).reshape(len(rows), len(names)),
+        drowsy=np.array([r[1] == "drowsy" for r in rows], dtype=bool),
+        interval_index=np.array([int(r[0]) for r in rows], dtype=np.int64))
 
 
 def _check_features_csvs_reproduce_analyze_rows(tmp_path, manifest):
@@ -720,3 +810,11 @@ def test_no_import_inside_a_function():
                 nested += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                            if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_object_arrays():
+    # labels and indices stay numpy bool and int64 arrays, never Python objects
+    found = [f"{path.name}:{n}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "dtype=object" in line]
+    assert found == []

@@ -22,7 +22,6 @@ CODES = {
     "NonFinitePower": "NonFinitePower",
     "TooFewSamples": "TooFewSamples",
     "ZeroVariance": "ZeroVariance",
-    "EmptySample": "EmptySample",
     "NeedTwoGroups": "NeedTwoGroups",
     "NonFiniteSample": "NonFiniteSample",
     "InvalidSpec": "InvalidSpec",

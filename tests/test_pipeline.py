@@ -19,7 +19,7 @@ from drowsekit.preprocess import (
     epoch_signal,
     filter_epoch,
 )
-from drowsekit.session import BinaryState, Session, make_eeg_recording
+from drowsekit.session import Session, make_eeg_recording
 from drowsekit.spectral import BANDS
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -42,9 +42,9 @@ def _session_with_tones(seed, all_channels, channel0):
 
 
 def _per_epoch_reference(session, per_channel):
-    """Features, dropped record and state counts, one epoch at a time."""
+    """Features, dropped record and (alert, drowsy) counts, one epoch at a time."""
     rows, dropped_index, dropped_fraction = [], [], []
-    pre = {BinaryState.ALERT: 0, BinaryState.DROWSY: 0}
+    pre = {False: 0, True: 0}  # keyed by drowsy
     post = dict(pre)
     for iv in session.labels.intervals:
         span = slice(iv.index * EPOCH_SAMPLES, (iv.index + 1) * EPOCH_SAMPLES)
@@ -53,13 +53,13 @@ def _per_epoch_reference(session, per_channel):
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
-        state = iv.state
-        pre[state] += 1
+        drowsy = iv.drowsy
+        pre[drowsy] += 1
         if fraction > DEFAULT_MAX_OUTLIER_FRACTION:
             dropped_index.append(iv.index)
             dropped_fraction.append(fraction)
             continue
-        post[state] += 1
+        post[drowsy] += 1
         row = []
         for channel in x:
             _, psd = welch_psd_scipy(channel)
@@ -68,8 +68,7 @@ def _per_epoch_reference(session, per_channel):
                 power = band_power(psd, band)
                 row += [power, power / total]
         rows.append(row)
-    counts = (pre[BinaryState.ALERT], pre[BinaryState.DROWSY],
-              post[BinaryState.ALERT], post[BinaryState.DROWSY])
+    counts = (pre[False], pre[True], post[False], post[True])
     return np.array(rows).reshape(-1, 40), (dropped_index, dropped_fraction), counts
 
 
@@ -92,7 +91,7 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     kept = denoise_epochs(filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels)),
                           per_channel=per_channel)
     assert [a.tolist() for a in kept.dropped] == list(dropped)
-    assert kept.epochs.interval_index.tolist() == list(result.eeg_features.interval_indices)
+    assert kept.epochs.interval_index.tolist() == result.eeg_features.interval_index.tolist()
     # the tones drop what the rule says: every all-channel one, and the
     # channel-0 ones only per channel
     expected = sorted(all_channels + (channel0 if per_channel else ()))

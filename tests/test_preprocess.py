@@ -37,7 +37,6 @@ from drowsekit.preprocess import (
     outlier_fraction,
 )
 from drowsekit.session import (
-    BinaryState,
     OrdInterval,
     OrdLabelTrack,
     make_eeg_recording,
@@ -105,8 +104,8 @@ def test_epoch_signal_assigns_majority_state(rng):
         OrdInterval(index=1, ratings=(4, 3, 5)),
     ))
     epochs = epoch_signal(rec, labels)
-    assert epochs.state[0] is BinaryState.ALERT
-    assert epochs.state[1] is BinaryState.DROWSY
+    assert epochs.drowsy.dtype == bool
+    assert epochs.drowsy.tolist() == [False, True]
 
 
 # ---- FIR design -------------------------------------------------------------
@@ -292,7 +291,7 @@ def _epochs_past_the_end(n, short):
     the ``Epochs`` of all ``n``, as no label grid would place them."""
     recording = make_eeg_recording(np.zeros((4, (n - 1) * EPOCH_SAMPLES + short)))
     return recording, Epochs(start=np.arange(n) * EPOCH_SAMPLES, interval_index=np.arange(n),
-                             state=np.array([BinaryState.ALERT] * n, dtype=object))
+                             drowsy=np.zeros(n, dtype=bool))
 
 
 def test_filter_epoch_rejects_epochs_within_group_delay():
@@ -440,23 +439,23 @@ def test_non_finite_samples_count_as_outliers():
 
 # ---- denoise bookkeeping ----------------------------------------------------
 
-def _epochs_with_states(states, noisy=()):
-    """Zero epochs, except ``noisy`` ones at 90 uV, which denoising drops."""
+def _epochs_with_labels(drowsy, noisy=()):
+    """Zero epochs labelled by the bools ``drowsy``, except ``noisy`` ones
+    at 90 uV, which denoising drops."""
     return make_spectra([np.full((4, EPOCH_SAMPLES), 90.0 if k in noisy else 0.0)
-                        for k in range(len(states))], states)
+                        for k in range(len(drowsy))], drowsy)
 
 
 def test_denoise_epochs_partitions():
-    epochs = _epochs_with_states([BinaryState.ALERT, BinaryState.DROWSY, BinaryState.DROWSY],
-                                 noisy=(2,))
+    epochs = _epochs_with_labels([False, True, True], noisy=(2,))
     result = denoise_epochs(epochs)
     assert result.epochs.interval_index.tolist() == [0, 1]
-    assert result.epochs.state.tolist() == [BinaryState.ALERT, BinaryState.DROWSY]
+    assert result.epochs.drowsy.tolist() == [False, True]
     assert [a.tolist() for a in result.dropped] == [[2], [1.0]]
 
 
 def test_denoise_epochs_keeps_each_epochs_counts_and_density():
-    spectra = _epochs_with_states([BinaryState.ALERT] * 5, noisy=(1, 3))
+    spectra = _epochs_with_labels([False] * 5, noisy=(1, 3))
     kept = denoise_epochs(spectra).epochs
     assert kept.interval_index.tolist() == [0, 2, 4]
     assert kept.outliers.tobytes() == spectra.outliers[[0, 2, 4]].tobytes()
@@ -464,8 +463,7 @@ def test_denoise_epochs_keeps_each_epochs_counts_and_density():
 
 
 def test_denoise_summary_counts():
-    pre = _epochs_with_states([BinaryState.ALERT] * 3 + [BinaryState.DROWSY] * 5,
-                              noisy=(2, 6, 7))
+    pre = _epochs_with_labels([False] * 3 + [True] * 5, noisy=(2, 6, 7))
     summary = denoise_summary(pre, denoise_epochs(pre))
     assert (summary.pre_alert, summary.pre_drowsy) == (3, 5)
     assert (summary.post_alert, summary.post_drowsy) == (2, 3)
@@ -473,7 +471,7 @@ def test_denoise_summary_counts():
 
 
 def test_denoise_summary_identity():
-    pre = _epochs_with_states([BinaryState.ALERT, BinaryState.DROWSY])
+    pre = _epochs_with_labels([False, True])
     summary = denoise_summary(pre, denoise_epochs(pre))
     assert summary.removal_fraction == 0.0
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from drowsekit.errors import InvalidRating
 from drowsekit.preprocess import epoch_signal
 from drowsekit.session import (
-    BinaryState,
     EegRecording,
     OrdInterval,
     OrdLabelTrack,
@@ -21,16 +20,16 @@ from drowsekit.vehicle import interval_aggregate
 ratings_strategy = st.tuples(*[st.integers(1, 5)] * 3)
 
 
-@pytest.mark.parametrize("ratings,expected", [
-    ((1, 1, 2), BinaryState.ALERT),
-    ((3, 4, 5), BinaryState.DROWSY),
-    ((1, 3, 5), BinaryState.DROWSY),
-    ((2, 3, 2), BinaryState.ALERT),
-    ((2, 2, 2), BinaryState.ALERT),
-    ((5, 5, 5), BinaryState.DROWSY),
-])
+# the ids predate the bool vote; they stay so that test histories line up
+_VOTES = [((1, 1, 2), False), ((3, 4, 5), True), ((1, 3, 5), True),
+          ((2, 3, 2), False), ((2, 2, 2), False), ((5, 5, 5), True)]
+
+
+@pytest.mark.parametrize("ratings,expected", _VOTES, ids=[
+    f"ratings{k}-BinaryState.{'DROWSY' if drowsy else 'ALERT'}"
+    for k, (_, drowsy) in enumerate(_VOTES)])
 def test_majority_label_examples(ratings, expected):
-    assert OrdInterval(index=0, ratings=ratings).state is expected
+    assert OrdInterval(index=0, ratings=ratings).drowsy is expected
 
 
 @pytest.mark.parametrize("ratings", [(0, 1, 2), (1, 6, 3), (1, 2), (1, 2, 3, 4)])
@@ -43,17 +42,17 @@ def test_majority_label_rejects_bad_input(ratings):
 @given(ratings_strategy, st.permutations(range(3)))
 def test_majority_label_permutation_invariant(ratings, perm):
     shuffled = tuple(ratings[i] for i in perm)
-    assert (OrdInterval(index=0, ratings=shuffled).state
-            is OrdInterval(index=0, ratings=ratings).state)
+    assert (OrdInterval(index=0, ratings=shuffled).drowsy
+            is OrdInterval(index=0, ratings=ratings).drowsy)
 
 
 @given(ratings_strategy)
 def test_majority_label_unanimous_bounds(ratings):
-    state = OrdInterval(index=0, ratings=ratings).state
+    drowsy = OrdInterval(index=0, ratings=ratings).drowsy
     if all(r >= 3 for r in ratings):
-        assert state is BinaryState.DROWSY
+        assert drowsy is True
     if all(r <= 2 for r in ratings):
-        assert state is BinaryState.ALERT
+        assert drowsy is False
 
 
 def _labels(n, ratings=(1, 1, 2)):

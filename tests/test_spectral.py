@@ -17,7 +17,6 @@ from helpers import (
 from drowsekit import preprocess
 from drowsekit.errors import DegeneratePower, NonFinitePower
 from drowsekit.preprocess import DEFAULT_AMPLITUDE_THRESHOLD_UV, EPOCH_SAMPLES, filter_epoch
-from drowsekit.session import BinaryState
 from drowsekit.spectral import (
     BANDS,
     FREQS_HZ,
@@ -211,12 +210,12 @@ def test_frequency_shift_moves_band(rng):
 
 
 def test_feature_matrix_assembly(rng):
-    states = [BinaryState.ALERT, BinaryState.DROWSY, BinaryState.ALERT]
-    epochs = make_spectra([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)], states)
+    epochs = make_spectra([rng.normal(0, 5.0, (4, EPOCH_SAMPLES)) for _ in range(3)],
+                          [False, True, False])
     matrix = extract_features(epochs)
     assert matrix.values.shape == (3, 40)
-    assert matrix.interval_indices == (0, 1, 2)
-    assert matrix.states == tuple(states)
+    assert matrix.interval_index.tolist() == [0, 1, 2]
+    assert matrix.drowsy.tolist() == [False, True, False]
     empty = extract_features(make_spectra([]))
     assert empty.values.shape == (0, 40)
     assert empty.feature_names == eeg_feature_names()

@@ -7,7 +7,7 @@ from helpers import band_power, generate_session_direct
 from drowsekit import ingest
 from drowsekit.errors import InvalidSpec
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, outlier_fraction
-from drowsekit.session import BinaryState, validate_session
+from drowsekit.session import validate_session
 from drowsekit.spectral import BANDS
 from drowsekit.synthgen import (
     DEFAULT_BAND_AMPLITUDES_UV,
@@ -99,7 +99,7 @@ def test_band_power_tracks_spec():
     spec = SynthSpec(n_intervals=12, drowsy_fraction=0.5)
     session = generate_session(spec, seed=5)
     spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
-    alert = spectra.density[spectra.state == BinaryState.ALERT]
+    alert = spectra.density[~spectra.drowsy]
     noise_density = spec.noise_floor_uv**2 / 128.0
     for band in BANDS:
         powers = [band_power(density[0], band) for density in alert]
@@ -115,10 +115,8 @@ def test_drowsy_multiplier_scales_power():
     session = generate_session(spec, seed=6)
     spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
     theta = next(b for b in BANDS if b.name == "theta")
-    by_state = {BinaryState.ALERT: [], BinaryState.DROWSY: []}
-    for density, state in zip(spectra.density, spectra.state):
-        by_state[state].append(band_power(density[0], theta))
-    ratio = np.mean(by_state[BinaryState.DROWSY]) / np.mean(by_state[BinaryState.ALERT])
+    powers = np.array([band_power(density[0], theta) for density in spectra.density])
+    ratio = np.mean(powers[spectra.drowsy]) / np.mean(powers[~spectra.drowsy])
     assert ratio == pytest.approx(4.0, rel=0.2)  # amplitude x2 -> power x4
 
 

@@ -6,7 +6,6 @@ from helpers import interval_aggregate_mask
 
 from drowsekit.session import (
     VEHICLE_SERIES,
-    BinaryState,
     OrdInterval,
     OrdLabelTrack,
     make_telemetry,
@@ -89,7 +88,7 @@ def test_emitted_indices_subset_of_labels():
     # telemetry covers only 2 of 4 labeled intervals
     tel = _telemetry(2, rate=rate)
     out = interval_aggregate(tel, _labels([(1, 1, 1)] * 4))
-    indices = list(out.interval_indices)
+    indices = out.interval_index.tolist()
     assert indices == [0, 1]
     assert len(set(indices)) == len(indices)
 
@@ -97,8 +96,8 @@ def test_emitted_indices_subset_of_labels():
 def test_states_follow_majority_vote():
     tel = _telemetry(2)
     out = interval_aggregate(tel, _labels([(1, 2, 1), (3, 4, 4)]))
-    assert out.states[0] is BinaryState.ALERT
-    assert out.states[1] is BinaryState.DROWSY
+    assert out.drowsy.dtype == bool
+    assert out.drowsy.tolist() == [False, True]
 
 
 def test_vehicle_feature_matrix_shape():
@@ -127,5 +126,5 @@ def test_sliced_aggregate_matches_mask_reference(rng, abs_mean, n_intervals, n_l
     got = interval_aggregate(tel, labels, abs_mean=abs_mean)
     want = interval_aggregate_mask(tel, labels, abs_mean=abs_mean)
     assert got.values.tobytes() == want.values.tobytes()
-    assert got.interval_indices == want.interval_indices
-    assert got.states == want.states
+    assert got.interval_index.tobytes() == want.interval_index.tobytes()
+    assert got.drowsy.tobytes() == want.drowsy.tobytes()
