@@ -107,10 +107,6 @@ class TooFewSamples(DrowsekitError):
     pass
 
 
-class ZeroVariance(DrowsekitError):
-    pass
-
-
 class NeedTwoGroups(DrowsekitError):
     pass
 

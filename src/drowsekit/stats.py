@@ -1,15 +1,16 @@
 """Nonparametric tests for alert-vs-drowsy feature separation.
 
 The normality of each feature is gated (informationally) with a
-Kolmogorov-Smirnov test corrected for estimated parameters; the actual
-separation p-value always comes from the two-sided Wilcoxon rank-sum
-(Mann-Whitney) test. For small tie-free samples it is exact: the null
-counts of U are the coefficients of a Gaussian binomial, computed in
-integers, once per pair of group sizes. Otherwise a refined normal
-approximation is used. ``separation_report`` splits the feature matrix
-once into an alert and a drowsy block, runs the rank-sum test per feature
-and the normality gate over each block in one pass, and returns the
-report rows as the dicts ``report.json`` holds; the cohort and the config
+Kolmogorov-Smirnov test corrected for estimated parameters (Lilliefors):
+``ks_normal_test`` tests every row of a block and returns one p-value per
+row. The actual separation p-value always comes from the two-sided
+Wilcoxon rank-sum (Mann-Whitney) test. For small tie-free samples it is
+exact: the null counts of U are the coefficients of a Gaussian binomial,
+computed in integers, once per pair of group sizes. Otherwise a refined
+normal approximation is used. ``separation_report`` splits the feature
+matrix once into an alert and a drowsy block, runs the rank-sum test per
+feature and ``ks_normal_test`` once on each block, and returns the report
+rows as the dicts ``report.json`` holds; the cohort and the config
 digest live only in the report built from them.
 
 Normal tails come from ``_ndtr``, a scalar port of the Cephes ``ndtr``
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NeedTwoGroups, NonFiniteSample, TooFewSamples, ZeroVariance
+from .errors import NeedTwoGroups, NonFiniteSample, TooFewSamples
 from .features import FeatureMatrix
 
 DEFAULT_ALPHA = 0.05
@@ -49,7 +50,6 @@ class TestMethod(Enum):
 
     EXACT_ENUMERATION = "ExactEnumeration"
     NORMAL_APPROX = "NormalApprox"
-    KS_LILLIEFORS = "KsLilliefors"
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,6 @@ class TestResult:
     statistic: float
     p_value: float
     method: TestMethod
-    n_a: int
-    n_b: int
 
 
 # ---- standard normal CDF ------------------------------------------------------
@@ -162,44 +160,35 @@ def _lilliefors_p(d: float, n: int) -> float:
     return min(1.0, max(0.0, p))
 
 
-def ks_normal_test(sample: Sequence[float]) -> TestResult:
-    """Two-sided KS test against a normal fitted to the sample.
+def ks_normal_test(block: np.ndarray) -> list[float | None]:
+    """Two-sided KS test of every row of a (rows, n) block against a normal
+    fitted to that row; one p-value per row, None for a row with zero variance.
 
     The statistic is the largest gap between the empirical CDF and the
     fitted normal CDF over the sorted points; because the normal's mean
-    and standard deviation are estimated from the sample, the p-value uses
+    and standard deviation are estimated from the row, the p-value uses
     the estimated-parameter correction rather than the standard KS
-    distribution.
+    distribution. Each row is sorted, scaled by a power of two into [-1, 1]
+    (which keeps its standardised values bit for bit, and its squared
+    deviations finite) and reduced along the contiguous last axis, which
+    numpy sums in the same order as a 1-D array, so every row's p-value is
+    the one it alone gives.
 
     Raises:
+        ValueError: ``block`` is not 2-D.
         NonFiniteSample: A NaN or infinite observation.
-        TooFewSamples: Fewer than 4 observations.
-        ZeroVariance: All observations identical.
+        TooFewSamples: Rows of fewer than 4 observations.
     """
-    x = np.asarray(sample, dtype=np.float64)
+    x = np.asarray(block, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"need a (rows, n) block, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteSample("sample holds a NaN or infinite value")
-    n = len(x)
+    n = x.shape[-1]
     if n < KS_MIN_SAMPLES:
         raise TooFewSamples(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
-    result = _ks_normal_rows(x[np.newaxis])[0]
-    if result is None:
-        raise ZeroVariance("sample has zero variance")
-    return result
-
-
-def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
-    """``ks_normal_test`` of every row of a finite (rows, n) block, n >= 4;
-    None for a row with zero variance.
-
-    Each row is sorted, scaled by a power of two into [-1, 1] (which keeps
-    its standardised values bit for bit, and its squared deviations finite)
-    and reduced along the contiguous last axis, which numpy sums in the same
-    order as a 1-D array, so every row's result is the one it alone gives.
-    """
-    x = np.sort(block, axis=-1)
+    x = np.sort(x, axis=-1)
     x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1])
-    n = x.shape[-1]
     sd = x.std(ddof=1, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
         z = (x - x.mean(axis=-1, keepdims=True)) / sd
@@ -207,10 +196,7 @@ def _ks_normal_rows(block: np.ndarray) -> list[TestResult | None]:
     cdf = np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
     i = np.arange(1, n + 1)
     d = np.maximum(np.max(i / n - cdf, axis=-1), np.max(cdf - (i - 1) / n, axis=-1))
-    return [None if s == 0.0 else
-            TestResult(statistic=float(di), p_value=_lilliefors_p(float(di), n),
-                       method=TestMethod.KS_LILLIEFORS, n_a=n, n_b=0)
-            for s, di in zip(sd[:, 0], d)]
+    return [None if s == 0.0 else _lilliefors_p(float(di), n) for s, di in zip(sd[:, 0], d)]
 
 
 # ---- Wilcoxon rank-sum / Mann-Whitney U ------------------------------------
@@ -304,8 +290,7 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     u_obs = int(round(u))
     total = cum[-1]
     p = _two_sided(cum[u_obs + 1], total - cum[u_obs], total)
-    return TestResult(statistic=u, p_value=p,
-                      method=TestMethod.EXACT_ENUMERATION, n_a=n_a, n_b=n_b)
+    return TestResult(statistic=u, p_value=p, method=TestMethod.EXACT_ENUMERATION)
 
 
 def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
@@ -319,16 +304,14 @@ def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
     variance = n_a * n_b / 12.0 * ((total_n + 1.0) - tie_term)
     if variance <= 0.0:
         # every pooled value identical
-        return TestResult(statistic=u, p_value=1.0,
-                          method=TestMethod.NORMAL_APPROX, n_a=n_a, n_b=n_b)
+        return TestResult(statistic=u, p_value=1.0, method=TestMethod.NORMAL_APPROX)
     sd = math.sqrt(variance)
     mu_w = n_a * (total_n + 1) / 2.0
     g2 = _rank_sum_kurtosis_excess(n_a, n_b)
     lower = _edgeworth_tail((w - mu_w + 0.5) / sd, g2, upper=False)
     upper = _edgeworth_tail((w - mu_w - 0.5) / sd, g2, upper=True)
     p = min(1.0, 2.0 * min(lower, upper))
-    return TestResult(statistic=u, p_value=p,
-                      method=TestMethod.NORMAL_APPROX, n_a=n_a, n_b=n_b)
+    return TestResult(statistic=u, p_value=p, method=TestMethod.NORMAL_APPROX)
 
 
 # The kurtosis refinement is a central-region correction; past this |z|
@@ -397,15 +380,15 @@ def separation_report(features: FeatureMatrix,
     drowsy = np.ascontiguousarray(features.values[features.drowsy].T)
     # the rank-sum tests run first: they reject non-finite values
     results = [rank_sum_test(a, b) for a, b in zip(alert, drowsy)]
-    ks_alert = _ks_normal_rows(alert)
-    ks_drowsy = _ks_normal_rows(drowsy)
+    ks_alert = ks_normal_test(alert)
+    ks_drowsy = ks_normal_test(drowsy)
     return [
         {
             "feature": name,
             "n_alert": n_alert,
             "n_drowsy": n_drowsy,
-            "ks_p_alert": None if ka is None else ka.p_value,
-            "ks_p_drowsy": None if kd is None else kd.p_value,
+            "ks_p_alert": ka,
+            "ks_p_drowsy": kd,
             "statistic": result.statistic,
             "p_value": result.p_value,
             "method": result.method.value,

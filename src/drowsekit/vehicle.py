@@ -12,6 +12,7 @@ import logging
 
 import numpy as np
 
+from .errors import NonFiniteSample
 from .features import FeatureMatrix
 from .session import (
     MIN_COVERAGE,
@@ -35,6 +36,10 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
 
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns and the interval's majority vote as ``drowsy``.
+
+    Raises:
+        NonFiniteSample: An interval mean overflows float64 (numpy does not
+            warn about it).
     """
     # a C-contiguous (samples, series) block: an interval is a row slice, and
     # mean(axis=0) adds its samples one by one in time order, the order report
@@ -48,7 +53,13 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
-    values = np.array([data[start:end].mean(axis=0) for _, start, end in slices])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([data[start:end].mean(axis=0) for _, start, end in slices])
+    nonfinite = np.argwhere(~np.isfinite(values))
+    if len(nonfinite):
+        k, j = nonfinite[0]
+        raise NonFiniteSample(f"series {VEHICLE_SERIES[j]} of interval {slices[k][0].index} "
+                              f"has a non-finite mean ({values[k, j]:g})")
     return FeatureMatrix(feature_names=VEHICLE_SERIES,
                          values=values.reshape(len(slices), len(VEHICLE_SERIES)),  # (0, 4) if none
                          drowsy=np.array([iv.drowsy for iv, _, _ in slices], dtype=bool),

@@ -167,9 +167,10 @@ def relative_band_power(density, band):
 
 
 def ks_normal_1d(sample):
-    """``(D, p)`` of ``stats.ks_normal_test`` for one finite, non-constant
-    1-D sample, as sort, mean, std and maxima over that sample alone; the
-    reference for the block KS pass."""
+    """``(D, p)`` for one finite, non-constant 1-D sample: the KS statistic
+    and the p-value that ``stats.ks_normal_test`` returns for that sample as
+    any row of a block, computed by sort, mean, std and maxima over the
+    sample alone; the reference for the block KS pass."""
     x = np.sort(np.asarray(sample, dtype=np.float64))
     n = len(x)
     z = (x - x.mean()) / float(x.std(ddof=1))

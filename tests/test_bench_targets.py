@@ -107,3 +107,4 @@ def test_traced_functions_run_on_the_calling_thread_once_per_session(monkeypatch
     sessions = getattr(workload, "n_sessions", 0)
     assert calls["preprocess.filter_epoch"] == sessions
     assert calls["spectral.extract_features"] == sessions
+    assert calls["stats.ks_normal_test"] == 2 * calls["stats.separation_report"]

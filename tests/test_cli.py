@@ -447,10 +447,12 @@ def test_eeg_sample_that_overflows_the_filter_exits_1_without_a_warning(tmp_path
         == [[3], [1.0]]
 
 
-# The cohort-level errors with which analyze may end a cohort that validate
-# accepts: a flat channel (DegeneratePower), a spike whose power overflows
-# (NonFinitePower), and too few kept epochs of a state (the other two).
-COHORT_ERRORS = ("DegeneratePower", "NonFinitePower", "NeedTwoGroups", "TooFewSamples")
+# The cohort-level errors with which analyze or features may end a cohort
+# that validate accepts: a flat channel (DegeneratePower), a spike whose power
+# or interval mean overflows (NonFinitePower, NonFiniteSample), and too few
+# kept epochs of a state (the other two, analyze only).
+COHORT_ERRORS = ("DegeneratePower", "NonFinitePower", "NonFiniteSample", "NeedTwoGroups",
+                 "TooFewSamples")
 
 # What a session gets on top of its synthetic signal: nothing, a spike at
 # (channel, interval, sample) whose decimal exponent is drawn evenly up to
@@ -465,15 +467,20 @@ _PERTURBATION = st.one_of(
     st.tuples(st.just("flat"), st.integers(0, 3), st.floats(-50.0, 50.0)),
     st.just(("drop",)),
 )
-# (n_intervals, n_drowsy, perturbation); n_drowsy 0 or n_intervals is a
-# single-state session
+# And on top of its telemetry: nothing, or 1 or 2 samples in a row of one
+# series set to a spike of drawn magnitude, at (series, sample)
+_TELEMETRY_SPIKE = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 3), st.integers(0, 10**6), st.integers(1, 2), _SPIKE_UV),
+)
+# (n_intervals, n_drowsy, perturbation, telemetry spike); n_drowsy 0 or
+# n_intervals is a single-state session
 _PERTURBED_SESSION = st.integers(1, 6).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, n), _PERTURBATION))
+    lambda n: st.tuples(st.just(n), st.integers(0, n), _PERTURBATION, _TELEMETRY_SPIKE))
 
 
-def _perturbed_session(n, n_drowsy, perturbation, seed):
-    # no telemetry: it is not perturbed, and writing and loading it is slow
-    spec = SynthSpec(n_intervals=n, drowsy_fraction=n_drowsy / n, include_telemetry=False,
+def _perturbed_session(n, n_drowsy, perturbation, telemetry_spike, seed):
+    spec = SynthSpec(n_intervals=n, drowsy_fraction=n_drowsy / n,
                      outlier_rate=1.0 if perturbation == ("drop",) else 0.0)
     session = generate_session(spec, seed)
     channels = session.eeg.channels.copy()
@@ -483,16 +490,25 @@ def _perturbed_session(n, n_drowsy, perturbation, seed):
     elif perturbation is not None and perturbation[0] == "flat":
         _, channel, level = perturbation
         channels[channel] = level
-    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels))
+    series = session.telemetry.series.copy()
+    if telemetry_spike is not None:
+        row, sample, count, magnitude = telemetry_spike
+        start = sample % (series.shape[1] - 1)
+        series[row, start:start + count] = magnitude
+    return dataclasses.replace(session, eeg=dataclasses.replace(session.eeg, channels=channels),
+                               telemetry=dataclasses.replace(session.telemetry, series=series))
 
 
 @settings(max_examples=12, deadline=None)
 @given(shapes=st.lists(_PERTURBED_SESSION, min_size=1, max_size=3),
-       seed=st.integers(0, 2**32 - 4))
+       seed=st.integers(0, 2**32 - 4), flags=st.sampled_from([[], ["--abs-mean"]]))
 # a 1e100 uV spike that the artifact rule keeps: its band powers, near 1e194,
 # overflow float64 when squared unless the normality gate scales them first
-@example(shapes=[(4, 2, ("spike", 1, 2, 100, 1e100)), (4, 2, None)], seed=1)
-def test_validate_accepting_a_cohort_means_analyze_treats_it_cleanly(shapes, seed,
+@example(shapes=[(4, 2, ("spike", 1, 2, 100, 1e100), None), (4, 2, None, None)], seed=1,
+         flags=[])
+# two steer_angle samples of 1.7e308 in one interval: their sum overflows
+@example(shapes=[(6, 3, None, (0, 100, 2, 1.7e308)), (6, 3, None, None)], seed=1, flags=[])
+def test_validate_accepting_a_cohort_means_analyze_treats_it_cleanly(shapes, seed, flags,
                                                                      tmp_path_factory):
     sessions = [_perturbed_session(*shape, seed + k) for k, shape in enumerate(shapes)]
     work = tmp_path_factory.mktemp("perturbed")
@@ -502,19 +518,21 @@ def test_validate_accepting_a_cohort_means_analyze_treats_it_cleanly(shapes, see
             contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("always")
         assert cli.main(["validate", "--manifest", str(manifest)]) == 0
-        code = cli.main(["analyze", "--manifest", str(manifest), "--out", str(work / "out")])
+        codes = [cli.main([command, "--manifest", str(manifest), "--out", str(work / command),
+                           *flags])
+                 for command in ("analyze", "features")]
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in stderr.getvalue()
-    errors = re.findall(r"^error: analysis failed \((\w+)\)", stderr.getvalue(), re.MULTILINE)
-    if code == 0:
-        assert errors == []
-    else:
-        assert code == 1
-        assert len(errors) == 1 and errors[0] in COHORT_ERRORS
+    errors = re.findall(r"^error: (analysis|feature extraction) failed \((\w+)\)",
+                        stderr.getvalue(), re.MULTILINE)
+    assert set(codes) <= {0, 1}
+    assert [stage for stage, _ in errors] == [
+        stage for stage, code in zip(("analysis", "feature extraction"), codes) if code]
+    assert {error for _, error in errors} <= set(COHORT_ERRORS)
 
 
 def test_flat_channel_passes_validate_and_ends_analyze_with_degenerate_power(tmp_path, capsys):
-    session = _perturbed_session(4, 2, ("flat", 2, 30.0), seed=3)
+    session = _perturbed_session(4, 2, ("flat", 2, 30.0), None, seed=3)
     manifest = _write_sessions(tmp_path / "cohort", [session])
     assert cli.main(["validate", "--manifest", str(manifest)]) == 0
     capsys.readouterr()

@@ -21,7 +21,6 @@ CODES = {
     "DegeneratePower": "DegeneratePower",
     "NonFinitePower": "NonFinitePower",
     "TooFewSamples": "TooFewSamples",
-    "ZeroVariance": "ZeroVariance",
     "NeedTwoGroups": "NeedTwoGroups",
     "NonFiniteSample": "NonFiniteSample",
     "InvalidSpec": "InvalidSpec",

@@ -21,7 +21,6 @@ from drowsekit.errors import (
     NeedTwoGroups,
     NonFiniteSample,
     TooFewSamples,
-    ZeroVariance,
 )
 from drowsekit.features import FeatureMatrix
 from drowsekit.stats import (
@@ -29,7 +28,7 @@ from drowsekit.stats import (
     TestMethod,
     _average_ranks,
     _edgeworth_tail,
-    _ks_normal_rows,
+    _lilliefors_p,
     _ndtr,
     _norm_pdf,
     _rank_sum_kurtosis_excess,
@@ -57,46 +56,56 @@ def _ks_d_oracle(sample):
 def test_ks_normal_quantile_sample_passes():
     n = 100
     sample = norm.ppf(np.arange(1, n + 1) / (n + 1))
-    result = ks_normal_test(sample)
-    assert result.method is TestMethod.KS_LILLIEFORS
-    assert result.statistic == pytest.approx(_ks_d_oracle(sample), abs=1e-12)
-    assert result.p_value > 0.5
+    [p] = ks_normal_test([sample])
+    d, p_reference = ks_normal_1d(sample)
+    assert d == pytest.approx(_ks_d_oracle(sample), abs=1e-12)
+    assert p == p_reference
+    assert p > 0.5
 
 
 def test_ks_alternating_sample_fails():
     sample = np.array([0.0, 1.0] * 50)
-    result = ks_normal_test(sample)
+    [p] = ks_normal_test([sample])
     # oracle: fitted normal has mean 0.5, sd sqrt(25/99); the empirical CDF
     # jumps 0 -> 0.5 at x=0, so the gap there is 0.5 - Phi(-0.5/sd)
     sd = math.sqrt(100 * 0.25 / 99)
     expected_d = 0.5 - norm.cdf(-0.5 / sd)
-    assert result.statistic == pytest.approx(expected_d, abs=1e-12)
-    assert result.p_value < 0.01
+    d, p_reference = ks_normal_1d(sample)
+    assert d == pytest.approx(expected_d, abs=1e-12)
+    assert p == p_reference
+    assert p == pytest.approx(_lilliefors_p(expected_d, 100), rel=1e-9)
+    assert p < 0.01
 
 
 def test_ks_constant_sample():
-    with pytest.raises(ZeroVariance):
-        ks_normal_test([2.0] * 10)
+    assert ks_normal_test([[2.0] * 10]) == [None]
 
 
 def test_ks_too_few_samples():
     with pytest.raises(TooFewSamples):
-        ks_normal_test([1.0, 2.0, 3.0])
+        ks_normal_test([[1.0, 2.0, 3.0]])
+
+
+def test_ks_rejects_a_one_dimensional_sample():
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):
+        ks_normal_test([1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_ks_non_finite_sample(bad):
     # a NaN statistic used to clamp to p = 0
     with pytest.raises(NonFiniteSample):
-        ks_normal_test([1.0, 2.0, 3.0, bad, 5.0])
+        ks_normal_test([[1.0, 2.0, 3.0, bad, 5.0]])
 
 
 @pytest.mark.parametrize("scale,shift", [(2.0, 0.0), (0.5, -7.0), (100.0, 1e6)])
 def test_ks_affine_invariance(rng, scale, shift):
     sample = rng.normal(size=50)
-    base = ks_normal_test(sample)
-    moved = ks_normal_test(scale * sample + shift)
-    assert moved.statistic == pytest.approx(base.statistic, abs=1e-9)
+    [base], [moved] = ks_normal_test([sample]), ks_normal_test([scale * sample + shift])
+    assert 0.0 < base < 1.0  # not clamped, so it moves with the statistic
+    assert moved == pytest.approx(base, abs=1e-9)
+    assert ks_normal_1d(scale * sample + shift)[0] == \
+        pytest.approx(ks_normal_1d(sample)[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("exponent", [-1000, 1000])
@@ -106,12 +115,13 @@ def test_ks_power_of_two_scale_leaves_result_identical(rng, exponent):
     sample = rng.normal(size=30)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ks_normal_test(np.ldexp(sample, exponent)) == ks_normal_test(sample)
+        assert ks_normal_test([np.ldexp(sample, exponent)]) == ks_normal_test([sample]) \
+            == [ks_normal_1d(sample)[1]]
 
 
 def test_ks_null_rate_reasonable(rng):
-    rejections = sum(ks_normal_test(rng.normal(size=100)).p_value < 0.05
-                     for _ in range(200))
+    # the same draws, row by row, as 200 separate samples of 100
+    rejections = sum(p < 0.05 for p in ks_normal_test(rng.normal(size=(200, 100))))
     assert rejections <= 30  # approximation is mildly anti-conservative at most
 
 
@@ -123,14 +133,14 @@ def test_ks_block_matches_one_dimensional_test(rng):
         rng.exponential(size=n),
         np.repeat(rng.normal(size=n // 2 + 1), 2)[:n],  # ties
     ])
-    results = _ks_normal_rows(block)
+    results = ks_normal_test(block)
     assert len(results) == len(block)
     for row, result in zip(block, results):
+        assert [result] == ks_normal_test(row[np.newaxis])
         if np.ptp(row) == 0.0:
             assert result is None
             continue
-        assert (result.statistic, result.p_value) == ks_normal_1d(row)
-        assert result == ks_normal_test(row)
+        assert result == ks_normal_1d(row)[1]
 
 
 # ---- rank-sum test --------------------------------------------------------
@@ -436,10 +446,10 @@ def test_separation_report_ks_matches_per_group_test(rng):
     drowsy = rng.exponential(size=(9, 3))
     alert[:, 2] = -1.5  # zero variance
     rows = separation_report(_matrix(alert, drowsy, names=("f1", "f2", "f3")))
+    assert rows[2]["ks_p_alert"] is None
     for j, row in enumerate(rows):
-        want_alert = None if j == 2 else ks_normal_test(alert[:, j]).p_value
-        assert row["ks_p_alert"] == want_alert
-        assert row["ks_p_drowsy"] == ks_normal_test(drowsy[:, j]).p_value
+        assert [row["ks_p_alert"]] == ks_normal_test([alert[:, j]])
+        assert [row["ks_p_drowsy"]] == ks_normal_test([drowsy[:, j]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,9 +1,11 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 from helpers import interval_aggregate_mask
 
+from drowsekit.errors import NonFiniteSample
 from drowsekit.session import (
     VEHICLE_SERIES,
     OrdInterval,
@@ -60,6 +62,25 @@ def test_abs_mean_variant():
                          sample_rate_hz=rate)
     out = interval_aggregate(tel, _labels([(1, 1, 1)]), abs_mean=True)
     assert out.values[0, 0] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("spike,abs_mean", [((1.7e308, 1.7e308), False),
+                                             ((1.7e308, 1.7e308), True),
+                                             ((1.7e308, -1.7e308), True)])
+def test_overflowing_interval_mean_raises_naming_series_and_interval(spike, abs_mean):
+    # the two samples sum past float64's largest; signed, +/-1.7e308 cancel
+    tel = _telemetry(3)
+    series = tel.series.copy()
+    series[VEHICLE_SERIES.index("torque"), 1500 + 20:1500 + 22] = spike
+    tel = make_telemetry(series, sample_rate_hz=50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSample, match=r"^series torque of interval 1 has a "
+                                                  r"non-finite mean \(inf\)$"):
+            interval_aggregate(tel, _labels([(1, 1, 1)] * 3), abs_mean=abs_mean)
+        if spike[0] != spike[1]:
+            signed = interval_aggregate(tel, _labels([(1, 1, 1)] * 3))
+            assert signed.values[1, VEHICLE_SERIES.index("torque")] == 0.0
 
 
 def test_low_coverage_interval_skipped(caplog):
