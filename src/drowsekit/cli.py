@@ -18,7 +18,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import ingest
 from .errors import DrowsekitError
@@ -31,14 +31,12 @@ class _LoadFailed(Exception):
     """Carries the error of a session that could not be loaded."""
 
 
-def _sessions(entries: Iterable[ingest.SessionManifest]) -> Iterator[Session]:
-    """Load the manifest entries one at a time; a load error becomes ``_LoadFailed``."""
-    for entry in entries:
-        try:
-            session = ingest.load_session(entry)
-        except (OSError, DrowsekitError) as exc:
-            raise _LoadFailed(exc) from exc
-        yield session
+def _load(entry: ingest.SessionManifest) -> Session:
+    """Load one manifest entry; a load error becomes ``_LoadFailed``."""
+    try:
+        return ingest.load_session(entry)
+    except (OSError, DrowsekitError) as exc:
+        raise _LoadFailed(exc) from exc
 
 
 def _cannot_load(manifest_path: Path, exc: Exception) -> int:
@@ -63,6 +61,7 @@ def cmd_validate(manifest_path: Path) -> int:
             failures += 1
             continue
         violations = validate_session(session)
+        del session  # released before the next session loads
         if violations:
             for v in violations:
                 print(f"{entry.session_id}: {v.code}: {v.message}")
@@ -79,7 +78,9 @@ def cmd_analyze(manifest_path: Path, out_dir: Path, config: RunConfig) -> int:
     except (OSError, DrowsekitError) as exc:
         return _cannot_load(manifest_path, exc)
     try:
-        report = analyze_cohort(_sessions(entries), config, cohort_id=manifest_path.stem)
+        # map holds no session between calls, so each is released before
+        # the next one loads
+        report = analyze_cohort(map(_load, entries), config, cohort_id=manifest_path.stem)
     except _LoadFailed as exc:
         return _cannot_load(manifest_path, exc)
     except (DrowsekitError, ValueError) as exc:
@@ -108,13 +109,14 @@ def cmd_features(manifest_path: Path, out_dir: Path, config: RunConfig) -> int:
     except (OSError, DrowsekitError) as exc:
         return _cannot_load(manifest_path, exc)
     try:
-        for session in _sessions(entries):
-            result = process_session(session, config)
+        for entry in entries:
+            # the session is released when process_session returns
+            result = process_session(_load(entry), config)
             out_dir.mkdir(parents=True, exist_ok=True)
             for kind, matrix in (("eeg", result.eeg_features),
                                  ("vehicle", result.vehicle_features)):
                 if matrix is not None:
-                    path = out_dir / f"{session.id}_{kind}_features.csv"
+                    path = out_dir / f"{entry.session_id}_{kind}_features.csv"
                     write_features(matrix, path)
                     print(f"wrote {path}")
     except _LoadFailed as exc:

@@ -8,6 +8,7 @@ session in memory at a time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__, ingest, preprocess, session, spectral, stats
+from .errors import DegeneratePower, NonFinitePower, NonFiniteSample
 from .features import FeatureMatrix
 from .preprocess import DenoiseSummary, denoise_epochs, denoise_summary, epoch_signal, filter_epoch
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
@@ -88,20 +90,25 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
 
     Raises:
         ValueError: The session is invalid (see ``validate_session``).
+        NonFinitePower, DegeneratePower, NonFiniteSample: As the stage
+            raised it, with ``session <id>: `` in front of its message.
         DrowsekitError: A stage precondition failure.
     """
     violations = validate_session(session)
     if violations:
         listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise ValueError(f"session {session.id} is invalid: {listing}")
-    spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
-    kept = denoise_epochs(spectra, per_channel=config.per_channel_outliers)
-    summary = denoise_summary(spectra, kept)
-    eeg_matrix = extract_features(kept.epochs)
-    vehicle_matrix = None
-    if session.telemetry is not None:
-        vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
-                                            abs_mean=config.abs_mean)
+    try:
+        spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+        kept = denoise_epochs(spectra, per_channel=config.per_channel_outliers)
+        summary = denoise_summary(spectra, kept)
+        eeg_matrix = extract_features(kept.epochs)
+        vehicle_matrix = None
+        if session.telemetry is not None:
+            vehicle_matrix = interval_aggregate(session.telemetry, session.labels,
+                                                abs_mean=config.abs_mean)
+    except (NonFinitePower, DegeneratePower, NonFiniteSample) as exc:
+        raise type(exc)(f"session {session.id}: {exc}") from exc
     return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
                          denoise=summary)
 
@@ -109,14 +116,17 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
 def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
                    cohort_id: str) -> dict:
     """Process each session as ``sessions`` yields it, keeping only its
-    result, then pool the results and build the full report structure.
+    result and no reference to the session itself while the next one is
+    asked for, then pool the results and build the full report structure.
 
     Raises:
         DrowsekitError: Any stage precondition failure (for example a
             single-state cohort).
         ValueError: An empty cohort or an invalid session.
     """
-    results = [process_session(s, config) for s in sessions]
+    # map holds no session between calls, so a generator's session k is
+    # released before it loads session k + 1
+    results = list(map(functools.partial(process_session, config=config), sessions))
     if not results:
         raise ValueError("cohort is empty")
 

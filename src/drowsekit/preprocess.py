@@ -49,7 +49,7 @@ from .session import (
     OrdLabelTrack,
     epoch_starts,
 )
-from .spectral import FREQS_HZ, welch_psd
+from .spectral import FREQS_HZ, welch_psd, welch_work_width
 
 logger = logging.getLogger(__name__)
 
@@ -218,29 +218,43 @@ def _kernel_spectrum(taps: bytes, size: int) -> np.ndarray:
     return spectrum
 
 
-def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...]):
+def _convolver_width(taps: np.ndarray, n: int) -> int:
+    """The float64s per row that ``_mirror_convolver(taps, (..., n))`` needs in
+    each of its two ``work`` blocks: the kernel-sized spectrum, its larger array."""
+    return 2 * (_next_fast_len(n + 4 * ((len(taps) - 1) // 2)) // 2 + 1)
+
+
+def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...],
+                      work: tuple[np.ndarray, np.ndarray] | None = None):
     """A function that convolves arrays of ``shape`` with the odd-length,
     linear-phase ``taps`` along the last axis, mirror-padded by the group
     delay ``(len(taps) - 1) // 2`` on each side, and returns the centred
     ``shape``-sized part: output sample k aligns with input sample k.
 
-    The kernel spectrum is shared (``_kernel_spectrum``); one FFT-sized
-    buffer and the forward FFT output are made once per convolver. Each
-    call copies its input and both mirror pads into the buffer and zeroes
-    the rest, takes one forward real FFT into its output, multiplies it by
-    the spectrum in place and takes one inverse real FFT back into the
+    The kernel spectrum is shared (``_kernel_spectrum``). The FFT-sized pad
+    buffer is the start of each row of ``work[0]`` and the forward FFT output
+    that of ``work[1]``, two float64 blocks of shape ``shape[:-1] + (w,)``,
+    ``w`` at least ``_convolver_width(taps, shape[-1])``, with contiguous
+    rows; without ``work`` the convolver allocates both. Each call copies its
+    input and both mirror pads into the pad buffer and zeroes the rest,
+    takes one forward real FFT into the output, multiplies it by the
+    spectrum in place and takes one inverse real FFT back into the pad
     buffer. This is ``np.pad(mode="reflect")`` followed by
-    ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The returned
-    array is a view of a buffer that the next call overwrites, and the
-    buffers are mutable, so one convolver serves one thread. The last axis
-    must be longer than the group delay, so that one mirror image pads it;
-    a call with a shorter input raises ``ValueError``.
+    ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The input may
+    lie in ``work[1]``, which is written only once it is copied, but not in
+    ``work[0]``. The returned array is a view of ``work[0]``, which the next
+    call overwrites, so one convolver serves one thread. The last axis must
+    be longer than the group delay, so that one mirror image pads it; a
+    call with a shorter input raises ``ValueError``.
     """
     n, d = shape[-1], (len(taps) - 1) // 2
     size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
     spectrum = _kernel_spectrum(np.asarray(taps, dtype=np.float64).tobytes(), size)
-    buf = np.empty(shape[:-1] + (size,))
-    freq = np.empty(shape[:-1] + (size // 2 + 1,), dtype=np.complex128)
+    if work is None:
+        width = _convolver_width(taps, n)
+        work = (np.empty(shape[:-1] + (width,)), np.empty(shape[:-1] + (width,)))
+    buf = work[0][..., :size]
+    freq = work[1][..., :2 * (size // 2 + 1)].view(np.complex128)
 
     def convolve(x: np.ndarray) -> np.ndarray:
         buf[..., d:d + n] = x
@@ -310,30 +324,39 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
     (``HP_TAPS`` then ``LP_TAPS`` on every channel) and reduce it to its
     per-channel outlier counts (``outlier_counts``) and its Welch PSD.
 
-    One pass by ``for_each_chunk``: each worker builds one convolver per
-    kernel, whose pad and FFT buffers hold one epoch and are reused for
-    every epoch of its chunk, pads each epoch straight from the recording,
-    and writes its counts and density into its rows of two preallocated
-    blocks; no filtered block is kept. Each epoch goes through the same
-    arithmetic whichever worker runs it, so the output does not depend on
-    the worker count, and concurrent calls share no mutable state. numpy
-    does not warn about a sample so large that the filter overflows; its
-    channel's samples count as outliers, and its density is not finite.
-    An epoch that runs past the end of the recording raises ``ValueError``.
+    One pass by ``for_each_chunk``. Each worker allocates one workspace per
+    call: two float64 blocks of one epoch's channels by the widest array of
+    the pass (the high-pass spectrum) and one boolean mask. Every per-epoch
+    array is a view of whichever block is free at its stage: the high-pass
+    pads into the first block and transforms into the second, the low-pass
+    pads from the first into the second and transforms into the first,
+    ``|x|`` goes into the first, and ``welch_psd`` windows into the first,
+    transforms into the second and averages the power from the first
+    straight into the epoch's row of the density block. No filtered block
+    is kept. Each epoch goes through the same arithmetic whichever worker
+    runs it, so the output does not depend on the worker count, and
+    concurrent calls share no mutable state. numpy does not warn about a
+    sample so large that the filter overflows; its channel's samples count
+    as outliers, and its density is not finite. An epoch that runs past the
+    end of the recording raises ``ValueError``.
     """
     n, channels = len(epochs), recording.channels
     shape = (len(channels), EPOCH_SAMPLES)
+    width = max(_convolver_width(HP_TAPS, EPOCH_SAMPLES), _convolver_width(LP_TAPS, EPOCH_SAMPLES),
+                welch_work_width(EPOCH_SAMPLES))
     outliers = np.empty((n, len(channels)), dtype=np.int64)
     density = np.empty((n, len(channels), len(FREQS_HZ)))
 
     def work(lo: int, hi: int) -> None:
-        high_pass = _mirror_convolver(HP_TAPS, shape)
-        low_pass = _mirror_convolver(LP_TAPS, shape)
+        blocks = (np.empty((len(channels), width)), np.empty((len(channels), width)))
+        within = np.empty(shape, dtype=bool)
+        high_pass = _mirror_convolver(HP_TAPS, shape, blocks)
+        low_pass = _mirror_convolver(LP_TAPS, shape, blocks[::-1])
         for k in range(lo, hi):
             s0 = epochs.start[k]
-            filtered = low_pass(high_pass(channels[:, s0:s0 + EPOCH_SAMPLES]))
-            outliers[k] = outlier_counts(filtered)
-            density[k] = welch_psd(filtered)
+            filtered = low_pass(high_pass(channels[:, s0:s0 + EPOCH_SAMPLES]))  # in blocks[1]
+            outliers[k] = outlier_counts(filtered, blocks[0][:, :EPOCH_SAMPLES], within)
+            welch_psd(filtered, density[k], blocks)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for_each_chunk(n, work)
@@ -341,10 +364,17 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
                         outliers=outliers, density=density)
 
 
-def outlier_counts(filtered: np.ndarray) -> np.ndarray:
+def outlier_counts(filtered: np.ndarray, magnitude: np.ndarray | None = None,
+                   within: np.ndarray | None = None) -> np.ndarray:
     """The samples along the last axis beyond +/-70 uV or not finite, so that
-    an overflowed filter output counts as an outlier whether inf or NaN."""
-    within = np.abs(filtered) <= DEFAULT_AMPLITUDE_THRESHOLD_UV
+    an overflowed filter output counts as an outlier whether inf or NaN.
+
+    ``magnitude`` (float64) and ``within`` (bool), when given, are arrays of
+    ``filtered``'s shape that receive ``|filtered|`` and its in-range mask;
+    without them the call allocates both.
+    """
+    within = np.less_equal(np.abs(filtered, out=magnitude), DEFAULT_AMPLITUDE_THRESHOLD_UV,
+                           out=within)
     return filtered.shape[-1] - np.count_nonzero(within, axis=-1)
 
 

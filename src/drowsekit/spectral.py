@@ -22,6 +22,7 @@ that and were checked against numpy 2.4.6 and scipy 1.17.1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -105,7 +106,25 @@ FREQS_HZ = rfftfreq(DEFAULT_NFFT, 1.0 / EEG_SAMPLE_RATE_HZ)
 FREQS_HZ.setflags(write=False)
 
 
-def welch_psd(samples: np.ndarray) -> np.ndarray:
+def _carve(block: np.ndarray, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A view of the start of each row of the float64 ``block`` (its last axis
+    contiguous) as an array of ``block.shape[:-1] + shape`` of ``dtype``.
+
+    Raises:
+        ValueError: The rows are too short for ``shape``.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    return block[..., :size].view(dtype).reshape(block.shape[:-1] + shape, copy=False)
+
+
+def welch_work_width(n: int) -> int:
+    """The float64s per row that ``welch_psd`` of ``n`` samples needs in each
+    of its two ``work`` blocks: the segments' complex spectra, its largest array."""
+    return 2 * ((n - _HOP) // _HOP) * (DEFAULT_NFFT // 2 + 1)
+
+
+def welch_psd(samples: np.ndarray, out: np.ndarray | None = None,
+              work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Estimate the one-sided PSD of 256 Hz EEG by Welch's method, in
     uV^2/Hz at the frequencies ``FREQS_HZ``.
 
@@ -120,14 +139,35 @@ def welch_psd(samples: np.ndarray) -> np.ndarray:
     memory order, so the result is bit-identical to ``scipy.signal.welch``
     with these settings. The last axis must hold at least one segment;
     a shorter one raises ``ValueError``.
+
+    ``out``, when given, receives the density (shape ``samples.shape[:-1] +
+    (513,)``) and is returned. ``work``, when given, is a pair of float64
+    blocks of shape ``samples.shape[:-1] + (w,)``, ``w`` at least
+    ``welch_work_width(n)``, with contiguous rows: the first holds the
+    windowed segments and then the ``(freq, segment)`` power, the second the
+    segments' spectra. ``samples`` may lie in the second block, which is
+    written only once they are read, but not in the first. Without ``work``
+    the call allocates both.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[-1]
-    segments = sliding_window_view(samples, DEFAULT_NFFT, axis=-1)[..., ::_HOP, :]
-    spectra = rfft(segments[..., :(n - _HOP) // _HOP, :] * _WINDOW)
-    power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).swapaxes(-1, -2))
-    power[..., 1:-1, :] *= 2  # one-sided: fold in the negative frequencies
-    return power.mean(axis=-1)
+    lead, n = samples.shape[:-1], samples.shape[-1]
+    m, bins = (n - _HOP) // _HOP, DEFAULT_NFFT // 2 + 1
+    segments = sliding_window_view(samples, DEFAULT_NFFT, axis=-1)[..., ::_HOP, :][..., :m, :]
+    if work is None:
+        work = (np.empty(lead + (welch_work_width(n),)), np.empty(lead + (welch_work_width(n),)))
+    windowed = np.multiply(segments, _WINDOW, out=_carve(work[0], (m, DEFAULT_NFFT)))
+    spectra = rfft(windowed, out=_carve(work[1], (m, bins), np.complex128))
+    # |X|^2 as re^2 + im^2 in (freq, segment) order. The in-place steps go
+    # through views with the blocks' own rows, which numpy updates without
+    # the temporary copy it makes of a strided 3-D view.
+    squares = work[1][..., :2 * m * bins]
+    np.square(squares, out=squares)
+    parts = spectra.view(np.float64)
+    power = _carve(work[0], (bins, m))
+    np.add(parts[..., ::2], parts[..., 1::2], out=power.swapaxes(-1, -2))
+    folded = work[0][..., m:(bins - 1) * m]  # bins 1 to bins - 2
+    folded *= 2  # one-sided: fold in the negative frequencies
+    return power.mean(axis=-1, out=out)
 
 
 def _interp_at(density: np.ndarray, x: float) -> np.ndarray:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +357,7 @@ def test_analyze_cohort_rejects_nan_eeg_sample():
     channels[0, 1000] = np.nan
     session = dataclasses.replace(
         session, eeg=dataclasses.replace(session.eeg, channels=channels))
-    with pytest.raises(NonFinitePower, match="^channel TP9 of epoch 0 "):
+    with pytest.raises(NonFinitePower, match=f"^session {session.id}: channel TP9 of epoch 0 "):
         pipeline.analyze_cohort([session], pipeline.RunConfig(), cohort_id="nan")
 
 
@@ -416,7 +417,8 @@ def test_overflowing_eeg_sample_exits_1_naming_its_epoch(tmp_path):
     # error and no numpy warning on stderr
     codes, stderr = _run_commands(_session_with_sample(1e160, n_intervals=8), tmp_path / "s")
     assert codes == "[0, 1, 1]"
-    message = "(NonFinitePower): channel AF7 of epoch 3 has a non-finite band or total power"
+    message = ("(NonFinitePower): session s: channel AF7 of epoch 3 has a non-finite band "
+               "or total power")
     assert stderr == [
         f"error: analysis failed {message} (total nan)",
         f"error: feature extraction failed {message} (total nan)",
@@ -431,7 +433,8 @@ def test_eeg_sample_that_overflows_the_filter_exits_1_without_a_warning(tmp_path
     session = _session_with_sample(1.7e308, n_intervals=10)
     codes, stderr = _run_commands(session, tmp_path / "pooled")
     assert codes == "[0, 1, 1]"
-    message = "(NonFinitePower): channel AF7 of epoch 3 has a non-finite band or total power"
+    message = ("(NonFinitePower): session s: channel AF7 of epoch 3 has a non-finite band "
+               "or total power")
     assert stderr == [
         f"error: analysis failed {message} (total nan)",
         f"error: feature extraction failed {message} (total nan)",
@@ -537,8 +540,42 @@ def test_flat_channel_passes_validate_and_ends_analyze_with_degenerate_power(tmp
     assert cli.main(["validate", "--manifest", str(manifest)]) == 0
     capsys.readouterr()
     assert cli.main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error: analysis failed (DegeneratePower): "
-                                              "channel AF8 of epoch 0 has degenerate total power")
+    assert capsys.readouterr().err.startswith(
+        f"error: analysis failed (DegeneratePower): session {session.id}: "
+        "channel AF8 of epoch 0 has degenerate total power")
+
+
+def test_telemetry_overflow_names_its_session(tmp_path, capsys):
+    # two steer_angle samples of 1.7e308 in the second session of a cohort
+    sessions = [_perturbed_session(6, 3, None, None, seed=1),
+                _perturbed_session(6, 3, None, (0, 100, 2, 1.7e308), seed=2)]
+    manifest = _write_sessions(tmp_path / "cohort", sessions)
+    for command, stage in (("analyze", "analysis"), ("features", "feature extraction")):
+        assert cli.main([command, "--manifest", str(manifest),
+                         "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage} failed (NonFiniteSample): session {sessions[1].id}: "
+            "series steer_angle of interval 0 has a non-finite mean (inf)\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "features"])
+def test_commands_release_each_session_before_loading_the_next(tmp_path, monkeypatch, command):
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=4, drowsy_fraction=0.5), seed)
+                                        for seed in (1, 2, 3)])
+    load, refs, alive = ingest.load_session, [], []
+
+    def recording(entry):
+        # which earlier sessions some frame still holds as this one loads
+        alive.append([ref() is not None for ref in refs])
+        session = load(entry)
+        refs.append(weakref.ref(session))
+        return session
+
+    monkeypatch.setattr(ingest, "load_session", recording)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--manifest", str(manifest), *out]) == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def test_write_report_files_rejects_nan(tmp_path):

@@ -231,8 +231,8 @@ def test_filter_epoch_split_matches_per_epoch_convolvers(rng, monkeypatch, worke
     expected_density = np.array([welch_psd(y) for y in filtered]).reshape(n, 4, 513)
     threads = set()
 
-    def recording_convolver(taps, shape):
-        convolve = _mirror_convolver(taps, shape)
+    def recording_convolver(taps, shape, work=None):
+        convolve = _mirror_convolver(taps, shape, work)
 
         def counted(x):
             threads.add(threading.current_thread())
@@ -265,6 +265,18 @@ def test_filter_epoch_reads_each_epoch_from_its_start(rng, workers):
         assert spectra.density[k].tobytes() == welch_psd(filtered).tobytes()
     # the pass only reads the recording
     assert recording.channels.tobytes() == before
+
+
+def test_filter_epoch_workspace_never_aliases_the_recording(rng, workers):
+    # every per-epoch array is a view of a worker's own blocks; a view that
+    # aliased the read-only recording could not be written
+    samples = _epoch_samples(rng, 5)
+    recording, epochs = make_recording(samples)
+    recording.channels.setflags(write=False)
+    spectra = filter_epoch(recording, epochs)
+    filtered = [_fresh_filter(x) for x in samples]
+    assert spectra.outliers.tolist() == [outlier_counts(y).tolist() for y in filtered]
+    assert spectra.density.tobytes() == np.array([welch_psd(y) for y in filtered]).tobytes()
 
 
 def test_filter_epoch_peak_does_not_grow_with_the_session(rng, monkeypatch):

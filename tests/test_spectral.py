@@ -24,6 +24,7 @@ from drowsekit.spectral import (
     eeg_feature_names,
     extract_features,
     welch_psd,
+    welch_work_width,
 )
 
 BAND_BY_NAME = {b.name: b for b in BANDS}
@@ -244,6 +245,18 @@ def test_extract_features_matches_per_channel_path(rng):
     np.testing.assert_array_equal(extract_features(make_spectra(samples)).values, expected)
 
 
+def test_welch_psd_in_caller_blocks_matches_its_own(rng):
+    # the pass's call: the samples lie in the second block, the density goes
+    # into a row of its own block
+    x = rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES))
+    width = welch_work_width(EPOCH_SAMPLES) + 3
+    work = (np.full((4, width), np.nan), np.full((4, width), np.nan))
+    work[1][:, :EPOCH_SAMPLES] = x
+    out = np.empty((4, len(FREQS_HZ)))
+    assert welch_psd(work[1][:, :EPOCH_SAMPLES], out, work) is out
+    assert out.tobytes() == welch_psd(x).tobytes()
+
+
 # ---- the per-epoch pass on worker threads ----------------------------------------
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -258,9 +271,9 @@ def test_extract_features_split_matches_per_epoch_welch(rng, monkeypatch, worker
                          for y in filtered], dtype=np.int64).reshape(n, 4)
     threads = set()
 
-    def recording(samples):
+    def recording(samples, out=None, work=None):
         threads.add(threading.current_thread())
-        return welch_psd(samples)
+        return welch_psd(samples, out, work)
 
     monkeypatch.setattr(preprocess, "welch_psd", recording)
     spectra = filter_epoch(*make_recording(samples))
@@ -276,10 +289,10 @@ def test_extract_features_reraises_the_error_of_a_later_chunk(rng, monkeypatch, 
     last = band_limit(samples[-1])[0, 0]
     error = RuntimeError("the last epoch failed")
 
-    def failing(filtered):
+    def failing(filtered, out=None, work=None):
         if filtered[0, 0] == last:
             raise error
-        return welch_psd(filtered)
+        return welch_psd(filtered, out, work)
 
     monkeypatch.setattr(preprocess, "welch_psd", failing)
     with pytest.raises(RuntimeError) as raised:
@@ -293,10 +306,10 @@ def test_extract_features_workers_run_under_the_callers_errstate(rng, monkeypatc
     monkeypatch.setattr(preprocess, "available_cpus", lambda: 3)
     seen = []
 
-    def recording_welch(filtered):
+    def recording_welch(filtered, out=None, work=None):
         state = np.geterr()
         seen.append((threading.current_thread(), state["under"], state["over"]))
-        return welch_psd(filtered)
+        return welch_psd(filtered, out, work)
 
     monkeypatch.setattr(preprocess, "welch_psd", recording_welch)
     samples = [rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES)) for _ in range(5)]
