@@ -3,7 +3,9 @@
 ``analyze_cohort`` runs ``process_session`` (validation, epochs, filter,
 artifact rule, features) on each session as the iterable yields it and
 keeps only its ``SessionResult``, so a generator of sessions holds one
-session in memory at a time.
+session in memory at a time. A result carries the features and the labels of
+the epochs the session cut (``cut_drowsy``); the report's ``denoise_table``
+is counted from the pooled labels of the epochs cut and the epochs kept.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import __version__, ingest, preprocess, session, spectral, stats
 from .errors import DegeneratePower, NonFinitePower, NonFiniteSample
 from .features import FeatureMatrix
-from .preprocess import DenoiseSummary, denoise_epochs, denoise_summary, epoch_signal, filter_epoch
+from .preprocess import denoise_epochs, epoch_signal, filter_epoch
 from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
 from .spectral import BANDS, extract_features
 from .stats import separation_report
@@ -81,7 +84,7 @@ class SessionResult:
 
     eeg_features: FeatureMatrix
     vehicle_features: FeatureMatrix | None
-    denoise: DenoiseSummary
+    cut_drowsy: np.ndarray  # shape (n,), bool label of every epoch cut, kept or dropped
 
 
 def process_session(session: Session, config: RunConfig) -> SessionResult:
@@ -101,7 +104,6 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     try:
         spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
         kept = denoise_epochs(spectra, per_channel=config.per_channel_outliers)
-        summary = denoise_summary(spectra, kept)
         eeg_matrix = extract_features(kept.epochs)
         vehicle_matrix = None
         if session.telemetry is not None:
@@ -110,7 +112,7 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     except (NonFinitePower, DegeneratePower, NonFiniteSample) as exc:
         raise type(exc)(f"session {session.id}: {exc}") from exc
     return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
-                         denoise=summary)
+                         cut_drowsy=spectra.drowsy)
 
 
 def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
@@ -131,9 +133,6 @@ def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
         raise ValueError("cohort is empty")
 
     eeg_all = FeatureMatrix.concat([r.eeg_features for r in results])
-    denoise = results[0].denoise
-    for r in results[1:]:
-        denoise = denoise.combine(r.denoise)
 
     names = eeg_all.feature_names
     abs_matrix = eeg_all.select([n for n in names if n.endswith("_abs")])
@@ -157,7 +156,28 @@ def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
         "eeg_absolute": eeg_abs_rows,
         "eeg_relative": eeg_rel_rows,
         "vehicle": vehicle_rows,
-        "denoise_table": denoise.to_json_dict(),
+        "denoise_table": denoise_table(np.concatenate([r.cut_drowsy for r in results]),
+                                       eeg_all.drowsy),
+    }
+
+
+def denoise_table(cut_drowsy: np.ndarray, kept_drowsy: np.ndarray) -> dict:
+    """The epochs of each state before and after the artifact rule, counted
+    from the labels of every epoch cut (at least one) and every epoch kept,
+    and the share removed as a percentage rounded half-up to 2 decimals."""
+    pre_drowsy = int(np.count_nonzero(cut_drowsy))
+    post_drowsy = int(np.count_nonzero(kept_drowsy))
+    pre_total, post_total = len(cut_drowsy), len(kept_drowsy)
+    removed = 1.0 - post_total / pre_total
+    return {
+        "pre_alert": pre_total - pre_drowsy,
+        "pre_drowsy": pre_drowsy,
+        "pre_total": pre_total,
+        "post_alert": post_total - post_drowsy,
+        "post_drowsy": post_drowsy,
+        "post_total": post_total,
+        "removal_percent": float(Decimal(repr(removed * 100.0))
+                                 .quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)),
     }
 
 

@@ -5,11 +5,13 @@ the labeling grid, band-limit each epoch with the reference 0.1 Hz
 high-pass and 40 Hz low-pass (``HP_TAPS``, ``LP_TAPS``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
-below. No session-sized sample block is built: ``Epochs`` holds where each
-epoch starts in the recording, and ``filter_epoch`` takes every epoch in
-one pass from the recording to what the later stages read of it, its
-per-channel outlier counts and its Welch PSD (``EpochSpectra``). The pass
-splits the epochs into one contiguous chunk per available CPU
+below. ``denoise_epochs`` returns the kept epochs and the record of the
+dropped ones; ``pipeline`` counts the cohort's epochs before and after the
+rule from the epochs' labels. No session-sized sample block is built:
+``Epochs`` holds where each epoch starts in the recording, and
+``filter_epoch`` takes every epoch in one pass from the recording to what
+the later stages read of it, its per-channel outlier counts and its Welch
+PSD (``EpochSpectra``). The pass splits the epochs into one contiguous chunk per available CPU
 (``for_each_chunk``) and runs the chunks on threads, since numpy's FFTs
 release the GIL; each worker holds one epoch's buffers, so the temporaries
 stay epoch-sized per worker. Each epoch goes through the same arithmetic
@@ -36,7 +38,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable
 
 import numpy as np
@@ -99,56 +100,6 @@ class EpochSet:
 
     epochs: EpochSpectra
     dropped: tuple[np.ndarray, np.ndarray]  # (interval_index, outlier_fraction)
-
-
-@dataclass(frozen=True)
-class DenoiseSummary:
-    """Pre/post epoch counts split by state."""
-
-    pre_alert: int
-    pre_drowsy: int
-    post_alert: int
-    post_drowsy: int
-
-    @property
-    def pre_total(self) -> int:
-        return self.pre_alert + self.pre_drowsy
-
-    @property
-    def post_total(self) -> int:
-        return self.post_alert + self.post_drowsy
-
-    @property
-    def removal_fraction(self) -> float:
-        """The share of epochs denoising removed; 0.0 when there were none."""
-        if self.pre_total == 0:
-            return 0.0
-        return 1.0 - self.post_total / self.pre_total
-
-    @property
-    def removal_percent(self) -> float:
-        """Removal fraction as a percentage, rounded half-up to 2 decimals."""
-        return float(Decimal(repr(self.removal_fraction * 100.0))
-                     .quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-    def combine(self, other: "DenoiseSummary") -> "DenoiseSummary":
-        return DenoiseSummary(
-            self.pre_alert + other.pre_alert,
-            self.pre_drowsy + other.pre_drowsy,
-            self.post_alert + other.post_alert,
-            self.post_drowsy + other.post_drowsy,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pre_alert": self.pre_alert,
-            "pre_drowsy": self.pre_drowsy,
-            "pre_total": self.pre_total,
-            "post_alert": self.post_alert,
-            "post_drowsy": self.post_drowsy,
-            "post_total": self.post_total,
-            "removal_percent": self.removal_percent,
-        }
 
 
 def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
@@ -402,11 +353,3 @@ def denoise_epochs(epochs: EpochSpectra, per_channel: bool = False) -> EpochSet:
     kept = EpochSpectra(interval_index=epochs.interval_index[keep], drowsy=epochs.drowsy[keep],
                         outliers=epochs.outliers[keep], density=epochs.density[keep])
     return EpochSet(epochs=kept, dropped=(epochs.interval_index[~keep], fraction[~keep]))
-
-
-def denoise_summary(pre: EpochSpectra, post: EpochSet) -> DenoiseSummary:
-    """Tabulate pre/post denoising epoch counts by state."""
-    pre_drowsy = int(np.count_nonzero(pre.drowsy))
-    post_drowsy = int(np.count_nonzero(post.epochs.drowsy))
-    return DenoiseSummary(len(pre) - pre_drowsy, pre_drowsy,
-                          len(post.epochs) - post_drowsy, post_drowsy)

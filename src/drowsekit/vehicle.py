@@ -41,27 +41,28 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
         NonFiniteSample: An interval mean overflows float64 (numpy does not
             warn about it).
     """
-    # a C-contiguous (samples, series) block: an interval is a row slice, and
-    # mean(axis=0) adds its samples one by one in time order, the order report
-    # bytes depend on (on a transposed view numpy would sum pairwise)
-    data = np.ascontiguousarray(telemetry.series.T)
-    if abs_mean:
-        data = np.abs(data)
-
     slices = interval_slices(telemetry, labels)
     skipped = len(labels.intervals) - len(slices)
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
+    values = np.empty((len(slices), len(VEHICLE_SERIES)))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([data[start:end].mean(axis=0) for _, start, end in slices])
+        for k, (_, start, end) in enumerate(slices):
+            # one interval at a time as a C-contiguous (samples, series) block:
+            # mean(axis=0) adds its samples one by one in time order, the order
+            # report bytes depend on (on a transposed view numpy would sum pairwise)
+            block = np.ascontiguousarray(telemetry.series[:, start:end].T)
+            if abs_mean:
+                np.abs(block, out=block)
+            values[k] = block.mean(axis=0)
     nonfinite = np.argwhere(~np.isfinite(values))
     if len(nonfinite):
         k, j = nonfinite[0]
         raise NonFiniteSample(f"series {VEHICLE_SERIES[j]} of interval {slices[k][0].index} "
                               f"has a non-finite mean ({values[k, j]:g})")
     return FeatureMatrix(feature_names=VEHICLE_SERIES,
-                         values=values.reshape(len(slices), len(VEHICLE_SERIES)),  # (0, 4) if none
+                         values=values,
                          drowsy=np.array([iv.drowsy for iv, _, _ in slices], dtype=bool),
                          interval_index=np.array([iv.index for iv, _, _ in slices],
                                                  dtype=np.int64))

@@ -16,8 +16,8 @@ from helpers import (
 )
 
 from drowsekit import cli
-from drowsekit.pipeline import RunConfig, analyze_cohort
-from drowsekit.preprocess import EPOCH_SAMPLES, HP_TAPS, LP_TAPS, DenoiseSummary
+from drowsekit.pipeline import RunConfig, analyze_cohort, denoise_table
+from drowsekit.preprocess import EPOCH_SAMPLES, HP_TAPS, LP_TAPS
 from drowsekit.session import EEG_CHANNELS
 from drowsekit.spectral import (
     BANDS,
@@ -33,13 +33,14 @@ CONFIG = RunConfig()
 
 
 def test_criterion_1_reference_denoise_arithmetic():
-    summary = DenoiseSummary(1058, 2986, 998, 2814)
-    assert summary.pre_total == 4044
-    assert summary.post_total == 3812
-    percent = summary.removal_fraction * 100.0
+    table = denoise_table(np.repeat([False, True], [1058, 2986]),
+                          np.repeat([False, True], [998, 2814]))
+    assert table["pre_total"] == 4044
+    assert table["post_total"] == 3812
+    percent = (1.0 - table["post_total"] / table["pre_total"]) * 100.0
     assert abs(percent - 5.73) <= 0.01
-    print(f"PASS criterion 1: totals {summary.pre_total}/{summary.post_total}, "
-          f"removal {percent:.4f}% (rendered {summary.removal_percent}) "
+    print(f"PASS criterion 1: totals {table['pre_total']}/{table['post_total']}, "
+          f"removal {percent:.4f}% (rendered {table['removal_percent']}) "
           f"within 0.01 pp of 5.73%")
 
 

@@ -90,16 +90,24 @@ def test_load_eeg_infers_rate(start, step, rate, tmp_path):
     assert rec.sample_rate_hz == rate
 
 
+# the steps' distance from the median overflows, but the steps are finite
+FAR_STEP = [-1e308, 0.0, 1e308, -0.5e308]
+
+BAD_EEG_STEPS = [
+    ([0.0, 0.0, 0.0], "non-increasing"),
+    ([0.0, 1 / 256, 0.0], "non-increasing"),
+    ([0.0, 1 / 256, 2 / 256, 4 / 256, 5 / 256], "deviate more than 1%"),
+    ([-1e308, 1e308], "time steps overflow"),
+    ([0.0, 5e-324, 1e-323], "gives no finite sample rate"),
+    (FAR_STEP, "deviate more than 1%"),
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("times", [
-    [0.0, 0.0, 0.0],
-    [0.0, 1 / 256, 0.0],
-    [0.0, 1 / 256, 2 / 256, 4 / 256, 5 / 256],
-    [-1e308, 1e308],
-    [0.0, 5e-324, 1e-323],
-])
-def test_load_eeg_rejects_bad_time_steps(times, tmp_path):
-    with pytest.raises(NonUniformTimestep):
+@pytest.mark.parametrize("times, message", BAD_EEG_STEPS,
+                         ids=[f"times{k}" for k in range(len(BAD_EEG_STEPS))])
+def test_load_eeg_rejects_bad_time_steps(times, message, tmp_path):
+    with pytest.raises(NonUniformTimestep, match=message):
         ingest.load_eeg_csv(_eeg_csv_at(tmp_path, times))
 
 
@@ -165,16 +173,22 @@ def test_load_telemetry_rejects_gap(tmp_path):
         ingest.load_telemetry_csv(_telemetry_csv(tmp_path, times))
 
 
+OVERFLOWING_TELEMETRY_STEPS = [
+    ([-1e308, 1e308], "time steps overflow"),                # the step overflows to inf
+    ([1e308, -1e308, 1e308], "time steps overflow"),         # steps -inf and inf
+    # finite steps, their mean (the median) overflows
+    ([-1.7e308, -0.2e308, 1.3e308], "time steps overflow"),
+    ([0.0, 5e-324, 1e-323], "gives no finite sample rate"),  # the rate 1 / 5e-324 overflows
+    (FAR_STEP, "deviate more than 1%"),
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("times", [
-    [-1e308, 1e308],                # the step overflows to inf
-    [1e308, -1e308, 1e308],         # steps -inf and inf
-    [-1.7e308, -0.2e308, 1.3e308],  # finite steps, their mean (the median) overflows
-    [0.0, 5e-324, 1e-323],          # the rate 1 / 5e-324 overflows
-])
-def test_load_telemetry_overflowing_steps(times, tmp_path):
+@pytest.mark.parametrize("times, message", OVERFLOWING_TELEMETRY_STEPS,
+                         ids=[f"times{k}" for k in range(len(OVERFLOWING_TELEMETRY_STEPS))])
+def test_load_telemetry_overflowing_steps(times, message, tmp_path):
     # the first case used to load with sample_rate_hz 0.0 and two RuntimeWarnings
-    with pytest.raises(NonUniformTimestep):
+    with pytest.raises(NonUniformTimestep, match=message):
         ingest.load_telemetry_csv(_telemetry_csv(tmp_path, times))
 
 

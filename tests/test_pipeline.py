@@ -10,7 +10,7 @@ import pytest
 from helpers import band_limit, band_power, sine_wave, total_power, welch_psd_scipy
 
 from drowsekit import preprocess
-from drowsekit.pipeline import RunConfig, analyze_cohort, process_session
+from drowsekit.pipeline import RunConfig, analyze_cohort, denoise_table, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
     DEFAULT_MAX_OUTLIER_FRACTION,
@@ -84,9 +84,9 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
 
     result = process_session(session, RunConfig(per_channel_outliers=per_channel))
     assert result.eeg_features.values.tobytes() == values.tobytes()
-    summary = result.denoise
-    assert (summary.pre_alert, summary.pre_drowsy, summary.post_alert,
-            summary.post_drowsy) == counts
+    cut, kept_drowsy = result.cut_drowsy, result.eeg_features.drowsy
+    assert (np.count_nonzero(~cut), np.count_nonzero(cut), np.count_nonzero(~kept_drowsy),
+            np.count_nonzero(kept_drowsy)) == counts
 
     kept = denoise_epochs(filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels)),
                           per_channel=per_channel)
@@ -96,6 +96,22 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
     # channel-0 ones only per channel
     expected = sorted(all_channels + (channel0 if per_channel else ()))
     assert dropped[0] == expected
+
+
+def test_denoise_table_adds_up_the_sessions_counts():
+    # the tones drop 2, 0, 1 and 0 epochs of the four sessions
+    tones = [(3, (1, 6)), (4, ()), (5, (0,)), (6, ())]
+    sessions = [_session_with_tones(seed, all_channels, ()) for seed, all_channels in tones]
+    counts = np.array([_per_epoch_reference(s, per_channel=False)[2] for s in sessions])
+    pre, post = counts[:, :2], counts[:, 2:]
+    assert (pre.sum(axis=1) - post.sum(axis=1)).tolist() == [2, 0, 1, 0]
+
+    report = analyze_cohort(sessions, RunConfig(), cohort_id="four")
+    pre_alert, pre_drowsy, post_alert, post_drowsy = counts.sum(axis=0).tolist()
+    assert report["denoise_table"] == denoise_table(
+        np.repeat([False, True], [pre_alert, pre_drowsy]),
+        np.repeat([False, True], [post_alert, post_drowsy]))
+    assert report["denoise_table"]["pre_total"] == 32
 
 
 def test_process_session_never_holds_an_epoch_block(monkeypatch):

@@ -24,21 +24,21 @@ from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     HP_TAPS,
     LP_TAPS,
-    DenoiseSummary,
     Epochs,
     _mirror_convolver,
     _next_fast_len,
     denoise_epochs,
-    denoise_summary,
     epoch_signal,
     filter_epoch,
     for_each_chunk,
     outlier_counts,
     outlier_fraction,
 )
+from drowsekit.pipeline import RunConfig, denoise_table, process_session
 from drowsekit.session import (
     OrdInterval,
     OrdLabelTrack,
+    Session,
     make_eeg_recording,
 )
 from drowsekit.spectral import FREQS_HZ, extract_features, welch_psd
@@ -82,7 +82,6 @@ def test_epoch_signal_too_short_recording(rng, caplog):
     kept = denoise_epochs(spectra)
     assert len(kept.epochs) == 0
     assert [a.tolist() for a in kept.dropped] == [[], []]
-    assert denoise_summary(spectra, kept).removal_fraction == 0.0
     assert extract_features(kept.epochs).values.shape == (0, 40)
 
 
@@ -474,31 +473,35 @@ def test_denoise_epochs_keeps_each_epochs_counts_and_density():
     assert kept.density.tobytes() == spectra.density[[0, 2, 4]].tobytes()
 
 
-def test_denoise_summary_counts():
-    pre = _epochs_with_labels([False] * 3 + [True] * 5, noisy=(2, 6, 7))
-    summary = denoise_summary(pre, denoise_epochs(pre))
-    assert (summary.pre_alert, summary.pre_drowsy) == (3, 5)
-    assert (summary.post_alert, summary.post_drowsy) == (2, 3)
-    assert summary.removal_fraction == pytest.approx(3 / 8)
+def _session_with_labels(rng, drowsy, noisy=()):
+    """A session of 10 uV noise with one epoch per bool of ``drowsy``, and a
+    150 uV tone, which the artifact rule drops, on the ``noisy`` epochs."""
+    x = rng.normal(scale=10.0, size=(4, len(drowsy) * EPOCH_SAMPLES))
+    for k in noisy:
+        x[:, k * EPOCH_SAMPLES:(k + 1) * EPOCH_SAMPLES] += sine_wave(10.0, amplitude=150.0)
+    labels = OrdLabelTrack(intervals=tuple(
+        OrdInterval(index=k, ratings=(5, 5, 5) if d else (1, 1, 1)) for k, d in enumerate(drowsy)))
+    return Session(id="labels", eeg=make_eeg_recording(x), labels=labels)
 
 
-def test_denoise_summary_identity():
-    pre = _epochs_with_labels([False, True])
-    summary = denoise_summary(pre, denoise_epochs(pre))
-    assert summary.removal_fraction == 0.0
+def test_denoise_summary_counts(rng):
+    session = _session_with_labels(rng, [False] * 3 + [True] * 5, noisy=(2, 6, 7))
+    result = process_session(session, RunConfig())
+    table = denoise_table(result.cut_drowsy, result.eeg_features.drowsy)
+    assert (table["pre_alert"], table["pre_drowsy"]) == (3, 5)
+    assert (table["post_alert"], table["post_drowsy"]) == (2, 3)
+    assert table["removal_percent"] == 37.5
+
+
+def test_denoise_summary_identity(rng):
+    result = process_session(_session_with_labels(rng, [False, True]), RunConfig())
+    assert result.cut_drowsy.tolist() == result.eeg_features.drowsy.tolist() == [False, True]
+    assert denoise_table(result.cut_drowsy, result.eeg_features.drowsy)["removal_percent"] == 0.0
 
 
 def test_reference_removal_percentage():
-    summary = DenoiseSummary(1058, 2986, 998, 2814)
-    assert summary.pre_total == 4044
-    assert summary.post_total == 3812
-    assert summary.removal_fraction == pytest.approx(232 / 4044)
-    assert summary.removal_percent == 5.74  # round-half-up of 5.7369...
-
-
-def test_summary_combine():
-    a = DenoiseSummary(10, 20, 9, 18)
-    b = DenoiseSummary(5, 5, 5, 4)
-    c = a.combine(b)
-    assert (c.pre_alert, c.pre_drowsy, c.post_alert, c.post_drowsy) == (15, 25, 14, 22)
-    assert c.removal_fraction == pytest.approx(1 - 36 / 40)
+    table = denoise_table(np.repeat([False, True], [1058, 2986]),
+                          np.repeat([False, True], [998, 2814]))
+    assert table["pre_total"] == 4044
+    assert table["post_total"] == 3812
+    assert table["removal_percent"] == 5.74  # round-half-up of 5.7369...

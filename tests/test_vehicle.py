@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from drowsekit.session import (
     OrdLabelTrack,
     make_telemetry,
 )
+from drowsekit.synthgen import SynthSpec, generate_session
 from drowsekit.vehicle import interval_aggregate
 
 
@@ -149,3 +151,18 @@ def test_sliced_aggregate_matches_mask_reference(rng, abs_mean, n_intervals, n_l
     assert got.values.tobytes() == want.values.tobytes()
     assert got.interval_index.tobytes() == want.interval_index.tobytes()
     assert got.drowsy.tobytes() == want.drowsy.tobytes()
+
+
+@pytest.mark.parametrize("abs_mean", [False, True])
+def test_aggregate_copies_one_interval_at_a_time(abs_mean):
+    # a copy of the whole (4, 24000) record, 0.77 MB, would reach the bound
+    session = generate_session(SynthSpec(n_intervals=16), seed=3)
+    telemetry = session.telemetry
+    interval_aggregate(telemetry, session.labels, abs_mean=abs_mean)  # warm-up
+    tracemalloc.start()
+    try:
+        interval_aggregate(telemetry, session.labels, abs_mean=abs_mean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < telemetry.series.nbytes
