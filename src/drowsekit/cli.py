@@ -32,11 +32,12 @@ class _LoadFailed(Exception):
 
 
 def _load(entry: ingest.SessionManifest) -> Session:
-    """Load one manifest entry; a load error becomes ``_LoadFailed``."""
+    """Load one manifest entry; a load error becomes ``_LoadFailed``, with
+    ``session <id>: `` in front of its message."""
     try:
         return ingest.load_session(entry)
     except (OSError, DrowsekitError) as exc:
-        raise _LoadFailed(exc) from exc
+        raise _LoadFailed(f"session {entry.session_id}: {exc}") from exc
 
 
 def _cannot_load(manifest_path: Path, exc: Exception) -> int:

@@ -228,11 +228,14 @@ def _sample_rate(t: np.ndarray, what: str) -> float:
             median step whose reciprocal overflows, or a step that deviates
             more than 1% from the median.
     """
-    # huge finite times can overflow the steps; that is reported, not warned about
+    # huge finite times can overflow the steps; that is reported, not warned
+    # about. The steps are the one full-length array: the median partitions
+    # them in place, and rounding is monotone, so the largest deviation lies
+    # at the smallest or the largest step.
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(t)
-        median_step = float(np.median(steps))
-        deviation = np.max(np.abs(steps - median_step))
+        median_step = float(np.median(steps, overwrite_input=True))
+        deviation = max(steps.max() - median_step, median_step - steps.min())
     if not (np.isfinite(steps).all() and np.isfinite(median_step)):
         raise NonUniformTimestep(f"{what}: time steps overflow")
     if median_step <= 0:

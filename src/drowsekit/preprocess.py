@@ -18,21 +18,19 @@ stay epoch-sized per worker. Each epoch goes through the same arithmetic
 whichever thread runs it, so the output bytes do not depend on the worker
 count. All operations are pure.
 
-The filter uses ``numpy.fft`` alone: the taps are read-only constants built
-at import, each kernel's spectrum is taken once per transform length and
-shared read-only, and each worker mirror-pads every epoch straight from the
-recording into its own reused buffer and convolves it with one forward and
-one inverse real FFT, the inverse back into that buffer. numpy and scipy
-run the same pocketfft, so the values are bit-identical to
-``np.pad(mode="reflect")`` plus ``scipy.signal.fftconvolve(mode="valid")``;
-the oracle tests pin that and were checked against numpy 2.4.6 and scipy
-1.17.1.
+The filter uses ``numpy.fft`` alone: the taps, each kernel's transform
+length for an epoch and its spectrum at that length are read-only constants
+built at import, and ``_band_limit`` mirror-pads every epoch straight from
+the recording into its worker's reused blocks and convolves it with one
+forward and one inverse real FFT per kernel. numpy and scipy run the same
+pocketfft, so the values are bit-identical to ``np.pad(mode="reflect")``
+plus ``scipy.signal.fftconvolve(mode="valid")``; the oracle tests pin that
+and were checked against numpy 2.4.6 and scipy 1.17.1.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import logging
 import math
 import os
@@ -50,7 +48,7 @@ from .session import (
     OrdLabelTrack,
     epoch_starts,
 )
-from .spectral import FREQS_HZ, welch_psd, welch_work_width
+from .spectral import FREQS_HZ, welch_psd
 
 logger = logging.getLogger(__name__)
 
@@ -159,64 +157,62 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_spectrum(taps: bytes, size: int) -> np.ndarray:
-    """The read-only ``rfft`` of the float64 taps whose bytes are ``taps``,
-    zero-padded to ``size``; taken once per (taps, transform length) and
-    shared by every convolver and thread."""
-    spectrum = rfft(np.frombuffer(taps), size)
+def _fft_kernel(taps: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """The group delay of the odd-length, linear-phase ``taps``, the transform
+    length ``fftconvolve`` takes for an epoch mirror-padded by that delay on
+    each side, and the read-only ``rfft`` of the taps at that length."""
+    delay = (len(taps) - 1) // 2
+    size = _next_fast_len(EPOCH_SAMPLES + 4 * delay)
+    spectrum = rfft(taps, size)
     spectrum.setflags(write=False)
-    return spectrum
+    return delay, size, spectrum
 
 
-def _convolver_width(taps: np.ndarray, n: int) -> int:
-    """The float64s per row that ``_mirror_convolver(taps, (..., n))`` needs in
-    each of its two ``work`` blocks: the kernel-sized spectrum, its larger array."""
-    return 2 * (_next_fast_len(n + 4 * ((len(taps) - 1) // 2)) // 2 + 1)
+# (group delay, transform length, spectrum) of the high-pass (2112, 16200)
+# and the low-pass (106, 8192), in the order the filter applies them.
+_KERNELS = (_fft_kernel(HP_TAPS), _fft_kernel(LP_TAPS))
+
+# The float64s per row of each of a filter worker's two blocks: the
+# high-pass spectrum, the widest array of the pass (the low-pass spectrum
+# takes 8194 and the Welch segments' spectra 14364).
+WORK_WIDTH = 2 * (_KERNELS[0][1] // 2 + 1)
 
 
-def _mirror_convolver(taps: np.ndarray, shape: tuple[int, ...],
-                      work: tuple[np.ndarray, np.ndarray] | None = None):
-    """A function that convolves arrays of ``shape`` with the odd-length,
-    linear-phase ``taps`` along the last axis, mirror-padded by the group
-    delay ``(len(taps) - 1) // 2`` on each side, and returns the centred
-    ``shape``-sized part: output sample k aligns with input sample k.
+def _band_limit(x: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The reference band-limit of one ``(..., EPOCH_SAMPLES)`` epoch:
+    ``HP_TAPS`` then ``LP_TAPS`` along the last axis, each mirror-padded by
+    its group delay on both sides, so that output sample k aligns with
+    input sample k.
 
-    The kernel spectrum is shared (``_kernel_spectrum``). The FFT-sized pad
-    buffer is the start of each row of ``work[0]`` and the forward FFT output
-    that of ``work[1]``, two float64 blocks of shape ``shape[:-1] + (w,)``,
-    ``w`` at least ``_convolver_width(taps, shape[-1])``, with contiguous
-    rows; without ``work`` the convolver allocates both. Each call copies its
-    input and both mirror pads into the pad buffer and zeroes the rest,
-    takes one forward real FFT into the output, multiplies it by the
+    ``work`` is a pair of float64 blocks of shape ``x.shape[:-1] +
+    (WORK_WIDTH,)`` with contiguous rows. The high-pass pads into the start
+    of each row of ``work[0]`` and transforms into ``work[1]``; the low-pass
+    pads into ``work[1]`` and transforms into ``work[0]``. Each kernel
+    copies its input and both mirror pads into the pad buffer and zeroes
+    the rest, takes one forward real FFT, multiplies it by the kernel's
     spectrum in place and takes one inverse real FFT back into the pad
     buffer. This is ``np.pad(mode="reflect")`` followed by
-    ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. The input may
-    lie in ``work[1]``, which is written only once it is copied, but not in
-    ``work[0]``. The returned array is a view of ``work[0]``, which the next
-    call overwrites, so one convolver serves one thread. The last axis must
-    be longer than the group delay, so that one mirror image pads it; a
-    call with a shorter input raises ``ValueError``.
-    """
-    n, d = shape[-1], (len(taps) - 1) // 2
-    size = _next_fast_len(n + 4 * d)  # fftconvolve's transform length
-    spectrum = _kernel_spectrum(np.asarray(taps, dtype=np.float64).tobytes(), size)
-    if work is None:
-        width = _convolver_width(taps, n)
-        work = (np.empty(shape[:-1] + (width,)), np.empty(shape[:-1] + (width,)))
-    buf = work[0][..., :size]
-    freq = work[1][..., :2 * (size // 2 + 1)].view(np.complex128)
+    ``scipy.signal.fftconvolve(mode="valid")``, bit for bit. ``x`` may lie
+    in ``work[1]`` but not in ``work[0]``. The returned array is a view of
+    ``work[1]``, which the next call overwrites.
 
-    def convolve(x: np.ndarray) -> np.ndarray:
+    Raises:
+        ValueError: The last axis of ``x`` is not ``EPOCH_SAMPLES`` long.
+    """
+    n = EPOCH_SAMPLES
+    if x.shape[-1] != n:
+        raise ValueError(f"need an epoch of {n} samples, got {x.shape[-1]}")
+    for (d, size, spectrum), (buf, freq) in zip(_KERNELS, (work, work[::-1])):
+        buf = buf[..., :size]
+        freq = freq[..., :2 * (size // 2 + 1)].view(np.complex128)
         buf[..., d:d + n] = x
         buf[..., :d] = x[..., d:0:-1]
         buf[..., d + n:n + 2 * d] = x[..., -2:-d - 2:-1]
         buf[..., n + 2 * d:] = 0.0
         rfft(buf, out=freq)
         np.multiply(freq, spectrum, out=freq)
-        return irfft(freq, size, out=buf)[..., 2 * d:2 * d + n]
-
-    return convolve
+        x = irfft(freq, size, out=buf)[..., 2 * d:2 * d + n]
+    return x
 
 
 def available_cpus() -> int:
@@ -276,15 +272,13 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
     per-channel outlier counts (``outlier_counts``) and its Welch PSD.
 
     One pass by ``for_each_chunk``. Each worker allocates one workspace per
-    call: two float64 blocks of one epoch's channels by the widest array of
-    the pass (the high-pass spectrum) and one boolean mask. Every per-epoch
-    array is a view of whichever block is free at its stage: the high-pass
-    pads into the first block and transforms into the second, the low-pass
-    pads from the first into the second and transforms into the first,
-    ``|x|`` goes into the first, and ``welch_psd`` windows into the first,
-    transforms into the second and averages the power from the first
-    straight into the epoch's row of the density block. No filtered block
-    is kept. Each epoch goes through the same arithmetic whichever worker
+    call: two float64 blocks of one epoch's channels by ``WORK_WIDTH`` and
+    one boolean mask. Every per-epoch array is a view of whichever block is
+    free at its stage: ``_band_limit`` leaves the filtered epoch in the
+    second block, ``|x|`` goes into the first, and ``welch_psd`` windows
+    into the first, transforms into the second and averages the power from
+    the first straight into the epoch's row of the density block. No
+    filtered block is kept. Each epoch goes through the same arithmetic whichever worker
     runs it, so the output does not depend on the worker count, and
     concurrent calls share no mutable state. numpy does not warn about a
     sample so large that the filter overflows; its channel's samples count
@@ -292,20 +286,15 @@ def filter_epoch(recording: EegRecording, epochs: Epochs) -> EpochSpectra:
     end of the recording raises ``ValueError``.
     """
     n, channels = len(epochs), recording.channels
-    shape = (len(channels), EPOCH_SAMPLES)
-    width = max(_convolver_width(HP_TAPS, EPOCH_SAMPLES), _convolver_width(LP_TAPS, EPOCH_SAMPLES),
-                welch_work_width(EPOCH_SAMPLES))
     outliers = np.empty((n, len(channels)), dtype=np.int64)
     density = np.empty((n, len(channels), len(FREQS_HZ)))
 
     def work(lo: int, hi: int) -> None:
-        blocks = (np.empty((len(channels), width)), np.empty((len(channels), width)))
-        within = np.empty(shape, dtype=bool)
-        high_pass = _mirror_convolver(HP_TAPS, shape, blocks)
-        low_pass = _mirror_convolver(LP_TAPS, shape, blocks[::-1])
+        blocks = (np.empty((len(channels), WORK_WIDTH)), np.empty((len(channels), WORK_WIDTH)))
+        within = np.empty((len(channels), EPOCH_SAMPLES), dtype=bool)
         for k in range(lo, hi):
             s0 = epochs.start[k]
-            filtered = low_pass(high_pass(channels[:, s0:s0 + EPOCH_SAMPLES]))  # in blocks[1]
+            filtered = _band_limit(channels[:, s0:s0 + EPOCH_SAMPLES], blocks)  # in blocks[1]
             outliers[k] = outlier_counts(filtered, blocks[0][:, :EPOCH_SAMPLES], within)
             welch_psd(filtered, density[k], blocks)
 

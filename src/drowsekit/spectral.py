@@ -6,10 +6,10 @@ the 0.1..40 Hz total, for 10 features per channel and 40 per epoch.
 The Welch settings are the reference method's and fixed (Hann segments of
 ``DEFAULT_NFFT`` samples, 50% overlap). ``preprocess.filter_epoch`` takes
 ``welch_psd`` of each band-limited epoch over all channels on its worker
-threads, into one density block per session, and ``extract_features``
-integrates every band over the kept epochs' block at once; the result is
-bit-identical to integrating each channel's PSD on its own, whatever the
-worker count.
+threads, in each worker's two blocks and into one density block per
+session, and ``extract_features`` integrates every band over the kept
+epochs' block at once; the result is bit-identical to integrating each
+channel's PSD on its own, whatever the worker count.
 
 The Welch estimate is a plain density array on the fixed grid
 ``FREQS_HZ`` (0..128 Hz in 0.25 Hz steps), inside which every band edge
@@ -117,12 +117,6 @@ def _carve(block: np.ndarray, shape: tuple[int, ...], dtype=np.float64) -> np.nd
     return block[..., :size].view(dtype).reshape(block.shape[:-1] + shape, copy=False)
 
 
-def welch_work_width(n: int) -> int:
-    """The float64s per row that ``welch_psd`` of ``n`` samples needs in each
-    of its two ``work`` blocks: the segments' complex spectra, its largest array."""
-    return 2 * ((n - _HOP) // _HOP) * (DEFAULT_NFFT // 2 + 1)
-
-
 def welch_psd(samples: np.ndarray, out: np.ndarray | None = None,
               work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Estimate the one-sided PSD of 256 Hz EEG by Welch's method, in
@@ -142,19 +136,20 @@ def welch_psd(samples: np.ndarray, out: np.ndarray | None = None,
 
     ``out``, when given, receives the density (shape ``samples.shape[:-1] +
     (513,)``) and is returned. ``work``, when given, is a pair of float64
-    blocks of shape ``samples.shape[:-1] + (w,)``, ``w`` at least
-    ``welch_work_width(n)``, with contiguous rows: the first holds the
-    windowed segments and then the ``(freq, segment)`` power, the second the
-    segments' spectra. ``samples`` may lie in the second block, which is
-    written only once they are read, but not in the first. Without ``work``
-    the call allocates both.
+    blocks of shape ``samples.shape[:-1] + (w,)`` with contiguous rows, ``w``
+    at least the ``2 * 513`` floats per segment of the segments' complex
+    spectra (14364 for an epoch; ``preprocess.WORK_WIDTH`` is wider): the
+    first holds the windowed segments and then the ``(freq, segment)``
+    power, the second the segments' spectra. ``samples`` may lie in the
+    second block, which is written only once they are read, but not in the
+    first. Without ``work`` the call allocates both.
     """
     samples = np.asarray(samples, dtype=np.float64)
     lead, n = samples.shape[:-1], samples.shape[-1]
     m, bins = (n - _HOP) // _HOP, DEFAULT_NFFT // 2 + 1
     segments = sliding_window_view(samples, DEFAULT_NFFT, axis=-1)[..., ::_HOP, :][..., :m, :]
     if work is None:
-        work = (np.empty(lead + (welch_work_width(n),)), np.empty(lead + (welch_work_width(n),)))
+        work = (np.empty(lead + (2 * m * bins,)), np.empty(lead + (2 * m * bins,)))
     windowed = np.multiply(segments, _WINDOW, out=_carve(work[0], (m, DEFAULT_NFFT)))
     spectra = rfft(windowed, out=_carve(work[1], (m, bins), np.complex128))
     # |X|^2 as re^2 + im^2 in (freq, segment) order. The in-place steps go

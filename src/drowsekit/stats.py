@@ -7,10 +7,11 @@ row. The actual separation p-value always comes from the two-sided
 Wilcoxon rank-sum (Mann-Whitney) test. For small tie-free samples it is
 exact: the null counts of U are the coefficients of a Gaussian binomial,
 computed in integers, once per pair of group sizes. Otherwise a refined
-normal approximation is used. ``separation_report`` splits the feature
-matrix once into an alert and a drowsy block, runs the rank-sum test per
-feature and ``ks_normal_test`` once on each block, and returns the report
-rows as the dicts ``report.json`` holds; the cohort and the config
+normal approximation is used. Each test sorts the pooled sample once; its
+midranks and tie runs serve both paths. ``separation_report`` splits the
+feature matrix once into an alert and a drowsy block, runs the rank-sum
+test per feature and ``ks_normal_test`` once on each block, and returns the
+report rows as the dicts ``report.json`` holds; the cohort and the config
 digest live only in the report built from them.
 
 Normal tails come from ``_ndtr``, a scalar port of the Cephes ``ndtr``
@@ -201,8 +202,10 @@ def ks_normal_test(block: np.ndarray) -> list[float | None]:
 
 # ---- Wilcoxon rank-sum / Mann-Whitney U ------------------------------------
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x`` with ties given the mean of their ranks.
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of ``x`` with ties given the mean of their ranks, and
+    the size of each run of equal values in sorted order, which are
+    ``np.unique(x, return_counts=True)``'s counts.
 
     Every midrank is an exact half-integer, so the values (and any sum of
     them) equal ``scipy.stats.rankdata(x, method="average")``'s.
@@ -211,22 +214,24 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     xs = x[order]
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     ends = np.append(starts[1:], len(x))
+    runs = ends - starts
     ranks = np.empty(len(x))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, runs)
+    return ranks, runs
 
 
-def _rank_sum_null_counts(n_a: int, n_b: int) -> list[int]:
-    """Exact counts of the tie-free Mann-Whitney U null distribution.
+@functools.lru_cache(maxsize=32)
+def _rank_sum_null_cumulative(k: int, m: int) -> tuple[int, ...]:
+    """Entry j + 1 counts the null outcomes with U <= j, for groups of k <= m.
 
-    Entry u counts the n_a-subsets of the ranks 1..n_a+n_b whose rank sum
-    is u + n_a(n_a+1)/2. These are the coefficients of the Gaussian
-    binomial [N choose k]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i) with
-    k = min(n_a, n_b) and m = N - k, built one factor pair at a time in
-    arbitrary-precision integers.
+    The count of U = u is the number of k-subsets of the ranks 1..k+m whose
+    rank sum is u + k(k+1)/2: the coefficients of the Gaussian binomial
+    [k+m choose k]_q = prod_{i=1..k} (1 - q^(m+i)) / (1 - q^i), built one
+    factor pair at a time in arbitrary-precision integers. The null
+    distribution of U depends only on the two group sizes, and a report
+    tests every feature on the same pair, so it is built once per pair.
+    Entry 0 is 0 and the last entry is C(k + m, k), all exact ints.
     """
-    k = min(n_a, n_b)
-    m = n_a + n_b - k
     # room for the degree-(i*m + i) numerator product before each division
     c = [1] + [0] * (k * m + k)
     for i in range(1, k + 1):
@@ -234,22 +239,7 @@ def _rank_sum_null_counts(n_a: int, n_b: int) -> list[int]:
             c[j] -= c[j - m - i]
         for j in range(i, len(c)):
             c[j] += c[j - i]
-    return c[: k * m + 1]
-
-
-@functools.lru_cache(maxsize=32)
-def _rank_sum_null_cumulative(k: int, m: int) -> tuple[int, ...]:
-    """Entry j + 1 counts the null outcomes with U <= j, for groups of k <= m.
-
-    The null distribution of U depends only on the two group sizes, and
-    a report tests every feature on the same pair, so it is built once per
-    pair. Entry 0 is 0 and the last entry is C(k + m, k), all exact ints.
-    """
-    return (0, *itertools.accumulate(_rank_sum_null_counts(k, m)))
-
-
-def _two_sided(n_le: int, n_ge: int, total: int) -> float:
-    return min(1.0, 2.0 * min(n_le, n_ge) / total)
+    return (0, *itertools.accumulate(c[: k * m + 1]))
 
 
 def _rank_sum_kurtosis_excess(n_a: int, n_b: int) -> float:
@@ -282,25 +272,26 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
     pooled = np.concatenate([a, b])
     if not np.isfinite(pooled).all():
         raise NonFiniteSample("samples hold a NaN or infinite value")
-    if min(n_a, n_b) > EXACT_PATH_MAX_MIN_N or len(np.unique(pooled)) < n_a + n_b:
-        return _rank_sum_normal_approx(pooled, n_a)
+    ranks, runs = _average_ranks(pooled)
+    w = float(ranks[:n_a].sum())
+    if min(n_a, n_b) > EXACT_PATH_MAX_MIN_N or len(runs) < n_a + n_b:
+        return _rank_sum_normal_approx(w, n_a, n_b, runs)
 
-    u = float(_average_ranks(pooled)[:n_a].sum()) - n_a * (n_a + 1) / 2.0
+    u = w - n_a * (n_a + 1) / 2.0
     cum = _rank_sum_null_cumulative(min(n_a, n_b), max(n_a, n_b))
     u_obs = int(round(u))
     total = cum[-1]
-    p = _two_sided(cum[u_obs + 1], total - cum[u_obs], total)
+    p = min(1.0, 2.0 * min(cum[u_obs + 1], total - cum[u_obs]) / total)
     return TestResult(statistic=u, p_value=p, method=TestMethod.EXACT_ENUMERATION)
 
 
-def _rank_sum_normal_approx(pooled: np.ndarray, n_a: int) -> TestResult:
-    """Normal-approximation rank-sum test of pooled[:n_a] against the rest."""
-    total_n = len(pooled)
-    n_b = total_n - n_a
-    w = float(_average_ranks(pooled)[:n_a].sum())
+def _rank_sum_normal_approx(w: float, n_a: int, n_b: int, runs: np.ndarray) -> TestResult:
+    """Normal-approximation rank-sum test of a first sample of ``n_a`` values
+    whose ranks in the pooled sample sum to ``w`` against ``n_b`` others;
+    ``runs`` are the pooled sample's tie run sizes (``_average_ranks``)."""
+    total_n = n_a + n_b
     u = w - n_a * (n_a + 1) / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = float(((tie_counts**3 - tie_counts).sum())) / (total_n * (total_n - 1.0))
+    tie_term = float(((runs**3 - runs).sum())) / (total_n * (total_n - 1.0))
     variance = n_a * n_b / 12.0 * ((total_n + 1.0) - tie_term)
     if variance <= 0.0:
         # every pooled value identical

@@ -59,9 +59,9 @@ def freq_response_db(taps, freq_hz, sample_rate_hz=EEG_SAMPLE_RATE_HZ):
 
 
 def apply_kernel_scipy(samples, taps):
-    """``preprocess._mirror_convolver`` as ``np.pad`` (reflect) by the group
-    delay plus ``scipy.signal.fftconvolve(mode="valid")``; the reference for
-    the convolver built on ``numpy.fft``."""
+    """One kernel of ``preprocess._band_limit`` as ``np.pad`` (reflect) by
+    the group delay plus ``scipy.signal.fftconvolve(mode="valid")``; the
+    reference for the band-limit built on ``numpy.fft``."""
     delay = (len(taps) - 1) // 2
     pad = [(0, 0)] * (samples.ndim - 1) + [(delay, delay)]
     padded = np.pad(samples, pad, mode="reflect")

@@ -26,7 +26,7 @@ from drowsekit.spectral import (
     extract_features,
     welch_psd,
 )
-from drowsekit.stats import TestMethod, _rank_sum_normal_approx, rank_sum_test
+from drowsekit.stats import TestMethod, _average_ranks, _rank_sum_normal_approx, rank_sum_test
 from drowsekit.synthgen import SynthSpec, generate_session
 
 CONFIG = RunConfig()
@@ -60,7 +60,8 @@ def test_criterion_2_rank_sum_oracle_equivalence():
         exact = rank_sum_test(a, b)
         assert exact.method is TestMethod.EXACT_ENUMERATION
         worst_exact = max(worst_exact, abs(exact.p_value - p_oracle))
-        approx = _rank_sum_normal_approx(np.concatenate([a, b]), n_a)
+        ranks, runs = _average_ranks(np.concatenate([a, b]))
+        approx = _rank_sum_normal_approx(float(ranks[:n_a].sum()), n_a, n_b, runs)
         worst_approx = max(worst_approx, abs(approx.p_value - p_oracle))
     assert worst_exact <= 1e-12
     assert worst_approx <= 0.03

@@ -261,6 +261,16 @@ def test_unloadable_last_session_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["analyze", "features"])
+def test_load_failure_names_the_session(tmp_path, capsys, command):
+    manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), seed) for seed in (1, 2)])
+    _break_eeg_file(manifest, "synth-2")
+    assert cli.main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot load cohort from {manifest}: session synth-2: EEG CSV: "
+        "non-numeric value in row ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "features"])
 def test_first_failing_session_decides_exit_code(tmp_path, capsys, command):
     # an invalid first session stops the run before the malformed third one is read
     manifest = _write_cohort(tmp_path, [(SynthSpec(n_intervals=2), seed) for seed in (1, 2, 3)])

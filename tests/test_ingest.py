@@ -192,6 +192,21 @@ def test_load_telemetry_overflowing_steps(times, message, tmp_path):
         ingest.load_telemetry_csv(_telemetry_csv(tmp_path, times))
 
 
+def test_sample_rate_holds_one_array_of_steps():
+    # a 40-interval EEG time column: beside the steps, only a bool mask of
+    # them; a first call warms numpy up
+    t = np.arange(40 * 7680) / 256.0
+    ingest._sample_rate(t[:8], "EEG CSV")
+    tracemalloc.start()
+    try:
+        rate = ingest._sample_rate(t, "EEG CSV")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rate == 256.0
+    assert peak < 1.5 * t.nbytes
+
+
 def test_load_telemetry_nan_timestamp(tmp_path):
     # a NaN time used to load as sample_rate_hz = nan and pass validation
     with pytest.raises(NonFiniteValue) as err:

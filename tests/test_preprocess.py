@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.fft
 from helpers import (
-    apply_kernel_scipy,
     band_limit,
     freq_response_db,
     make_recording,
@@ -24,8 +23,10 @@ from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     HP_TAPS,
     LP_TAPS,
+    WORK_WIDTH,
     Epochs,
-    _mirror_convolver,
+    _KERNELS,
+    _band_limit,
     _next_fast_len,
     denoise_epochs,
     epoch_signal,
@@ -139,12 +140,25 @@ def test_taps_are_read_only(taps):
         taps[0] = 0.0
 
 
+def test_kernel_spectra_are_read_only():
+    # fftconvolve's transform lengths for one mirror-padded epoch
+    assert [(d, size) for d, size, _ in _KERNELS] == [(2112, 16200), (106, 8192)]
+    for _, _, spectrum in _KERNELS:
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = 0.0
+
+
 # ---- filtering --------------------------------------------------------------
 
+def _fresh_blocks(x):
+    """A fresh pair of ``_band_limit`` work blocks for ``x``, filled with NaN."""
+    shape = x.shape[:-1] + (WORK_WIDTH,)
+    return np.full(shape, np.nan), np.full(shape, np.nan)
+
+
 def _fresh_filter(x):
-    """One epoch through a fresh pair of the convolvers that ``filter_epoch``
-    builds: the high-pass, then the low-pass."""
-    return _mirror_convolver(LP_TAPS, x.shape)(_mirror_convolver(HP_TAPS, x.shape)(x))
+    """One epoch through the band-limit in a fresh pair of blocks."""
+    return _band_limit(x, _fresh_blocks(x))
 
 
 def test_filter_removes_dc():
@@ -182,33 +196,27 @@ def test_filter_shift_covariant_in_interior(rng):
                                rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [2113, 4000, EPOCH_SAMPLES])
 @pytest.mark.parametrize("channels", [(), (4,)], ids=["1d", "4ch"])
-def test_apply_kernel_matches_scipy_oracle(rng, n, channels):
-    # the convolver that filter_epoch builds per kernel; 2113 is one sample
-    # more than the high-pass group delay. A second call reuses the buffer
-    # that the first call's inverse FFT filled.
-    x = rng.normal(0.0, 30.0, channels + (n,))
-    y = rng.normal(0.0, 30.0, channels + (n,))
-    for taps in (HP_TAPS, LP_TAPS):
-        convolve = _mirror_convolver(taps, x.shape)
-        assert convolve(x).tobytes() == apply_kernel_scipy(x, taps).tobytes()
-        assert convolve(y).tobytes() == apply_kernel_scipy(y, taps).tobytes()
+def test_band_limit_matches_scipy_oracle(rng, channels):
+    # the filter of every epoch; a second call reuses the blocks that the
+    # first call's inverse FFTs filled
+    x = rng.normal(0.0, 30.0, channels + (EPOCH_SAMPLES,))
+    y = rng.normal(0.0, 30.0, channels + (EPOCH_SAMPLES,))
+    work = _fresh_blocks(x)
+    assert _band_limit(x, work).tobytes() == band_limit(x).tobytes()
+    assert _band_limit(y, work).tobytes() == band_limit(y).tobytes()
 
 
-def test_apply_kernel_rejects_input_within_group_delay(rng):
-    # one mirror image pads at most n - 1 samples; the low-pass delay is 106
-    delay = (len(LP_TAPS) - 1) // 2
-    for n in (0, 1, delay):
-        with pytest.raises(ValueError):
-            _mirror_convolver(LP_TAPS, (4, n))(np.zeros((4, n)))
-    x = rng.normal(size=delay + 1)
-    assert _mirror_convolver(LP_TAPS, x.shape)(x).tobytes() == \
-        apply_kernel_scipy(x, LP_TAPS).tobytes()
+def test_band_limit_rejects_other_lengths():
+    # the transform lengths and kernel spectra are built for one epoch's length
+    for n in (0, 1, (len(HP_TAPS) - 1) // 2, EPOCH_SAMPLES - 1, EPOCH_SAMPLES + 1):
+        x = np.zeros((4, n))
+        with pytest.raises(ValueError, match=f"need an epoch of {EPOCH_SAMPLES} samples"):
+            _band_limit(x, _fresh_blocks(x))
 
 
 def test_next_fast_len_matches_scipy():
-    # the convolver's transform length, so it fixes the last bits of every filter
+    # the kernels' transform length, so it fixes the last bits of every filter
     assert [_next_fast_len(n) for n in range(1, 20001)] == \
         [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
@@ -224,21 +232,17 @@ def _epoch_samples(rng, n):
 def test_filter_epoch_split_matches_per_epoch_convolvers(rng, monkeypatch, workers, n):
     samples = _epoch_samples(rng, n)
     recording, epochs = make_recording(samples)
-    # a fresh pair of convolvers per epoch: no buffer is reused
+    # fresh blocks per epoch: no buffer is reused
     filtered = [_fresh_filter(x) for x in samples]
     expected_outliers = np.array([outlier_counts(y) for y in filtered]).reshape(n, 4)
     expected_density = np.array([welch_psd(y) for y in filtered]).reshape(n, 4, 513)
     threads = set()
 
-    def recording_convolver(taps, shape, work=None):
-        convolve = _mirror_convolver(taps, shape, work)
+    def recording_band_limit(x, work):
+        threads.add(threading.current_thread())
+        return _band_limit(x, work)
 
-        def counted(x):
-            threads.add(threading.current_thread())
-            return convolve(x)
-        return counted
-
-    monkeypatch.setattr(preprocess, "_mirror_convolver", recording_convolver)
+    monkeypatch.setattr(preprocess, "_band_limit", recording_band_limit)
     spectra = filter_epoch(recording, epochs)
     assert spectra.outliers.dtype == np.int64
     assert spectra.outliers.tobytes() == expected_outliers.astype(np.int64).tobytes()
@@ -306,7 +310,7 @@ def _epochs_past_the_end(n, short):
 
 
 def test_filter_epoch_rejects_epochs_within_group_delay():
-    # a recording too short for the high-pass to mirror-pad its one epoch
+    # a recording that holds no more of its one epoch than the high-pass delay
     with pytest.raises(ValueError):
         filter_epoch(*_epochs_past_the_end(1, (len(HP_TAPS) - 1) // 2))
 

@@ -16,7 +16,12 @@ from helpers import (
 
 from drowsekit import preprocess
 from drowsekit.errors import DegeneratePower, NonFinitePower
-from drowsekit.preprocess import DEFAULT_AMPLITUDE_THRESHOLD_UV, EPOCH_SAMPLES, filter_epoch
+from drowsekit.preprocess import (
+    DEFAULT_AMPLITUDE_THRESHOLD_UV,
+    EPOCH_SAMPLES,
+    WORK_WIDTH,
+    filter_epoch,
+)
 from drowsekit.spectral import (
     BANDS,
     FREQS_HZ,
@@ -24,7 +29,6 @@ from drowsekit.spectral import (
     eeg_feature_names,
     extract_features,
     welch_psd,
-    welch_work_width,
 )
 
 BAND_BY_NAME = {b.name: b for b in BANDS}
@@ -246,11 +250,10 @@ def test_extract_features_matches_per_channel_path(rng):
 
 
 def test_welch_psd_in_caller_blocks_matches_its_own(rng):
-    # the pass's call: the samples lie in the second block, the density goes
-    # into a row of its own block
+    # the pass's call: the samples lie in the second of its blocks, the
+    # density goes into a row of its own block
     x = rng.normal(0.0, 30.0, (4, EPOCH_SAMPLES))
-    width = welch_work_width(EPOCH_SAMPLES) + 3
-    work = (np.full((4, width), np.nan), np.full((4, width), np.nan))
+    work = (np.full((4, WORK_WIDTH), np.nan), np.full((4, WORK_WIDTH), np.nan))
     work[1][:, :EPOCH_SAMPLES] = x
     out = np.empty((4, len(FREQS_HZ)))
     assert welch_psd(work[1][:, :EPOCH_SAMPLES], out, work) is out

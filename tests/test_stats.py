@@ -33,7 +33,6 @@ from drowsekit.stats import (
     _norm_pdf,
     _rank_sum_kurtosis_excess,
     _rank_sum_normal_approx,
-    _rank_sum_null_counts,
     _rank_sum_null_cumulative,
     ks_normal_test,
     rank_sum_test,
@@ -199,9 +198,15 @@ def test_exact_rank_sum_size_limit():
         exact_rank_sum_p([], [1.0])
 
 
+def _null_counts(n_a, n_b):
+    """The null counts of U, from a fresh (uncached) cumulative build."""
+    cum = _rank_sum_null_cumulative.__wrapped__(min(n_a, n_b), max(n_a, n_b))
+    return [hi - lo for lo, hi in zip(cum, cum[1:])]
+
+
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (3, 5), (5, 3), (8, 24), (24, 8), (8, 50)])
 def test_null_counts_match_dynamic_program(n_a, n_b):
-    counts = _rank_sum_null_counts(n_a, n_b)
+    counts = _null_counts(n_a, n_b)
     by_rank_sum = rank_sum_counts_dp(n_a, n_b)
     w_min = n_a * (n_a + 1) // 2
     assert by_rank_sum[:w_min] == [0] * w_min
@@ -212,9 +217,9 @@ def test_null_counts_match_dynamic_program(n_a, n_b):
 def _exact_p_by_slice_sums(a, b):
     """The exact-path p-value from slices of freshly built null counts."""
     n_a, n_b = len(a), len(b)
-    w = float(_average_ranks(np.concatenate([a, b]))[:n_a].sum())
+    w = float(_average_ranks(np.concatenate([a, b]))[0][:n_a].sum())
     u = int(round(w - n_a * (n_a + 1) / 2.0))
-    counts = _rank_sum_null_counts(n_a, n_b)
+    counts = _null_counts(n_a, n_b)
     return min(1.0, 2.0 * min(sum(counts[:u + 1]), sum(counts[u:]))
                / math.comb(n_a + n_b, n_a))
 
@@ -280,7 +285,9 @@ def test_approx_tracks_exact(rng):
     for _ in range(200):
         a, b = _random_tie_free_pair(rng)
         p_exact = exact_rank_sum_p(a, b)
-        p_approx = _rank_sum_normal_approx(np.concatenate([a, b]), len(a)).p_value
+        ranks, runs = _average_ranks(np.concatenate([a, b]))
+        p_approx = _rank_sum_normal_approx(float(ranks[:len(a)].sum()), len(a), len(b),
+                                           runs).p_value
         worst = max(worst, abs(p_approx - p_exact))
     assert worst <= 0.03
 
@@ -378,7 +385,9 @@ def test_average_ranks_match_scipy_oracle(rng, ties):
     for n in (1, 2, 7, 40, 500):
         for _ in range(20):
             x = rng.integers(0, 4, n).astype(float) if ties else rng.normal(size=n)
-            assert _average_ranks(x).tobytes() == average_ranks_scipy(x).tobytes()
+            ranks, runs = _average_ranks(x)
+            assert ranks.tobytes() == average_ranks_scipy(x).tobytes()
+            assert runs.tolist() == np.unique(x, return_counts=True)[1].tolist()
 
 
 # ---- separation report ------------------------------------------------------
@@ -462,21 +471,18 @@ def test_separation_report_non_finite_raises_rank_sum_error(rng, bad):
         separation_report(_matrix(alert, drowsy, names=("f1", "f2", "f3")))
 
 
-def test_exact_report_builds_null_distribution_once(rng, monkeypatch):
-    calls = []
-
-    def counted(n_a, n_b):
-        calls.append((n_a, n_b))
-        return _rank_sum_null_counts(n_a, n_b)
-
-    monkeypatch.setattr(stats, "_rank_sum_null_counts", counted)
+def test_exact_report_builds_null_distribution_once(rng):
     _rank_sum_null_cumulative.cache_clear()
     names = tuple(f"f{i}" for i in range(44))
     rows = separation_report(_matrix(rng.normal(size=(24, 44)), rng.normal(size=(8, 44)),
                                      names=names))
+    built = _rank_sum_null_cumulative.cache_info()
+    _rank_sum_null_cumulative(8, 24)  # the one key it built
+    looked_up = _rank_sum_null_cumulative.cache_info()
     _rank_sum_null_cumulative.cache_clear()
     assert all(r["method"] == TestMethod.EXACT_ENUMERATION.value for r in rows)
-    assert calls == [(8, 24)]
+    assert (built.misses, built.hits) == (1, 43)
+    assert (looked_up.misses, looked_up.hits) == (1, 44)
 
 
 def test_separation_significance_is_strict(rng):
