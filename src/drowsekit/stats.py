@@ -14,12 +14,12 @@ test per feature and ``ks_normal_test`` once on each block, and returns the
 report rows as the dicts ``report.json`` holds; the cohort and the config
 digest live only in the report built from them.
 
-Normal tails come from ``_ndtr``, a scalar port of the Cephes ``ndtr``
+Normal tails come from ``_ndtr``, an array port of the Cephes ``ndtr``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989) that
-``scipy.special.ndtr`` also runs; the rank-sum tails call it on one float
-and the normality gate maps it over its standardised block. The density
-and midranks come from numpy, computed as ``scipy.stats.norm`` and
-``rankdata`` compute them. The oracle tests pin the values bit for bit
+``scipy.special.ndtr`` also runs; the rank-sum test calls it once on its
+two tails and the normality gate once on its whole standardised block.
+The density and midranks come from numpy, computed as ``scipy.stats.norm``
+and ``rankdata`` compute them. The oracle tests pin the values bit for bit
 against scipy (checked with scipy 1.17.1); the module itself needs numpy
 alone.
 """
@@ -103,28 +103,39 @@ def _p1evl(x, coef):
     return ans
 
 
-def _ndtr(a: float) -> float:
-    """The standard normal CDF as Cephes ``ndtr`` (and ``scipy.special.ndtr``)
-    computes it, bit for bit: 0.5 + 0.5 * erf(a / sqrt 2) near 0, half of
-    erfc(|a| / sqrt 2) in the tails, so small tails keep full precision.
-    On Python floats NaN maps to NaN and +/-inf to 1 and 0, without a warning.
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of every entry of the float64 array ``a`` as
+    Cephes ``ndtr`` (and ``scipy.special.ndtr``) computes it, bit for bit:
+    0.5 + 0.5 * erf(a / sqrt 2) near 0, half of erfc(|a| / sqrt 2) in the
+    tails, so small tails keep full precision. Each branch runs on its own
+    entries as numpy array steps, which round as the scalar steps do; ``exp``
+    comes from ``math``, because numpy's may round differently (see
+    ``_norm_pdf``). NaN maps to NaN and +/-inf to 1 and 0, without a warning.
     """
-    x = a * _SQRTH
-    z = abs(x)
-    if z < _SQRTH:
-        w = x * x
-        return 0.5 + 0.5 * (x * _polevl(w, _T) / _p1evl(w, _U))
-    if z < 1.0:
-        w = z * z
-        c = 1.0 - z * _polevl(w, _T) / _p1evl(w, _U)
-    elif z < 8.0:
-        c = math.exp(-z * z) * _polevl(z, _P) / _p1evl(z, _Q)
-    elif -z * z < -_MAXLOG:
-        c = 0.0
-    else:
-        c = math.exp(-z * z) * _polevl(z, _R) / _p1evl(z, _S)
+    x = np.asarray(a, dtype=np.float64) * _SQRTH
+    z = np.abs(x)
+    with np.errstate(over="ignore"):  # z * z past 1.3e154
+        zz = z * z  # the same float as x * x, and -zz as -z * z
+    # NaN fails every comparison, so it takes the last branch
+    near = z < _SQRTH
+    erf = z < 1.0
+    below8 = z < 8.0
+    far = ~below8 & ~(-zz < -_MAXLOG)  # elsewhere past 8, exp(-z * z) underflows
+    c = np.zeros_like(x)
+    if near.any():
+        w = zz[near]
+        c[near] = x[near] * _polevl(w, _T) / _p1evl(w, _U)
+    mid = erf & ~near
+    if mid.any():
+        w = zz[mid]
+        c[mid] = 1.0 - z[mid] * _polevl(w, _T) / _p1evl(w, _U)
+    for rows, num, den in ((below8 & ~erf, _P, _Q), (far, _R, _S)):
+        if rows.any():
+            v = z[rows]
+            e = np.array([math.exp(t) for t in (-zz[rows]).tolist()])
+            c[rows] = e * _polevl(v, num) / _p1evl(v, den)
     y = 0.5 * c
-    return 1.0 - y if x > 0 else y
+    return np.where(near, 0.5 + y, np.where(x > 0, 1.0 - y, y))
 
 
 # ---- Kolmogorov-Smirnov normality gate ------------------------------------
@@ -193,8 +204,7 @@ def ks_normal_test(block: np.ndarray) -> list[float | None]:
     sd = x.std(ddof=1, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance rows
         z = (x - x.mean(axis=-1, keepdims=True)) / sd
-    # zero-variance rows hold NaN or +/-inf, which _ndtr maps quietly
-    cdf = np.array([_ndtr(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    cdf = _ndtr(z)  # zero-variance rows hold NaN or +/-inf, which it maps quietly
     i = np.arange(1, n + 1)
     d = np.maximum(np.max(i / n - cdf, axis=-1), np.max(cdf - (i - 1) / n, axis=-1))
     return [None if s == 0.0 else _lilliefors_p(float(di), n) for s, di in zip(sd[:, 0], d)]
@@ -299,8 +309,7 @@ def _rank_sum_normal_approx(w: float, n_a: int, n_b: int, runs: np.ndarray) -> T
     sd = math.sqrt(variance)
     mu_w = n_a * (total_n + 1) / 2.0
     g2 = _rank_sum_kurtosis_excess(n_a, n_b)
-    lower = _edgeworth_tail((w - mu_w + 0.5) / sd, g2, upper=False)
-    upper = _edgeworth_tail((w - mu_w - 0.5) / sd, g2, upper=True)
+    lower, upper = _edgeworth_tails((w - mu_w + 0.5) / sd, (w - mu_w - 0.5) / sd, g2)
     p = min(1.0, 2.0 * min(lower, upper))
     return TestResult(statistic=u, p_value=p, method=TestMethod.NORMAL_APPROX)
 
@@ -322,17 +331,20 @@ def _norm_pdf(z: float) -> np.float64:
     return np.exp(-x**2 / 2.0) / _SQRT_2PI
 
 
-def _edgeworth_tail(z: float, g2: float, upper: bool) -> float:
-    """Normal tail area with a kurtosis (fourth-cumulant) refinement.
+def _edgeworth_tails(z_lower: float, z_upper: float, g2: float) -> tuple[float, float]:
+    """Normal tail areas below ``z_lower`` and above ``z_upper``, each with a
+    kurtosis (fourth-cumulant) refinement.
 
     The survival function is evaluated directly so extreme tails keep
-    full floating-point precision instead of cancelling against 1.
+    full floating-point precision instead of cancelling against 1; one
+    ``_ndtr`` call takes both tails.
     """
-    base = _ndtr(-z) if upper else _ndtr(z)
-    if abs(z) <= _EDGEWORTH_Z_LIMIT:
-        correction = _norm_pdf(z) * g2 / 24.0 * (z**3 - 3.0 * z)
-        base = base + correction if upper else base - correction
-    return min(1.0, max(0.0, float(base)))
+    lower, upper = _ndtr(np.array([z_lower, -z_upper])).tolist()
+    if abs(z_lower) <= _EDGEWORTH_Z_LIMIT:
+        lower = lower - _norm_pdf(z_lower) * g2 / 24.0 * (z_lower**3 - 3.0 * z_lower)
+    if abs(z_upper) <= _EDGEWORTH_Z_LIMIT:
+        upper = upper + _norm_pdf(z_upper) * g2 / 24.0 * (z_upper**3 - 3.0 * z_upper)
+    return min(1.0, max(0.0, float(lower))), min(1.0, max(0.0, float(upper)))
 
 
 # ---- per-feature report -----------------------------------------------------

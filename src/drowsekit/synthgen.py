@@ -15,10 +15,13 @@ that second), angle addition gives
                        + cos(omega*j + phi) * sin(omega*s/256),
 
 and the second factors are per-band tables of one second (66 tones,
-about 270 KB in all), built once per process. A session's combs are then
-two matrix products per band. This differs from evaluating ``sin`` on
-the full 7680-sample grid only by rounding: at most 1e-10 uV, about
-1e-11 measured, which ``tests`` check against that direct evaluation.
+about 270 KB in all), built once per process. The combs are then two
+matrix products per band for each block of one channel and at most
+``_COMB_BLOCK_INTERVALS`` intervals, so generation holds the session's
+output arrays plus a fixed-size block whatever the session's length. This
+differs from evaluating ``sin`` on the full 7680-sample grid only by
+rounding: at most 1e-10 uV, about 1e-11 measured, which ``tests`` check
+against that direct evaluation.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ COMB_PLACEMENT_HZ = {
 
 # Longest session a spec may ask for: 24 h of 30 s labeling intervals.
 MAX_N_INTERVALS = 2880
+
+# Intervals of one channel per block of the comb pass: 240 one-second rows,
+# so its product buffer is 480 KB however long the session is.
+_COMB_BLOCK_INTERVALS = 8
 
 ALERT_RATING = 1
 DROWSY_RATING = 4
@@ -268,21 +275,28 @@ def _add_combs(x: np.ndarray, phases: Mapping[str, np.ndarray],
     A comb of m tones with total amplitude A is
     ``A / sqrt(m) * sum_i sin(omega_i * t + phi_i)``, so its power is
     A^2 / 2. Per band it is computed as two ``(second, tone) @ (tone,
-    sample)`` products over the whole session (see ``_comb_tables``).
-    Its values differ from ``sin`` evaluated on the full time grid only
-    by rounding, at most 1e-10 uV (about 1e-11 measured).
+    sample)`` products, the sine part first, for each block of one channel
+    and at most ``_COMB_BLOCK_INTERVALS`` intervals (see ``_comb_tables``);
+    every block reuses one product buffer. Its values differ from ``sin``
+    evaluated on the full time grid only by rounding, at most 1e-10 uV
+    (about 1e-11 measured).
     """
-    seconds = x.reshape(-1, SECOND_SAMPLES)  # rows: (channel, interval, second)
+    n_ch, n, _ = x.shape
     j = np.arange(EPOCH_SECONDS)[:, None]
-    product = np.empty_like(seconds)
-    for band in BANDS:
-        omega, sin_tab, cos_tab = _comb_tables(*COMB_PLACEMENT_HZ[band.name])
-        angle = omega * j + phases[band.name][:, :, None, :]
-        scale = amplitudes[band.name][:, :, None, None] / math.sqrt(len(omega))
-        np.matmul((scale * np.sin(angle)).reshape(-1, len(omega)), cos_tab, out=product)
-        seconds += product
-        np.matmul((scale * np.cos(angle)).reshape(-1, len(omega)), sin_tab, out=product)
-        seconds += product
+    buffer = np.empty((_COMB_BLOCK_INTERVALS * EPOCH_SECONDS, SECOND_SAMPLES))
+    for ci in range(n_ch):
+        for k in range(0, n, _COMB_BLOCK_INTERVALS):
+            block = slice(k, k + _COMB_BLOCK_INTERVALS)
+            seconds = x[ci, block].reshape(-1, SECOND_SAMPLES)  # rows: (interval, second)
+            product = buffer[:len(seconds)]
+            for band in BANDS:
+                omega, sin_tab, cos_tab = _comb_tables(*COMB_PLACEMENT_HZ[band.name])
+                angle = omega * j + phases[band.name][ci, block, None, :]
+                scale = amplitudes[band.name][ci, block, None, None] / math.sqrt(len(omega))
+                np.matmul((scale * np.sin(angle)).reshape(-1, len(omega)), cos_tab, out=product)
+                seconds += product
+                np.matmul((scale * np.cos(angle)).reshape(-1, len(omega)), sin_tab, out=product)
+                seconds += product
 
 
 def _outlier_block(rate: float) -> np.ndarray:
@@ -346,13 +360,16 @@ def generate_session(spec: SynthSpec, seed: int) -> Session:
     telemetry = None
     if spec.include_telemetry:
         per_interval = int(round(spec.telemetry_rate_hz * ORD_INTERVAL_SECONDS))
-        n_samples = per_interval * n
-        drowsy_mask = np.repeat(drowsy, per_interval)
-        series = np.empty((len(VEHICLE_SERIES), n_samples))
+        series = np.empty((len(VEHICLE_SERIES), per_interval * n))
         for values, name in zip(series, VEHICLE_SERIES):
-            values[:] = spec.telemetry_baseline[name] + rng.normal(
-                0.0, spec.telemetry_noise, n_samples)
-            values[drowsy_mask] += spec.drowsy_telemetry_shift[name]
+            # rng.normal(0.0, noise, size) in place: noise * z + 0.0, which turns -0.0 into 0.0
+            rng.standard_normal(out=values)
+            values *= spec.telemetry_noise
+            values += 0.0
+            values += spec.telemetry_baseline[name]
+            by_interval = values.reshape(n, per_interval)
+            np.add(by_interval, spec.drowsy_telemetry_shift[name], out=by_interval,
+                   where=drowsy[:, None])
         telemetry = VehicleTelemetry(series=series, sample_rate_hz=spec.telemetry_rate_hz)
 
     return Session(id=f"synth-{seed}", eeg=eeg, labels=labels, telemetry=telemetry)

@@ -43,8 +43,11 @@ from drowsekit.synthgen import (
     ALERT_RATING,
     COMB_PLACEMENT_HZ,
     DROWSY_RATING,
+    EPOCH_SECONDS,
     OUTLIER_BLOCK_AMPLITUDE_UV,
     OUTLIER_BLOCK_HZ,
+    SECOND_SAMPLES,
+    _comb_tables,
 )
 
 # Largest pooled size accepted by the brute-force enumeration oracle.
@@ -273,6 +276,23 @@ def _direct_outlier_block(rng, rate):
     block = OUTLIER_BLOCK_AMPLITUDE_UV * np.sign(
         np.sin(2.0 * np.pi * OUTLIER_BLOCK_HZ * t + 0.25 * np.pi))
     return start, block
+
+
+def add_combs_session_wide(x, phases, amplitudes):
+    """``synthgen._add_combs`` as two ``(second, tone) @ (tone, sample)``
+    products per band over every channel and interval of the session at
+    once; the reference for the block-wise combs."""
+    seconds = x.reshape(-1, SECOND_SAMPLES)  # rows: (channel, interval, second)
+    j = np.arange(EPOCH_SECONDS)[:, None]
+    product = np.empty_like(seconds)
+    for band in BANDS:
+        omega, sin_tab, cos_tab = _comb_tables(*COMB_PLACEMENT_HZ[band.name])
+        angle = omega * j + phases[band.name][:, :, None, :]
+        scale = amplitudes[band.name][:, :, None, None] / math.sqrt(len(omega))
+        np.matmul((scale * np.sin(angle)).reshape(-1, len(omega)), cos_tab, out=product)
+        seconds += product
+        np.matmul((scale * np.cos(angle)).reshape(-1, len(omega)), sin_tab, out=product)
+        seconds += product
 
 
 def generate_session_direct(spec, seed):

@@ -1,15 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import band_power, generate_session_direct
+from helpers import add_combs_session_wide, band_power, generate_session_direct
 
-from drowsekit import ingest
+from drowsekit import ingest, synthgen
 from drowsekit.errors import InvalidSpec
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch, outlier_fraction
 from drowsekit.session import validate_session
 from drowsekit.spectral import BANDS
 from drowsekit.synthgen import (
+    _COMB_BLOCK_INTERVALS,
     DEFAULT_BAND_AMPLITUDES_UV,
     MAX_N_INTERVALS,
     SynthSpec,
@@ -50,9 +52,15 @@ _EFFECT = dict(
 )
 
 
+# noise 0 draws +/-0.0 * z, which rng.normal adds to 0.0 before the baseline
+_FLAT_TELEMETRY = dict(telemetry_noise=0.0,
+                       telemetry_baseline={"steer_angle": -0.0, "steer_speed": -0.0,
+                                           "lane_deviation": -0.0, "torque": -0.0})
+
+
 @pytest.mark.parametrize("extra", [{}, _EFFECT, {"outlier_rate": 0.2},
-                                   {"include_telemetry": False}],
-                         ids=["default", "effect", "outliers", "no-telemetry"])
+                                   {"include_telemetry": False}, _FLAT_TELEMETRY],
+                         ids=["default", "effect", "outliers", "no-telemetry", "flat-telemetry"])
 @pytest.mark.parametrize("drowsy_fraction", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_intervals", [1, 3])
 def test_generator_matches_direct_sin_oracle(n_intervals, drowsy_fraction, extra):
@@ -70,6 +78,34 @@ def test_generator_matches_direct_sin_oracle(n_intervals, drowsy_fraction, extra
     for a, b in zip(got.eeg.channels, ref.eeg.channels):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-10
+
+
+# one interval, either side of the first block edge, and a last block of one
+@pytest.mark.parametrize("n_intervals", [1, _COMB_BLOCK_INTERVALS - 1, _COMB_BLOCK_INTERVALS,
+                                         _COMB_BLOCK_INTERVALS + 1, 2 * _COMB_BLOCK_INTERVALS + 1,
+                                         5 * _COMB_BLOCK_INTERVALS + 1])
+def test_blockwise_combs_match_session_wide_products(monkeypatch, n_intervals):
+    spec = SynthSpec(n_intervals=n_intervals, outlier_rate=0.2, **_EFFECT)
+    got = generate_session(spec, seed=29)
+    monkeypatch.setattr(synthgen, "_add_combs", add_combs_session_wide)
+    ref = generate_session(spec, seed=29)
+    assert got.eeg.channels.tobytes() == ref.eeg.channels.tobytes()
+
+
+@pytest.mark.parametrize("n_intervals", [16, 160])
+def test_generation_holds_its_output_plus_a_fixed_block(n_intervals):
+    # beside the EEG and telemetry arrays: the draws (66 phases per epoch),
+    # one 480 KB product buffer and a block's angles; a first call builds
+    # the comb tables
+    spec = SynthSpec(n_intervals=n_intervals, **_EFFECT)
+    generate_session(SynthSpec(n_intervals=1), seed=3)
+    tracemalloc.start()
+    try:
+        session = generate_session(spec, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - session.eeg.channels.nbytes - session.telemetry.series.nbytes < 2_000_000
 
 
 def test_different_seeds_differ():

@@ -6,16 +6,18 @@ through the benchmark's ``write_session``. Then one ``drowsekit analyze``
 child runs on the first N sessions for each N given, and the tool prints
 that child's own ``ru_maxrss`` as ``os.wait4`` returns it (not the running
 maximum over all children that ``RUSAGE_CHILDREN`` keeps), with analyze's
-exit code:
+exit code. One ``drowsekit synth`` child then writes one session of the
+same spec, and its own peak goes on a ``#`` line:
 
     PYTHONPATH=src python tools/peak_rss.py --sessions 1 2 4 --intervals 40
 
-prints ``sessions  intervals  exit  peak_rss_mb``, one line per cohort, and
-a last ``#`` line with this process's own peak. A child's ``ru_maxrss``
-starts at its parent's peak (``posix_spawn``) or its parent's RSS at the
-fork, so this process imports neither numpy nor drowsekit and writes
-nothing itself: its own peak is a floor under every reading. Linux only
-(``/proc/self/status``; ``ru_maxrss`` in kB). A cohort with
+prints ``sessions  intervals  exit  peak_rss_mb``, one line per cohort, a
+``#`` line with the synth child's exit code and peak, and a last ``#`` line
+with this process's own peak. A child's ``ru_maxrss`` starts at its
+parent's peak (``posix_spawn``) or its parent's RSS at the fork, so this
+process imports neither numpy nor drowsekit and writes nothing itself but
+the synth spec's few bytes: its own peak is a floor under every reading.
+Linux only (``/proc/self/status``; ``ru_maxrss`` in kB). A cohort with
 fewer than 4 intervals of a state ends analyze with exit 1
 (``TooFewSamples``) after every session has been loaded and processed.
 """
@@ -47,11 +49,10 @@ for size in map(int, sys.argv[5:]):
 """
 
 
-def analyze_peak(manifest: Path, out: Path) -> tuple[int, float]:
-    """Run ``drowsekit analyze`` in a child process; return its exit code and
-    its own peak RSS in MB."""
-    args = [sys.executable, "-m", "drowsekit.cli", "analyze",
-            "--manifest", str(manifest), "--out", str(out)]
+def child_peak(*command: str) -> tuple[int, float]:
+    """Run ``drowsekit <command>`` in a child process; return its exit code
+    and its own peak RSS in MB."""
+    args = [sys.executable, "-m", "drowsekit.cli", *command]
     pid = os.posix_spawn(sys.executable, args, ENV,
                          file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
     _, status, usage = os.wait4(pid, 0)
@@ -82,8 +83,15 @@ def main(argv: list[str] | None = None) -> None:
                        env=ENV, check=True)
         print("sessions  intervals  exit  peak_rss_mb")
         for n in args.sessions:
-            code, peak = analyze_peak(root / f"manifest{n}.csv", root / f"report{n}")
+            code, peak = child_peak("analyze", "--manifest", str(root / f"manifest{n}.csv"),
+                                    "--out", str(root / f"report{n}"))
             print(f"{n:8d}  {args.intervals:9d}  {code:4d}  {peak:11.1f}", flush=True)
+        spec = root / "spec.json"
+        spec.write_text(f'{{"n_intervals": {args.intervals}, "drowsy_fraction": 0.5}}')
+        code, peak = child_peak("synth", "--out", str(root / "synth"), "--seed", str(args.seed),
+                                "--spec", str(spec))
+        print(f"# synth of one {args.intervals}-interval session: exit {code}, "
+              f"peak {peak:.1f} MB", flush=True)
     print(f"# peak RSS of this process, a floor under every reading: {own_peak_mb():.1f} MB")
 
 
