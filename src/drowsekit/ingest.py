@@ -63,7 +63,6 @@ from .session import (
     RATING_MIN,
     VEHICLE_SERIES,
     EegRecording,
-    OrdInterval,
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
@@ -304,7 +303,7 @@ def load_ord_csv(source: str | Path) -> OrdLabelTrack:
         InvalidEncoding, MissingHeader, WrongColumnSet, GapInIntervals,
         InvalidRating, MissingRater, InconsistentRowLength
     """
-    intervals: list[OrdInterval] = []
+    intervals: list[tuple[int, int, int]] = []
     for i, line in _data_rows(source, LABELS_HEADER, "labels CSV"):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) < len(LABELS_HEADER) or any(f == "" for f in fields[1:]):
@@ -324,7 +323,7 @@ def load_ord_csv(source: str | Path) -> OrdLabelTrack:
         for r in ratings:
             if not RATING_MIN <= r <= RATING_MAX:
                 raise InvalidRating(f"labels CSV: interval {index} rating {r} outside 1..5")
-        intervals.append(OrdInterval(index=index, ratings=ratings))  # type: ignore[arg-type]
+        intervals.append(ratings)  # type: ignore[arg-type]
     return OrdLabelTrack(intervals=tuple(intervals))
 
 
@@ -435,8 +434,9 @@ def write_telemetry_csv(telemetry: VehicleTelemetry, dest: str | Path) -> None:
 
 
 def write_ord_csv(track: OrdLabelTrack, dest: str | Path) -> None:
-    """Write a label track in the labels CSV format."""
-    write_rows(dest, LABELS_HEADER, ((iv.index, *iv.ratings) for iv in track.intervals))
+    """Write a label track in the labels CSV format, one row per interval
+    numbered by its position."""
+    write_rows(dest, LABELS_HEADER, ((k, *ratings) for k, ratings in enumerate(track.intervals)))
 
 
 def write_manifest(entries: Iterable[SessionManifest], dest: str | Path,

@@ -103,17 +103,16 @@ class EpochSet:
 def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     """Find one epoch per fully covered label interval; no sample is copied.
 
-    Each epoch carries the majority vote of its interval's ratings.
-    ``session.epoch_starts`` decides the covered intervals, as it does for
-    ``validate_session``; the others are skipped (a warning logs the count).
+    ``session.epoch_starts`` decides the covered intervals and their first
+    samples, as it does for ``validate_session``; the others are skipped (a
+    warning logs the count). Each epoch carries its interval's index and the
+    track's majority vote at that index.
     """
-    starts = epoch_starts(recording, labels)
-    skipped = len(labels.intervals) - len(starts)
+    index, start = epoch_starts(recording, labels)
+    skipped = len(labels) - len(index)
     if skipped:
         logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
-    return Epochs(start=np.array([s0 for _, s0 in starts], dtype=np.int64),
-                  interval_index=np.array([iv.index for iv, _ in starts], dtype=np.int64),
-                  drowsy=np.array([iv.drowsy for iv, _ in starts], dtype=bool))
+    return Epochs(start, index, labels.drowsy[index])
 
 
 def _hamming_lowpass(cutoff_hz: float, transition_hz: float) -> np.ndarray:

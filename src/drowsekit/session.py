@@ -5,17 +5,19 @@ ragged; ``make_eeg_recording`` and ``make_telemetry`` build one from
 array-likes. All types are immutable after construction and safe to share
 across threads. Each type checks its own structure when it is built: a
 recording's rows follow ``EEG_CHANNELS`` / ``VEHICLE_SERIES``, telemetry has a
-finite, positive rate, an interval holds three ratings in 1..5, and a label
-track numbers its intervals 0, 1, 2, ... :func:`validate_session` lists what
-a well-formed session can still get wrong: the EEG rate and the coverage of
-the labels. ``epoch_starts`` and ``interval_slices`` decide which label
-intervals the EEG and the telemetry cover, for validation and the pipeline
+finite, positive rate, and a label track holds three ratings in 1..5 per
+interval. A label track numbers its intervals 0, 1, 2, ...: interval k is its
+k-th entry. :func:`validate_session` lists what a well-formed session can
+still get wrong: the EEG rate and the coverage of the labels.
+``epoch_starts`` and ``interval_slices`` decide which label intervals the EEG
+and the telemetry cover, as index arrays, for validation and the pipeline
 alike.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,40 +102,32 @@ def _check_rows(name: str, value: object, rows: tuple[str, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class OrdInterval:
-    """One labeling interval: index on the 30 s grid plus three observer
-    ratings, each an integer in 1..5; anything else raises InvalidRating."""
-
-    index: int
-    ratings: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.ratings) != NUM_RATERS:
-            raise InvalidRating(f"expected {NUM_RATERS} ratings, got {len(self.ratings)}")
-        for r in self.ratings:
-            if not (isinstance(r, (int, np.integer)) and RATING_MIN <= r <= RATING_MAX):
-                raise InvalidRating(f"rating {r!r} outside {RATING_MIN}..{RATING_MAX}")
-
-    @property
-    def drowsy(self) -> bool:
-        """The majority vote: the median rating, 1 or 2 alert and 3 through 5 drowsy."""
-        return sorted(self.ratings)[1] >= 3
-
-
-@dataclass(frozen=True)
 class OrdLabelTrack:
-    """Observer drowsiness ratings on a fixed 30-second grid; interval ``k``
-    must have index ``k``, or ValueError is raised."""
+    """Observer drowsiness ratings on a fixed 30-second grid: ``intervals[k]``
+    holds the three ratings of interval ``k``, each an integer in 1..5;
+    anything else raises InvalidRating."""
 
-    intervals: tuple[OrdInterval, ...]
+    intervals: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        for pos, iv in enumerate(self.intervals):
-            if iv.index != pos:
-                raise ValueError(f"interval at position {pos} has index {iv.index}")
+        for k, ratings in enumerate(self.intervals):
+            if not (isinstance(ratings, tuple) and len(ratings) == NUM_RATERS):
+                raise InvalidRating(f"interval {k}: expected {NUM_RATERS} ratings, got {ratings!r}")
+            for r in ratings:
+                if (isinstance(r, bool) or not isinstance(r, numbers.Integral)
+                        or not RATING_MIN <= r <= RATING_MAX):
+                    raise InvalidRating(f"interval {k}: rating {r!r} is not an integer in "
+                                        f"{RATING_MIN}..{RATING_MAX}")
 
     def __len__(self) -> int:
         return len(self.intervals)
+
+    @property
+    def drowsy(self) -> np.ndarray:
+        """Every interval's majority vote as one bool array: the median
+        rating, 1 or 2 alert and 3 through 5 drowsy."""
+        ratings = np.array(self.intervals, dtype=np.int64).reshape(len(self), NUM_RATERS)
+        return np.sort(ratings, axis=1)[:, 1] >= 3
 
 
 @dataclass(frozen=True)
@@ -187,43 +181,46 @@ def validate_session(session: Session) -> list[Violation]:
             f"EEG sample rate {eeg.sample_rate_hz} Hz, expected {EEG_SAMPLE_RATE_HZ:g} Hz",
         ))
     else:
-        coverage("CoverageMismatch", "EEG", eeg, len(epoch_starts(eeg, session.labels)))
+        coverage("CoverageMismatch", "EEG", eeg, len(epoch_starts(eeg, session.labels)[0]))
     tel = session.telemetry
     if tel is not None:
         coverage("TelemetryCoverageMismatch", "telemetry", tel,
-                 len(interval_slices(tel, session.labels)))
+                 len(interval_slices(tel, session.labels)[0]))
     return out
 
 
-def epoch_starts(eeg: EegRecording, labels: OrdLabelTrack) -> list[tuple[OrdInterval, int]]:
-    """The label intervals that the recording covers in full, in label order, each
-    with the recording's sample nearest the interval's start on the session clock."""
-    starts = []
-    for iv in labels.intervals:
-        offset = (iv.index * ORD_INTERVAL_SECONDS - eeg.start_time_s) * eeg.sample_rate_hz
-        s0 = int(round(offset)) if math.isfinite(offset) else -1  # no finite clock: uncovered
-        if 0 <= s0 and s0 + EPOCH_SAMPLES <= eeg.n_samples:
-            starts.append((iv, s0))
-    return starts
+def epoch_starts(eeg: EegRecording, labels: OrdLabelTrack) -> tuple[np.ndarray, np.ndarray]:
+    """The label intervals that the recording covers in full, as ``(interval_index,
+    start)`` int64 arrays in label order: each interval's index and the recording's
+    sample nearest its start on the session clock."""
+    index = np.arange(len(labels), dtype=np.int64)
+    # a clock start near -1.7e308 overflows to inf, an uncovered interval, not a warning
+    with np.errstate(all="ignore"):
+        offset = np.rint((index * ORD_INTERVAL_SECONDS - eeg.start_time_s) * eeg.sample_rate_hz)
+        # compared before the cast, so NaN, +-inf and offsets beyond int64 stay uncovered
+        covered = (offset >= 0) & (offset <= eeg.n_samples - EPOCH_SAMPLES)
+    return index[covered], offset[covered].astype(np.int64)
 
 
 def interval_slices(telemetry: VehicleTelemetry,
-                    labels: OrdLabelTrack) -> list[tuple[OrdInterval, int, int]]:
+                    labels: OrdLabelTrack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The label intervals that hold at least ``MIN_COVERAGE`` of their
-    expected telemetry samples, in label order, each with the ``[start,
-    end)`` slice of those samples.
+    expected telemetry samples, as ``(interval_index, start, end)`` int64
+    arrays in label order: each interval's index and the ``[start, end)``
+    slice of its samples.
 
     A sample belongs to interval k when its timestamp falls in
     ``[30k, 30(k+1))``; the timestamps ascend, as the rate is finite and
     positive.
     """
-    t = telemetry.timestamps()
-    expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS
-    lo = np.array([iv.index for iv in labels.intervals]) * ORD_INTERVAL_SECONDS
-    bounds = zip(np.searchsorted(t, lo).tolist(),
-                 np.searchsorted(t, lo + ORD_INTERVAL_SECONDS).tolist())
-    return [(iv, start, end) for iv, (start, end) in zip(labels.intervals, bounds)
-            if end - start >= MIN_COVERAGE * expected]
+    index = np.arange(len(labels), dtype=np.int64)
+    with np.errstate(all="ignore"):
+        t = telemetry.timestamps()
+        lo = index * ORD_INTERVAL_SECONDS
+        start = np.searchsorted(t, lo)
+        end = np.searchsorted(t, lo + ORD_INTERVAL_SECONDS)
+        covered = end - start >= MIN_COVERAGE * (telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS)
+    return index[covered], start[covered], end[covered]
 
 
 def make_eeg_recording(channels: Sequence[Sequence[float]],

@@ -44,7 +44,6 @@ from .session import (
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
     EegRecording,
-    OrdInterval,
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
@@ -351,11 +350,8 @@ def generate_session(spec: SynthSpec, seed: int) -> Session:
                 x[ci, k, starts[ci, k]:starts[ci, k] + len(block)] += block
     eeg = EegRecording(channels=x.reshape(n_ch, -1))
 
-    intervals = tuple(
-        OrdInterval(index=k, ratings=(DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3)
-        for k in range(n)
-    )
-    labels = OrdLabelTrack(intervals=intervals)
+    labels = OrdLabelTrack(intervals=tuple(
+        (DROWSY_RATING,) * 3 if d else (ALERT_RATING,) * 3 for d in drowsy.tolist()))
 
     telemetry = None
     if spec.include_telemetry:

@@ -35,34 +35,32 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
-    ``VEHICLE_SERIES`` columns and the interval's majority vote as ``drowsy``.
+    ``VEHICLE_SERIES`` columns, the interval's index as ``interval_index``
+    and the track's majority vote at that index as ``drowsy``.
 
     Raises:
         NonFiniteSample: An interval mean overflows float64 (numpy does not
             warn about it).
     """
-    slices = interval_slices(telemetry, labels)
-    skipped = len(labels.intervals) - len(slices)
+    index, start, end = interval_slices(telemetry, labels)
+    skipped = len(labels) - len(index)
     if skipped:
         logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
                        skipped, MIN_COVERAGE * 100)
-    values = np.empty((len(slices), len(VEHICLE_SERIES)))
+    values = np.empty((len(index), len(VEHICLE_SERIES)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (_, start, end) in enumerate(slices):
+        for k, (s0, s1) in enumerate(zip(start.tolist(), end.tolist())):
             # one interval at a time as a C-contiguous (samples, series) block:
             # mean(axis=0) adds its samples one by one in time order, the order
             # report bytes depend on (on a transposed view numpy would sum pairwise)
-            block = np.ascontiguousarray(telemetry.series[:, start:end].T)
+            block = np.ascontiguousarray(telemetry.series[:, s0:s1].T)
             if abs_mean:
                 np.abs(block, out=block)
             values[k] = block.mean(axis=0)
     nonfinite = np.argwhere(~np.isfinite(values))
     if len(nonfinite):
         k, j = nonfinite[0]
-        raise NonFiniteSample(f"series {VEHICLE_SERIES[j]} of interval {slices[k][0].index} "
+        raise NonFiniteSample(f"series {VEHICLE_SERIES[j]} of interval {index[k]} "
                               f"has a non-finite mean ({values[k, j]:g})")
-    return FeatureMatrix(feature_names=VEHICLE_SERIES,
-                         values=values,
-                         drowsy=np.array([iv.drowsy for iv, _, _ in slices], dtype=bool),
-                         interval_index=np.array([iv.index for iv, _, _ in slices],
-                                                 dtype=np.int64))
+    return FeatureMatrix(feature_names=VEHICLE_SERIES, values=values,
+                         drowsy=labels.drowsy[index], interval_index=index)

@@ -25,7 +25,6 @@ from drowsekit.session import (
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
     EegRecording,
-    OrdInterval,
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
@@ -120,8 +119,7 @@ def make_recording(epochs, drowsy=None):
     recording = EegRecording(channels=np.ascontiguousarray(
         block.transpose(1, 0, 2).reshape(4, len(block) * EPOCH_SAMPLES)))
     labels = OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=(5, 5, 5) if d else (1, 1, 1))
-        for k, d in enumerate(_drowsy(len(block), drowsy).tolist())))
+        (5, 5, 5) if d else (1, 1, 1) for d in _drowsy(len(block), drowsy).tolist()))
     return recording, epoch_signal(recording, labels)
 
 
@@ -236,6 +234,32 @@ def rank_sum_counts_dp(n_a, n_b):
     return counts[n_a]
 
 
+def epoch_starts_loop(eeg, labels):
+    """``session.epoch_starts`` one interval at a time in Python floats, as
+    ``(interval_index, start)`` lists; the reference for the array version."""
+    index, starts = [], []
+    for k in range(len(labels)):
+        offset = (k * ORD_INTERVAL_SECONDS - eeg.start_time_s) * eeg.sample_rate_hz
+        s0 = int(round(offset)) if math.isfinite(offset) else -1  # no finite clock: uncovered
+        if 0 <= s0 and s0 + EPOCH_SAMPLES <= eeg.n_samples:
+            index.append(k)
+            starts.append(s0)
+    return index, starts
+
+
+def interval_slices_loop(telemetry, labels):
+    """``session.interval_slices`` one interval at a time, as
+    ``(interval_index, start, end)`` lists; the reference for the array version."""
+    t = telemetry.timestamps()
+    expected = telemetry.sample_rate_hz * ORD_INTERVAL_SECONDS
+    lo = np.arange(len(labels)) * ORD_INTERVAL_SECONDS
+    bounds = zip(np.searchsorted(t, lo).tolist(),
+                 np.searchsorted(t, lo + ORD_INTERVAL_SECONDS).tolist())
+    rows = [(k, start, end) for k, (start, end) in enumerate(bounds)
+            if end - start >= MIN_COVERAGE * expected]
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
 def interval_aggregate_mask(telemetry, labels, abs_mean=False):
     """``vehicle.interval_aggregate`` with a full-length boolean mask per
     interval and a ``(series, samples)`` gather; the reference for the
@@ -247,12 +271,12 @@ def interval_aggregate_mask(telemetry, labels, abs_mean=False):
     if abs_mean:
         data = np.abs(data)
     rows = []
-    for iv in labels.intervals:
-        lo = iv.index * step
+    for k, drowsy in enumerate(labels.drowsy.tolist()):
+        lo = k * step
         mask = (t >= lo) & (t < lo + step)
         if int(mask.sum()) < MIN_COVERAGE * expected:
             continue
-        rows.append((iv.index, iv.drowsy, data[:, mask].mean(axis=1)))
+        rows.append((k, drowsy, data[:, mask].mean(axis=1)))
     return FeatureMatrix(feature_names=VEHICLE_SERIES,
                          values=np.array([r[2] for r in rows]).reshape(len(rows), -1),
                          drowsy=np.array([r[1] for r in rows], dtype=bool),
@@ -326,7 +350,7 @@ def generate_session_direct(spec, seed):
     eeg = EegRecording(channels=channels)
 
     intervals = tuple(
-        OrdInterval(index=k, ratings=(DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3)
+        (DROWSY_RATING,) * 3 if drowsy[k] else (ALERT_RATING,) * 3
         for k in range(n)
     )
     labels = OrdLabelTrack(intervals=intervals)

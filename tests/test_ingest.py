@@ -28,7 +28,6 @@ from drowsekit.errors import (
     WrongColumnSet,
 )
 from drowsekit.session import (
-    OrdInterval,
     OrdLabelTrack,
     make_eeg_recording,
     make_telemetry,
@@ -235,7 +234,7 @@ def _labels_csv(tmp_path, rows):
 def test_load_ord_two_intervals(tmp_path):
     track = ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 1, 2), (1, 2, 3, 3)]))
     assert len(track) == 2
-    assert track.intervals[1].ratings == (2, 3, 3)
+    assert track.intervals[1] == (2, 3, 3)
 
 
 def test_load_ord_gap(tmp_path):
@@ -320,8 +319,7 @@ def test_float_writers_match_per_cell_output(writer, loader, header, min_rows, r
 
 
 def test_labels_round_trip(tmp_path):
-    track = OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=(1 + k % 5, 1, 5)) for k in range(7)))
+    track = OrdLabelTrack(intervals=tuple((1 + k % 5, 1, 5) for k in range(7)))
     path = tmp_path / "labels.csv"
     ingest.write_ord_csv(track, path)
     assert ingest.load_ord_csv(path) == track

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from drowsekit import pipeline
 from drowsekit.preprocess import denoise_epochs, epoch_signal, filter_epoch
-from drowsekit.session import RATING_MAX, RATING_MIN, OrdInterval, OrdLabelTrack
+from drowsekit.session import RATING_MAX, RATING_MIN, OrdLabelTrack
 from drowsekit.stats import KS_MIN_SAMPLES
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -58,9 +58,8 @@ def _rows(report):
 
 
 def _swap_states(session):
-    flipped = tuple(OrdInterval(index=iv.index,
-                                ratings=tuple(RATING_MIN + RATING_MAX - r for r in iv.ratings))
-                    for iv in session.labels.intervals)
+    flipped = tuple(tuple(RATING_MIN + RATING_MAX - r for r in ratings)
+                    for ratings in session.labels.intervals)
     return dataclasses.replace(session, labels=OrdLabelTrack(intervals=flipped))
 
 

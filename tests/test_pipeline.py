@@ -46,17 +46,16 @@ def _per_epoch_reference(session, per_channel):
     rows, dropped_index, dropped_fraction = [], [], []
     pre = {False: 0, True: 0}  # keyed by drowsy
     post = dict(pre)
-    for iv in session.labels.intervals:
-        span = slice(iv.index * EPOCH_SAMPLES, (iv.index + 1) * EPOCH_SAMPLES)
+    for k, drowsy in enumerate(session.labels.drowsy.tolist()):
+        span = slice(k * EPOCH_SAMPLES, (k + 1) * EPOCH_SAMPLES)
         x = np.stack([c[span] for c in session.eeg.channels])
         x = band_limit(x)
         outliers = np.abs(x) > DEFAULT_AMPLITUDE_THRESHOLD_UV
         fraction = (float(np.max(np.mean(outliers, axis=-1))) if per_channel
                     else float(np.mean(outliers)))
-        drowsy = iv.drowsy
         pre[drowsy] += 1
         if fraction > DEFAULT_MAX_OUTLIER_FRACTION:
-            dropped_index.append(iv.index)
+            dropped_index.append(k)
             dropped_fraction.append(fraction)
             continue
         post[drowsy] += 1

@@ -37,7 +37,6 @@ from drowsekit.preprocess import (
 )
 from drowsekit.pipeline import RunConfig, denoise_table, process_session
 from drowsekit.session import (
-    OrdInterval,
     OrdLabelTrack,
     Session,
     make_eeg_recording,
@@ -49,8 +48,7 @@ EDGE = 2112
 
 
 def _labels(n, ratings=(1, 1, 1)):
-    return OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=ratings) for k in range(n)))
+    return OrdLabelTrack(intervals=(ratings,) * n)
 
 
 # ---- epoching ---------------------------------------------------------------
@@ -99,10 +97,7 @@ def test_epoch_count_is_min_of_coverage_and_labels(rng, n_samples, n_labels):
 
 def test_epoch_signal_assigns_majority_state(rng):
     rec = make_eeg_recording(rng.normal(size=(4, 2 * EPOCH_SAMPLES)))
-    labels = OrdLabelTrack(intervals=(
-        OrdInterval(index=0, ratings=(1, 2, 1)),
-        OrdInterval(index=1, ratings=(4, 3, 5)),
-    ))
+    labels = OrdLabelTrack(intervals=((1, 2, 1), (4, 3, 5)))
     epochs = epoch_signal(rec, labels)
     assert epochs.drowsy.dtype == bool
     assert epochs.drowsy.tolist() == [False, True]
@@ -483,8 +478,7 @@ def _session_with_labels(rng, drowsy, noisy=()):
     x = rng.normal(scale=10.0, size=(4, len(drowsy) * EPOCH_SAMPLES))
     for k in noisy:
         x[:, k * EPOCH_SAMPLES:(k + 1) * EPOCH_SAMPLES] += sine_wave(10.0, amplitude=150.0)
-    labels = OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=(5, 5, 5) if d else (1, 1, 1)) for k, d in enumerate(drowsy)))
+    labels = OrdLabelTrack(intervals=tuple((5, 5, 5) if d else (1, 1, 1) for d in drowsy))
     return Session(id="labels", eeg=make_eeg_recording(x), labels=labels)
 
 

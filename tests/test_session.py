@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from helpers import epoch_starts_loop, interval_slices_loop
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,10 +10,11 @@ from drowsekit.errors import InvalidRating
 from drowsekit.preprocess import epoch_signal
 from drowsekit.session import (
     EegRecording,
-    OrdInterval,
     OrdLabelTrack,
     Session,
     VehicleTelemetry,
+    epoch_starts,
+    interval_slices,
     make_eeg_recording,
     make_telemetry,
     validate_session,
@@ -29,35 +33,43 @@ _VOTES = [((1, 1, 2), False), ((3, 4, 5), True), ((1, 3, 5), True),
     f"ratings{k}-BinaryState.{'DROWSY' if drowsy else 'ALERT'}"
     for k, (_, drowsy) in enumerate(_VOTES)])
 def test_majority_label_examples(ratings, expected):
-    assert OrdInterval(index=0, ratings=ratings).drowsy is expected
+    assert OrdLabelTrack(intervals=(ratings,)).drowsy.tolist() == [expected]
 
 
-@pytest.mark.parametrize("ratings", [(0, 1, 2), (1, 6, 3), (1, 2), (1, 2, 3, 4)])
+# a bool is an int, but the labels CSV would hold "True", which no loader reads back
+@pytest.mark.parametrize("ratings", [(0, 1, 2), (1, 6, 3), (1, 2), (1, 2, 3, 4),
+                                     (True, 2, 3), (1, 2, False)])
 def test_majority_label_rejects_bad_input(ratings):
     # an interval holds three ratings in 1..5 by construction
     with pytest.raises(InvalidRating):
-        OrdInterval(index=0, ratings=ratings)
+        OrdLabelTrack(intervals=((1, 1, 1), ratings))
 
 
 @given(ratings_strategy, st.permutations(range(3)))
 def test_majority_label_permutation_invariant(ratings, perm):
     shuffled = tuple(ratings[i] for i in perm)
-    assert (OrdInterval(index=0, ratings=shuffled).drowsy
-            is OrdInterval(index=0, ratings=ratings).drowsy)
+    assert (OrdLabelTrack(intervals=(shuffled,)).drowsy.tolist()
+            == OrdLabelTrack(intervals=(ratings,)).drowsy.tolist())
 
 
 @given(ratings_strategy)
 def test_majority_label_unanimous_bounds(ratings):
-    drowsy = OrdInterval(index=0, ratings=ratings).drowsy
+    (drowsy,) = OrdLabelTrack(intervals=(ratings,)).drowsy.tolist()
     if all(r >= 3 for r in ratings):
         assert drowsy is True
     if all(r <= 2 for r in ratings):
         assert drowsy is False
 
 
+def test_label_track_votes_per_position():
+    track = OrdLabelTrack(intervals=tuple(r for r, _ in _VOTES))
+    assert track.drowsy.dtype == bool
+    assert track.drowsy.tolist() == [d for _, d in _VOTES]
+    assert OrdLabelTrack(intervals=()).drowsy.shape == (0,)
+
+
 def _labels(n, ratings=(1, 1, 2)):
-    return OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=ratings) for k in range(n)))
+    return OrdLabelTrack(intervals=(ratings,) * n)
 
 
 def _session(n_intervals=20, sample_rate=256.0,
@@ -108,12 +120,6 @@ def test_recording_must_be_a_rectangular_array(build, rows):
 def test_recording_constructors_take_only_2d_float64_arrays(build):
     with pytest.raises(ValueError, match="2-D float64 array"):
         build()
-
-
-def test_label_track_numbers_its_intervals_from_zero():
-    with pytest.raises(ValueError, match="position 1 has index 2"):
-        OrdLabelTrack(intervals=(OrdInterval(index=0, ratings=(1, 1, 1)),
-                                 OrdInterval(index=2, ratings=(1, 1, 1))))
 
 
 def test_validate_flags_labels_past_recording():
@@ -175,3 +181,29 @@ def test_validate_never_mutates(rng):
     validate_session(session)
     for b, c in zip(before, session.eeg.channels):
         np.testing.assert_array_equal(b, c)
+
+
+# clock starts (half a sample at 256 Hz either way last: the grid's offsets
+# then end in .5 and round half to even), rates, recording lengths in
+# samples and track lengths on which the array coverage meets the loop
+_STARTS = [0.0, 1e300, -1e300, 1.7e308, -1.7e308, float("nan"), float("inf"),
+           float("-inf"), 0.5 / 256, -0.5 / 256]
+_RATES = [256.0, 250.0, 1e-300, 1e300]
+_LENGTHS = [0, 7679, 7680, 7681, 10 * 7680]
+_TRACKS = [0, 1, 3, 10]
+
+
+@pytest.mark.parametrize("rate", _RATES)
+@pytest.mark.parametrize("start_time_s", _STARTS)
+def test_coverage_arrays_match_the_per_interval_loop(start_time_s, rate):
+    for n_samples, n_intervals in itertools.product(_LENGTHS, _TRACKS):
+        labels = _labels(n_intervals)
+        eeg = EegRecording(np.zeros((4, n_samples)), rate, start_time_s)
+        telemetry = VehicleTelemetry(np.zeros((4, n_samples)), rate, start_time_s)
+        with np.errstate(all="raise"):
+            got = (epoch_starts(eeg, labels), interval_slices(telemetry, labels))
+            want = (epoch_starts_loop(eeg, labels), interval_slices_loop(telemetry, labels))
+        for got_arrays, want_lists in zip(got, want):
+            for a, b in zip(got_arrays, want_lists, strict=True):
+                assert a.dtype == np.int64
+                assert a.tolist() == b, (n_samples, n_intervals)

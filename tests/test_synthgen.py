@@ -124,7 +124,7 @@ def test_generated_session_is_valid():
 def test_label_composition():
     spec = SynthSpec(n_intervals=10, drowsy_fraction=0.3)
     session = generate_session(spec, seed=11)
-    states = [iv.ratings for iv in session.labels.intervals]
+    states = session.labels.intervals
     drowsy = [r for r in states if r == (4, 4, 4)]
     alert = [r for r in states if r == (1, 1, 1)]
     assert len(drowsy) == 3
@@ -178,9 +178,9 @@ def test_telemetry_shift_applies_to_drowsy_intervals():
     session = generate_session(spec, seed=13)
     per_interval = int(spec.telemetry_rate_hz * 30)
     steer = session.telemetry.series[0]
-    for k, iv in enumerate(session.labels.intervals):
+    for k, ratings in enumerate(session.labels.intervals):
         mean = steer[k * per_interval:(k + 1) * per_interval].mean()
-        expected = 3.0 if iv.ratings == (4, 4, 4) else 0.0
+        expected = 3.0 if ratings == (4, 4, 4) else 0.0
         assert mean == pytest.approx(expected, abs=0.1)
 
 

@@ -9,7 +9,6 @@ from helpers import interval_aggregate_mask
 from drowsekit.errors import NonFiniteSample
 from drowsekit.session import (
     VEHICLE_SERIES,
-    OrdInterval,
     OrdLabelTrack,
     make_telemetry,
 )
@@ -18,8 +17,7 @@ from drowsekit.vehicle import interval_aggregate
 
 
 def _labels(ratings_per_interval):
-    return OrdLabelTrack(intervals=tuple(
-        OrdInterval(index=k, ratings=r) for k, r in enumerate(ratings_per_interval)))
+    return OrdLabelTrack(intervals=tuple(ratings_per_interval))
 
 
 def _telemetry(n_intervals, rate=50.0, fill=0.0):

@@ -2,10 +2,11 @@
 and of what validate prints.
 
 Writes the benchmark's cohort shapes, plus one cohort in which the artifact
-rule drops every epoch of one session and one of sessions with 1, 3, 5 and 7
+rule drops every epoch of one session, one of sessions with 1, 3, 5 and 7
 epochs (odd block sizes, so a slip at a boundary of the filter's and the
-Welch PSD's per-thread chunks shows), at seeds 1 and 4242 through the
-``ingest`` writers, and two cohorts that ``validate`` rejects: one with a
+Welch PSD's per-thread chunks shows) and one whose recordings each leave
+their last interval uncovered, at seeds 1 and 4242 through the ``ingest``
+writers, and two cohorts that ``validate`` rejects: one with a
 250 Hz EEG and one whose telemetry clock starts at 1000 s. ``validate`` runs
 on every cohort, and its stdout and exit code go to ``validate.txt`` in the
 cohort's directory; ``analyze`` and ``features`` run on each valid cohort
@@ -41,6 +42,17 @@ def _eeg_at_250_hz(session):
     return replace(session, eeg=replace(session.eeg, sample_rate_hz=250.0))
 
 
+def _cut_last_interval(session):
+    """Cut the EEG by its last half interval and the telemetry by its last
+    20 s, which leaves 10 s of its last interval, under half."""
+    eeg, telemetry = session.eeg, session.telemetry
+    return replace(
+        session,
+        eeg=replace(eeg, channels=eeg.channels[:, :eeg.n_samples - int(15 * eeg.sample_rate_hz)]),
+        telemetry=replace(telemetry, series=telemetry.series[
+            :, :telemetry.n_samples - int(20 * telemetry.sample_rate_hz)]))
+
+
 def _telemetry_from_1000_s(session):
     return replace(session, telemetry=replace(session.telemetry, start_time_s=1000.0))
 
@@ -48,13 +60,16 @@ def _telemetry_from_1000_s(session):
 # (cohort name, [(spec, session count, edit), ...]); ``edit``, when given,
 # changes each such session before it is written. "drops" adds a session to
 # the analyze_memory shape whose every epoch the artifact rule drops; "odd"
-# has one session of each odd epoch count up to 7, a single epoch included.
+# has one session of each odd epoch count up to 7, a single epoch included;
+# in "partial", which validate accepts, analyze and features skip the last
+# interval of each session on the EEG path and on the telemetry path.
 _MEMORY = WORKLOADS["analyze_memory"]
 COHORTS = [(name, [(w.spec, w.n_sessions, None)])
            for name, w in WORKLOADS.items() if hasattr(w, "n_sessions")]
 COHORTS.append(("drops", [(_MEMORY.spec, _MEMORY.n_sessions, None),
                           (replace(_MEMORY.spec, n_intervals=12, outlier_rate=1.0), 1, None)]))
 COHORTS.append(("odd", [(replace(_MEMORY.spec, n_intervals=n), 1, None) for n in (1, 3, 5, 7)]))
+COHORTS.append(("partial", [(_MEMORY.spec, _MEMORY.n_sessions, _cut_last_interval)]))
 # Cohorts that validate rejects (WrongSampleRate, TelemetryCoverageMismatch).
 REJECTED = [("eeg-250hz", [(_MEMORY.spec, 1, None), (_MEMORY.spec, 1, _eeg_at_250_hz)]),
             ("telemetry-at-1000s", [(_MEMORY.spec, 1, _telemetry_from_1000_s)])]
