@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -24,10 +25,12 @@ from . import __version__, ingest, preprocess, session, spectral, stats
 from .errors import DegeneratePower, NonFinitePower, NonFiniteSample
 from .features import FeatureMatrix
 from .preprocess import denoise_epochs, epoch_signal, filter_epoch
-from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
+from .session import EEG_CHANNELS, MIN_COVERAGE, VEHICLE_SERIES, Session, validate_session
 from .spectral import BANDS, extract_features
 from .stats import separation_report
 from .vehicle import interval_aggregate
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,11 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
     """Validate one session, then run epoching, filtering, denoising and
     feature extraction on it.
 
+    Once every stage has run, one warning per path names the session and
+    counts the label intervals it skipped: those the EEG does not fully
+    cover, and those whose telemetry holds under ``MIN_COVERAGE`` of its
+    samples. No warning is logged for a path that skipped none.
+
     Raises:
         ValueError: The session is invalid (see ``validate_session``).
         NonFinitePower, DegeneratePower, NonFiniteSample: As the stage
@@ -102,7 +110,8 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
         listing = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise ValueError(f"session {session.id} is invalid: {listing}")
     try:
-        spectra = filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels))
+        epochs = epoch_signal(session.eeg, session.labels)
+        spectra = filter_epoch(session.eeg, epochs)
         kept = denoise_epochs(spectra, per_channel=config.per_channel_outliers)
         eeg_matrix = extract_features(kept.epochs)
         vehicle_matrix = None
@@ -111,6 +120,15 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
                                                 abs_mean=config.abs_mean)
     except (NonFinitePower, DegeneratePower, NonFiniteSample) as exc:
         raise type(exc)(f"session {session.id}: {exc}") from exc
+    n_labels = len(session.labels)
+    if len(epochs) < n_labels:
+        logger.warning("session %s: skipped %d label interval(s) not fully covered by the EEG",
+                       session.id, n_labels - len(epochs))
+    # a 0-row matrix is falsy, so test for None
+    if vehicle_matrix is not None and len(vehicle_matrix) < n_labels:
+        logger.warning("session %s: skipped %d label interval(s) with telemetry coverage "
+                       "below %.0f%%", session.id, n_labels - len(vehicle_matrix),
+                       MIN_COVERAGE * 100)
     return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
                          cut_drowsy=spectra.drowsy)
 

@@ -16,11 +16,13 @@ PSD (``EpochSpectra``). The pass splits the epochs into one contiguous chunk per
 release the GIL; each worker holds one epoch's buffers, so the temporaries
 stay epoch-sized per worker. Each epoch goes through the same arithmetic
 whichever thread runs it, so the output bytes do not depend on the worker
-count. All operations are pure.
+count. All operations are pure: nothing here logs, and
+``pipeline.process_session`` reports the label intervals a session's epochs
+leave out.
 
-The filter uses ``numpy.fft`` alone: the taps, each kernel's transform
-length for an epoch and its spectrum at that length are read-only constants
-built at import, and ``_band_limit`` mirror-pads every epoch straight from
+The filter uses ``numpy.fft`` alone: the taps and each kernel's spectrum
+at its fixed transform length for an epoch are read-only constants built at
+import, and ``_band_limit`` mirror-pads every epoch straight from
 the recording into its worker's reused blocks and convolves it with one
 forward and one inverse real FFT per kernel. numpy and scipy run the same
 pocketfft, so the values are bit-identical to ``np.pad(mode="reflect")``
@@ -31,7 +33,6 @@ and were checked against numpy 2.4.6 and scipy 1.17.1.
 from __future__ import annotations
 
 import contextvars
-import logging
 import math
 import os
 import threading
@@ -49,8 +50,6 @@ from .session import (
     epoch_starts,
 )
 from .spectral import FREQS_HZ, welch_psd
-
-logger = logging.getLogger(__name__)
 
 # The reference band-limit: -6 dB points and transition widths of the
 # high-pass and low-pass kernels.
@@ -104,14 +103,12 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     """Find one epoch per fully covered label interval; no sample is copied.
 
     ``session.epoch_starts`` decides the covered intervals and their first
-    samples, as it does for ``validate_session``; the others are skipped (a
-    warning logs the count). Each epoch carries its interval's index and the
-    track's majority vote at that index.
+    samples, as it does for ``validate_session``; the others are skipped
+    without a log record, and ``Epochs.interval_index`` says which were
+    kept. Each epoch carries its interval's index and the track's majority
+    vote at that index.
     """
     index, start = epoch_starts(recording, labels)
-    skipped = len(labels) - len(index)
-    if skipped:
-        logger.warning("skipped %d label interval(s) not fully covered by the recording", skipped)
     return Epochs(start, index, labels.drowsy[index])
 
 
@@ -140,36 +137,20 @@ HP_TAPS[len(HP_TAPS) // 2] += 1.0
 HP_TAPS.setflags(write=False)
 
 
-def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth integer (2^a * 3^b * 5^c) of at least ``n`` >= 1:
-    ``scipy.fft.next_fast_len(n, real=True)``, the length fftconvolve pads to.
-    """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # times the smallest power of two that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _fft_kernel(taps: np.ndarray) -> tuple[int, int, np.ndarray]:
+def _fft_kernel(taps: np.ndarray, size: int) -> tuple[int, int, np.ndarray]:
     """The group delay of the odd-length, linear-phase ``taps``, the transform
-    length ``fftconvolve`` takes for an epoch mirror-padded by that delay on
-    each side, and the read-only ``rfft`` of the taps at that length."""
-    delay = (len(taps) - 1) // 2
-    size = _next_fast_len(EPOCH_SAMPLES + 4 * delay)
+    length ``size`` and the read-only ``rfft`` of the taps at that length."""
     spectrum = rfft(taps, size)
     spectrum.setflags(write=False)
-    return delay, size, spectrum
+    return (len(taps) - 1) // 2, size, spectrum
 
 
 # (group delay, transform length, spectrum) of the high-pass (2112, 16200)
-# and the low-pass (106, 8192), in the order the filter applies them.
-_KERNELS = (_fft_kernel(HP_TAPS), _fft_kernel(LP_TAPS))
+# and the low-pass (106, 8192), in the order the filter applies them. Each
+# length is the one ``fftconvolve`` takes for an epoch mirror-padded by the
+# kernel's delay on each side, ``scipy.fft.next_fast_len(EPOCH_SAMPLES +
+# 4 * delay, real=True)``.
+_KERNELS = (_fft_kernel(HP_TAPS, 16200), _fft_kernel(LP_TAPS, 8192))
 
 # The float64s per row of each of a filter worker's two blocks: the
 # high-pass spectrum, the widest array of the pass (the low-pass spectrum

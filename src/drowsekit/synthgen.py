@@ -37,10 +37,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InvalidSpec
-from .preprocess import EPOCH_SAMPLES
 from .session import (
     EEG_CHANNELS,
     EEG_SAMPLE_RATE_HZ,
+    EPOCH_SAMPLES,
     ORD_INTERVAL_SECONDS,
     VEHICLE_SERIES,
     EegRecording,

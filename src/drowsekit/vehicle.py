@@ -8,21 +8,16 @@ slice, found by binary search: one pass over the record in all.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import NonFiniteSample
 from .features import FeatureMatrix
 from .session import (
-    MIN_COVERAGE,
     VEHICLE_SERIES,
     OrdLabelTrack,
     VehicleTelemetry,
     interval_slices,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
@@ -30,9 +25,10 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     """Average each telemetry series over every labeling interval that
     ``session.interval_slices`` finds covered.
 
-    Intervals holding less than half their expected samples are skipped
-    (a warning logs the count). ``abs_mean`` switches to the mean of
-    absolute values, removing signed cancellation.
+    Intervals holding less than half their expected samples
+    (``session.MIN_COVERAGE``) are skipped without a log record; the
+    returned ``interval_index`` says which were kept. ``abs_mean``
+    switches to the mean of absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns, the interval's index as ``interval_index``
@@ -43,10 +39,6 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
             warn about it).
     """
     index, start, end = interval_slices(telemetry, labels)
-    skipped = len(labels) - len(index)
-    if skipped:
-        logger.warning("skipped %d interval(s) with telemetry coverage below %.0f%%",
-                       skipped, MIN_COVERAGE * 100)
     values = np.empty((len(index), len(VEHICLE_SERIES)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (s0, s1) in enumerate(zip(start.tolist(), end.tolist())):

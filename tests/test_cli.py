@@ -866,6 +866,16 @@ def test_cli_commands_load_no_scipy(tmp_path):
     assert stages == dict.fromkeys(["import", "synth", "validate", "analyze", "features"], [])
 
 
+def test_package_import_loads_no_pipeline_stage():
+    # the package root exports the generator, which takes its constants from
+    # session, so importing drowsekit builds no filter kernel
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, drowsekit; print('drowsekit.preprocess' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
+
+
 def test_no_import_inside_a_function():
     # a function-level import can hide an import cycle between modules
     nested = []

@@ -1,15 +1,18 @@
 """The session pipeline against a per-epoch reference built on the scipy
-filter and Welch oracles, its memory bound, and the cohort pass that holds
-one session at a time."""
+filter and Welch oracles, its skip warnings, its memory bound, and the
+cohort pass that holds one session at a time."""
 
+import logging
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import band_limit, band_power, sine_wave, total_power, welch_psd_scipy
 
 from drowsekit import preprocess
+from drowsekit.errors import DegeneratePower
 from drowsekit.pipeline import RunConfig, analyze_cohort, denoise_table, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
@@ -19,7 +22,7 @@ from drowsekit.preprocess import (
     epoch_signal,
     filter_epoch,
 )
-from drowsekit.session import Session, make_eeg_recording
+from drowsekit.session import Session, make_eeg_recording, validate_session
 from drowsekit.spectral import BANDS
 from drowsekit.synthgen import SynthSpec, generate_session
 
@@ -111,6 +114,56 @@ def test_denoise_table_adds_up_the_sessions_counts():
         np.repeat([False, True], [pre_alert, pre_drowsy]),
         np.repeat([False, True], [post_alert, post_drowsy]))
     assert report["denoise_table"]["pre_total"] == 32
+
+
+def _cut_last_interval(session):
+    """The session with its EEG cut by 15 s and its telemetry by 20 s, which
+    leaves its last interval without a full epoch and with 10 s of
+    telemetry, under half."""
+    eeg, telemetry = session.eeg, session.telemetry
+    return replace(
+        session,
+        eeg=replace(eeg, channels=eeg.channels[:, :eeg.n_samples - int(15 * eeg.sample_rate_hz)]),
+        telemetry=replace(telemetry, series=telemetry.series[
+            :, :telemetry.n_samples - int(20 * telemetry.sample_rate_hz)]))
+
+
+def test_process_session_names_the_session_in_each_skip_warning(caplog):
+    session = generate_session(SynthSpec(n_intervals=4, drowsy_fraction=0.5), seed=2)
+    cut = replace(_cut_last_interval(session), id="cut")
+    # one interval whose telemetry covers 10% of it: validate accepts it (one
+    # interval may go uncovered), and its vehicle matrix has no row
+    one = generate_session(SynthSpec(n_intervals=1), seed=3)
+    telemetry = one.telemetry
+    sparse = replace(one, id="sparse", telemetry=replace(
+        telemetry, series=telemetry.series[:, :int(3 * telemetry.sample_rate_hz)]))
+    assert validate_session(sparse) == []
+    with caplog.at_level(logging.DEBUG):
+        process_session(session, RunConfig())
+        assert caplog.records == []
+        result = process_session(cut, RunConfig())
+        assert (len(result.eeg_features), len(result.vehicle_features)) == (3, 3)
+        result = process_session(sparse, RunConfig())
+        assert (len(result.eeg_features), len(result.vehicle_features)) == (1, 0)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("drowsekit.pipeline", "WARNING",
+         "session cut: skipped 1 label interval(s) not fully covered by the EEG"),
+        ("drowsekit.pipeline", "WARNING",
+         "session cut: skipped 1 label interval(s) with telemetry coverage below 50%"),
+        ("drowsekit.pipeline", "WARNING",
+         "session sparse: skipped 1 label interval(s) with telemetry coverage below 50%"),
+    ]
+
+
+def test_a_session_that_fails_a_stage_logs_no_skip_warning(caplog):
+    # the warnings follow the stages, so a flat channel's error comes alone
+    session = _cut_last_interval(generate_session(SynthSpec(n_intervals=4), seed=2))
+    channels = session.eeg.channels.copy()
+    channels[0] = 0.0
+    flat = replace(session, eeg=replace(session.eeg, channels=channels))
+    with caplog.at_level(logging.DEBUG), pytest.raises(DegeneratePower):
+        process_session(flat, RunConfig())
+    assert caplog.records == []
 
 
 def test_process_session_never_holds_an_epoch_block(monkeypatch):

@@ -27,7 +27,6 @@ from drowsekit.preprocess import (
     Epochs,
     _KERNELS,
     _band_limit,
-    _next_fast_len,
     denoise_epochs,
     epoch_signal,
     filter_epoch,
@@ -62,19 +61,21 @@ def test_epoch_signal_full_coverage(rng):
 
 
 def test_epoch_signal_skips_partial_interval(rng, caplog):
+    # the stage only computes: process_session reports the skipped interval
     rec = make_eeg_recording(rng.normal(size=(4, 20 * EPOCH_SAMPLES + 100)))
-    with caplog.at_level(logging.WARNING, logger="drowsekit.preprocess"):
+    with caplog.at_level(logging.DEBUG):
         epochs = epoch_signal(rec, _labels(21))
     assert len(epochs) == 20
-    assert "skipped 1" in caplog.text
+    assert epochs.interval_index.tolist() == list(range(20))
+    assert caplog.records == []
 
 
 def test_epoch_signal_too_short_recording(rng, caplog):
     rec = make_eeg_recording(rng.normal(size=(4, 7000)))
-    with caplog.at_level(logging.WARNING, logger="drowsekit.preprocess"):
+    with caplog.at_level(logging.DEBUG):
         epochs = epoch_signal(rec, _labels(1))
     assert epochs.start.shape == (0,)
-    assert "skipped 1" in caplog.text
+    assert caplog.records == []
     # no epochs pass through the rest of the pipeline
     spectra = filter_epoch(rec, epochs)
     assert (spectra.outliers.shape, spectra.density.shape) == ((0, 4), (0, 4, 513))
@@ -210,10 +211,12 @@ def test_band_limit_rejects_other_lengths():
             _band_limit(x, _fresh_blocks(x))
 
 
-def test_next_fast_len_matches_scipy():
-    # the kernels' transform length, so it fixes the last bits of every filter
-    assert [_next_fast_len(n) for n in range(1, 20001)] == \
-        [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+def test_kernel_lengths_match_scipy():
+    # the length fftconvolve pads a mirror-padded epoch to, so it fixes the
+    # last bits of every filter
+    for taps, (delay, size, _) in zip((HP_TAPS, LP_TAPS), _KERNELS):
+        assert delay == (len(taps) - 1) // 2
+        assert size == scipy.fft.next_fast_len(EPOCH_SAMPLES + 4 * delay, real=True)
 
 
 # ---- the per-epoch pass and its thread split -----------------------------------

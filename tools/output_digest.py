@@ -10,7 +10,9 @@ writers, and two cohorts that ``validate`` rejects: one with a
 250 Hz EEG and one whose telemetry clock starts at 1000 s. ``validate`` runs
 on every cohort, and its stdout and exit code go to ``validate.txt`` in the
 cohort's directory; ``analyze`` and ``features`` run on each valid cohort
-with the default flags and with ``--abs-mean --per-channel-outliers``. The
+with the default flags and with ``--abs-mean --per-channel-outliers``, and
+the log records of each such run, in cli's format, go to
+``<command>-<label>.log`` there (``label`` is ``default`` or ``flags``). The
 tool prints ``sha256  path`` for every file written, inputs included, with
 paths relative to a temporary directory. Two trees write the same bytes
 when their outputs are equal:
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import logging
 import sys
 import tempfile
 from dataclasses import replace
@@ -89,12 +92,23 @@ def write_cohort(shape, seed: int, cohort: Path) -> Path:
     return manifest
 
 
-def run(args: list[str]) -> tuple[str, int]:
-    """The stdout and exit code of one drowsekit command."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(args)
-    return stdout.getvalue(), code
+def run(args: list[str]) -> tuple[str, str, int]:
+    """The stdout, the log and the exit code of one drowsekit command.
+
+    A root handler catches the log for the length of the call, so cli's
+    ``logging.basicConfig`` adds none of its own.
+    """
+    stdout, log = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(log)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(args)
+    finally:
+        root.removeHandler(handler)
+    return stdout.getvalue(), log.getvalue(), code
 
 
 def main() -> None:
@@ -104,7 +118,7 @@ def main() -> None:
             for seed in SEEDS:
                 cohort = root / f"{name}-{seed}"
                 manifest = write_cohort(shape, seed, cohort / "input")
-                stdout, code = run(["validate", "--manifest", str(manifest)])
+                stdout, _, code = run(["validate", "--manifest", str(manifest)])
                 (cohort / "validate.txt").write_text(f"{stdout}exit {code}\n")
                 if code != 0:  # analyze and features are run on valid cohorts only
                     continue
@@ -112,8 +126,10 @@ def main() -> None:
                     for command in ("analyze", "features"):
                         out = cohort / f"{command}-{label}"
                         args = [command, "--manifest", str(manifest), "--out", str(out), *flags]
-                        if run(args)[1] != 0:
+                        _, log, code = run(args)
+                        if code != 0:
                             sys.exit(f"error: drowsekit {' '.join(args)} failed")
+                        (cohort / f"{command}-{label}.log").write_text(log)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root)}")
