@@ -18,15 +18,21 @@ quoting):
 
 Every loader and writer takes a file path. Loaders never silently drop or
 reorder rows; writers emit shortest round-trip float representations so
-load(write(x)) == x exactly. A numeric file (EEG, telemetry) is first
-scanned once in fixed-size binary blocks; when its header matches and it
-holds only bytes numpy and ``float`` read alike, numpy's chunked reader
-parses it from the path, so a load holds no copy of the text. A file the
-scan or numpy turns down is read into a list of lines and parsed one
-``float`` at a time, which builds the row-numbered errors and gives the
-same arrays. That row reader, ``_data_rows``, also serves the labels and
-manifest loaders. Every CSV row goes through ``write_rows`` or the float
-writers, which format a fixed number of rows at a time.
+load(write(x)) == x exactly. Every CSV row goes through ``write_rows`` or
+the float writers, which format a fixed number of rows at a time.
+
+One parser decides what a number is: only ``np.loadtxt`` returns a numeric
+array. A numeric file (EEG, telemetry) is first scanned once in fixed-size
+binary blocks; when its header line ends in the first block and matches,
+and every byte is ASCII outside ``\\x1c``-``\\x1f``, numpy parses it from
+the path, so a load holds no copy of the text. On such text numpy reads the
+cells ``NUMBER`` matches. A file the scan or numpy turns down is read into
+lines only to name its first bad row (a wrong field count, else a cell
+``NUMBER`` does not match, else a NaN or infinite value); one without data
+rows loads as an empty block. ``_data_rows``, which reads the labels and
+manifest rows too, skips only empty lines: a line of blanks is a row, as
+numpy reads it. Header and label cells lose the blanks ``NUMBER`` allows,
+and label cells must match ``INTEGER``.
 """
 
 from __future__ import annotations
@@ -87,8 +93,20 @@ _SCAN_BLOCK_BYTES = 1 << 20
 # values and text take about a megabyte whatever the file's length.
 _WRITE_BLOCK_ROWS = 4096
 
-# numpy strips these next to a number, float() does not
+# numpy strips these next to a number as it does blanks; the scan keeps
+# them from numpy, so that NUMBER describes what numpy reads
 _NUMPY_ONLY_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# The blanks around a cell, which numpy strips next to a number in ASCII text
+_BLANKS = " \t\v\f"
+
+# A cell numpy reads as a float64 from ASCII text: optional blanks, a sign,
+# then a decimal with an optional exponent, or inf, infinity or nan in any case
+NUMBER = re.compile(r"[ \t\v\f]*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                    r"|(?i:inf|infinity|nan))[ \t\v\f]*")
+
+# A label's interval index or rating
+INTEGER = re.compile(r"[ \t\v\f]*[+-]?[0-9]+[ \t\v\f]*")
 
 _FIRST_LINE = re.compile(rb"[^\r\n]*")
 
@@ -117,19 +135,19 @@ def _read_lines(path: str | Path) -> list[str]:
 
 
 def _header_fields(line: str) -> tuple[str, ...]:
-    return tuple(f.strip() for f in line.split(","))
+    return tuple(f.strip(_BLANKS) for f in line.split(","))
 
 
 def _data_rows(path: str | Path, header: tuple[str, ...], what: str) -> Iterator[tuple[int, str]]:
     """Check that the first line of the file at ``path`` is ``header``, then
-    give each non-blank data row with its 1-based row number (blank rows
+    give each non-empty data row with its 1-based row number (empty rows
     count).
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet
     """
     lines = _read_lines(path)
-    if not lines or not lines[0].strip():
+    if not lines or not lines[0].strip(_BLANKS):
         raise MissingHeader(f"{what}: no header line")
     found = _header_fields(lines[0])
     if found != header:
@@ -137,7 +155,7 @@ def _data_rows(path: str | Path, header: tuple[str, ...], what: str) -> Iterator
             f"{what}: header {','.join(found)!r}, expected {','.join(header)!r}"
         )
     for i, line in enumerate(lines[1:], start=1):
-        if line.strip():
+        if line:
             yield i, line
 
 
@@ -145,46 +163,49 @@ def _load_numeric_csv(path: str | Path, header: tuple[str, ...], what: str) -> n
     """Check the header of a numeric CSV and parse its data rows into an
     (n, len(header)) array.
 
-    A file whose header matches and whose bytes pass ``_numpy_reads_like_float``
-    is parsed by ``np.loadtxt`` from the path, in numpy's own chunks. Every
-    other file, and one numpy rejects, warns about, shapes differently or
-    reads as non-finite, is parsed one ``float`` at a time, which raises the
-    errors: row numbers are 1-based data-row indices (blank rows count), and
-    a non-finite value is reported only when every row parses.
+    Only ``np.loadtxt`` returns values: it parses a file whose header matches
+    and whose bytes pass ``_numpy_may_parse`` from the path, in numpy's
+    own chunks. When the scan or numpy turns a file down, its lines are read
+    to find the fault: row numbers are 1-based data-row indices (empty rows
+    count), and a non-finite value is reported only when every row parses.
+    A file with no data rows gives the empty (0, len(header)) block.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
         NonNumericValue, NonFiniteValue
     """
     n_cols = len(header)
-    if _numpy_reads_like_float(path, header):
+    if _numpy_may_parse(path, header):
         data = _loadtxt(path, n_cols)
         if data is not None:
             return data
-    rows: list[list[float]] = []
+    has_rows = False
     first_non_finite: tuple[int, str] | None = None
     for i, line in _data_rows(path, header, what):
         fields = line.split(",")
         if len(fields) != n_cols:
             raise InconsistentRowLength(i, f"{what}: row {i} has {len(fields)} fields, expected {n_cols}")
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}") from None
-        if first_non_finite is None and not all(map(math.isfinite, row)):
+        if not all(map(NUMBER.fullmatch, fields)):
+            raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}")
+        if first_non_finite is None and not all(math.isfinite(float(f)) for f in fields):
             first_non_finite = i, line
-        rows.append(row)
+        has_rows = True
     if first_non_finite is not None:
         i, line = first_non_finite
         raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {line!r}")
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), n_cols)
+    if has_rows:
+        # an ASCII file whose rows all parse, with a matching header: the
+        # scan found no line end in its first block
+        raise WrongColumnSet(
+            f"{what}: the header line does not end in the first {_SCAN_BLOCK_BYTES} bytes")
+    return np.empty((0, n_cols))
 
 
-def _numpy_reads_like_float(path: str | Path, header: tuple[str, ...]) -> bool:
-    """Whether numpy's parse of the file at ``path`` can only agree with the
-    ``float`` parse: the first line is ``header``, and every byte is ASCII
-    (so valid UTF-8 without a BOM, where numpy and ``float`` follow the same
-    rules) outside ``\\x1c``-``\\x1f``.
+def _numpy_may_parse(path: str | Path, header: tuple[str, ...]) -> bool:
+    """Whether numpy may parse the file at ``path``: the first line ends in
+    the first block and is ``header``, and every byte is ASCII (so valid
+    UTF-8 without a BOM) outside ``\\x1c``-``\\x1f``, where ``NUMBER``
+    describes what numpy reads.
 
     Reads the file once, ``_SCAN_BLOCK_BYTES`` at a time.
     """
@@ -205,7 +226,7 @@ def _loadtxt(path: str | Path, n_cols: int) -> np.ndarray | None:
     """numpy's parse of the data rows of the file at ``path`` as an
     (n, n_cols) array of finite values, or None when numpy raises, warns,
     or reads another shape or a non-finite value: the cases
-    the ``float`` parse decides."""
+    the line reader names."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -305,16 +326,14 @@ def load_ord_csv(source: str | Path) -> OrdLabelTrack:
     """
     intervals: list[tuple[int, int, int]] = []
     for i, line in _data_rows(source, LABELS_HEADER, "labels CSV"):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < len(LABELS_HEADER) or any(f == "" for f in fields[1:]):
+        fields = line.split(",")
+        if len(fields) < len(LABELS_HEADER) or not all(f.strip(_BLANKS) for f in fields[1:]):
             raise MissingRater(f"labels CSV: row {i} does not carry three ratings: {line!r}")
         if len(fields) > len(LABELS_HEADER):
             raise InconsistentRowLength(i, f"labels CSV: row {i} has {len(fields)} fields")
-        try:
-            index = int(fields[0])
-            ratings = tuple(int(f) for f in fields[1:4])
-        except ValueError:
-            raise InvalidRating(f"labels CSV: row {i} has a non-integer value: {line!r}") from None
+        if not all(map(INTEGER.fullmatch, fields)):
+            raise InvalidRating(f"labels CSV: row {i} has a non-integer value: {line!r}")
+        index, *ratings = map(int, fields)
         expected = len(intervals)
         if index != expected:
             raise GapInIntervals(
@@ -323,7 +342,7 @@ def load_ord_csv(source: str | Path) -> OrdLabelTrack:
         for r in ratings:
             if not RATING_MIN <= r <= RATING_MAX:
                 raise InvalidRating(f"labels CSV: interval {index} rating {r} outside 1..5")
-        intervals.append(ratings)  # type: ignore[arg-type]
+        intervals.append(tuple(ratings))  # type: ignore[arg-type]
     return OrdLabelTrack(intervals=tuple(intervals))
 
 

@@ -2,14 +2,24 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve, welch
 from scipy.special import ndtr
 from scipy.stats import norm, rankdata
 
-from drowsekit.errors import DegeneratePower
+from drowsekit.errors import (
+    DegeneratePower,
+    InconsistentRowLength,
+    InvalidEncoding,
+    MissingHeader,
+    NonFiniteValue,
+    NonNumericValue,
+    WrongColumnSet,
+)
 from drowsekit.features import FeatureMatrix
+from drowsekit.ingest import NUMBER
 from drowsekit.preprocess import (
     EPOCH_SAMPLES,
     HP_TAPS,
@@ -385,3 +395,44 @@ def write_rows_per_cell(header, rows):
     float writers."""
     return "".join([",".join(header) + "\n"]
                    + [",".join(format_cell(v) for v in row) + "\n" for row in rows])
+
+
+def numeric_csv_oracle(path, header, what):
+    """What ``ingest._load_numeric_csv(path, header, what)`` makes of a file
+    whose header line ends in the scan's first block, read line by line: the
+    ``(n, len(header))`` array of ``float`` of each cell, when every cell
+    matches ``ingest.NUMBER`` and is finite, or else ``(error type, row,
+    message)`` of the first fault. Only ``\\n``, ``\\r\\n`` and ``\\r`` end a
+    line, only empty lines are skipped, and header cells lose the blanks
+    ``NUMBER`` allows around a number."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return InvalidEncoding, None, f"{path}: not valid UTF-8 at byte {exc.start}"
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    blanks = " \t\v\f"
+    if not lines or not lines[0].strip(blanks):
+        return MissingHeader, None, f"{what}: no header line"
+    found = tuple(f.strip(blanks) for f in lines[0].split(","))
+    if found != header:
+        return (WrongColumnSet, None,
+                f"{what}: header {','.join(found)!r}, expected {','.join(header)!r}")
+    rows, first_non_finite = [], None
+    for i, line in enumerate(lines[1:], start=1):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            return (InconsistentRowLength, i,
+                    f"{what}: row {i} has {len(fields)} fields, expected {len(header)}")
+        if not all(NUMBER.fullmatch(f) for f in fields):
+            return NonNumericValue, i, f"{what}: non-numeric value in row {i}: {line!r}"
+        rows.append([float(f) for f in fields])
+        if first_non_finite is None and not all(map(math.isfinite, rows[-1])):
+            first_non_finite = i, line
+    if first_non_finite is not None:
+        i, line = first_non_finite
+        return NonFiniteValue, i, f"{what}: NaN or infinite value in row {i}: {line!r}"
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(header))

@@ -1,6 +1,7 @@
-import contextlib
+import io
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import write_rows_per_cell
+from helpers import numeric_csv_oracle, write_rows_per_cell
 
 from drowsekit import ingest
 from drowsekit.errors import (
@@ -39,15 +40,6 @@ def _csv(tmp_path, text):
     path = tmp_path / "input.csv"
     path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
     return path
-
-
-def _float_route():
-    """Turn numpy's route off, so numeric files go through the ``float`` parse."""
-    return mock.patch.object(ingest, "_numpy_reads_like_float", return_value=False)
-
-
-# numpy's route where the scan lets it, then the ``float`` route alone
-ROUTES = (contextlib.nullcontext, _float_route)
 
 
 def _eeg_csv(tmp_path, n_rows, header="t,TP9,AF7,AF8,TP10"):
@@ -247,6 +239,20 @@ def test_load_ord_invalid_rating(tmp_path):
         ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 6, 1)]))
 
 
+@pytest.mark.parametrize("row", ["0,\u0661,1,1", "0,\uff14,1,1", "0,0_1,1,1", "\uff10,1,1,1",
+                                 "0,1\xa0,1,1", "0,1.0,1,1", "0,1,1,\u3000"])
+def test_load_ord_rejects_what_only_int_reads(row, tmp_path):
+    # int() reads each of these; an index or a rating is ASCII digits with a sign
+    path = _csv(tmp_path, f"interval,rater1,rater2,rater3\n{row}\n")
+    with pytest.raises(InvalidRating, match="^labels CSV: row 1 has a non-integer value"):
+        ingest.load_ord_csv(path)
+
+
+def test_load_ord_reads_signs_and_blanks(tmp_path):
+    path = _csv(tmp_path, "interval,rater1,rater2,rater3\n-0, 1 ,\t2\x0b,+3\n+1,5,5,5\n")
+    assert ingest.load_ord_csv(path).intervals == ((1, 2, 3), (5, 5, 5))
+
+
 def test_load_ord_missing_rater(tmp_path):
     text = "interval,rater1,rater2,rater3\n0,1,1\n"
     with pytest.raises(MissingRater):
@@ -400,12 +406,12 @@ def test_loaders_raise_only_toolkit_errors(kind, tmp_path_factory):
     check()
 
 
-# ---- cells and line ends the two routes must read alike -----------------------
+# ---- what a number is, and which lines are rows -------------------------------
 
-# cells float() and numpy read alike, read differently, or reject
+# cells numpy reads, cells only float() reads, and cells neither reads
 _ODD_CELLS = ["1_0", "+3", ".5", "5.", "0x1", "1e400", "-1e400", "nan", "inf", "-inf",
               "Infinity", "", " ", "1 2", "abc", "1e", "-0.0", "5e-324", " 7 ", "\t8",
-              "\u20009", "9\x1f", "\x1f9", "\u0661", "1\x00"]
+              "\u20009", "9\x1f", "\x1f9", "\u0661", "1\x00", "12\xa0", "\uff11"]
 _FLOAT_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _CELL = st.one_of(
     _FLOAT_CELL,
@@ -416,60 +422,126 @@ _CELL = st.one_of(
 # line ends, and characters inside a row that str.splitlines would break on
 _LINE_END = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
                              "\u2028", "\u2029"])
+# every ASCII character but the comma, the line ends and the separators the
+# scan keeps from numpy
+_ASCII_CELL = st.text(alphabet=[c for c in map(chr, range(128))
+                                if c not in ",\n\r\x1c\x1d\x1e\x1f"], max_size=8)
+
+
+@settings(max_examples=600, deadline=None)
+@given(cell=st.one_of(_ASCII_CELL, _FLOAT_CELL,
+                      st.text(alphabet="0123456789.+-eEinfatyINFATY \t\x0b\x0c_", max_size=9)))
+def test_number_is_what_numpy_reads_from_ascii(cell):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = np.loadtxt(io.StringIO(f"0,{cell}\n"), delimiter=",", dtype=np.float64,
+                             comments=None, quotechar=None, ndmin=2)
+    except (ValueError, Warning):
+        row = None
+    assert (row is not None) == bool(ingest.NUMBER.fullmatch(cell))
+    if row is not None:
+        assert row.shape == (1, 2)
+        value = np.float64(float(cell))
+        assert np.isnan(row[0, 1]) if np.isnan(value) else row[0, 1].tobytes() == value.tobytes()
 
 
 def test_load_eeg_cells_numpy_and_float_read_differently(tmp_path):
-    # float() accepts underscores, numpy does not; numpy strips \x1f, float() does not
-    path = _csv(tmp_path, "t,TP9,AF7,AF8,TP10\n0.0,1_0,2.0,3.0,4.0\n")
-    for route in ROUTES:
-        with route():
-            assert ingest.load_eeg_csv(path).channels[0].tolist() == [10.0]
+    # float() reads these as 10.0 or 12.0; NUMBER, as numpy on ASCII text, does not
+    for cell in ("1_0", "\u0661\u0662", "\uff11\uff12", "12\xa0"):
+        path = _csv(tmp_path, f"t,TP9,AF7,AF8,TP10\n0.0,1,2,3,4\n\n0.1,{cell},2.0,3.0,4.0\n")
+        with pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(path)
+        assert err.value.row == 3
+    # numpy strips \x1f, float() does not: the scan keeps such files from numpy
     for cell in ("1\x1f", "\x1f1"):
         path = _csv(tmp_path, f"t,TP9,AF7,AF8,TP10\n\n0.0,{cell},2.0,3.0,4.0\n")
-        for route in ROUTES:
-            with route(), pytest.raises(NonNumericValue) as err:
-                ingest.load_eeg_csv(path)
-            assert err.value.row == 2
+        with pytest.raises(NonNumericValue) as err:
+            ingest.load_eeg_csv(path)
+        assert err.value.row == 2
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"])
 def test_only_line_ends_end_a_row(sep, tmp_path):
-    # str.splitlines would break row 1 in two and report InconsistentRowLength at row 1
+    # str.splitlines would break row 1 in two and report InconsistentRowLength
+    # at row 1. \v and \f are blanks next to a number; the others are not
     body = f"0.0,1.0{sep},2.0,3.0,4.0\n0.1,1,2,3,4\n0.2,oops,2,3,4\n"
     path = _csv(tmp_path, "t,TP9,AF7,AF8,TP10\n" + body)
-    for route in ROUTES:
-        with route(), pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(path)
-        assert err.value.row == 3
+    with pytest.raises(NonNumericValue) as err:
+        ingest.load_eeg_csv(path)
+    assert err.value.row == (3 if sep in "\x0b\x0c" else 1)
 
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e"])
 def test_load_eeg_cells_only_numpy_reads(sep, tmp_path):
-    # numpy strips these next to a number, float() does not
+    # numpy strips these next to a number, NUMBER does not match them
     path = _csv(tmp_path, f"t,TP9,AF7,AF8,TP10\n0.0,1.0{sep},2.0,3.0,4.0\n")
-    for route in ROUTES:
-        with route(), pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(path)
-        assert err.value.row == 1
+    with pytest.raises(NonNumericValue) as err:
+        ingest.load_eeg_csv(path)
+    assert err.value.row == 1
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_stream_and_path_line_ends_agree(tmp_path, end):
-    # both routes read \r\n and \r as \n
+    # \r\n and \r end a line as \n does
     path = _csv(tmp_path, end.join(["t,TP9,AF7,AF8,TP10", "0.0,1,2,3,4", "", "0.1,oops,2,3,4", ""]))
-    rows = []
-    for route in ROUTES:
-        with route(), pytest.raises(NonNumericValue) as err:
-            ingest.load_eeg_csv(path)
-        rows.append(err.value.row)
-    assert rows == [3, 3]
+    with pytest.raises(NonNumericValue) as err:
+        ingest.load_eeg_csv(path)
+    assert err.value.row == 3
 
 
-# ---- numpy's route against the float route -------------------------------------
+_BLANK_LINE_CASES = {
+    # kind: (a good first row, the error of a row of blanks after it)
+    "eeg": ("0.0,1,2,3,4", InconsistentRowLength),
+    "telemetry": ("0.0,1,2,3,4", InconsistentRowLength),
+    "labels": ("0,1,1,1", MissingRater),
+    "manifest": ("s1,a.csv,,a_lab.csv", InconsistentRowLength),
+}
+
+
+@pytest.mark.parametrize("blanks", [" ", "\t", " \t ", "\x0b"])
+@pytest.mark.parametrize("kind", sorted(_BLANK_LINE_CASES))
+def test_a_line_of_blanks_is_a_row(kind, blanks, tmp_path):
+    # numpy reads a line of blanks as a row of one field; only an empty line
+    # is skipped
+    loader, header = FUZZ_LOADERS[kind]
+    first, error = _BLANK_LINE_CASES[kind]
+    path = _csv(tmp_path, f"{','.join(header)}\n{first}\n\n{blanks}\n")
+    with pytest.raises(error, match="row 3 ") as err:
+        loader(path)
+    assert getattr(err.value, "row", 3) == 3
+
+
+@pytest.mark.parametrize("header", ["t\x1f,TP9,AF7,AF8,TP10", "t,TP9\u3000,AF7,AF8,TP10",
+                                    "\xa0t,TP9,AF7,AF8,TP10"])
+def test_header_cells_lose_only_ascii_blanks(header, tmp_path):
+    with pytest.raises(WrongColumnSet, match="^EEG CSV: header "):
+        ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n0.0,1,2,3,4\n"))
+    # the blanks NUMBER allows are stripped
+    rec = ingest.load_eeg_csv(_csv(tmp_path, " t\t,\x0bTP9\x0c,AF7,AF8,TP10 \n0.0,1,2,3,4\n"))
+    assert rec.channels[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_header_line_must_end_in_the_first_scan_block(tmp_path):
+    # a block too short for the header line and its end turns the file down;
+    # the line reader returns no values, so a file with no faulty row fails
+    header = "t,TP9,AF7,AF8,TP10"
+    with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", len(header)):
+        with pytest.raises(WrongColumnSet, match="does not end in the first 18 bytes"):
+            ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n0.0,1,2,3,4\n"))
+        with pytest.raises(NonNumericValue):
+            ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n0.0,1,2,3,x\n"))
+        assert ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n\n")).n_samples == 0
+    with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", len(header) + 1):
+        assert ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n0.0,1,2,3,4\n")).n_samples == 1
+
+
+# ---- numpy's route against the grammar oracle ---------------------------------
 
 # files of good rows after a uniform time cell, with at most two odd rows or
 # raw lines and two spliced byte strings: what the scan before numpy's path
-# parse must turn down, in files numpy would otherwise read
+# parse must turn down, or the line reader must find, in files numpy would
+# otherwise read
 _GOOD_TIMED_ROW = st.tuples(st.lists(_FLOAT_CELL, min_size=4, max_size=4),
                             st.sampled_from(["\n", "\r\n", "\r"]))
 _ODD_TIMED_CELLS = st.one_of(
@@ -478,8 +550,13 @@ _ODD_TIMED_CELLS = st.one_of(
     st.lists(_CELL, min_size=3, max_size=5),
 )
 _RAW_LINE = st.sampled_from(["", " ", "\t ", "\u3000", "\x0c", "\x1c", "nan,1,2,3,4",
-                             "0,inf,2,3,4", "0,1_0,2,3,4", "\xe9"])
-_ODD_ROW = st.tuples(st.one_of(_ODD_TIMED_CELLS, _RAW_LINE), _LINE_END, st.floats(0, 1))
+                             "0,inf,2,3,4", "0,1,2,3,-1e400", "0,1_0,2,3,4", "0,1,2,\u0663,4",
+                             "\xe9"])
+_NON_FINITE_ROW = st.tuples(st.lists(_FLOAT_CELL, min_size=3, max_size=3),
+                           st.sampled_from(["nan", "-inf", " Infinity", "1e400"]),
+                           st.integers(0, 3)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+_ODD_ROW = st.tuples(st.one_of(_ODD_TIMED_CELLS, _RAW_LINE, _NON_FINITE_ROW), _LINE_END,
+                     st.floats(0, 1))
 # a BOM, invalid UTF-8, a valid multi-byte character, the separators only
 # numpy strips
 _SPLICE = st.tuples(
@@ -487,34 +564,35 @@ _SPLICE = st.tuples(
     st.floats(0, 1), st.booleans())
 
 
-@pytest.mark.parametrize("kind, step", [("eeg", 1 / 256), ("telemetry", 0.02)])
-def test_path_and_stream_loads_agree(kind, step, tmp_path_factory):
-    # each file loads as the loader takes it, and with numpy's route off
-    loader, header = FUZZ_LOADERS[kind]
+@pytest.mark.parametrize("kind, step, what", [("eeg", 1 / 256, "EEG CSV"),
+                                              ("telemetry", 0.02, "telemetry CSV")],
+                         ids=["eeg", "telemetry"])
+def test_loads_agree_with_the_grammar_oracle(kind, step, what, tmp_path_factory):
+    # each file parses to the oracle's array, or fails with its error, row
+    # and message, whichever of numpy and the line reader decides
+    _, header = FUZZ_LOADERS[kind]
     path = tmp_path_factory.mktemp("agree") / "input.csv"
     header_text = ",".join(header)
 
     def outcome():
         try:
-            rec = loader(path)
+            return ingest._load_numeric_csv(path, header, what)
         except DrowsekitError as exc:
             return type(exc), getattr(exc, "row", None), str(exc)
-        arrays = rec.channels if kind == "eeg" else rec.series
-        return rec.sample_rate_hz, rec.start_time_s, [a.tobytes() for a in arrays]
 
     @settings(max_examples=400, deadline=None)
-    @given(header_line=st.sampled_from([header_text] * 4 + [
-               " , ".join(header), "\ufeff" + header_text, header_text + "0",
+    @given(header_line=st.sampled_from([header_text] * 10 + [
+               " , ".join(header), "\t" + header_text + "\x0b", "\ufeff" + header_text,
+               header_text + "\x1f", "\u3000" + header_text, header_text + "0",
                ",".join(header[:-1]), ""]),
            rows=st.lists(_GOOD_TIMED_ROW, max_size=8),
            odd_rows=st.lists(_ODD_ROW, max_size=2),
            final_end=st.booleans(),
            splices=st.lists(_SPLICE, max_size=2),
-           # small blocks put flagged bytes past the first block, which must
-           # hold the header's line end
-           block=st.sampled_from([len(header_text), len(header_text) + 1,
-                                  len(header_text) + 7, ingest._SCAN_BLOCK_BYTES]))
-    def check(header_line, rows, odd_rows, final_end, splices, block):
+           # small blocks put flagged bytes past the first block, which
+           # holds the header line's end
+           extra=st.sampled_from([1, 2, 8, None]))
+    def check(header_line, rows, odd_rows, final_end, splices, extra):
         rows = list(rows)
         for row, end, where in odd_rows:
             rows.insert(int(where * len(rows)), (row, end))
@@ -532,10 +610,17 @@ def test_path_and_stream_loads_agree(kind, step, tmp_path_factory):
                 at = raw.find(b",", at)  # next to a number
             raw = raw[:at] + piece + raw[at:]
         path.write_bytes(raw)
+        block = ingest._SCAN_BLOCK_BYTES
+        if extra is not None:
+            block = ingest._FIRST_LINE.match(raw).end() + extra
         with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", block):
             loaded = outcome()
-        with _float_route():
-            assert loaded == outcome()
+        expected = numeric_csv_oracle(path, header, what)
+        if isinstance(expected, tuple):
+            assert loaded == expected
+        else:
+            assert isinstance(loaded, np.ndarray)
+            assert (loaded.shape, loaded.tobytes()) == (expected.shape, expected.tobytes())
 
     check()
 

@@ -1,11 +1,18 @@
-"""The measurement scripts under ``tools/`` still run."""
+"""The measurement scripts under ``tools/`` still run, and the outputs
+match the committed listing of ``tools/output_digest.py``."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the cohorts of tools/output_digest.py the identity check reruns at seed 1:
+# the worker-chunk edges, skipped intervals, the run logs and both
+# validate rejections, in about 7 s
+IDENTITY_COHORTS = ("odd", "partial", "eeg-250hz", "telemetry-at-1000s")
 
 
 def test_peak_rss_prints_each_analyze_childs_own_peak():
@@ -29,3 +36,18 @@ def test_peak_rss_prints_each_analyze_childs_own_peak():
     peaks = [float(row.split()[3]) for row in rows] + [float(synth.split()[-2])]
     assert all(floor_mb + 5.0 < peak < 1000.0 for peak in peaks)
     assert result.stderr.count("(TooFewSamples)") == 2
+
+
+def test_outputs_match_the_committed_listing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    output_digest = importlib.import_module("output_digest")
+    committed = (ROOT / "tests" / "data" / "output_digest.txt").read_text(
+        encoding="utf-8").splitlines()
+    header = [line for line in committed if line.startswith("# ")]
+    assert header == output_digest.versions(), (
+        f"the listing was made with {header}, this run has {output_digest.versions()}; "
+        "regenerate it with tools/output_digest.py --header and name the change")
+    runs = {f"{name}-1" for name in IDENTITY_COHORTS}
+    expected = [line for line in committed
+                if not line.startswith("# ") and line.split("  ", 1)[1].split("/", 1)[0] in runs]
+    assert output_digest.listing(IDENTITY_COHORTS, seeds=(1,)) == expected

@@ -18,14 +18,25 @@ paths relative to a temporary directory. Two trees write the same bytes
 when their outputs are equal:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
+
+numpy's FFT and ``exp`` set the last bits of the outputs, so the committed
+listing ``tests/data/output_digest.txt`` starts with the Python and numpy
+versions it was made with (``--header``). ``--check FILE`` compares that
+header and the full listing with a file made so, prints only the lines that
+differ (``-`` for the file's, ``+`` for this run's) and exits 1 when any do:
+
+    PYTHONPATH=src python tools/output_digest.py --header > tests/data/output_digest.txt
+    PYTHONPATH=src python tools/output_digest.py --check tests/data/output_digest.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import logging
+import platform
 import sys
 import tempfile
 from dataclasses import replace
@@ -33,6 +44,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 
+import numpy as np  # noqa: E402
 from workloads import WORKLOADS, session_seed, write_session  # noqa: E402
 
 from drowsekit import cli, ingest, synthgen  # noqa: E402
@@ -111,11 +123,21 @@ def run(args: list[str]) -> tuple[str, str, int]:
     return stdout.getvalue(), log.getvalue(), code
 
 
-def main() -> None:
+def versions() -> list[str]:
+    """The header of a committed listing: the versions that set its last bits."""
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+
+
+def listing(names: tuple[str, ...] | None = None, seeds: tuple[int, ...] = SEEDS) -> list[str]:
+    """The ``sha256  path`` line of every file the cohorts ``names`` (all
+    when None) write at ``seeds``, in path order."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, shape in COHORTS + REJECTED:
-            for seed in SEEDS:
+            if names is not None and name not in names:
+                continue
+            for seed in seeds:
                 cohort = root / f"{name}-{seed}"
                 manifest = write_cohort(shape, seed, cohort / "input")
                 stdout, _, code = run(["validate", "--manifest", str(manifest)])
@@ -132,8 +154,28 @@ def main() -> None:
                         (cohort / f"{command}-{label}.log").write_text(log)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(root)}")
+            lines.append(f"{digest}  {path.relative_to(root)}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--header", action="store_true",
+                        help="print the Python and numpy versions before the listing")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="print the lines that differ from FILE; exit 1 when any do")
+    args = parser.parse_args(argv)
+    if args.check is None:
+        print("\n".join((versions() if args.header else []) + listing()))
+        return 0
+    expected = args.check.read_text(encoding="utf-8").splitlines()
+    found = versions() + listing()
+    found_set, expected_set = set(found), set(expected)
+    differ = ([f"- {line}" for line in expected if line not in found_set]
+              + [f"+ {line}" for line in found if line not in expected_set])
+    print("\n".join(differ), end="\n" if differ else "")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
