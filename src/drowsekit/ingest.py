@@ -31,8 +31,8 @@ lines only to name its first bad row (a wrong field count, else a cell
 ``NUMBER`` does not match, else a NaN or infinite value); one without data
 rows loads as an empty block. ``_data_rows``, which reads the labels and
 manifest rows too, skips only empty lines: a line of blanks is a row, as
-numpy reads it. Header and label cells lose the blanks ``NUMBER`` allows,
-and label cells must match ``INTEGER``.
+numpy reads it. Header, label and manifest cells lose the blanks ``NUMBER``
+allows, and label cells must match ``INTEGER``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .errors import (
     EmptyFile,
     GapInIntervals,
     InconsistentRowLength,
+    IngestError,
     InvalidEncoding,
     InvalidRating,
     MissingHeader,
@@ -168,11 +169,14 @@ def _load_numeric_csv(path: str | Path, header: tuple[str, ...], what: str) -> n
     own chunks. When the scan or numpy turns a file down, its lines are read
     to find the fault: row numbers are 1-based data-row indices (empty rows
     count), and a non-finite value is reported only when every row parses.
-    A file with no data rows gives the empty (0, len(header)) block.
+    A file with no data rows gives the empty (0, len(header)) block. A file
+    with rows and no faulty one is still an error: its header line does not
+    end in the scan's first block, or numpy turned it down for a cause no
+    row shows.
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, InconsistentRowLength,
-        NonNumericValue, NonFiniteValue
+        NonNumericValue, NonFiniteValue, IngestError
     """
     n_cols = len(header)
     if _numpy_may_parse(path, header):
@@ -193,12 +197,14 @@ def _load_numeric_csv(path: str | Path, header: tuple[str, ...], what: str) -> n
     if first_non_finite is not None:
         i, line = first_non_finite
         raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {line!r}")
-    if has_rows:
-        # an ASCII file whose rows all parse, with a matching header: the
-        # scan found no line end in its first block
+    if not has_rows:
+        return np.empty((0, n_cols))
+    with open(path, "rb") as f:
+        block = f.read(_SCAN_BLOCK_BYTES)
+    if len(_FIRST_LINE.match(block).group()) == len(block):
         raise WrongColumnSet(
             f"{what}: the header line does not end in the first {_SCAN_BLOCK_BYTES} bytes")
-    return np.empty((0, n_cols))
+    raise IngestError(f"{what}: numpy turned the file down, and no row is at fault")
 
 
 def _numpy_may_parse(path: str | Path, header: tuple[str, ...]) -> bool:
@@ -280,7 +286,7 @@ def load_eeg_csv(source: str | Path) -> EegRecording:
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
-        NonFiniteValue, InconsistentRowLength, NonUniformTimestep
+        NonFiniteValue, InconsistentRowLength, NonUniformTimestep, IngestError
     """
     data = _load_numeric_csv(source, EEG_HEADER, "EEG CSV")
     rate = EEG_SAMPLE_RATE_HZ
@@ -305,7 +311,8 @@ def load_telemetry_csv(source: str | Path) -> VehicleTelemetry:
 
     Raises:
         InvalidEncoding, MissingHeader, WrongColumnSet, NonNumericValue,
-        NonFiniteValue, InconsistentRowLength, EmptyFile, NonUniformTimestep
+        NonFiniteValue, InconsistentRowLength, EmptyFile, NonUniformTimestep,
+        IngestError
     """
     data = _load_numeric_csv(source, TELEMETRY_HEADER, "telemetry CSV")
     if len(data) < 2:
@@ -358,7 +365,7 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
     first_row: dict[str, int] = {}
     listed_in: dict[Path, int] = {}
     for i, line in _data_rows(path, MANIFEST_HEADER, "manifest"):
-        fields = [f.strip() for f in line.split(",")]
+        fields = [f.strip(_BLANKS) for f in line.split(",")]
         if len(fields) != len(MANIFEST_HEADER):
             raise InconsistentRowLength(i, f"manifest: row {i} has {len(fields)} fields")
         sid, eeg_p, tel_p, lab_p = fields

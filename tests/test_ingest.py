@@ -19,6 +19,7 @@ from drowsekit.errors import (
     EmptyFile,
     GapInIntervals,
     InconsistentRowLength,
+    IngestError,
     InvalidEncoding,
     InvalidRating,
     MissingHeader,
@@ -355,6 +356,17 @@ def test_manifest_duplicate_session_id(tmp_path):
         ingest.load_manifest(path)
 
 
+@pytest.mark.parametrize("blank", ["\u3000", "\xa0", "\x1c", "\x85"])
+def test_manifest_cells_lose_only_ascii_blanks(blank, tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text("session_id,eeg_path,telemetry_path,labels_path\n"
+                    f" s1{blank}\t,\x0ba.csv\x0c,,a_lab.csv{blank}\n", encoding="utf-8")
+    (entry,) = ingest.load_manifest(path)
+    assert entry.session_id == f"s1{blank}"
+    assert entry.eeg_path == tmp_path / "a.csv"
+    assert entry.labels_path == tmp_path / f"a_lab.csv{blank}"
+
+
 @pytest.mark.parametrize("row2,repeated", [
     ("s2,sub/../a.csv,,b_lab.csv", "a.csv"),  # the same EEG file, spelled otherwise
     ("s2,b.csv,,./a_lab.csv", "a_lab.csv"),
@@ -534,6 +546,17 @@ def test_header_line_must_end_in_the_first_scan_block(tmp_path):
         assert ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n\n")).n_samples == 0
     with mock.patch.object(ingest, "_SCAN_BLOCK_BYTES", len(header) + 1):
         assert ingest.load_eeg_csv(_csv(tmp_path, f"{header}\n0.0,1,2,3,4\n")).n_samples == 1
+
+
+def test_a_file_numpy_turns_down_without_a_faulty_row_fails(tmp_path):
+    # the line reader returns no values; the header line ends in the first
+    # block, so the error does not blame it
+    path = _csv(tmp_path, "t,TP9,AF7,AF8,TP10\n0.0,1,2,3,4\n")
+    with mock.patch.object(ingest, "_loadtxt", return_value=None):
+        with pytest.raises(IngestError, match="^EEG CSV: numpy turned the file down, "
+                                              "and no row is at fault$") as err:
+            ingest.load_eeg_csv(path)
+    assert type(err.value) is IngestError
 
 
 # ---- numpy's route against the grammar oracle ---------------------------------

@@ -46,7 +46,8 @@ def test_outputs_match_the_committed_listing(monkeypatch):
     header = [line for line in committed if line.startswith("# ")]
     assert header == output_digest.versions(), (
         f"the listing was made with {header}, this run has {output_digest.versions()}; "
-        "regenerate it with tools/output_digest.py --header and name the change")
+        "regenerate it with tools/output_digest.py > tests/data/output_digest.txt "
+        "and name the change")
     runs = {f"{name}-1" for name in IDENTITY_COHORTS}
     expected = [line for line in committed
                 if not line.startswith("# ") and line.split("  ", 1)[1].split("/", 1)[0] in runs]

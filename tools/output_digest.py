@@ -14,18 +14,17 @@ with the default flags and with ``--abs-mean --per-channel-outliers``, and
 the log records of each such run, in cli's format, go to
 ``<command>-<label>.log`` there (``label`` is ``default`` or ``flags``). The
 tool prints ``sha256  path`` for every file written, inputs included, with
-paths relative to a temporary directory. Two trees write the same bytes
-when their outputs are equal:
+paths relative to a temporary directory, after two lines naming the Python
+and numpy versions: numpy's FFT and ``exp`` set the last bits of the
+outputs. Two trees write the same bytes when their outputs are equal, and
+the committed listing ``tests/data/output_digest.txt`` is made so:
 
-    PYTHONPATH=src python tools/output_digest.py > digest.txt
+    PYTHONPATH=src python tools/output_digest.py > tests/data/output_digest.txt
 
-numpy's FFT and ``exp`` set the last bits of the outputs, so the committed
-listing ``tests/data/output_digest.txt`` starts with the Python and numpy
-versions it was made with (``--header``). ``--check FILE`` compares that
-header and the full listing with a file made so, prints only the lines that
-differ (``-`` for the file's, ``+`` for this run's) and exits 1 when any do:
+``--check FILE`` compares the versions and the full listing with a file made
+so, prints only the lines that differ (``-`` for the file's, ``+`` for this
+run's) and exits 1 when any do:
 
-    PYTHONPATH=src python tools/output_digest.py --header > tests/data/output_digest.txt
     PYTHONPATH=src python tools/output_digest.py --check tests/data/output_digest.txt
 """
 
@@ -160,16 +159,14 @@ def listing(names: tuple[str, ...] | None = None, seeds: tuple[int, ...] = SEEDS
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--header", action="store_true",
-                        help="print the Python and numpy versions before the listing")
     parser.add_argument("--check", metavar="FILE", type=Path,
                         help="print the lines that differ from FILE; exit 1 when any do")
     args = parser.parse_args(argv)
+    found = versions() + listing()
     if args.check is None:
-        print("\n".join((versions() if args.header else []) + listing()))
+        print("\n".join(found))
         return 0
     expected = args.check.read_text(encoding="utf-8").splitlines()
-    found = versions() + listing()
     found_set, expected_set = set(found), set(expected)
     differ = ([f"- {line}" for line in expected if line not in found_set]
               + [f"+ {line}" for line in found if line not in expected_set])
