@@ -19,16 +19,17 @@ class DrowsekitError(Exception):
 
 
 class _AtRow:
-    """Mixin for an error found in one data row: ``row`` is its 1-based number."""
+    """Mixin for an error a loader may find in one data row: ``row`` is its
+    1-based number, or None when the error was found elsewhere."""
 
-    def __init__(self, row: int, message: str):
+    def __init__(self, message: str, row: int | None = None):
         self.row = row
         super().__init__(message)
 
 
 # ---- session / labeling -------------------------------------------------
 
-class InvalidRating(DrowsekitError):
+class InvalidRating(_AtRow, DrowsekitError):
     pass
 
 
@@ -66,11 +67,11 @@ class EmptyFile(IngestError):
     pass
 
 
-class GapInIntervals(IngestError):
+class GapInIntervals(_AtRow, IngestError):
     pass
 
 
-class MissingRater(IngestError):
+class MissingRater(_AtRow, IngestError):
     pass
 
 

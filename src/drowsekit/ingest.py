@@ -188,15 +188,15 @@ def _load_numeric_csv(path: str | Path, header: tuple[str, ...], what: str) -> n
     for i, line in _data_rows(path, header, what):
         fields = line.split(",")
         if len(fields) != n_cols:
-            raise InconsistentRowLength(i, f"{what}: row {i} has {len(fields)} fields, expected {n_cols}")
+            raise InconsistentRowLength(f"{what}: row {i} has {len(fields)} fields, expected {n_cols}", i)
         if not all(map(NUMBER.fullmatch, fields)):
-            raise NonNumericValue(i, f"{what}: non-numeric value in row {i}: {line!r}")
+            raise NonNumericValue(f"{what}: non-numeric value in row {i}: {line!r}", i)
         if first_non_finite is None and not all(math.isfinite(float(f)) for f in fields):
             first_non_finite = i, line
         has_rows = True
     if first_non_finite is not None:
         i, line = first_non_finite
-        raise NonFiniteValue(i, f"{what}: NaN or infinite value in row {i}: {line!r}")
+        raise NonFiniteValue(f"{what}: NaN or infinite value in row {i}: {line!r}", i)
     if not has_rows:
         return np.empty((0, n_cols))
     with open(path, "rb") as f:
@@ -335,20 +335,18 @@ def load_ord_csv(source: str | Path) -> OrdLabelTrack:
     for i, line in _data_rows(source, LABELS_HEADER, "labels CSV"):
         fields = line.split(",")
         if len(fields) < len(LABELS_HEADER) or not all(f.strip(_BLANKS) for f in fields[1:]):
-            raise MissingRater(f"labels CSV: row {i} does not carry three ratings: {line!r}")
+            raise MissingRater(f"labels CSV: row {i} does not carry three ratings: {line!r}", i)
         if len(fields) > len(LABELS_HEADER):
-            raise InconsistentRowLength(i, f"labels CSV: row {i} has {len(fields)} fields")
+            raise InconsistentRowLength(f"labels CSV: row {i} has {len(fields)} fields", i)
         if not all(map(INTEGER.fullmatch, fields)):
-            raise InvalidRating(f"labels CSV: row {i} has a non-integer value: {line!r}")
+            raise InvalidRating(f"labels CSV: row {i} has a non-integer value: {line!r}", i)
         index, *ratings = map(int, fields)
         expected = len(intervals)
         if index != expected:
-            raise GapInIntervals(
-                f"labels CSV: row {i} has interval {index}, expected {expected}"
-            )
+            raise GapInIntervals(f"labels CSV: row {i} has interval {index}, expected {expected}", i)
         for r in ratings:
             if not RATING_MIN <= r <= RATING_MAX:
-                raise InvalidRating(f"labels CSV: interval {index} rating {r} outside 1..5")
+                raise InvalidRating(f"labels CSV: interval {index} rating {r} outside 1..5", i)
         intervals.append(tuple(ratings))  # type: ignore[arg-type]
     return OrdLabelTrack(intervals=tuple(intervals))
 
@@ -367,7 +365,7 @@ def load_manifest(path: str | Path) -> list[SessionManifest]:
     for i, line in _data_rows(path, MANIFEST_HEADER, "manifest"):
         fields = [f.strip(_BLANKS) for f in line.split(",")]
         if len(fields) != len(MANIFEST_HEADER):
-            raise InconsistentRowLength(i, f"manifest: row {i} has {len(fields)} fields")
+            raise InconsistentRowLength(f"manifest: row {i} has {len(fields)} fields", i)
         sid, eeg_p, tel_p, lab_p = fields
         if not sid or not eeg_p or not lab_p:
             raise WrongColumnSet(f"manifest: row {i} is missing a session id or required path")

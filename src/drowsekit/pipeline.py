@@ -3,9 +3,12 @@
 ``analyze_cohort`` runs ``process_session`` (validation, epochs, filter,
 artifact rule, features) on each session as the iterable yields it and
 keeps only its ``SessionResult``, so a generator of sessions holds one
-session in memory at a time. A result carries the features and the labels of
-the epochs the session cut (``cut_drowsy``); the report's ``denoise_table``
-is counted from the pooled labels of the epochs cut and the epochs kept.
+session in memory at a time. A result carries the features and the
+session's record: its epochs cut and kept by state, the epochs the
+artifact rule dropped and the label intervals each path skipped, a few
+hundred bytes. The report lists the records under ``sessions`` in the
+order the sessions came, and its ``denoise_table`` is their sum. Nothing
+here logs: the report says what happened to each session.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -25,12 +27,10 @@ from . import __version__, ingest, preprocess, session, spectral, stats
 from .errors import DegeneratePower, NonFinitePower, NonFiniteSample
 from .features import FeatureMatrix
 from .preprocess import denoise_epochs, epoch_signal, filter_epoch
-from .session import EEG_CHANNELS, MIN_COVERAGE, VEHICLE_SERIES, Session, validate_session
+from .session import EEG_CHANNELS, VEHICLE_SERIES, Session, validate_session
 from .spectral import BANDS, extract_features
 from .stats import separation_report
 from .vehicle import interval_aggregate
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,17 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hex digest that changes iff a pipeline parameter, a module constant
-        that changes results, the package version or the numpy version (whose
-        FFT and ``exp`` set the last bits) changes."""
+        that changes results, the bytes of the filter taps or the Welch
+        window, the package version or the numpy version (whose FFT and
+        ``exp`` set the last bits) changes."""
         constants = {
             "version": __version__,
             "numpy_version": np.__version__,
             "min_coverage": session.MIN_COVERAGE,
             "exact_path_max_min_n": stats.EXACT_PATH_MAX_MIN_N,
             "bands": [[b.name, b.lo_hz, b.hi_hz] for b in spectral.BANDS],
+            "taps_and_window_sha256": [hashlib.sha256(a.tobytes()).hexdigest() for a in
+                                       (preprocess.HP_TAPS, preprocess.LP_TAPS, spectral._WINDOW)],
         }
         canonical = json.dumps({"params": self.to_param_dict(), "constants": constants},
                                sort_keys=True, separators=(",", ":"))
@@ -83,21 +86,24 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """Per-session pipeline outputs."""
+    """Per-session pipeline outputs: the feature matrices and the session's
+    entry in the report's ``sessions`` list. The record holds, in this key
+    order: ``id``; ``pre_alert``, ``pre_drowsy``, ``post_alert`` and
+    ``post_drowsy``, the epochs of each state before and after the artifact
+    rule; ``dropped``, an ``[interval, outlier_fraction]`` pair per dropped
+    epoch in interval order; ``eeg_skipped``, the label intervals the EEG
+    does not fully cover; and ``telemetry_skipped``, those whose telemetry
+    holds under ``session.MIN_COVERAGE`` of its samples, or None without
+    telemetry."""
 
     eeg_features: FeatureMatrix
     vehicle_features: FeatureMatrix | None
-    cut_drowsy: np.ndarray  # shape (n,), bool label of every epoch cut, kept or dropped
+    record: dict
 
 
 def process_session(session: Session, config: RunConfig) -> SessionResult:
     """Validate one session, then run epoching, filtering, denoising and
     feature extraction on it.
-
-    Once every stage has run, one warning per path names the session and
-    counts the label intervals it skipped: those the EEG does not fully
-    cover, and those whose telemetry holds under ``MIN_COVERAGE`` of its
-    samples. No warning is logged for a path that skipped none.
 
     Raises:
         ValueError: The session is invalid (see ``validate_session``).
@@ -120,17 +126,22 @@ def process_session(session: Session, config: RunConfig) -> SessionResult:
                                                 abs_mean=config.abs_mean)
     except (NonFinitePower, DegeneratePower, NonFiniteSample) as exc:
         raise type(exc)(f"session {session.id}: {exc}") from exc
-    n_labels = len(session.labels)
-    if len(epochs) < n_labels:
-        logger.warning("session %s: skipped %d label interval(s) not fully covered by the EEG",
-                       session.id, n_labels - len(epochs))
-    # a 0-row matrix is falsy, so test for None
-    if vehicle_matrix is not None and len(vehicle_matrix) < n_labels:
-        logger.warning("session %s: skipped %d label interval(s) with telemetry coverage "
-                       "below %.0f%%", session.id, n_labels - len(vehicle_matrix),
-                       MIN_COVERAGE * 100)
-    return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix,
-                         cut_drowsy=spectra.drowsy)
+    # sets, not np.setdiff1d, whose first call adds about 2 MB to the peak RSS
+    intervals = set(range(len(session.labels)))
+    cut, kept_drowsy = spectra.drowsy, kept.epochs.drowsy
+    record = {
+        "id": session.id,
+        "pre_alert": int(np.count_nonzero(~cut)),
+        "pre_drowsy": int(np.count_nonzero(cut)),
+        "post_alert": int(np.count_nonzero(~kept_drowsy)),
+        "post_drowsy": int(np.count_nonzero(kept_drowsy)),
+        "dropped": [list(pair) for pair in zip(*(a.tolist() for a in kept.dropped))],
+        "eeg_skipped": sorted(intervals - set(epochs.interval_index.tolist())),
+        # a 0-row matrix is falsy, so test for None
+        "telemetry_skipped": (None if vehicle_matrix is None
+                              else sorted(intervals - set(vehicle_matrix.interval_index.tolist()))),
+    }
+    return SessionResult(eeg_features=eeg_matrix, vehicle_features=vehicle_matrix, record=record)
 
 
 def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
@@ -149,6 +160,7 @@ def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
     results = list(map(functools.partial(process_session, config=config), sessions))
     if not results:
         raise ValueError("cohort is empty")
+    records = [r.record for r in results]
 
     eeg_all = FeatureMatrix.concat([r.eeg_features for r in results])
 
@@ -174,24 +186,25 @@ def analyze_cohort(sessions: Iterable[Session], config: RunConfig,
         "eeg_absolute": eeg_abs_rows,
         "eeg_relative": eeg_rel_rows,
         "vehicle": vehicle_rows,
-        "denoise_table": denoise_table(np.concatenate([r.cut_drowsy for r in results]),
-                                       eeg_all.drowsy),
+        "denoise_table": denoise_table(records),
+        "sessions": records,
     }
 
 
-def denoise_table(cut_drowsy: np.ndarray, kept_drowsy: np.ndarray) -> dict:
-    """The epochs of each state before and after the artifact rule, counted
-    from the labels of every epoch cut (at least one) and every epoch kept,
-    and the share removed as a percentage rounded half-up to 2 decimals."""
-    pre_drowsy = int(np.count_nonzero(cut_drowsy))
-    post_drowsy = int(np.count_nonzero(kept_drowsy))
-    pre_total, post_total = len(cut_drowsy), len(kept_drowsy)
+def denoise_table(records: list[dict]) -> dict:
+    """The cohort's epochs of each state before and after the artifact rule,
+    the sums of the session records' counts (at least one epoch cut), and
+    the share removed as a percentage rounded half-up to 2 decimals."""
+    pre_alert, pre_drowsy, post_alert, post_drowsy = (
+        sum(r[key] for r in records)
+        for key in ("pre_alert", "pre_drowsy", "post_alert", "post_drowsy"))
+    pre_total, post_total = pre_alert + pre_drowsy, post_alert + post_drowsy
     removed = 1.0 - post_total / pre_total
     return {
-        "pre_alert": pre_total - pre_drowsy,
+        "pre_alert": pre_alert,
         "pre_drowsy": pre_drowsy,
         "pre_total": pre_total,
-        "post_alert": post_total - post_drowsy,
+        "post_alert": post_alert,
         "post_drowsy": post_drowsy,
         "post_total": post_total,
         "removal_percent": float(Decimal(repr(removed * 100.0))

@@ -6,19 +6,20 @@ high-pass and 40 Hz low-pass (``HP_TAPS``, ``LP_TAPS``), then drop epochs in
 which more than 30% of the post-filter samples exceed +/-70 uV. These
 values are the reference method's and fixed as the module constants
 below. ``denoise_epochs`` returns the kept epochs and the record of the
-dropped ones; ``pipeline`` counts the cohort's epochs before and after the
-rule from the epochs' labels. No session-sized sample block is built:
-``Epochs`` holds where each epoch starts in the recording, and
-``filter_epoch`` takes every epoch in one pass from the recording to what
-the later stages read of it, its per-channel outlier counts and its Welch
-PSD (``EpochSpectra``). The pass splits the epochs into one contiguous chunk per available CPU
+dropped ones; ``pipeline`` counts each session's epochs before and after
+the rule and lists the dropped ones in the session's report entry. No
+session-sized sample block is built: ``Epochs`` holds where each epoch
+starts in the recording, and ``filter_epoch`` takes every epoch in one
+pass from the recording to what the later stages read of it, its
+per-channel outlier counts and its Welch PSD (``EpochSpectra``). The pass
+splits the epochs into one contiguous chunk per available CPU
 (``for_each_chunk``) and runs the chunks on threads, since numpy's FFTs
 release the GIL; each worker holds one epoch's buffers, so the temporaries
 stay epoch-sized per worker. Each epoch goes through the same arithmetic
 whichever thread runs it, so the output bytes do not depend on the worker
-count. All operations are pure: nothing here logs, and
-``pipeline.process_session`` reports the label intervals a session's epochs
-leave out.
+count. All operations are pure; the report entry that
+``pipeline.process_session`` builds lists the label intervals a session's
+epochs leave out.
 
 The filter uses ``numpy.fft`` alone: the taps and each kernel's spectrum
 at its fixed transform length for an epoch are read-only constants built at
@@ -103,9 +104,8 @@ def epoch_signal(recording: EegRecording, labels: OrdLabelTrack) -> Epochs:
     """Find one epoch per fully covered label interval; no sample is copied.
 
     ``session.epoch_starts`` decides the covered intervals and their first
-    samples, as it does for ``validate_session``; the others are skipped
-    without a log record, and ``Epochs.interval_index`` says which were
-    kept. Each epoch carries its interval's index and the track's majority
+    samples, as it does for ``validate_session``; the others are skipped,
+    and ``Epochs.interval_index`` says which were kept. Each epoch carries its interval's index and the track's majority
     vote at that index.
     """
     index, start = epoch_starts(recording, labels)

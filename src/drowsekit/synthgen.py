@@ -241,11 +241,6 @@ def load_synth_spec(source: str | Path) -> SynthSpec:
     return SynthSpec.from_json_dict(json.loads(Path(source).read_text(encoding="utf-8")))
 
 
-def target_band_power_uv2(amplitude_uv: float) -> float:
-    """Analytic band power of a comb with the given total amplitude."""
-    return amplitude_uv * amplitude_uv / 2.0
-
-
 @functools.cache
 def _comb_tables(lo_hz: float, hi_hz: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angular frequencies (rad/s) of a comb's tones, with their sine and

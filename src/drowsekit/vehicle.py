@@ -26,9 +26,9 @@ def interval_aggregate(telemetry: VehicleTelemetry, labels: OrdLabelTrack,
     ``session.interval_slices`` finds covered.
 
     Intervals holding less than half their expected samples
-    (``session.MIN_COVERAGE``) are skipped without a log record; the
-    returned ``interval_index`` says which were kept. ``abs_mean``
-    switches to the mean of absolute values, removing signed cancellation.
+    (``session.MIN_COVERAGE``) are skipped; the returned
+    ``interval_index`` says which were kept. ``abs_mean`` switches to the
+    mean of absolute values, removing signed cancellation.
 
     Returns one row per emitted interval, in label order, with the
     ``VEHICLE_SERIES`` columns, the interval's index as ``interval_index``

@@ -177,6 +177,11 @@ def relative_band_power(density, band):
     return band_power(density, band) / total
 
 
+def target_band_power_uv2(amplitude_uv):
+    """Analytic band power of a comb with the given total amplitude."""
+    return amplitude_uv * amplitude_uv / 2.0
+
+
 def ks_normal_1d(sample):
     """``(D, p)`` for one finite, non-constant 1-D sample: the KS statistic
     and the p-value that ``stats.ks_normal_test`` returns for that sample as

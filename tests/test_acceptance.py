@@ -33,8 +33,8 @@ CONFIG = RunConfig()
 
 
 def test_criterion_1_reference_denoise_arithmetic():
-    table = denoise_table(np.repeat([False, True], [1058, 2986]),
-                          np.repeat([False, True], [998, 2814]))
+    table = denoise_table([{"pre_alert": 1058, "pre_drowsy": 2986,
+                            "post_alert": 998, "post_drowsy": 2814}])
     assert table["pre_total"] == 4044
     assert table["post_total"] == 3812
     percent = (1.0 - table["post_total"] / table["pre_total"]) * 100.0

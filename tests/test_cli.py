@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -761,6 +762,13 @@ def test_run_config_rejects_bad_alpha(alpha):
         pipeline.RunConfig(alpha=alpha)
 
 
+def _one_ulp_up_at(taps, k):
+    """A copy of ``taps`` with value ``k`` moved to the next float up."""
+    changed = taps.copy()
+    changed[k] = np.nextafter(changed[k], np.inf)
+    return changed
+
+
 @pytest.mark.parametrize("module, name, value", [
     (session, "MIN_COVERAGE", 0.6),
     (stats, "EXACT_PATH_MAX_MIN_N", 9),
@@ -775,6 +783,11 @@ def test_run_config_rejects_bad_alpha(alpha):
     (preprocess, "DEFAULT_AMPLITUDE_THRESHOLD_UV", 80.0),
     (preprocess, "DEFAULT_MAX_OUTLIER_FRACTION", 0.25),
     (spectral, "DEFAULT_NFFT", 512),
+    # the arrays the filter and the Welch PSD apply, which the values above
+    # built at import
+    (preprocess, "HP_TAPS", _one_ulp_up_at(preprocess.HP_TAPS, 2112)),
+    (preprocess, "LP_TAPS", _one_ulp_up_at(preprocess.LP_TAPS, 0)),
+    (spectral, "_WINDOW", _one_ulp_up_at(spectral._WINDOW, 512)),
 ])
 def test_config_digest_changes_with_result_constants(monkeypatch, module, name, value):
     base = pipeline.RunConfig().digest()
@@ -885,6 +898,22 @@ def test_no_import_inside_a_function():
                 nested += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                            if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_module_logs_and_main_leaves_the_root_logger_alone(tmp_path, monkeypatch):
+    # report.json says what happened to each session, so nothing logs
+    importers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            importers += [f"{path.name}:{node.lineno}" for name in names
+                          if name and name.split(".")[0] == "logging"]
+    assert importers == []
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    assert cli.main(["validate", "--manifest", str(tmp_path / "missing.csv")]) == 2
+    assert root.handlers == []
 
 
 def test_no_object_arrays():

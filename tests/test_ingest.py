@@ -231,13 +231,19 @@ def test_load_ord_two_intervals(tmp_path):
 
 
 def test_load_ord_gap(tmp_path):
-    with pytest.raises(GapInIntervals):
+    with pytest.raises(GapInIntervals) as err:
         ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 1, 1), (2, 1, 1, 1)]))
+    assert err.value.row == 2
 
 
 def test_load_ord_invalid_rating(tmp_path):
-    with pytest.raises(InvalidRating):
-        ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 6, 1)]))
+    with pytest.raises(InvalidRating, match="^labels CSV: interval 1 rating 6 outside 1..5$") as err:
+        ingest.load_ord_csv(_labels_csv(tmp_path, [(0, 1, 1, 1), (1, 1, 6, 1)]))
+    assert err.value.row == 2
+    # a track built in memory has no row
+    with pytest.raises(InvalidRating) as err:
+        OrdLabelTrack(intervals=((1, 6, 1),))
+    assert err.value.row is None
 
 
 @pytest.mark.parametrize("row", ["0,\u0661,1,1", "0,\uff14,1,1", "0,0_1,1,1", "\uff10,1,1,1",
@@ -245,8 +251,9 @@ def test_load_ord_invalid_rating(tmp_path):
 def test_load_ord_rejects_what_only_int_reads(row, tmp_path):
     # int() reads each of these; an index or a rating is ASCII digits with a sign
     path = _csv(tmp_path, f"interval,rater1,rater2,rater3\n{row}\n")
-    with pytest.raises(InvalidRating, match="^labels CSV: row 1 has a non-integer value"):
+    with pytest.raises(InvalidRating, match="^labels CSV: row 1 has a non-integer value") as err:
         ingest.load_ord_csv(path)
+    assert err.value.row == 1
 
 
 def test_load_ord_reads_signs_and_blanks(tmp_path):
@@ -256,8 +263,9 @@ def test_load_ord_reads_signs_and_blanks(tmp_path):
 
 def test_load_ord_missing_rater(tmp_path):
     text = "interval,rater1,rater2,rater3\n0,1,1\n"
-    with pytest.raises(MissingRater):
+    with pytest.raises(MissingRater) as err:
         ingest.load_ord_csv(_csv(tmp_path, text))
+    assert err.value.row == 1
 
 
 def test_load_ord_empty_rater_cell(tmp_path):
@@ -519,9 +527,9 @@ def test_a_line_of_blanks_is_a_row(kind, blanks, tmp_path):
     loader, header = FUZZ_LOADERS[kind]
     first, error = _BLANK_LINE_CASES[kind]
     path = _csv(tmp_path, f"{','.join(header)}\n{first}\n\n{blanks}\n")
-    with pytest.raises(error, match="row 3 ") as err:
+    with pytest.raises(error) as err:
         loader(path)
-    assert getattr(err.value, "row", 3) == 3
+    assert err.value.row == 3
 
 
 @pytest.mark.parametrize("header", ["t\x1f,TP9,AF7,AF8,TP10", "t,TP9\u3000,AF7,AF8,TP10",

@@ -2,7 +2,8 @@
 
 Three relations check the whole pipeline without an expected value:
 
-- the order of the sessions in a cohort does not enter the report;
+- the order of the sessions in a cohort enters the report files only as
+  the order of ``report.json``'s ``sessions`` list;
 - mapping every rating r to 6 - r swaps alert and drowsy, and the
   two-sided rank-sum p-value of every row does not depend on which group
   is which;
@@ -17,6 +18,7 @@ The first is also checked on hypothesis-drawn cohort shapes.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -47,10 +49,23 @@ def cohort(request):
     return request.param, sessions
 
 
-def _report_bytes(sessions, tmp_path, name):
+def _report_files(sessions, tmp_path, name):
+    """The report and the bytes of each file written for it, by file name."""
     report = pipeline.analyze_cohort(sessions, pipeline.RunConfig(), cohort_id="metamorphic")
-    pipeline.write_report_files(report, tmp_path / name)
-    return report, (tmp_path / name / "report.json").read_bytes()
+    paths = pipeline.write_report_files(report, tmp_path / name)
+    return report, {path.name: path.read_bytes() for path in paths}
+
+
+def _assert_same_but_session_order(forward, backward):
+    """Every file byte-identical but report.json, whose ``sessions`` list is
+    reversed and whose every other key is byte-identical."""
+    assert {k: v for k, v in backward.items() if k != "report.json"} == \
+        {k: v for k, v in forward.items() if k != "report.json"}
+    report = json.loads(backward["report.json"])
+    sessions = report["sessions"]
+    assert [r["id"] for r in sessions] != [r["id"] for r in sessions[::-1]]
+    report["sessions"] = sessions[::-1]
+    assert (json.dumps(report, indent=2) + "\n").encode() == forward["report.json"]
 
 
 def _rows(report):
@@ -65,11 +80,11 @@ def _swap_states(session):
 
 def test_reversed_session_order_leaves_report_identical(cohort, tmp_path):
     method, sessions = cohort
-    report, forward = _report_bytes(sessions, tmp_path, "forward")
-    _, backward = _report_bytes(sessions[::-1], tmp_path, "backward")
+    report, forward = _report_files(sessions, tmp_path, "forward")
+    _, backward = _report_files(sessions[::-1], tmp_path, "backward")
     assert {row["method"] for row in _rows(report)} == {method}
     assert len(_rows(report)) == 44
-    assert backward == forward
+    _assert_same_but_session_order(forward, backward)
 
 
 # (n_intervals, n_drowsy) of one session
@@ -86,15 +101,15 @@ def test_reversed_session_order_leaves_report_identical_on_any_shape(shapes, see
     sessions = [generate_session(SynthSpec(n_intervals=n, drowsy_fraction=d / n), seed + k)
                 for k, (n, d) in enumerate(shapes)]
     out = tmp_path_factory.mktemp("shapes")
-    _, forward = _report_bytes(sessions, out, "forward")
-    _, backward = _report_bytes(sessions[::-1], out, "backward")
-    assert backward == forward
+    _, forward = _report_files(sessions, out, "forward")
+    _, backward = _report_files(sessions[::-1], out, "backward")
+    _assert_same_but_session_order(forward, backward)
 
 
 def test_swapped_ratings_leave_every_p_value_identical(cohort, tmp_path):
     _, sessions = cohort
-    report, _ = _report_bytes(sessions, tmp_path, "as-rated")
-    swapped, _ = _report_bytes([_swap_states(s) for s in sessions], tmp_path, "swapped")
+    report, _ = _report_files(sessions, tmp_path, "as-rated")
+    swapped, _ = _report_files([_swap_states(s) for s in sessions], tmp_path, "swapped")
     rows, swapped_rows = _rows(report), _rows(swapped)
     assert [r["feature"] for r in swapped_rows] == [r["feature"] for r in rows]
     assert [(r["n_drowsy"], r["n_alert"]) for r in swapped_rows] == \
@@ -117,8 +132,8 @@ def test_doubled_eeg_leaves_every_p_value_identical(cohort, tmp_path):
     doubled = [_scale_eeg(s, 2.0) for s in sessions]
     # the relation needs the same epochs on both sides of the 70 uV / 30% rule
     assert [_dropped_intervals(s) for s in doubled] == [_dropped_intervals(s) for s in sessions]
-    report, _ = _report_bytes(sessions, tmp_path, "as-recorded")
-    scaled, _ = _report_bytes(doubled, tmp_path, "doubled")
+    report, _ = _report_files(sessions, tmp_path, "as-recorded")
+    scaled, _ = _report_files(doubled, tmp_path, "doubled")
     assert scaled["denoise_table"] == report["denoise_table"]
     keys = ("feature", "p_value", "ks_p_alert", "ks_p_drowsy")
     assert [[r[k] for k in keys] for r in _rows(scaled)] == \

@@ -1,8 +1,7 @@
 """The session pipeline against a per-epoch reference built on the scipy
-filter and Welch oracles, its skip warnings, its memory bound, and the
+filter and Welch oracles, its per-session record, its memory bound, and the
 cohort pass that holds one session at a time."""
 
-import logging
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -12,15 +11,11 @@ import pytest
 from helpers import band_limit, band_power, sine_wave, total_power, welch_psd_scipy
 
 from drowsekit import preprocess
-from drowsekit.errors import DegeneratePower
 from drowsekit.pipeline import RunConfig, analyze_cohort, denoise_table, process_session
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
     DEFAULT_MAX_OUTLIER_FRACTION,
     EPOCH_SAMPLES,
-    denoise_epochs,
-    epoch_signal,
-    filter_epoch,
 )
 from drowsekit.session import Session, make_eeg_recording, validate_session
 from drowsekit.spectral import BANDS
@@ -28,6 +23,8 @@ from drowsekit.synthgen import SynthSpec, generate_session
 
 # a 150 uV tone exceeds 70 uV for about 69% of its samples
 TONE = sine_wave(10.0, amplitude=150.0)
+# the epoch counts of a session record, as the reference returns them
+COUNT_KEYS = ("pre_alert", "pre_drowsy", "post_alert", "post_drowsy")
 
 
 def _session_with_tones(seed, all_channels, channel0):
@@ -86,14 +83,11 @@ def test_block_pipeline_matches_per_epoch_reference(seed, all_channels, channel0
 
     result = process_session(session, RunConfig(per_channel_outliers=per_channel))
     assert result.eeg_features.values.tobytes() == values.tobytes()
-    cut, kept_drowsy = result.cut_drowsy, result.eeg_features.drowsy
-    assert (np.count_nonzero(~cut), np.count_nonzero(cut), np.count_nonzero(~kept_drowsy),
-            np.count_nonzero(kept_drowsy)) == counts
-
-    kept = denoise_epochs(filter_epoch(session.eeg, epoch_signal(session.eeg, session.labels)),
-                          per_channel=per_channel)
-    assert [a.tolist() for a in kept.dropped] == list(dropped)
-    assert kept.epochs.interval_index.tolist() == result.eeg_features.interval_index.tolist()
+    record = result.record
+    assert tuple(record[k] for k in COUNT_KEYS) == counts
+    assert record["dropped"] == [list(pair) for pair in zip(*dropped)]
+    assert result.eeg_features.interval_index.tolist() == [
+        k for k in range(len(session.labels)) if k not in dropped[0]]
     # the tones drop what the rule says: every all-channel one, and the
     # channel-0 ones only per channel
     expected = sorted(all_channels + (channel0 if per_channel else ()))
@@ -109,10 +103,9 @@ def test_denoise_table_adds_up_the_sessions_counts():
     assert (pre.sum(axis=1) - post.sum(axis=1)).tolist() == [2, 0, 1, 0]
 
     report = analyze_cohort(sessions, RunConfig(), cohort_id="four")
-    pre_alert, pre_drowsy, post_alert, post_drowsy = counts.sum(axis=0).tolist()
+    assert [[r[k] for k in COUNT_KEYS] for r in report["sessions"]] == counts.tolist()
     assert report["denoise_table"] == denoise_table(
-        np.repeat([False, True], [pre_alert, pre_drowsy]),
-        np.repeat([False, True], [post_alert, post_drowsy]))
+        [dict(zip(COUNT_KEYS, counts.sum(axis=0).tolist()))])
     assert report["denoise_table"]["pre_total"] == 32
 
 
@@ -128,7 +121,11 @@ def _cut_last_interval(session):
             :, :telemetry.n_samples - int(20 * telemetry.sample_rate_hz)]))
 
 
-def test_process_session_names_the_session_in_each_skip_warning(caplog):
+def _skipped(result):
+    return result.record["eeg_skipped"], result.record["telemetry_skipped"]
+
+
+def test_process_session_records_the_skipped_intervals():
     session = generate_session(SynthSpec(n_intervals=4, drowsy_fraction=0.5), seed=2)
     cut = replace(_cut_last_interval(session), id="cut")
     # one interval whose telemetry covers 10% of it: validate accepts it (one
@@ -138,32 +135,19 @@ def test_process_session_names_the_session_in_each_skip_warning(caplog):
     sparse = replace(one, id="sparse", telemetry=replace(
         telemetry, series=telemetry.series[:, :int(3 * telemetry.sample_rate_hz)]))
     assert validate_session(sparse) == []
-    with caplog.at_level(logging.DEBUG):
-        process_session(session, RunConfig())
-        assert caplog.records == []
-        result = process_session(cut, RunConfig())
-        assert (len(result.eeg_features), len(result.vehicle_features)) == (3, 3)
-        result = process_session(sparse, RunConfig())
-        assert (len(result.eeg_features), len(result.vehicle_features)) == (1, 0)
-    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("drowsekit.pipeline", "WARNING",
-         "session cut: skipped 1 label interval(s) not fully covered by the EEG"),
-        ("drowsekit.pipeline", "WARNING",
-         "session cut: skipped 1 label interval(s) with telemetry coverage below 50%"),
-        ("drowsekit.pipeline", "WARNING",
-         "session sparse: skipped 1 label interval(s) with telemetry coverage below 50%"),
-    ]
 
-
-def test_a_session_that_fails_a_stage_logs_no_skip_warning(caplog):
-    # the warnings follow the stages, so a flat channel's error comes alone
-    session = _cut_last_interval(generate_session(SynthSpec(n_intervals=4), seed=2))
-    channels = session.eeg.channels.copy()
-    channels[0] = 0.0
-    flat = replace(session, eeg=replace(session.eeg, channels=channels))
-    with caplog.at_level(logging.DEBUG), pytest.raises(DegeneratePower):
-        process_session(flat, RunConfig())
-    assert caplog.records == []
+    result = process_session(session, RunConfig())
+    assert list(result.record) == ["id", *COUNT_KEYS, "dropped", "eeg_skipped",
+                                   "telemetry_skipped"]
+    assert _skipped(result) == ([], [])
+    result = process_session(cut, RunConfig())
+    assert result.record["id"] == "cut"
+    assert (len(result.eeg_features), len(result.vehicle_features)) == (3, 3)
+    assert _skipped(result) == ([3], [3])
+    result = process_session(sparse, RunConfig())
+    assert (len(result.eeg_features), len(result.vehicle_features)) == (1, 0)
+    assert _skipped(result) == ([], [0])
+    assert _skipped(process_session(replace(cut, telemetry=None), RunConfig())) == ([3], None)
 
 
 def test_process_session_never_holds_an_epoch_block(monkeypatch):

@@ -1,4 +1,3 @@
-import logging
 import sys
 import threading
 import time
@@ -20,6 +19,7 @@ from helpers import (
 from drowsekit import preprocess
 from drowsekit.preprocess import (
     DEFAULT_AMPLITUDE_THRESHOLD_UV,
+    DEFAULT_MAX_OUTLIER_FRACTION,
     EPOCH_SAMPLES,
     HP_TAPS,
     LP_TAPS,
@@ -60,22 +60,18 @@ def test_epoch_signal_full_coverage(rng):
     assert epochs.interval_index.tolist() == list(range(20))
 
 
-def test_epoch_signal_skips_partial_interval(rng, caplog):
-    # the stage only computes: process_session reports the skipped interval
+def test_epoch_signal_skips_partial_interval(rng):
+    # the stage only computes: process_session records the skipped interval
     rec = make_eeg_recording(rng.normal(size=(4, 20 * EPOCH_SAMPLES + 100)))
-    with caplog.at_level(logging.DEBUG):
-        epochs = epoch_signal(rec, _labels(21))
+    epochs = epoch_signal(rec, _labels(21))
     assert len(epochs) == 20
     assert epochs.interval_index.tolist() == list(range(20))
-    assert caplog.records == []
 
 
-def test_epoch_signal_too_short_recording(rng, caplog):
+def test_epoch_signal_too_short_recording(rng):
     rec = make_eeg_recording(rng.normal(size=(4, 7000)))
-    with caplog.at_level(logging.DEBUG):
-        epochs = epoch_signal(rec, _labels(1))
+    epochs = epoch_signal(rec, _labels(1))
     assert epochs.start.shape == (0,)
-    assert caplog.records == []
     # no epochs pass through the rest of the pipeline
     spectra = filter_epoch(rec, epochs)
     assert (spectra.outliers.shape, spectra.density.shape) == ((0, 4), (0, 4, 513))
@@ -488,7 +484,10 @@ def _session_with_labels(rng, drowsy, noisy=()):
 def test_denoise_summary_counts(rng):
     session = _session_with_labels(rng, [False] * 3 + [True] * 5, noisy=(2, 6, 7))
     result = process_session(session, RunConfig())
-    table = denoise_table(result.cut_drowsy, result.eeg_features.drowsy)
+    dropped = result.record["dropped"]
+    assert [k for k, _ in dropped] == [2, 6, 7]
+    assert all(fraction > DEFAULT_MAX_OUTLIER_FRACTION for _, fraction in dropped)
+    table = denoise_table([result.record])
     assert (table["pre_alert"], table["pre_drowsy"]) == (3, 5)
     assert (table["post_alert"], table["post_drowsy"]) == (2, 3)
     assert table["removal_percent"] == 37.5
@@ -496,13 +495,17 @@ def test_denoise_summary_counts(rng):
 
 def test_denoise_summary_identity(rng):
     result = process_session(_session_with_labels(rng, [False, True]), RunConfig())
-    assert result.cut_drowsy.tolist() == result.eeg_features.drowsy.tolist() == [False, True]
-    assert denoise_table(result.cut_drowsy, result.eeg_features.drowsy)["removal_percent"] == 0.0
+    record = result.record
+    assert (record["pre_alert"], record["pre_drowsy"]) == (1, 1)
+    assert (record["post_alert"], record["post_drowsy"]) == (1, 1)
+    assert record["dropped"] == []
+    assert result.eeg_features.drowsy.tolist() == [False, True]
+    assert denoise_table([record])["removal_percent"] == 0.0
 
 
 def test_reference_removal_percentage():
-    table = denoise_table(np.repeat([False, True], [1058, 2986]),
-                          np.repeat([False, True], [998, 2814]))
+    table = denoise_table([{"pre_alert": 1058, "pre_drowsy": 2986,
+                            "post_alert": 998, "post_drowsy": 2814}])
     assert table["pre_total"] == 4044
     assert table["post_total"] == 3812
     assert table["removal_percent"] == 5.74  # round-half-up of 5.7369...

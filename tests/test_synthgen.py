@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import add_combs_session_wide, band_power, generate_session_direct
+from helpers import (
+    add_combs_session_wide,
+    band_power,
+    generate_session_direct,
+    target_band_power_uv2,
+)
 
 from drowsekit import ingest, synthgen
 from drowsekit.errors import InvalidSpec
@@ -17,7 +22,6 @@ from drowsekit.synthgen import (
     SynthSpec,
     generate_session,
     load_synth_spec,
-    target_band_power_uv2,
 )
 
 

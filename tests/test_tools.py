@@ -10,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # the cohorts of tools/output_digest.py the identity check reruns at seed 1:
-# the worker-chunk edges, skipped intervals, the run logs and both
+# the worker-chunk edges, skipped intervals (in report.json) and both
 # validate rejections, in about 7 s
 IDENTITY_COHORTS = ("odd", "partial", "eeg-250hz", "telemetry-at-1000s")
 

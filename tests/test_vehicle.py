@@ -1,4 +1,3 @@
-import logging
 import tracemalloc
 import warnings
 
@@ -83,17 +82,15 @@ def test_overflowing_interval_mean_raises_naming_series_and_interval(spike, abs_
             assert signed.values[1, VEHICLE_SERIES.index("torque")] == 0.0
 
 
-def test_low_coverage_interval_skipped(caplog):
+def test_low_coverage_interval_skipped():
+    # the stage only computes: process_session records the skipped interval
     rate = 50.0
     n = int(0.1 * 30 * rate)  # 10% of one interval
     tel = make_telemetry(np.zeros((4, n)), sample_rate_hz=rate)
-    with caplog.at_level(logging.DEBUG):
-        out = interval_aggregate(tel, _labels([(1, 1, 1)]))
+    out = interval_aggregate(tel, _labels([(1, 1, 1)]))
     assert len(out) == 0
     assert out.feature_names == VEHICLE_SERIES
     assert out.interval_index.shape == (0,)
-    # the stage only computes: process_session reports the skipped interval
-    assert caplog.records == []
 
 
 def test_mean_invariant_to_sample_rate():

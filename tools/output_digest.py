@@ -10,14 +10,15 @@ writers, and two cohorts that ``validate`` rejects: one with a
 250 Hz EEG and one whose telemetry clock starts at 1000 s. ``validate`` runs
 on every cohort, and its stdout and exit code go to ``validate.txt`` in the
 cohort's directory; ``analyze`` and ``features`` run on each valid cohort
-with the default flags and with ``--abs-mean --per-channel-outliers``, and
-the log records of each such run, in cli's format, go to
-``<command>-<label>.log`` there (``label`` is ``default`` or ``flags``). The
-tool prints ``sha256  path`` for every file written, inputs included, with
-paths relative to a temporary directory, after two lines naming the Python
-and numpy versions: numpy's FFT and ``exp`` set the last bits of the
-outputs. Two trees write the same bytes when their outputs are equal, and
-the committed listing ``tests/data/output_digest.txt`` is made so:
+with the default flags and with ``--abs-mean --per-channel-outliers``, into
+``<command>-<label>`` there (``label`` is ``default`` or ``flags``); each
+``report.json`` lists what happened to every session, the "partial"
+cohort's skipped intervals included. The tool prints ``sha256  path`` for
+every file written, inputs included, with paths relative to a temporary
+directory, after two lines naming the Python and numpy versions: numpy's
+FFT and ``exp`` set the last bits of the outputs. Two trees write the same
+bytes when their outputs are equal, and the committed listing
+``tests/data/output_digest.txt`` is made so:
 
     PYTHONPATH=src python tools/output_digest.py > tests/data/output_digest.txt
 
@@ -34,7 +35,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import logging
 import platform
 import sys
 import tempfile
@@ -103,23 +103,12 @@ def write_cohort(shape, seed: int, cohort: Path) -> Path:
     return manifest
 
 
-def run(args: list[str]) -> tuple[str, str, int]:
-    """The stdout, the log and the exit code of one drowsekit command.
-
-    A root handler catches the log for the length of the call, so cli's
-    ``logging.basicConfig`` adds none of its own.
-    """
-    stdout, log = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(log)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root = logging.getLogger()
-    root.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(args)
-    finally:
-        root.removeHandler(handler)
-    return stdout.getvalue(), log.getvalue(), code
+def run(args: list[str]) -> tuple[str, int]:
+    """The stdout and the exit code of one drowsekit command."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(args)
+    return stdout.getvalue(), code
 
 
 def versions() -> list[str]:
@@ -139,7 +128,7 @@ def listing(names: tuple[str, ...] | None = None, seeds: tuple[int, ...] = SEEDS
             for seed in seeds:
                 cohort = root / f"{name}-{seed}"
                 manifest = write_cohort(shape, seed, cohort / "input")
-                stdout, _, code = run(["validate", "--manifest", str(manifest)])
+                stdout, code = run(["validate", "--manifest", str(manifest)])
                 (cohort / "validate.txt").write_text(f"{stdout}exit {code}\n")
                 if code != 0:  # analyze and features are run on valid cohorts only
                     continue
@@ -147,10 +136,8 @@ def listing(names: tuple[str, ...] | None = None, seeds: tuple[int, ...] = SEEDS
                     for command in ("analyze", "features"):
                         out = cohort / f"{command}-{label}"
                         args = [command, "--manifest", str(manifest), "--out", str(out), *flags]
-                        _, log, code = run(args)
-                        if code != 0:
+                        if run(args)[1] != 0:
                             sys.exit(f"error: drowsekit {' '.join(args)} failed")
-                        (cohort / f"{command}-{label}.log").write_text(log)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             lines.append(f"{digest}  {path.relative_to(root)}")
